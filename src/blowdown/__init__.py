@@ -9,8 +9,9 @@ Fraction or an int:
   * exppoly / transform: finite exponential sums over an intersection
     lattice, the series calculus they support, and the surgery moves
     (blowup, log transform, chain blowdown) acting on them.
-  * swinv / catalog / cli: basic-class maps with the same surgery moves,
-    a catalog of named families built along two independent routes, and a
+  * swinv / catalog / suites / cli: basic-class maps with the same surgery
+    moves, a catalog of named families walked into surgery plans and built
+    along two independent routes, the verification suites, and a
     command-line front end that replays every comparison.
 """
 
@@ -28,6 +29,7 @@ from .catalog import (
     donaldson_pipeline,
     parse_spec,
     render,
+    surgery_plan,
     sw_closed_form,
     sw_covered,
 )

@@ -8,6 +8,11 @@ assembled by exact division of hyperbolic-sine ladders, and a pipeline that
 replays the surgeries through the transform module.  Their exact agreement is
 the main cross-check this package exists to run.  Basic-class maps follow the
 same split where the transfer theorems cover the family.
+
+A spec is walked once, into a surgery plan: an ambient model with a seed
+fiber power and an ordered list of surgery steps.  The pipeline, the
+basic-class map and the CLI's blowdown walkthrough all interpret that plan;
+the closed route keeps its own closed forms for the family leaf.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from math import gcd, lcm
 from typing import Optional, Union
 
 from .exppoly import ExpKernel, cosh_c, exact_div, one, sinh_c
-from .lattice import ChainConfig, HClass, IntersectionLattice, pairing
+from .lattice import ChainConfig, HClass, IntersectionLattice, pairing, plumbing_matrix
 from .reporting import CheckReport
 from .swinv import SWMap, sw_blowup, sw_en, sw_log_transform, sw_taut_blowdown
 from .transform import (
@@ -256,7 +261,7 @@ def _as_spec(spec: Union[str, ManifoldSpec]) -> ManifoldSpec:
 
 
 # ---------------------------------------------------------------------------
-# Shared builders
+# Surgery plans
 
 
 def _kernel_pow(k: ExpKernel, n: int) -> ExpKernel:
@@ -266,262 +271,249 @@ def _kernel_pow(k: ExpKernel, n: int) -> ExpKernel:
     return out
 
 
-def _elliptic_on(lat: IntersectionLattice, n: int) -> ManifoldSeries:
-    """The fiber-power series sinh^{n-2}(f) placed on a lattice whose first
-    basis direction is the fiber f."""
-    f = lat.basis_class(lat.basis_names[0])
-    return ManifoldSeries(_kernel_pow(sinh_c(f), n - 2), 12 * n, -8 * n)
+@dataclass(frozen=True)
+class SurgeryStep:
+    """One surgery of a plan.
 
-
-def _w_ambient(n: int) -> IntersectionLattice:
-    """Fiber direction plus n pairwise-disjoint square -4 section directions."""
-    names = ["f"] + [f"s{i}" for i in range(1, n + 1)]
-    rank = n + 1
-    gram = [[Fraction(0)] * rank for _ in range(rank)]
-    for i in range(1, rank):
-        gram[0][i] = gram[i][0] = Fraction(1)
-        gram[i][i] = Fraction(-4)
-    return IntersectionLattice(names, gram)
-
-
-def _horikawa_ambient(n: int) -> IntersectionLattice:
-    """Fiber direction plus two disjoint blowdown chains of order n-2.
-
-    Each chain consists of n-4 interior square -2 directions and one section
-    of square -n meeting the fiber once; the two chains are orthogonal to
-    each other.
+    op is "chain" (blow down the order-n chain of the named spheres, naming
+    the new direction image), "logt" (order-n log transform along the fiber
+    class fiber = (index, multiple), i.e. multiple * basis[index]), "blowup"
+    (n blowups) or "hpsum" (sum with the order-n homology ball).
     """
-    p = n - 2
-    a = [f"a{i}" for i in range(1, p - 1)]
-    b = [f"b{i}" for i in range(1, p - 1)]
-    names = ["f"] + a + ["s"] + b + ["t"]
-    rank = len(names)
-    idx = {nm: k for k, nm in enumerate(names)}
-    gram = [[Fraction(0)] * rank for _ in range(rank)]
 
-    def put(x, y, v):
-        gram[idx[x]][idx[y]] = gram[idx[y]][idx[x]] = Fraction(v)
+    op: str
+    n: int
+    fiber: Optional[tuple[int, int]] = None
+    spheres: tuple[str, ...] = ()
+    image: Optional[str] = None
 
-    for chain, end in ((a, "s"), (b, "t")):
-        for k, nm in enumerate(chain):
-            put(nm, nm, -2)
-            if k + 1 < len(chain):
-                put(nm, chain[k + 1], 1)
-        if chain:
-            put(chain[-1], end, 1)
-        put(end, end, -n)
-        put("f", end, 1)
+    def config(self, lattice: IntersectionLattice) -> ChainConfig:
+        return ChainConfig(self.n, lattice, [lattice.basis_class(nm) for nm in self.spheres])
+
+    def fiber_class(self, lattice: IntersectionLattice) -> HClass:
+        idx, mult = self.fiber
+        return HClass(lattice, tuple(mult if i == idx else 0 for i in range(lattice.rank)))
+
+
+@dataclass(frozen=True)
+class SurgeryPlan:
+    """A spec as an ordered list of surgeries on a seed.
+
+    The seed is the elliptic surface E(seed) placed on the ambient lattice,
+    whose first basis direction is the fiber.  The first family_steps steps
+    build the family leaf `family` (E, W, Y or H); the closed route replaces
+    them by that leaf's closed form.  sw_gap says why the basic-class
+    calculus cannot follow the plan, or is None when it can.
+    """
+
+    family: ManifoldSpec
+    ambient: IntersectionLattice
+    seed: int
+    steps: tuple[SurgeryStep, ...]
+    family_steps: int
+    sw_gap: Optional[str]
+
+    def seed_series(self) -> ManifoldSeries:
+        """The fiber power sinh^(seed-2)(f)."""
+        f = self.ambient.basis_class(self.ambient.basis_names[0])
+        return ManifoldSeries(_kernel_pow(sinh_c(f), self.seed - 2), 12 * self.seed, -8 * self.seed)
+
+    def seed_swmap(self) -> SWMap:
+        """The elliptic map of E(seed), padded with zeros off the fiber."""
+        pad = (0,) * (self.ambient.rank - 1)
+        values = {(c,) + pad: v for (c,), v in sw_en(self.seed).values.items()}
+        return SWMap(self.ambient, values, 12 * self.seed, -8 * self.seed)
+
+
+def _chains_ambient(chains: list[SurgeryStep]) -> IntersectionLattice:
+    """Fiber direction f plus the disjoint plumbing chains of the given chain
+    steps, each meeting the fiber once in its end sphere."""
+    names = ["f"] + [nm for step in chains for nm in step.spheres]
+    gram = [[Fraction(0)] * len(names) for _ in names]
+    at = 1
+    for step in chains:
+        for i, row in enumerate(plumbing_matrix(step.n)):
+            for j, v in enumerate(row):
+                gram[at + i][at + j] = Fraction(v)
+        end = at + step.n - 2
+        gram[0][end] = gram[end][0] = Fraction(1)
+        at += step.n - 1
     return IntersectionLattice(names, gram)
 
 
-def _horikawa_chain(lat: IntersectionLattice, interior: list[str], end: str) -> list[HClass]:
-    return [lat.basis_class(nm) for nm in interior + [end]]
+def _outside(node: ManifoldSpec, why: str) -> str:
+    return f"{render(node)} is outside the basic-class covered family ({why})"
 
 
-def _y_lattice(n: int) -> IntersectionLattice:
-    """Carrier after blowing down one of the two chains: the image class lam
-    of square n-3 meeting the remaining section t in n-2, next to the intact
-    second chain."""
-    p = n - 2
-    b = [f"b{i}" for i in range(1, p - 1)]
-    names = ["lam"] + b + ["t"]
-    rank = len(names)
-    idx = {nm: k for k, nm in enumerate(names)}
-    gram = [[Fraction(0)] * rank for _ in range(rank)]
+def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
+    """Walk a spec into its surgery plan.
 
-    def put(x, y, v):
-        gram[idx[x]][idx[y]] = gram[idx[y]][idx[x]] = Fraction(v)
+    The fiber is tracked through the steps: it starts as f, a log transform
+    of order p turns fiber multiple M into lcm(M, p), and a chain blowdown
+    leaves no fiber, so a later log transform raises.  The basic-class gaps
+    are the homology-ball sum, the three-pair elliptic family, and a log
+    transform whose order shares a factor with the fiber multiple (its fans
+    collide); the innermost gap is reported.
+    """
+    outer = []
+    node = _as_spec(spec)
+    while isinstance(node, (BlowupSpec, LogSpec, HpSumSpec)):
+        outer.append(node)
+        node = node.base
+    steps: list[SurgeryStep] = []
+    fiber: Optional[tuple[int, int]] = None
+    gap: Optional[str] = None
 
-    put("lam", "lam", n - 3)
-    put("lam", "t", n - 2)
-    for k, nm in enumerate(b):
-        put(nm, nm, -2)
-        if k + 1 < len(b):
-            put(nm, b[k + 1], 1)
-    if b:
-        put(b[-1], "t", 1)
-    put("t", "t", -n)
-    return IntersectionLattice(names, gram)
+    def logt(where: ManifoldSpec, p: int) -> None:
+        nonlocal fiber, gap
+        if fiber is None:
+            raise ValueError("spec has no fiber class to log-transform along")
+        idx, mult = fiber
+        if gcd(mult, p) > 1 and gap is None:
+            gap = _outside(where, f"order-{p} fans collide on a fiber of multiple {mult}")
+        steps.append(SurgeryStep("logt", p, fiber=fiber))
+        fiber = (idx, mult * (p // gcd(mult, p)))
+
+    if isinstance(node, EllipticSpec):
+        ambient, seed, fiber = IntersectionLattice(["f"], [[0]]), node.n, (0, 1)
+        if len(node.pairs) == 3:
+            gap = _outside(node, "three-pair transforms collide")
+        for pair in node.pairs:
+            for o in pair:
+                logt(node, o)
+    elif isinstance(node, WSpec):
+        # n disjoint square -4 sections on E(4), each an order-2 chain
+        steps += [SurgeryStep("chain", 2, spheres=(f"s{i}",), image="k") for i in range(1, node.n + 1)]
+        ambient, seed = _chains_ambient(steps), 4
+    else:
+        # two disjoint order n-2 chains on E(n), each ending on a section of
+        # square -n; Y blows down the first, H both
+        p = node.n - 2
+        chains = [
+            SurgeryStep(
+                "chain", p, spheres=tuple(f"{x}{i}" for i in range(1, p - 1)) + (end,), image=image
+            )
+            for x, end, image in (("a", "s", "lam"), ("b", "t", "k"))
+        ]
+        ambient, seed = _chains_ambient(chains), node.n
+        steps += chains if isinstance(node, HSpec) else chains[:1]
+    family_steps = len(steps)
+    for node_out in reversed(outer):
+        if isinstance(node_out, BlowupSpec):
+            steps.append(SurgeryStep("blowup", node_out.k))
+        elif isinstance(node_out, LogSpec):
+            logt(node_out, node_out.p)
+        else:
+            if gap is None:
+                gap = _outside(node_out, "no value-transfer rule for homology-ball sums")
+            steps.append(SurgeryStep("hpsum", node_out.p))
+    return SurgeryPlan(node, ambient, seed, tuple(steps), family_steps, gap)
 
 
 # ---------------------------------------------------------------------------
 # Donaldson series, closed form and pipeline
 
 
-def _apply_log(
-    m: ManifoldSeries, fiber: Optional[tuple[int, int]], p: int
-) -> tuple[ManifoldSeries, tuple[int, int]]:
-    if fiber is None:
-        raise ValueError("spec has no fiber class to log-transform along")
-    idx, mult = fiber
-    s = HClass(m.lattice, tuple(mult if i == idx else 0 for i in range(m.lattice.rank)))
-    out = log_transform(m, s, p)
-    return out, (idx, mult * (p // gcd(mult, p)))
+def _y_lattice(n: int) -> IntersectionLattice:
+    """Carrier after blowing down one of the two chains: the image class lam
+    of square n-3 meeting the remaining section t in n-2, next to the intact
+    second chain (the order n-2 plumbing on b1, ..., t)."""
+    p = n - 2
+    names = ["lam"] + [f"b{i}" for i in range(1, p - 1)] + ["t"]
+    gram = [[Fraction(0)] * p for _ in range(p)]
+    gram[0][0] = Fraction(n - 3)
+    gram[0][p - 1] = gram[p - 1][0] = Fraction(n - 2)
+    for i, row in enumerate(plumbing_matrix(p), start=1):
+        gram[i][1:] = [Fraction(v) for v in row]
+    return IntersectionLattice(names, gram)
 
 
-def _eval_series(
-    spec: ManifoldSpec, route: str
-) -> tuple[ManifoldSeries, Optional[tuple[int, int]]]:
-    """Evaluate a spec to (series, fiber direction).  fiber is (index, mult)
-    with fiber class = mult * basis[index], or None once no fiber survives."""
+def _closed_family(spec: ManifoldSpec) -> ManifoldSeries:
+    """The printed closed form of a family leaf (E, W, Y or H)."""
     if isinstance(spec, EllipticSpec):
         orders = [o for pair in spec.pairs for o in pair]
-        if route == "closed":
-            n_total = lcm(*orders) if orders else 1
-            name = "f" if n_total == 1 else f"f_{n_total}"
-            lat = IntersectionLattice([name], [[0]])
-            u = lat.basis_class(name)
-            num = _kernel_pow(sinh_c(u * n_total), spec.n - 2 + len(orders))
-            den = one(lat)
-            for o in orders:
-                den = den * sinh_c(u * (n_total // o))
-            kernel = exact_div(num, den)
-            return ManifoldSeries(kernel, 12 * spec.n, -8 * spec.n), (0, n_total)
-        m = _elliptic_on(IntersectionLattice(["f"], [[0]]), spec.n)
-        fiber = (0, 1)
+        n_total = lcm(*orders) if orders else 1
+        name = "f" if n_total == 1 else f"f_{n_total}"
+        lat = IntersectionLattice([name], [[0]])
+        u = lat.basis_class(name)
+        num = _kernel_pow(sinh_c(u * n_total), spec.n - 2 + len(orders))
+        den = one(lat)
         for o in orders:
-            m, fiber = _apply_log(m, fiber, o)
-        return m, fiber
+            den = den * sinh_c(u * (n_total // o))
+        kernel = exact_div(num, den)
+        return ManifoldSeries(kernel, 12 * spec.n, -8 * spec.n)
+    n = spec.n
     if isinstance(spec, WSpec):
-        n = spec.n
-        if route == "closed":
-            lat = IntersectionLattice(["k"], [[n]])
-            kernel = cosh_c(lat.basis_class("k")).scale(Fraction(2) ** (n - 1))
-            return ManifoldSeries(kernel, 48 - n, -32 + n), None
-        m = _elliptic_on(_w_ambient(n), 4)
-        for i in range(1, n + 1):
-            cfg = ChainConfig(2, m.lattice, [m.lattice.basis_class(f"s{i}")])
-            m = taut_blowdown(m, cfg, image_names=["k"]).series
-        return m, None
-    if isinstance(spec, (YSpec, HSpec)):
-        n = spec.n
-        steps = 1 if isinstance(spec, YSpec) else 2
-        if route == "closed":
-            wave = cosh_c if n % 2 == 0 else sinh_c
-            if steps == 1:
-                lat = _y_lattice(n)
-                kernel = wave(lat.basis_class("lam"))
-                return ManifoldSeries(kernel, 11 * n + 3, -7 * n - 3), None
-            lat = IntersectionLattice(["k"], [[2 * n - 6]])
-            kernel = wave(lat.basis_class("k")).scale(Fraction(2) ** (n - 3))
-            return ManifoldSeries(kernel, 10 * n + 6, -6 * n - 6), None
-        p = n - 2
-        lat = _horikawa_ambient(n)
-        m = _elliptic_on(lat, n)
-        a = [f"a{i}" for i in range(1, p - 1)]
-        cfg = ChainConfig(p, m.lattice, _horikawa_chain(m.lattice, a, "s"))
-        m = taut_blowdown(m, cfg, image_names=["lam"]).series
-        if steps == 2:
-            b = [f"b{i}" for i in range(1, p - 1)]
-            cfg = ChainConfig(p, m.lattice, _horikawa_chain(m.lattice, b, "t"))
-            m = taut_blowdown(m, cfg, image_names=["k"]).series
-        return m, None
-    if isinstance(spec, BlowupSpec):
-        m, fiber = _eval_series(spec.base, route)
-        return blowup(m, spec.k), fiber
-    if isinstance(spec, LogSpec):
-        m, fiber = _eval_series(spec.base, route)
-        return _apply_log(m, fiber, spec.p)
-    if isinstance(spec, HpSumSpec):
-        m, fiber = _eval_series(spec.base, route)
-        return connected_sum_hp(m, spec.p), fiber
-    raise TypeError(f"not a manifold spec: {spec!r}")
+        lat = IntersectionLattice(["k"], [[n]])
+        kernel = cosh_c(lat.basis_class("k")).scale(Fraction(2) ** (n - 1))
+        return ManifoldSeries(kernel, 48 - n, -32 + n)
+    wave = cosh_c if n % 2 == 0 else sinh_c
+    if isinstance(spec, YSpec):
+        lat = _y_lattice(n)
+        kernel = wave(lat.basis_class("lam"))
+        return ManifoldSeries(kernel, 11 * n + 3, -7 * n - 3)
+    lat = IntersectionLattice(["k"], [[2 * n - 6]])
+    kernel = wave(lat.basis_class("k")).scale(Fraction(2) ** (n - 3))
+    return ManifoldSeries(kernel, 10 * n + 6, -6 * n - 6)
+
+
+def _series_steps(m: ManifoldSeries, steps: tuple[SurgeryStep, ...]) -> ManifoldSeries:
+    for step in steps:
+        if step.op == "chain":
+            m = taut_blowdown(m, step.config(m.lattice), [step.image]).series
+        elif step.op == "logt":
+            m = log_transform(m, step.fiber_class(m.lattice), step.n)
+        elif step.op == "blowup":
+            m = blowup(m, step.n)
+        else:
+            m = connected_sum_hp(m, step.n)
+    return m
 
 
 def donaldson_closed_form(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
     """Series from the printed closed forms: exact division of sinh ladders
-    for the elliptic family, explicit sinh/cosh forms for W, Y, and H."""
-    return _eval_series(_as_spec(spec), "closed")[0]
+    for the elliptic family, explicit sinh/cosh forms for W, Y, and H, then
+    the plan's steps after the family leaf."""
+    plan = surgery_plan(spec)
+    return _series_steps(_closed_family(plan.family), plan.steps[plan.family_steps :])
 
 
 def donaldson_pipeline(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
     """Series rebuilt through the surgery pipeline: fiber powers seeded on the
     ambient model, then log transforms and chain blowdowns step by step."""
-    return _eval_series(_as_spec(spec), "pipeline")[0]
+    plan = surgery_plan(spec)
+    return _series_steps(plan.seed_series(), plan.steps)
 
 
 # ---------------------------------------------------------------------------
 # Basic-class maps
 
 
-def _sw_eval(spec: ManifoldSpec) -> tuple[SWMap, Optional[tuple[int, int]]]:
-    if isinstance(spec, EllipticSpec):
-        if len(spec.pairs) == 3:
-            raise ValueError(
-                f"{render(spec)} is outside the basic-class covered family "
-                f"(three-pair transforms collide)"
-            )
-        m = sw_en(spec.n)
-        fiber = (0, 1)
-        for pair in spec.pairs:
-            for o in pair:
-                idx, mult = fiber
-                s = HClass(m.lattice, tuple(mult if i == idx else 0 for i in range(m.lattice.rank)))
-                m = sw_log_transform(m, s, o)
-                fiber = (idx, mult * (o // gcd(mult, o)))
-        return m, fiber
-    if isinstance(spec, WSpec):
-        n = spec.n
-        lat = _w_ambient(n)
-        pad = (0,) * n
-        values = {(c,) + pad: v for (c,), v in sw_en(4).values.items()}
-        m = SWMap(lat, values, 48, -32)
-        for i in range(1, n + 1):
-            cfg = ChainConfig(2, m.lattice, [m.lattice.basis_class(f"s{i}")])
-            m = sw_taut_blowdown(m, cfg, image_names=["k"])
-        return m, None
-    if isinstance(spec, (YSpec, HSpec)):
-        n = spec.n
-        p = n - 2
-        lat = _horikawa_ambient(n)
-        pad = (0,) * (lat.rank - 1)
-        values = {(c,) + pad: v for (c,), v in sw_en(n).values.items()}
-        m = SWMap(lat, values, 12 * n, -8 * n)
-        a = [f"a{i}" for i in range(1, p - 1)]
-        cfg = ChainConfig(p, m.lattice, _horikawa_chain(m.lattice, a, "s"))
-        m = sw_taut_blowdown(m, cfg, image_names=["lam"])
-        if isinstance(spec, HSpec):
-            b = [f"b{i}" for i in range(1, p - 1)]
-            cfg = ChainConfig(p, m.lattice, _horikawa_chain(m.lattice, b, "t"))
-            m = sw_taut_blowdown(m, cfg, image_names=["k"])
-        return m, None
-    if isinstance(spec, BlowupSpec):
-        m, fiber = _sw_eval(spec.base)
-        for _ in range(spec.k):
-            m = sw_blowup(m)
-        return m, fiber
-    if isinstance(spec, LogSpec):
-        m, fiber = _sw_eval(spec.base)
-        if fiber is None:
-            raise ValueError("spec has no fiber class to log-transform along")
-        idx, mult = fiber
-        s = HClass(m.lattice, tuple(mult if i == idx else 0 for i in range(m.lattice.rank)))
-        m = sw_log_transform(m, s, spec.p)
-        return m, (idx, mult * (spec.p // gcd(mult, spec.p)))
-    if isinstance(spec, HpSumSpec):
-        raise ValueError(
-            f"{render(spec)} is outside the basic-class covered family "
-            f"(no value-transfer rule for homology-ball sums)"
-        )
-    raise TypeError(f"not a manifold spec: {spec!r}")
-
-
 def sw_closed_form(spec: Union[str, ManifoldSpec]) -> SWMap:
     """Basic-class map for specs inside the covered family: the elliptic map
     transported through blowups, log transforms, and chain blowdowns."""
-    return _sw_eval(_as_spec(spec))[0]
+    plan = surgery_plan(spec)
+    if plan.sw_gap is not None:
+        raise ValueError(plan.sw_gap)
+    m = plan.seed_swmap()
+    for step in plan.steps:
+        if step.op == "chain":
+            m = sw_taut_blowdown(m, step.config(m.lattice), [step.image])
+        elif step.op == "logt":
+            m = sw_log_transform(m, step.fiber_class(m.lattice), step.n)
+        else:
+            for _ in range(step.n):
+                m = sw_blowup(m)
+    return m
 
 
 def sw_covered(spec: Union[str, ManifoldSpec]) -> bool:
-    """True when sw_closed_form is defined for the spec."""
+    """True exactly when sw_closed_form is defined for the spec."""
     node = _as_spec(spec)
-    if isinstance(node, EllipticSpec):
-        return len(node.pairs) != 3
-    if isinstance(node, (WSpec, YSpec, HSpec)):
-        return True
-    if isinstance(node, (BlowupSpec, LogSpec)):
-        return sw_covered(node.base)
-    return False
+    try:
+        return surgery_plan(node).sw_gap is None
+    except ValueError:
+        return False
 
 
 # ---------------------------------------------------------------------------

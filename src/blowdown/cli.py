@@ -12,35 +12,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .catalog import (
     EllipticSpec,
+    HSpec,
     LogSpec,
     SpecParseError,
-    _elliptic_on,
-    _horikawa_ambient,
-    _w_ambient,
+    WSpec,
+    YSpec,
     adjunction_audit,
     donaldson_closed_form,
     donaldson_pipeline,
     parse_spec,
     render,
+    surgery_plan,
     sw_closed_form,
 )
-from .exppoly import ExpKernel, exact_div, sinh_c
-from .lattice import (
-    ChainConfig,
-    IntersectionLattice,
-    RelClass,
-    boundary,
-    plumbing_inverse,
-    plumbing_matrix,
-    rel_pairing,
-)
-from .linalg import identity, mat_eq, mat_mul
-from .moduli import CanonicalClass, dim_report, verify_boundary_value_lemmas
+from .exppoly import ExpKernel
+from .lattice import IntersectionLattice, RelClass
+from .moduli import CanonicalClass, dim_report
 from .reporting import CheckReport
 from .serialize import (
     blowdown_to_obj,
@@ -49,15 +40,9 @@ from .serialize import (
     series_to_obj,
     swmap_to_obj,
 )
+from .suites import suite_identities, suite_lattice, suite_lemmas, suite_witten
 from .swinv import witten_check, witten_exponent
-from .transform import (
-    ManifoldSeries,
-    formal_log_coefficients,
-    log_transform,
-    nodal_log_pipeline,
-    taut_blowdown,
-    verify_nodal_matrix_identity,
-)
+from .transform import ManifoldSeries, taut_blowdown
 
 # ---------------------------------------------------------------------------
 # Text rendering
@@ -209,129 +194,6 @@ def cmd_dim(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-
-
-def _suite_lattice(p_max: int) -> list[CheckReport]:
-    out = []
-    for p in range(2, p_max + 1):
-        pm = [[Fraction(x) for x in row] for row in plumbing_matrix(p)]
-        out.append(
-            CheckReport(
-                "plumbing-inverse", mat_eq(mat_mul(pm, plumbing_inverse(p)), identity(p - 1)), p=p
-            )
-        )
-        diag = Fraction(-(p * p - p - 1), p * p)
-        off = Fraction(p + 1, p * p)
-        bad = []
-        units = [
-            RelClass(p, tuple(1 if k == i else 0 for k in range(p - 1)))
-            for i in range(p - 1)
-        ]
-        for i in range(p - 1):
-            for j in range(p - 1):
-                want = diag if i == j else off
-                if rel_pairing(units[i], units[j]) != want:
-                    bad.append([i + 1, j + 1])
-        out.append(CheckReport("relative-pairing", not bad, p=p, counterexamples=bad))
-        gok = True
-        for j in range(1, p):
-            gj = RelClass(
-                p, tuple(1 if k == j - 1 else 0 for k in range(p - 1)), basis="gamma"
-            )
-            if boundary(gj).value != j % (p * p):
-                gok = False
-            if RelClass(p, gj.delta_coords()).gamma_coords() != gj.gamma_coords():
-                gok = False
-        out.append(CheckReport("boundary-gamma", gok, p=p))
-    return out
-
-
-def _suite_lemmas(p_max: int, t_max: int, box: int) -> list[CheckReport]:
-    out = []
-    for p in range(2, p_max + 1):
-        out.extend(verify_boundary_value_lemmas(p, t_max=t_max, box=box))
-    return out
-
-
-def _e2_series() -> ManifoldSeries:
-    lat = IntersectionLattice(["f"], [[0]])
-    return ManifoldSeries(ExpKernel(lat, {(0,): Fraction(1)}), 24, -16)
-
-
-def _suite_identities(p_max: int) -> list[CheckReport]:
-    out = []
-    for p in range(2, p_max + 1):
-        out.append(CheckReport("nodal-matrix", verify_nodal_matrix_identity(p), p=p))
-        ladder = formal_log_coefficients(p)
-        ok = (
-            [e for e, _ in ladder] == list(range(p - 1, -p, -2))
-            and all(c == 1 for _, c in ladder)
-            and sum(c for _, c in ladder) == p
-        )
-        out.append(CheckReport("ladder-coefficients", ok, p=p))
-    e2 = _e2_series()
-    f = e2.lattice.basis_class("f")
-    for p in range(2, min(p_max, 7) + 1):
-        same = nodal_log_pipeline(e2, f, p).kernel == log_transform(e2, f, p).kernel
-        out.append(CheckReport("log-pipeline-match", same, p=p))
-    for p in range(2, min(p_max, 7) + 1):
-        for q in range(p + 1, min(p_max, 7) + 1):
-            if Fraction(p, q).denominator != q:
-                continue
-            closed = donaldson_closed_form(EllipticSpec(2, ((p, q),)))
-            u = closed.lattice.basis_class(closed.lattice.basis_names[0])
-            lp = exact_div(sinh_c(u * (p * q)), sinh_c(u * q))
-            lq = exact_div(sinh_c(u * (p * q)), sinh_c(u * p))
-            out.append(
-                CheckReport(
-                    "ponq-multiplicativity",
-                    closed.kernel == lp * lq,
-                    p=p,
-                    parameters={"q": q},
-                )
-            )
-    for p in (3, 5, 7):
-        two_first = log_transform(e2, f, 2)
-        route_a = log_transform(two_first, two_first.lattice.basis_class("f_2"), p)
-        p_first = log_transform(e2, f, p)
-        route_b = log_transform(p_first, p_first.lattice.basis_class(f"f_{p}"), 2)
-        closed = donaldson_closed_form(EllipticSpec(2, ((2 * p, 1),)))
-        odd_ladder = {
-            (j,): Fraction(1) for j in range(-(2 * p - 1), 2 * p, 2)
-        }
-        ok = (
-            route_a == route_b
-            and route_a.kernel == closed.kernel
-            and route_a.kernel.terms == odd_ladder
-        )
-        out.append(CheckReport("double-expansion", ok, p=p))
-    return out
-
-
-def _witten_specs() -> list[str]:
-    specs = [f"E({n})" for n in range(2, 7)]
-    for n in range(2, 6):
-        specs += [f"E({n};{pq})" for pq in ("2", "3", "2,3", "2,5", "3,4", "3,5")]
-    specs += [f"W({n})" for n in range(1, 9)]
-    specs += [f"Y({n})" for n in range(4, 9)]
-    specs += [f"H({n})" for n in range(4, 9)]
-    return specs
-
-
-def _suite_witten() -> list[CheckReport]:
-    import warnings
-
-    out = []
-    for s in _witten_specs():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ok = witten_check(donaldson_closed_form(s), sw_closed_form(s))
-        out.append(CheckReport("witten", ok, parameters={"spec": s}))
-    return out
-
-
 _SUITES = ("lattice", "lemmas", "identities", "witten", "all")
 
 
@@ -339,15 +201,15 @@ def cmd_verify(args) -> int:
     reports: list[CheckReport] = []
     suite = args.suite
     if suite in ("lattice", "all"):
-        reports += _suite_lattice(args.p_max if args.p_max is not None else 12)
+        reports += suite_lattice(args.p_max if args.p_max is not None else 12)
     if suite in ("lemmas", "all"):
-        reports += _suite_lemmas(
+        reports += suite_lemmas(
             args.p_max if args.p_max is not None else 6, args.t_max, args.box
         )
     if suite in ("identities", "all"):
-        reports += _suite_identities(args.p_max if args.p_max is not None else 7)
+        reports += suite_identities(args.p_max if args.p_max is not None else 7)
     if suite in ("witten", "all"):
-        reports += _suite_witten()
+        reports += suite_witten()
     passed = all(r.passed for r in reports)
     obj = {
         "suite": suite,
@@ -368,18 +230,6 @@ def cmd_verify(args) -> int:
 # Blowdown walkthroughs
 
 
-def _run_blowdown_steps(series, configs):
-    steps = []
-    m = series
-    for cfg, image in configs:
-        pre = m.lattice
-        spheres = [pre.basis_class(nm) for nm in cfg[1]]
-        result = taut_blowdown(m, ChainConfig(cfg[0], pre, spheres), image_names=image)
-        steps.append((cfg, pre, result))
-        m = result.series
-    return steps, m
-
-
 def cmd_blowdown(args) -> int:
     spec = parse_spec(args.spec)
     if args.sections is not None:
@@ -388,42 +238,40 @@ def cmd_blowdown(args) -> int:
         n = args.sections
         if not 1 <= n <= 8:
             raise ValueError("section count must be between 1 and 8 (simple connectivity bound)")
-        series = _elliptic_on(_w_ambient(n), 4)
-        configs = [((2, [f"s{i}"]), ["k"]) for i in range(1, n + 1)]
+        plan = surgery_plan(WSpec(n))
     else:
-        steps_wanted = args.horikawa
         if not isinstance(spec, EllipticSpec) or spec.pairs:
             raise ValueError("--horikawa requires a plain E(n) spec")
         n = spec.n
         if n < 4:
             raise ValueError("Horikawa-type blowdowns need n >= 4 (chain order n-2 >= 2)")
-        p = n - 2
-        series = _elliptic_on(_horikawa_ambient(n), n)
-        a = [f"a{i}" for i in range(1, p - 1)]
-        b = [f"b{i}" for i in range(1, p - 1)]
-        configs = [((p, a + ["s"]), ["lam"])]
-        if steps_wanted == 2:
-            configs.append(((p, b + ["t"]), ["k"]))
-    steps, final = _run_blowdown_steps(series, configs)
+        plan = surgery_plan(YSpec(n) if args.horikawa == 1 else HSpec(n))
+    steps = []
+    final = plan.seed_series()
+    for step in plan.steps:
+        pre = final.lattice
+        result = taut_blowdown(final, step.config(pre), image_names=[step.image])
+        steps.append((step, pre, result))
+        final = result.series
     obj = {
         "spec": render(spec),
         "steps": [
             {
-                "order": cfg[0],
-                "chain": cfg[1],
+                "order": step.n,
+                "chain": list(step.spheres),
                 "basis": list(pre.basis_names),
                 **blowdown_to_obj(result),
             }
-            for cfg, pre, result in steps
+            for step, pre, result in steps
         ],
         "series": series_to_obj(final),
     }
 
     def text():
         print(f"spec: {render(spec)}")
-        for i, (cfg, pre, result) in enumerate(steps, start=1):
-            order, chain = cfg
-            print(f"step {i}: blow down order-{order} chain ending at {chain[-1]}")
+        for i, (step, pre, result) in enumerate(steps, start=1):
+            order = step.n
+            print(f"step {i}: blow down order-{order} chain ending at {step.spheres[-1]}")
             post = result.series.lattice
             for rec in result.class_map:
                 src = _class_text(pre, rec.source)
@@ -490,6 +338,17 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list") from exc
 
 
+def _int_at_least(low: int):
+    # argparse names the type function in its "invalid ... value" message
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="blowdown",
@@ -521,9 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=_SUITES)
-    p.add_argument("--p-max", dest="p_max", type=int, default=None)
-    p.add_argument("--box", type=int, default=4)
-    p.add_argument("--t-max", dest="t_max", type=int, default=2)
+    p.add_argument("--p-max", dest="p_max", type=_int_at_least(2), default=None)
+    p.add_argument("--box", type=_int_at_least(0), default=4)
+    p.add_argument("--t-max", dest="t_max", type=_int_at_least(0), default=2)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .linalg import mat_eq, mat_mul
 
@@ -90,12 +90,6 @@ class IntersectionLattice:
         for name, c in terms.items():
             coeffs[self.index(name)] = int(c)
         return HClass(self, tuple(coeffs))
-
-    def qcombo(self, terms: Mapping[str, Scalar]) -> "QClass":
-        coeffs = [Fraction(0)] * self.rank
-        for name, c in terms.items():
-            coeffs[self.index(name)] = Fraction(c)
-        return QClass(self, tuple(coeffs))
 
 
 def diagonal_lattice(names: Sequence[str], squares: Sequence[Scalar]) -> IntersectionLattice:
@@ -177,14 +171,6 @@ class QClass:
         return QClass(self.lattice, tuple(Fraction(k) * a for a in self.coeffs))
 
     __rmul__ = __mul__
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def as_h(self) -> HClass:
-        if not self.is_integral():
-            raise ValueError("class is not integral")
-        return HClass(self.lattice, tuple(int(c) for c in self.coeffs))
 
     def dot(self, other) -> Fraction:
         return pairing(self, other)
@@ -397,14 +383,6 @@ class RelClass:
             return self.coeffs
         a = self.coeffs + (0,)
         return tuple(a[i] - a[i + 1] for i in range(self.p - 1))
-
-
-def basis_convert(e: RelClass, to: str) -> RelClass:
-    if to == "delta":
-        return RelClass(e.p, e.delta_coords(), "delta")
-    if to == "gamma":
-        return RelClass(e.p, e.gamma_coords(), "gamma")
-    raise ValueError(f"unknown basis {to!r}; expected one of {_BASES}")
 
 
 def rel_pairing(a: RelClass, b: RelClass) -> Fraction:

@@ -244,7 +244,11 @@ def verify_boundary_value_lemmas(p: int, t_max: int = 2, box: int = 4) -> list[C
        folded boundary of e' is at most that of e;
     4. quantized gap: if e' = e (mod 2) and the folded boundaries agree, then
        dim(e') - dim(e) is a nonnegative multiple of 4.
+
+    Raises for p < 2, t_max < 0 or box < 0, where the scan would be empty.
     """
+    if p < 2 or t_max < 0 or box < 0:
+        raise ValueError(f"need p >= 2, t_max >= 0 and box >= 0, got {p}, {t_max}, {box}")
     ncorr = _ncorr_table(p)
     psq = p * p
     by_sum, min_by_sum = _multiset_stats(p, box, ncorr)

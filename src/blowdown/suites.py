@@ -1,0 +1,136 @@
+"""The verification suites behind `blowdown verify`: lattice (plumbing
+inverse, relative pairing, boundary values), lemmas (the exhaustive
+boundary-value lemmas), identities (nodal and log-ladder identities) and
+witten (the two-calculi comparison on the 47 catalog specs).
+"""
+
+from __future__ import annotations
+
+import warnings
+from fractions import Fraction
+
+from .catalog import EllipticSpec, donaldson_closed_form, sw_closed_form
+from .exppoly import exact_div, sinh_c
+from .lattice import RelClass, boundary, plumbing_inverse, plumbing_matrix, rel_pairing
+from .linalg import identity, mat_eq, mat_mul
+from .moduli import verify_boundary_value_lemmas
+from .reporting import CheckReport
+from .swinv import witten_check
+from .transform import (
+    formal_log_coefficients,
+    log_transform,
+    nodal_log_pipeline,
+    verify_nodal_matrix_identity,
+)
+
+
+def suite_lattice(p_max: int) -> list[CheckReport]:
+    out = []
+    for p in range(2, p_max + 1):
+        pm = [[Fraction(x) for x in row] for row in plumbing_matrix(p)]
+        out.append(
+            CheckReport(
+                "plumbing-inverse", mat_eq(mat_mul(pm, plumbing_inverse(p)), identity(p - 1)), p=p
+            )
+        )
+        diag = Fraction(-(p * p - p - 1), p * p)
+        off = Fraction(p + 1, p * p)
+        bad = []
+        units = [
+            RelClass(p, tuple(1 if k == i else 0 for k in range(p - 1)))
+            for i in range(p - 1)
+        ]
+        for i in range(p - 1):
+            for j in range(p - 1):
+                want = diag if i == j else off
+                if rel_pairing(units[i], units[j]) != want:
+                    bad.append([i + 1, j + 1])
+        out.append(CheckReport("relative-pairing", not bad, p=p, counterexamples=bad))
+        gok = True
+        for j in range(1, p):
+            gj = RelClass(
+                p, tuple(1 if k == j - 1 else 0 for k in range(p - 1)), basis="gamma"
+            )
+            if boundary(gj).value != j % (p * p):
+                gok = False
+            if RelClass(p, gj.delta_coords()).gamma_coords() != gj.gamma_coords():
+                gok = False
+        out.append(CheckReport("boundary-gamma", gok, p=p))
+    return out
+
+
+def suite_lemmas(p_max: int, t_max: int, box: int) -> list[CheckReport]:
+    out = []
+    for p in range(2, p_max + 1):
+        out.extend(verify_boundary_value_lemmas(p, t_max=t_max, box=box))
+    return out
+
+
+def suite_identities(p_max: int) -> list[CheckReport]:
+    out = []
+    for p in range(2, p_max + 1):
+        out.append(CheckReport("nodal-matrix", verify_nodal_matrix_identity(p), p=p))
+        ladder = formal_log_coefficients(p)
+        ok = (
+            [e for e, _ in ladder] == list(range(p - 1, -p, -2))
+            and all(c == 1 for _, c in ladder)
+            and sum(c for _, c in ladder) == p
+        )
+        out.append(CheckReport("ladder-coefficients", ok, p=p))
+    e2 = donaldson_closed_form("E(2)")
+    f = e2.lattice.basis_class("f")
+    for p in range(2, min(p_max, 7) + 1):
+        same = nodal_log_pipeline(e2, f, p).kernel == log_transform(e2, f, p).kernel
+        out.append(CheckReport("log-pipeline-match", same, p=p))
+    for p in range(2, min(p_max, 7) + 1):
+        for q in range(p + 1, min(p_max, 7) + 1):
+            if Fraction(p, q).denominator != q:
+                continue
+            closed = donaldson_closed_form(EllipticSpec(2, ((p, q),)))
+            u = closed.lattice.basis_class(closed.lattice.basis_names[0])
+            lp = exact_div(sinh_c(u * (p * q)), sinh_c(u * q))
+            lq = exact_div(sinh_c(u * (p * q)), sinh_c(u * p))
+            out.append(
+                CheckReport(
+                    "ponq-multiplicativity",
+                    closed.kernel == lp * lq,
+                    p=p,
+                    parameters={"q": q},
+                )
+            )
+    for p in (3, 5, 7):
+        two_first = log_transform(e2, f, 2)
+        route_a = log_transform(two_first, two_first.lattice.basis_class("f_2"), p)
+        p_first = log_transform(e2, f, p)
+        route_b = log_transform(p_first, p_first.lattice.basis_class(f"f_{p}"), 2)
+        closed = donaldson_closed_form(EllipticSpec(2, ((2 * p, 1),)))
+        odd_ladder = {
+            (j,): Fraction(1) for j in range(-(2 * p - 1), 2 * p, 2)
+        }
+        ok = (
+            route_a == route_b
+            and route_a.kernel == closed.kernel
+            and route_a.kernel.terms == odd_ladder
+        )
+        out.append(CheckReport("double-expansion", ok, p=p))
+    return out
+
+
+def witten_specs() -> list[str]:
+    specs = [f"E({n})" for n in range(2, 7)]
+    for n in range(2, 6):
+        specs += [f"E({n};{pq})" for pq in ("2", "3", "2,3", "2,5", "3,4", "3,5")]
+    specs += [f"W({n})" for n in range(1, 9)]
+    specs += [f"Y({n})" for n in range(4, 9)]
+    specs += [f"H({n})" for n in range(4, 9)]
+    return specs
+
+
+def suite_witten() -> list[CheckReport]:
+    out = []
+    for s in witten_specs():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ok = witten_check(donaldson_closed_form(s), sw_closed_form(s))
+        out.append(CheckReport("witten", ok, parameters={"spec": s}))
+    return out

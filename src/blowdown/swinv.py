@@ -2,12 +2,14 @@
 
 An SWMap is the finite support of an integer-valued function on characteristic
 classes, carried together with the characteristic numbers of the underlying
-series.  The transforms mirror the kernel-level surgeries of .transform but
-transport plain integer values instead of formal-sum coefficients: blowup adds
-an exceptional direction and splits each class into a pair, the log transform
-fans each class into p translates along the refined fiber, and the chain
-blowdown keeps exactly the classes meeting the end sphere fully, with values
-unchanged (no power-of-two factor on this side).  witten_kernel converts a map
+series.  The transforms move classes through the same surgery geometry as the
+kernel-level surgeries of .transform (blown_up_lattice, log_placement,
+chain_pushoff) but transport plain integer values instead of formal-sum
+coefficients, and never read a series coefficient: blowup adds an exceptional
+direction and splits each class into a pair, the log transform fans each class
+into p translates along the refined fiber, and the chain blowdown keeps
+exactly the classes meeting the end sphere fully, with values unchanged (no
+power-of-two factor on this side).  witten_kernel converts a map
 into an exponential-sum kernel, scaled by a power of two fixed by the
 characteristic numbers, for exact comparison against the series calculus.
 """
@@ -16,10 +18,10 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .exppoly import ExpKernel, refined_lattice
+from .exppoly import ExpKernel
 from .lattice import (
     ChainConfig,
     HClass,
@@ -28,13 +30,11 @@ from .lattice import (
     pairing,
 )
 from .transform import (
+    ORTHOGONAL,
     ManifoldSeries,
-    _blown_down_lattice,
-    _fiber_direction,
-    _fresh_names,
-    _rebase,
-    _refined_name,
-    restrict_class,
+    blown_up_lattice,
+    chain_pushoff,
+    log_placement,
 )
 
 KeyLike = Union[HClass, tuple]
@@ -171,15 +171,7 @@ def sw_blowup(
     levels = sorted(set(int(k) for k in k_levels))
     if not levels or levels[0] < 0:
         raise ValueError("blowup levels must be integers >= 0")
-    lat = m.lattice
-    if name is None:
-        name = _fresh_names(lat, "e", 1)[0]
-    elif name in lat.basis_names:
-        raise ValueError(f"exceptional name {name!r} is already a basis name")
-    n = lat.rank
-    gram = [[lat.gram[i][j] if i < n and j < n else Fraction(0) for j in range(n + 1)] for i in range(n + 1)]
-    gram[n][n] = Fraction(-1)
-    new_lat = IntersectionLattice(list(lat.basis_names) + [name], gram)
+    new_lat = blown_up_lattice(m.lattice, 1, None if name is None else [name])
     values: dict[tuple[int, ...], int] = {}
     for key in sorted(m.values):
         v = m.values[key]
@@ -205,29 +197,16 @@ def sw_log_transform(
     j = p-1, p-3, ..., -(p-1), all carrying L's value.  Distinct classes whose
     fans meet would need their values reconciled; that case raises instead.
     """
-    if p < 1:
-        raise ValueError("log transform order must be >= 1")
-    idx, mult = _fiber_direction(m.lattice, m.basic_classes(), s)
-    d = p // gcd(mult, p)
-    lat = m.lattice
-    if d > 1:
-        old = lat.basis_class(lat.basis_names[idx])
-        name = new_name if new_name is not None else _refined_name(lat.basis_names[idx], d)
-        lat = refined_lattice(lat, old, d, name)
-    step = mult * d // p
+    place = log_placement(m.lattice, m.basic_classes(), s, p, new_name)
     values: dict[tuple[int, ...], int] = {}
     for key in sorted(m.values):
-        v = m.values[key]
-        for j in range(p - 1, -p, -2):
-            nk = list(key)
-            nk[idx] = nk[idx] * d + j * step
-            nk = tuple(nk)
+        for nk in place.ladder(key):
             if nk in values:
                 raise ValueError(
                     "log transform target collision: distinct classes map to the same class"
                 )
-            values[nk] = v
-    return SWMap(lat, values, m.euler, m.signature, m.simple_type)
+            values[nk] = m.values[key]
+    return SWMap(place.lattice, values, m.euler, m.signature, m.simple_type)
 
 
 def sw_taut_blowdown(
@@ -246,35 +225,16 @@ def sw_taut_blowdown(
     if c.ambient != m.lattice:
         raise ValueError("configuration does not live in the map's lattice")
     p = c.p
-    end = c.spheres[-1]
-    for kappa, _ in m.classes():
-        if any(pairing(kappa, u) != 0 for u in c.spheres[:-1]) or abs(pairing(kappa, end)) > p:
-            raise ValueError("configuration is not tautly embedded for the basic classes")
-    survivors: list[tuple[tuple[Fraction, ...], int]] = []
-    for kappa, v in m.classes():
-        a = int(pairing(kappa, end))
-        if abs(a) == p:
-            r = restrict_class(c, kappa)
-            if not r.boundary.in_subgroup(p):
-                raise ValueError(
-                    f"class {kappa.coeffs} meets the end sphere fully but does not extend "
-                    f"(boundary {r.boundary.value} mod {p * p})"
-                )
-            if r.square != pairing(kappa, kappa) + (p - 1):
-                raise RuntimeError("extension square does not shift by p-1 on a taut survivor")
-            survivors.append((tuple(r.extension.coeffs), v))
-        elif a != 0:
-            warnings.warn(
-                f"dropping class {kappa.coeffs}: pairing {a} with the end sphere admits "
-                f"no extension across the blowdown"
-            )
-    lat, basis = _blown_down_lattice(c, [ext for ext, _ in survivors], image_names)
+    lat, records = chain_pushoff(c, m.basic_classes(), None, image_names)
     values: dict[tuple[int, ...], int] = {}
-    for ext, v in survivors:
-        img = _rebase(ext, basis, lat)
-        if img in values:
+    for rec in records:
+        if rec.status == "dropped":
+            if rec.reason != ORTHOGONAL:
+                warnings.warn(f"dropping class {rec.source}: {rec.reason}")
+            continue
+        if rec.image in values:
             raise ValueError("blowdown target collision: distinct classes map to the same class")
-        values[img] = v
+        values[rec.image] = m.values[rec.source]
     return SWMap(lat, values, m.euler - (p - 1), m.signature + (p - 1), m.simple_type)
 
 

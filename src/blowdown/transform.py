@@ -1,4 +1,5 @@
-"""Surgery transforms on series kernels.
+"""Surgery transforms on series kernels, and the surgery geometry they share
+with the basic-class calculus.
 
 Implements the kernel-level effect of the standard cut-and-paste operations:
 blowup (connected sum with a reversed projective plane), rational blowdown of a
@@ -8,17 +9,22 @@ blowdowns built from a nodal fiber (the log-transform pipeline and the
 homology-ball connected sum).  Characteristic-number bookkeeping rides along:
 blowup (e+1, sigma-1), chain blowdown (e-(p-1), sigma+(p-1)), log transform
 neutral.
+
+How a surgery moves lattice classes is the same for both calculi and lives in
+one function per surgery: blown_up_lattice, log_placement and chain_pushoff.
+The series transforms here and the basic-class transforms in .swinv differ
+only in the coefficient a moved class carries.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .exppoly import ExpKernel, exact_div, refine_lattice, sinh_c, twist, zero
+from .exppoly import ExpKernel, exact_div, refined_lattice, sinh_c, twist, zero
 from .lattice import (
     ChainConfig,
     HClass,
@@ -80,6 +86,7 @@ class ClassRecord:
     residue: int
     extension: Optional[tuple[Fraction, ...]] = None
     image: Optional[tuple[int, ...]] = None
+    reason: str = ""
 
     def to_obj(self) -> dict:
         from .serialize import fraction_str
@@ -129,25 +136,35 @@ def _fresh_names(lattice: IntersectionLattice, stem: str, count: int) -> list[st
     return out
 
 
+def blown_up_lattice(
+    lattice: IntersectionLattice, k: int, names: Optional[Sequence[str]]
+) -> IntersectionLattice:
+    """The lattice with k exceptional square -1 directions appended, orthogonal
+    to everything.  Without names they are called e1, e2, ..., skipping names
+    already in use."""
+    if k < 1:
+        raise ValueError("blowup count must be >= 1")
+    if names is None:
+        names = _fresh_names(lattice, "e", k)
+    elif len(names) != k or len(set(names)) != k:
+        raise ValueError("need k distinct exceptional names")
+    for name in names:
+        if name in lattice.basis_names:
+            raise ValueError(f"exceptional name {name!r} is already a basis name")
+    n = lattice.rank
+    gram = [[lattice.gram[i][j] if i < n and j < n else Fraction(0) for j in range(n + k)] for i in range(n + k)]
+    for i in range(n, n + k):
+        gram[i][i] = Fraction(-1)
+    return IntersectionLattice(list(lattice.basis_names) + list(names), gram)
+
+
 def blowup(m: ManifoldSeries, k: int = 1, names: Optional[Sequence[str]] = None) -> ManifoldSeries:
     """Add k exceptional square -1 directions and multiply the kernel by
     the product of their cosh factors; euler += k, signature -= k."""
-    if k < 1:
-        raise ValueError("blowup count must be >= 1")
-    lat = m.lattice
-    if names is None:
-        names = _fresh_names(lat, "e", k)
-    elif len(names) != k or len(set(names)) != k:
-        raise ValueError("need k distinct exceptional names")
-    n = lat.rank
-    new_names = list(lat.basis_names) + list(names)
-    gram = [[lat.gram[i][j] if i < n and j < n else Fraction(0) for j in range(n + k)] for i in range(n + k)]
-    for i in range(n, n + k):
-        gram[i][i] = Fraction(-1)
-    new_lat = IntersectionLattice(new_names, gram)
+    new_lat = blown_up_lattice(m.lattice, k, names)
     kernel = ExpKernel(new_lat, {key + (0,) * k: c for key, c in m.kernel.terms.items()})
-    for i in range(k):
-        exc = new_lat.basis_class(names[i])
+    for name in new_lat.basis_names[m.lattice.rank :]:
+        exc = new_lat.basis_class(name)
         kernel = kernel * ExpKernel(new_lat, [(exc.coeffs, Fraction(1, 2)), ((-exc).coeffs, Fraction(1, 2))])
     return ManifoldSeries(kernel, m.euler + k, m.signature - k, m.simple_type)
 
@@ -190,17 +207,38 @@ def check_sphere_relation(m: ManifoldSeries, u: HClass) -> bool:
     return not rel
 
 
+def _is_taut(g: Sequence, p: int) -> bool:
+    """Pairings g with the chain spheres: zero on the interior spheres and at
+    most p in absolute value on the end sphere."""
+    return not any(g[:-1]) and abs(g[-1]) <= p
+
+
 def check_taut(m: ManifoldSeries, c: ChainConfig) -> bool:
     """True iff every kernel class pairs to 0 with the interior spheres and to
     at most p in absolute value with the end sphere."""
     if c.ambient != m.lattice:
         raise ValueError("configuration does not live in the series lattice")
-    for kappa, _ in m.kernel.classes():
-        if any(pairing(kappa, u) != 0 for u in c.spheres[:-1]):
-            return False
-        if abs(pairing(kappa, c.spheres[-1])) > c.p:
-            return False
-    return True
+    return all(
+        _is_taut([pairing(kappa, u) for u in c.spheres], c.p) for kappa, _ in m.kernel.classes()
+    )
+
+
+def _chain_pairings(c: ChainConfig, kappa: HClass) -> tuple[int, ...]:
+    g = [pairing(kappa, u) for u in c.spheres]
+    if any(v.denominator != 1 for v in g):
+        raise ValueError("class pairs non-integrally with the configuration")
+    return tuple(int(v) for v in g)
+
+
+def _extension(c: ChainConfig, kappa: HClass, g: Sequence[int]) -> QClass:
+    """kappa + sum x_i u_i with x solving (kappa + sum x_i u_i) . u_j = 0,
+    given the pairings g_j = kappa . u_j."""
+    pinv = [[Fraction(x) for x in row] for row in plumbing_inverse(c.p)]
+    x = mat_vec(pinv, [Fraction(-v) for v in g])
+    ext = kappa.as_q()
+    for xi, u in zip(x, c.spheres):
+        ext = ext + u.as_q() * xi
+    return ext
 
 
 def restrict_class(c: ChainConfig, kappa: HClass) -> RestrictedClass:
@@ -208,19 +246,9 @@ def restrict_class(c: ChainConfig, kappa: HClass) -> RestrictedClass:
     extension, its square, and the boundary class of the relative restriction."""
     if kappa.lattice != c.ambient:
         raise ValueError("class does not live in the configuration's ambient lattice")
-    p = c.p
-    g = [pairing(kappa, u) for u in c.spheres]
-    if any(v.denominator != 1 for v in g):
-        raise ValueError("class pairs non-integrally with the configuration")
-    g = [int(v) for v in g]
-    pinv = [[Fraction(x) for x in row] for row in plumbing_inverse(p)]
-    x = mat_vec(pinv, [Fraction(-v) for v in g])
-    ext = kappa.as_q()
-    for xi, u in zip(x, c.spheres):
-        ext = ext + u.as_q() * xi
-    sq = pairing(ext, ext)
-    bdry = boundary(RelClass(p, tuple(g), basis="gamma"))
-    return RestrictedClass(ext, sq, bdry)
+    g = _chain_pairings(c, kappa)
+    ext = _extension(c, kappa, g)
+    return RestrictedClass(ext, pairing(ext, ext), boundary(RelClass(c.p, g, basis="gamma")))
 
 
 def _orthogonal_unit_indices(c: ChainConfig) -> list[int]:
@@ -282,13 +310,76 @@ def _blown_down_lattice(
     return IntersectionLattice(names, gram), basis
 
 
-def _rebase(
-    ext: tuple[Fraction, ...], basis: list[tuple[Fraction, ...]], lattice: IntersectionLattice
-) -> tuple[int, ...]:
+def _rebase(ext: tuple[Fraction, ...], basis: list[tuple[Fraction, ...]]) -> tuple[int, ...]:
     coords = span_coords([list(b) for b in basis], list(ext))
     if coords is None or any(x.denominator != 1 for x in coords):
         raise RuntimeError("extension class is not integral on the blown-down lattice")
     return tuple(int(x) for x in coords)
+
+
+# ClassRecord.reason of a class that a taut blowdown drops because it misses
+# the end sphere; every other taut drop has no extension at all.
+ORTHOGONAL = "pairs to zero with the end sphere"
+
+
+def chain_pushoff(
+    c: ChainConfig,
+    classes: Sequence[HClass],
+    keep: Optional[Sequence[bool]],
+    image_names: Optional[Sequence[str]],
+) -> tuple[IntersectionLattice, list[ClassRecord]]:
+    """Move classes across the rational blowdown of a chain configuration.
+
+    With keep None the taut rule decides: every class must pair to 0 with the
+    interior spheres and to at most p with the end sphere, the classes meeting
+    the end sphere in +-p are kept, and each kept extension must square to the
+    class square plus p-1.  Otherwise keep[i] is the caller's verdict on
+    classes[i] (the twist route decides it from coefficients).  A kept
+    extension must descend: its boundary residue lies in the index-p subgroup.
+
+    Returns the blown-down lattice and one record per class, in input order,
+    with its residue and reason.  Only kept classes get an extension and an
+    image, so a dropped class costs its pairings alone.
+    """
+    p = c.p
+    pairings = [_chain_pairings(c, kappa) for kappa in classes]
+    if keep is None and not all(_is_taut(g, p) for g in pairings):
+        raise ValueError("configuration is not tautly embedded for these classes")
+    records: list[ClassRecord] = []
+    for i, (kappa, g) in enumerate(zip(classes, pairings)):
+        residue = boundary(RelClass(p, g, basis="gamma"))
+        end = g[-1]
+        if keep is None:
+            kept = abs(end) == p
+            if kept:
+                reason = f"meets the end sphere in {end}"
+            elif end == 0:
+                reason = ORTHOGONAL
+            else:
+                reason = f"pairing {end} with the end sphere admits no extension across the blowdown"
+        else:
+            kept = keep[i]
+            reason = "coefficient survives the twist" if kept else "coefficient cancels under the twist"
+        if not kept:
+            records.append(ClassRecord(kappa.coeffs, "dropped", residue.value, reason=reason))
+            continue
+        if not residue.in_subgroup(p):
+            raise ValueError(
+                f"class {kappa.coeffs} is kept but does not extend across the blowdown "
+                f"(boundary {residue.value} mod {p * p})"
+            )
+        ext = _extension(c, kappa, g)
+        if keep is None and pairing(ext, ext) != pairing(kappa, kappa) + (p - 1):
+            raise RuntimeError("extension square does not shift by p-1 on a taut survivor")
+        records.append(ClassRecord(kappa.coeffs, "kept", residue.value, ext.coeffs, reason=reason))
+    lat, basis = _blown_down_lattice(
+        c, [r.extension for r in records if r.status == "kept"], image_names
+    )
+    records = [
+        replace(r, image=_rebase(r.extension, basis)) if r.status == "kept" else r
+        for r in records
+    ]
+    return lat, records
 
 
 def taut_blowdown(
@@ -302,35 +393,15 @@ def taut_blowdown(
     """
     if not m.simple_type:
         raise ValueError("taut blowdown requires a simple-type series")
-    if not check_taut(m, c):
-        raise ValueError("configuration is not tautly embedded for this kernel")
+    if c.ambient != m.lattice:
+        raise ValueError("configuration does not live in the series lattice")
     p = c.p
-    end = c.spheres[-1]
-    outcomes: list[tuple[tuple[int, ...], Optional[tuple[Fraction, ...]], Fraction, int]] = []
-    for kappa, a in m.kernel.classes():
-        r = restrict_class(c, kappa)
-        if abs(pairing(kappa, end)) == p:
-            if not r.boundary.in_subgroup(p):
-                raise ValueError(
-                    f"class {kappa.coeffs} meets the end sphere fully but does not extend "
-                    f"(boundary {r.boundary.value} mod {p * p})"
-                )
-            if r.square != pairing(kappa, kappa) + (p - 1):
-                raise RuntimeError("extension square does not shift by p-1 on a taut survivor")
-            outcomes.append((kappa.coeffs, tuple(r.extension.coeffs), a, r.boundary.value))
-        else:
-            outcomes.append((kappa.coeffs, None, a, r.boundary.value))
-    lat, basis = _blown_down_lattice(c, [o[1] for o in outcomes if o[1] is not None], image_names)
+    lat, records = chain_pushoff(c, m.basic_classes(), None, image_names)
     terms: dict[tuple[int, ...], Fraction] = {}
     scale = Fraction(2) ** (p - 1)
-    records: list[ClassRecord] = []
-    for source, ext, a, res in outcomes:
-        if ext is None:
-            records.append(ClassRecord(source, "dropped", res))
-            continue
-        img = _rebase(ext, basis, lat)
-        terms[img] = terms.get(img, Fraction(0)) + scale * a
-        records.append(ClassRecord(source, "kept", res, ext, img))
+    for rec in records:
+        if rec.status == "kept":
+            terms[rec.image] = terms.get(rec.image, Fraction(0)) + scale * m.kernel.terms[rec.source]
     series = ManifoldSeries(
         ExpKernel(lat, terms), m.euler - (p - 1), m.signature + (p - 1), m.simple_type
     )
@@ -350,27 +421,14 @@ def p2_blowdown(
         raise ValueError("lattice mismatch: sphere class not in the series lattice")
     if pairing(sigma, sigma) != -4:
         raise ValueError("the sphere class must have square -4")
-    c = ChainConfig(2, m.lattice, [sigma])
     k2 = m.kernel - twist(m.kernel, sigma)
-    records: list[ClassRecord] = []
-    extensions: list[tuple[Fraction, ...]] = []
-    kept: list[tuple[HClass, tuple[Fraction, ...], Fraction, int]] = []
-    for kappa, a in m.kernel.classes():
-        r = restrict_class(c, kappa)
-        a2 = k2.coeff(kappa)
-        if a2:
-            if not r.boundary.in_subgroup(2):
-                raise ValueError(f"class {kappa.coeffs} does not extend across the blowdown")
-            extensions.append(tuple(r.extension.coeffs))
-            kept.append((kappa, tuple(r.extension.coeffs), a2, r.boundary.value))
-        else:
-            records.append(ClassRecord(kappa.coeffs, "dropped", r.boundary.value))
-    lat, basis = _blown_down_lattice(c, extensions, image_names)
+    classes = m.basic_classes()
+    keep = [bool(k2.coeff(kappa)) for kappa in classes]
+    lat, records = chain_pushoff(ChainConfig(2, m.lattice, [sigma]), classes, keep, image_names)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for kappa, ext, a2, res in kept:
-        img = _rebase(ext, basis, lat)
-        terms[img] = terms.get(img, Fraction(0)) + a2
-        records.append(ClassRecord(kappa.coeffs, "kept", res, ext, img))
+    for rec in records:
+        if rec.status == "kept":
+            terms[rec.image] = terms.get(rec.image, Fraction(0)) + k2.terms[rec.source]
     series = ManifoldSeries(ExpKernel(lat, terms), m.euler - 1, m.signature + 1, m.simple_type)
     return BlowdownResult(series, tuple(records))
 
@@ -385,11 +443,45 @@ def _refined_name(old: str, divisor: int) -> str:
     return f"{old}_{divisor}"
 
 
-def _fiber_direction(
-    lattice: IntersectionLattice, classes: Sequence[HClass], s: HClass
-) -> tuple[int, int]:
-    """Validate a fiber class: positive multiple of a single square-zero basis
-    direction, orthogonal to every supplied class.  Returns (index, multiple)."""
+@dataclass(frozen=True)
+class LogPlacement:
+    """Where an order-p log transform sends exponent coordinates.
+
+    lattice is the refined lattice, in which the fiber direction `index` is
+    1/divisor of the old one, so s/p = step times that direction.  Rung j
+    (j = p-1, p-3, ..., -(p-1)) of a class lands on its old fiber coordinate
+    times divisor plus j * step.
+    """
+
+    lattice: IntersectionLattice
+    index: int
+    divisor: int
+    step: int
+    order: int
+
+    def image(self, key: tuple[int, ...], j: int) -> tuple[int, ...]:
+        out = list(key)
+        out[self.index] = out[self.index] * self.divisor + j * self.step
+        return tuple(out)
+
+    def ladder(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The p rung images of a class, from j = p-1 down to -(p-1)."""
+        return [self.image(key, j) for j in range(self.order - 1, -self.order, -2)]
+
+
+def log_placement(
+    lattice: IntersectionLattice,
+    classes: Sequence[HClass],
+    s: HClass,
+    p: int,
+    new_name: Optional[str],
+) -> LogPlacement:
+    """Validate the fiber class s (a positive multiple of one square-zero
+    basis direction, orthogonal to every class) and refine its direction so
+    s/p becomes integral.  The refined direction is named new_name, or by
+    scaling its `_n` suffix (f -> f_2 -> f_6)."""
+    if p < 1:
+        raise ValueError("log transform order must be >= 1")
     if s.lattice != lattice:
         raise ValueError("lattice mismatch: fiber class not in the series lattice")
     nonzero = [(i, v) for i, v in enumerate(s.coeffs) if v]
@@ -401,7 +493,12 @@ def _fiber_direction(
     for kappa in classes:
         if pairing(kappa, s) != 0:
             raise ValueError(f"class {kappa.coeffs} is not orthogonal to the fiber")
-    return idx, mult
+    d = p // gcd(mult, p)
+    if d > 1:
+        old = lattice.basis_class(lattice.basis_names[idx])
+        name = new_name if new_name is not None else _refined_name(lattice.basis_names[idx], d)
+        lattice = refined_lattice(lattice, old, d, name)
+    return LogPlacement(lattice, idx, d, mult * d // p, p)
 
 
 def log_transform(
@@ -413,23 +510,12 @@ def log_transform(
     multiplied by the p-term ladder e^{(p-1)s/p} + e^{(p-3)s/p} + ... +
     e^{-(p-1)s/p}.  Euler number and signature are unchanged.
     """
-    if p < 1:
-        raise ValueError("log transform order must be >= 1")
-    idx, mult = _fiber_direction(m.lattice, m.basic_classes(), s)
-    d = p // gcd(mult, p)
-    kernel = m.kernel
-    if d > 1:
-        old = m.lattice.basis_class(m.lattice.basis_names[idx])
-        name = new_name if new_name is not None else _refined_name(m.lattice.basis_names[idx], d)
-        kernel = refine_lattice(kernel, old, d, name)
-    lat = kernel.lattice
-    step = mult * d // p
-    ladder = {}
-    for j in range(p):
-        key = [0] * lat.rank
-        key[idx] = (p - 1 - 2 * j) * step
-        ladder[tuple(key)] = Fraction(1)
-    return ManifoldSeries(kernel * ExpKernel(lat, ladder), m.euler, m.signature, m.simple_type)
+    place = log_placement(m.lattice, m.basic_classes(), s, p, new_name)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for key, a in m.kernel.terms.items():
+        for img in place.ladder(key):
+            terms[img] = terms.get(img, Fraction(0)) + a
+    return ManifoldSeries(ExpKernel(place.lattice, terms), m.euler, m.signature, m.simple_type)
 
 
 def formal_log_coefficients(p: int) -> list[tuple[int, Fraction]]:
@@ -495,6 +581,26 @@ def _sign_vectors(n: int):
         yield tuple(1 if bits & (1 << i) else -1 for i in range(n))
 
 
+def _nodal_pushoffs(m: ManifoldSeries, p: int, s: Optional[HClass]):
+    """Blow up p-1 times, form the exceptional chain (ending on the fiber s
+    when given) and push every blown-up class kappa + (signs on the
+    exceptional directions) off it.  Yields (kappa, signed count,
+    restriction, the extension kappa + (count / p) * s it must equal)."""
+    up = blown_up_lattice(m.lattice, p - 1, None)
+    pad = (0,) * (p - 1)
+    s_up = None if s is None else HClass(up, s.coeffs + pad)
+    spheres = _exceptional_chain_spheres(
+        up, up.basis_names[m.lattice.rank :], None if s_up is None else s_up.coeffs
+    )
+    config = ChainConfig(p, up, spheres)
+    for kappa, _ in m.kernel.classes():
+        base = HClass(up, kappa.coeffs + pad).as_q()
+        for eps in _sign_vectors(p - 1):
+            total = sum(eps)
+            want = base if s_up is None else base + s_up * Fraction(total, p)
+            yield kappa, total, restrict_class(config, HClass(up, kappa.coeffs + eps)), want
+
+
 def nodal_log_pipeline(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
     """Order-p log transform built the long way: blow up p-1 times, form the
     exceptional chain ending on the fiber, push every blown-up class off the
@@ -504,53 +610,25 @@ def nodal_log_pipeline(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
     """
     if p < 2:
         raise ValueError("need p >= 2")
-    idx, mult = _fiber_direction(m.lattice, m.basic_classes(), s)
-    up = blowup(m, p - 1)
-    lat_up = up.lattice
-    exc_names = lat_up.basis_names[m.lattice.rank :]
-    s_up = tuple(s.coeffs) + (0,) * (p - 1)
-    spheres = _exceptional_chain_spheres(lat_up, exc_names, s_up)
-    config = ChainConfig(p, lat_up, spheres)
-    s_q = HClass(lat_up, s_up).as_q()
+    place = log_placement(m.lattice, m.basic_classes(), s, p, None)
     support: set[tuple[tuple[int, ...], int]] = set()
-    for kappa, _ in m.kernel.classes():
-        for eps in _sign_vectors(p - 1):
-            kj = HClass(lat_up, tuple(kappa.coeffs) + eps)
-            r = restrict_class(config, kj)
-            total = sum(eps)
-            want = QClass(
-                lat_up,
-                tuple(
-                    Fraction(kc) + Fraction(total, p) * sc
-                    for kc, sc in zip(tuple(kappa.coeffs) + (0,) * (p - 1), s_q.coeffs)
-                ),
+    for kappa, total, r, want in _nodal_pushoffs(m, p, s):
+        if r.extension != want:
+            raise RuntimeError(
+                f"nodal extension mismatch: got {r.extension.coeffs}, expected {want.coeffs}"
             )
-            if r.extension != want:
-                raise RuntimeError(
-                    f"nodal extension mismatch: got {r.extension.coeffs}, expected {want.coeffs}"
-                )
-            if r.boundary.value != (p * total) % (p * p) or not r.boundary.in_subgroup(p):
-                raise RuntimeError("nodal extension boundary is not p times the signed count")
-            support.add((kappa.coeffs, total))
-    d = p // gcd(mult, p)
-    kernel = m.kernel
-    if d > 1:
-        old = m.lattice.basis_class(m.lattice.basis_names[idx])
-        kernel = refine_lattice(kernel, old, d, _refined_name(m.lattice.basis_names[idx], d))
-    lat = kernel.lattice
-    step = mult * d // p
+        if r.boundary.value != (p * total) % (p * p) or not r.boundary.in_subgroup(p):
+            raise RuntimeError("nodal extension boundary is not p times the signed count")
+        support.add((kappa.coeffs, total))
     ladder_coeffs = dict(formal_log_coefficients(p))
     terms: dict[tuple[int, ...], Fraction] = {}
     for source, total in sorted(support):
         b = ladder_coeffs.get(total)
         if b is None:
             raise RuntimeError(f"extension multiplicity {total} missing from the ladder")
-        key = list(source)
-        key[idx] = key[idx] * d + total * step
-        a = m.kernel.coeff(source)
-        terms[tuple(key)] = terms.get(tuple(key), Fraction(0)) + a * b
-    assembled = ExpKernel(lat, terms)
-    return ManifoldSeries(assembled, m.euler, m.signature, m.simple_type)
+        img = place.image(source, total)
+        terms[img] = terms.get(img, Fraction(0)) + m.kernel.coeff(source) * b
+    return ManifoldSeries(ExpKernel(place.lattice, terms), m.euler, m.signature, m.simple_type)
 
 
 def connected_sum_hp(m: ManifoldSeries, p: int) -> ManifoldSeries:
@@ -562,21 +640,10 @@ def connected_sum_hp(m: ManifoldSeries, p: int) -> ManifoldSeries:
         raise ValueError("order must be >= 1")
     if p == 1:
         return m
-    up = blowup(m, p - 1)
-    lat_up = up.lattice
-    exc_names = lat_up.basis_names[m.lattice.rank :]
-    spheres = _exceptional_chain_spheres(lat_up, exc_names, None)
-    config = ChainConfig(p, lat_up, spheres)
-    for kappa, _ in m.kernel.classes():
-        for eps in _sign_vectors(p - 1):
-            kj = HClass(lat_up, tuple(kappa.coeffs) + eps)
-            r = restrict_class(config, kj)
-            want = QClass(
-                lat_up, tuple(Fraction(x) for x in tuple(kappa.coeffs) + (0,) * (p - 1))
-            )
-            if r.extension != want:
-                raise RuntimeError("homology-ball extension should equal its source class")
-            if not r.boundary.in_subgroup(p):
-                raise RuntimeError("homology-ball extension boundary not divisible by p")
+    for _, _, r, want in _nodal_pushoffs(m, p, None):
+        if r.extension != want:
+            raise RuntimeError("homology-ball extension should equal its source class")
+        if not r.boundary.in_subgroup(p):
+            raise RuntimeError("homology-ball extension boundary not divisible by p")
     total = sum(c for _, c in formal_log_coefficients(p))
     return ManifoldSeries(m.kernel.scale(total), m.euler, m.signature, m.simple_type)

@@ -165,3 +165,25 @@ def test_render_canonicalizes_single_multiplicity():
     assert render(parse_spec("E(3;4,1)")) == "E(3;4)"
     # the two orderings are the same surface and the same series
     assert donaldson_closed_form("E(3;1,4)") == donaldson_closed_form("E(3;4)")
+
+
+def test_sw_covered_matches_sw_closed_form():
+    from blowdown.suites import witten_specs
+
+    specs = witten_specs() + [
+        "logt(W(1),2)",
+        "logt(H(4),3)",
+        "blowup(logt(Y(5),2),1)",
+        "hpsum(E(2),3)",
+        "E(2;2,3;5,7;11,13)",
+        "logt(E(2;2),2)",
+        "logt(blowup(E(3;3),1),6)",
+        "logt(E(2;2),3)",
+    ]
+    for s in specs:
+        try:
+            _quiet_sw(s)
+            defined = True
+        except ValueError:
+            defined = False
+        assert sw_covered(s) == defined, s

@@ -153,3 +153,17 @@ def test_audit_verb(capsys):
     code, out, _ = run(capsys, "audit", "Y(7)", "--format", "structured")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_verify_rejects_empty_ranges(capsys):
+    for argv in (
+        ("verify", "lattice", "--p-max", "1"),
+        ("verify", "lemmas", "--p-max", "1"),
+        ("verify", "lemmas", "--box", "-1"),
+        ("verify", "lemmas", "--t-max", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "must be at least" in err, argv
+    code, out, _ = run(capsys, "verify", "lemmas", "--p-max", "2", "--box", "0", "--t-max", "0")
+    assert code == 0 and out.strip().splitlines()[-1] == "4/4 checks passed"

@@ -131,3 +131,10 @@ def test_boundary_value_lemmas_small():
         reports = verify_boundary_value_lemmas(p, t_max=1, box=3)
         assert reports and all(r.passed for r in reports)
         assert all(not r.counterexamples for r in reports)
+
+
+def test_boundary_value_lemmas_reject_empty_scans():
+    for kwargs in ({"p": 1}, {"p": 3, "box": -1}, {"p": 3, "t_max": -1}):
+        with pytest.raises(ValueError):
+            verify_boundary_value_lemmas(**kwargs)
+    assert len(verify_boundary_value_lemmas(2, t_max=0, box=0)) == 4

@@ -64,12 +64,13 @@ def test_swmap_roundtrip():
 
 
 def test_blowdown_obj_shape():
-    from blowdown.catalog import _elliptic_on, _w_ambient
-    from blowdown.lattice import ChainConfig
+    from blowdown.catalog import surgery_plan
     from blowdown.transform import taut_blowdown
 
-    m = _elliptic_on(_w_ambient(1), 4)
-    res = taut_blowdown(m, ChainConfig(2, m.lattice, [m.lattice.basis_class("s1")]), ["k"])
+    plan = surgery_plan("W(1)")
+    m = plan.seed_series()
+    (step,) = plan.steps
+    res = taut_blowdown(m, step.config(m.lattice), [step.image])
     obj = blowdown_to_obj(res)
     assert set(obj) == {"series", "class_map"}
     statuses = {rec["status"] for rec in obj["class_map"]}
