@@ -385,7 +385,7 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
         # n disjoint square -4 sections on E(4), each an order-2 chain
         steps += [SurgeryStep("chain", 2, spheres=(f"s{i}",), image="k") for i in range(1, node.n + 1)]
         ambient, seed = _chains_ambient(steps), 4
-    else:
+    elif isinstance(node, (YSpec, HSpec)):
         # two disjoint order n-2 chains on E(n), each ending on a section of
         # square -n; Y blows down the first, H both
         p = node.n - 2
@@ -397,6 +397,8 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
         ]
         ambient, seed = _chains_ambient(chains), node.n
         steps += chains if isinstance(node, HSpec) else chains[:1]
+    else:
+        raise TypeError(f"not a manifold spec: {node!r}")
     family_steps = len(steps)
     for node_out in reversed(outer):
         if isinstance(node_out, BlowupSpec):
@@ -501,7 +503,7 @@ def sw_closed_form(spec: Union[str, ManifoldSpec]) -> SWMap:
             m = sw_taut_blowdown(m, step.config(m.lattice), [step.image])
         elif step.op == "logt":
             m = sw_log_transform(m, step.fiber_class(m.lattice), step.n)
-        else:
+        else:  # blowup; a plan with an hpsum step has an sw_gap
             for _ in range(step.n):
                 m = sw_blowup(m)
     return m

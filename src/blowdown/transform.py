@@ -251,16 +251,6 @@ def restrict_class(c: ChainConfig, kappa: HClass) -> RestrictedClass:
     return RestrictedClass(ext, pairing(ext, ext), boundary(RelClass(c.p, g, basis="gamma")))
 
 
-def _orthogonal_unit_indices(c: ChainConfig) -> list[int]:
-    amb = c.ambient
-    out = []
-    for i in range(amb.rank):
-        unit = amb.basis_class(amb.basis_names[i])
-        if all(pairing(unit, u) == 0 for u in c.spheres):
-            out.append(i)
-    return out
-
-
 def _blown_down_lattice(
     c: ChainConfig,
     extensions: Sequence[tuple[Fraction, ...]],
@@ -276,9 +266,9 @@ def _blown_down_lattice(
     """
     amb = c.ambient
     gens: list[tuple[Fraction, ...]] = [tuple(Fraction(x) for x in ext) for ext in extensions]
-    unit_idx = _orthogonal_unit_indices(c)
-    for i in unit_idx:
-        gens.append(tuple(Fraction(1 if j == i else 0) for j in range(amb.rank)))
+    for i, name in enumerate(amb.basis_names):
+        if all(pairing(amb.basis_class(name), u) == 0 for u in c.spheres):
+            gens.append(tuple(Fraction(1 if j == i else 0) for j in range(amb.rank)))
     gens = [g for g in gens if any(g)]
     if not gens:
         raise ValueError(
