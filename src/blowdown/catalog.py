@@ -329,14 +329,13 @@ def _chains_ambient(chains: list[SurgeryStep]) -> IntersectionLattice:
     """Fiber direction f plus the disjoint plumbing chains of the given chain
     steps, each meeting the fiber once in its end sphere."""
     names = ["f"] + [nm for step in chains for nm in step.spheres]
-    gram = [[Fraction(0)] * len(names) for _ in names]
+    gram = [[0] * len(names) for _ in names]
     at = 1
     for step in chains:
         for i, row in enumerate(plumbing_matrix(step.n)):
-            for j, v in enumerate(row):
-                gram[at + i][at + j] = Fraction(v)
+            gram[at + i][at : at + step.n - 1] = row
         end = at + step.n - 2
-        gram[0][end] = gram[end][0] = Fraction(1)
+        gram[0][end] = gram[end][0] = 1
         at += step.n - 1
     return IntersectionLattice(names, gram)
 
@@ -422,11 +421,11 @@ def _y_lattice(n: int) -> IntersectionLattice:
     second chain (the order n-2 plumbing on b1, ..., t)."""
     p = n - 2
     names = ["lam"] + [f"b{i}" for i in range(1, p - 1)] + ["t"]
-    gram = [[Fraction(0)] * p for _ in range(p)]
-    gram[0][0] = Fraction(n - 3)
-    gram[0][p - 1] = gram[p - 1][0] = Fraction(n - 2)
+    gram = [[0] * p for _ in range(p)]
+    gram[0][0] = n - 3
+    gram[0][p - 1] = gram[p - 1][0] = n - 2
     for i, row in enumerate(plumbing_matrix(p), start=1):
-        gram[i][1:] = [Fraction(v) for v in row]
+        gram[i][1:] = row
     return IntersectionLattice(names, gram)
 
 

@@ -13,8 +13,13 @@ carries the integral bookkeeping for that surgery:
 * the boundary map onto Z_{p^2} and its fold onto {0, ..., floor(p^2/2)},
 * characteristic-ness tests used throughout the series calculus.
 
-All pairings are exact fractions.  Classes carry their lattice and arithmetic
-across different lattices is an error, never a coercion.
+A lattice stores its Gram matrix as an integer matrix `num` over one common
+denominator `den` (1 for every lattice except the refined fiber lattices), so
+`pairing` and `is_characteristic` run in integer arithmetic: a rational class
+is scaled to integer numerators over the lcm of its denominators first.  All
+pairings are still exact: `pairing` returns one `Fraction` built from the
+integer total.  Classes carry their lattice and arithmetic across different
+lattices is an error, never a coercion.
 """
 
 from __future__ import annotations
@@ -22,51 +27,99 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence, Union
 
-from .linalg import mat_eq, mat_mul
+from .linalg import mat_eq
 
 Scalar = Union[int, Fraction]
 
 
 class IntersectionLattice:
-    """A free Z-module with named basis and a symmetric rational pairing."""
+    """A free Z-module with named basis and a symmetric rational pairing.
 
-    __slots__ = ("basis_names", "gram", "_index")
+    The pairing matrix is gram / den with gram integral; den defaults to 1.
+    It is stored reduced, as integer numerators `num` over the least common
+    denominator `den`, so equal pairings give equal (num, den).  `gram` is the
+    read-only Fraction view of the same matrix.
+    """
 
-    def __init__(self, basis_names: Sequence[str], gram: Sequence[Sequence[Scalar]]):
+    __slots__ = ("basis_names", "num", "den", "_index", "_gram")
+
+    def __init__(
+        self, basis_names: Sequence[str], gram: Sequence[Sequence[Scalar]], den: int = 1
+    ):
         names = tuple(basis_names)
         if len(names) < 1:
             raise ValueError("lattice rank must be at least 1")
         if len(set(names)) != len(names):
             raise ValueError("basis names must be distinct")
-        g = tuple(tuple(Fraction(x) for x in row) for row in gram)
-        if len(g) != len(names) or any(len(row) != len(names) for row in g):
+        if not isinstance(den, int) or den < 1:
+            raise ValueError("gram denominator must be a positive integer")
+        rows = [list(row) for row in gram]
+        if len(rows) != len(names) or any(len(row) != len(names) for row in rows):
             raise ValueError("gram matrix shape does not match basis")
+        if not all(type(x) is int for row in rows for x in row):
+            rows = [[Fraction(x) for x in row] for row in rows]
+            scale = lcm(*(x.denominator for row in rows for x in row))
+            rows = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+            den *= scale
+        common = gcd(den, *(x for row in rows for x in row))
+        if common > 1:
+            rows = [[x // common for x in row] for row in rows]
+            den //= common
+        num = tuple(tuple(row) for row in rows)
         for i in range(len(names)):
             for j in range(i):
-                if g[i][j] != g[j][i]:
+                if num[i][j] != num[j][i]:
                     raise ValueError("gram matrix must be symmetric")
         object.__setattr__(self, "basis_names", names)
-        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_gram", None)
+
+    @property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._gram is None:
+            den = self.den
+            view = tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+            object.__setattr__(self, "_gram", view)
+        return self._gram
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionLattice is immutable")
+
+    def restricted(
+        self, basis_names: Sequence[str], rows: Sequence[Sequence[Scalar]]
+    ) -> "IntersectionLattice":
+        """The lattice whose basis vectors are the given rational combinations
+        (rows) of this basis, with the pairing restricted to them: its Gram is
+        B G B^t.  G.v is formed once per row, then one dot product per entry."""
+        rows = [[Fraction(x) for x in row] for row in rows]
+        if any(len(row) != self.rank for row in rows):
+            raise ValueError("row length does not match lattice rank")
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+        gv = [[sum(map(mul, g, v)) for g in self.num] for v in ints]
+        gram = [[sum(map(mul, u, w)) for w in gv] for u in ints]
+        return IntersectionLattice(basis_names, gram, self.den * scale * scale)
 
     @property
     def rank(self) -> int:
         return len(self.basis_names)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, IntersectionLattice)
             and self.basis_names == other.basis_names
-            and self.gram == other.gram
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
-        return hash((self.basis_names, self.gram))
+        return hash((self.basis_names, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"IntersectionLattice({list(self.basis_names)})"
@@ -179,19 +232,24 @@ class QClass:
         return pairing(self, self)
 
 
+def _numerators(c: Union[HClass, QClass]) -> tuple[Sequence[int], int]:
+    """Integer coordinates of c over one denominator: c = coords / den."""
+    if isinstance(c, HClass):
+        return c.coeffs, 1
+    den = lcm(*(x.denominator for x in c.coeffs))
+    return [x.numerator * (den // x.denominator) for x in c.coeffs], den
+
+
 def pairing(a: Union[HClass, QClass], b: Union[HClass, QClass]) -> Fraction:
     """Intersection pairing a . b through the lattice gram matrix."""
     _check_same_lattice(a, b)
-    g = a.lattice.gram
-    total = Fraction(0)
-    for i, ai in enumerate(a.coeffs):
-        if not ai:
-            continue
-        row = g[i]
-        for j, bj in enumerate(b.coeffs):
-            if bj:
-                total += ai * row[j] * bj
-    return total
+    x, xden = _numerators(a)
+    y, yden = _numerators(b)
+    total = 0
+    for xi, row in zip(x, a.lattice.num):
+        if xi:
+            total += xi * sum(map(mul, row, y))
+    return Fraction(total, a.lattice.den * xden * yden)
 
 
 def is_characteristic(lattice: IntersectionLattice, c: Union[HClass, QClass]) -> bool:
@@ -202,13 +260,13 @@ def is_characteristic(lattice: IntersectionLattice, c: Union[HClass, QClass]) ->
     """
     if c.lattice != lattice:
         raise ValueError("lattice mismatch: class does not live in this lattice")
-    g = lattice.gram
-    for i in range(lattice.rank):
-        dot = sum((c.coeffs[j] * g[i][j] for j in range(lattice.rank) if c.coeffs[j]), Fraction(0))
-        sq = g[i][i]
-        if dot.denominator != 1 or sq.denominator != 1:
-            return False
-        if (int(dot) - int(sq)) % 2:
+    x, xden = _numerators(c)
+    lden = lattice.den
+    den = lden * xden
+    for i, row in enumerate(lattice.num):
+        dot = sum(map(mul, row, x))
+        sq = row[i]
+        if dot % den or sq % lden or (dot // den - sq // lden) % 2:
             return False
     return True
 

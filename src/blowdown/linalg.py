@@ -10,7 +10,7 @@ lifting.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 Vector = Sequence[Fraction]

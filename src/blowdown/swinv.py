@@ -90,11 +90,13 @@ class SWMap:
             cls = HClass(lattice, key)
             if not is_characteristic(lattice, cls):
                 raise ValueError(f"basic class {key} is not characteristic")
-            if self.simple_type and sw_dim(self, cls) != 0:
-                raise ValueError(
-                    f"simple type requires a zero-dimensional moduli space, "
-                    f"but class {key} has dimension {sw_dim(self, cls)}"
-                )
+            if self.simple_type:
+                dim = _dim(self, cls)
+                if dim != 0:
+                    raise ValueError(
+                        f"simple type requires a zero-dimensional moduli space, "
+                        f"but class {key} has dimension {dim}"
+                    )
 
     def __setattr__(self, name, value):
         raise AttributeError("SWMap is immutable")
@@ -144,6 +146,11 @@ def sw_dim(m: SWMap, cls: KeyLike) -> Fraction:
         raise ValueError("lattice mismatch: class does not live in the map's lattice")
     if not is_characteristic(m.lattice, cls):
         raise ValueError(f"class {cls.coeffs} is not characteristic")
+    return _dim(m, cls)
+
+
+def _dim(m: SWMap, cls: HClass) -> Fraction:
+    """sw_dim without the checks, for classes already known characteristic."""
     return (pairing(cls, cls) - (3 * m.signature + 2 * m.euler)) / 4
 
 
@@ -175,7 +182,7 @@ def sw_blowup(
     values: dict[tuple[int, ...], int] = {}
     for key in sorted(m.values):
         v = m.values[key]
-        dim = sw_dim(m, key)
+        dim = _dim(m, HClass(m.lattice, key))
         for k in levels:
             if dim - k * (k + 1) < 0:
                 continue

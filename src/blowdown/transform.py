@@ -21,7 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .exppoly import ExpKernel, exact_div, refined_lattice, sinh_c, twist, zero
@@ -152,9 +154,9 @@ def blown_up_lattice(
         if name in lattice.basis_names:
             raise ValueError(f"exceptional name {name!r} is already a basis name")
     n = lattice.rank
-    gram = [[lattice.gram[i][j] if i < n and j < n else Fraction(0) for j in range(n + k)] for i in range(n + k)]
+    gram = [list(row) + [0] * k for row in lattice.gram] + [[0] * (n + k) for _ in range(k)]
     for i in range(n, n + k):
-        gram[i][i] = Fraction(-1)
+        gram[i][i] = -1
     return IntersectionLattice(list(lattice.basis_names) + list(names), gram)
 
 
@@ -230,15 +232,22 @@ def _chain_pairings(c: ChainConfig, kappa: HClass) -> tuple[int, ...]:
     return tuple(int(v) for v in g)
 
 
+@lru_cache(maxsize=None)
+def _scaled_plumbing_inverse(p: int) -> tuple[tuple[int, ...], ...]:
+    """p^2 times plumbing_inverse(p), which is an integer matrix."""
+    return tuple(tuple(int(x * p * p) for x in row) for row in plumbing_inverse(p))
+
+
 def _extension(c: ChainConfig, kappa: HClass, g: Sequence[int]) -> QClass:
     """kappa + sum x_i u_i with x solving (kappa + sum x_i u_i) . u_j = 0,
-    given the pairings g_j = kappa . u_j."""
-    pinv = [[Fraction(x) for x in row] for row in plumbing_inverse(c.p)]
-    x = mat_vec(pinv, [Fraction(-v) for v in g])
-    ext = kappa.as_q()
-    for xi, u in zip(x, c.spheres):
-        ext = ext + u.as_q() * xi
-    return ext
+    given the pairings g_j = kappa . u_j.  Computed as integers over p^2."""
+    p2 = c.p * c.p
+    ext = [p2 * a for a in kappa.coeffs]
+    for row, u in zip(_scaled_plumbing_inverse(c.p), c.spheres):
+        xi = -sum(map(mul, row, g))
+        if xi:
+            ext = [a + xi * b for a, b in zip(ext, u.coeffs)]
+    return QClass(c.ambient, tuple(Fraction(a, p2) for a in ext))
 
 
 def restrict_class(c: ChainConfig, kappa: HClass) -> RestrictedClass:
@@ -291,13 +300,7 @@ def _blown_down_lattice(
             names.append(f"k{auto}")
     if len(set(names)) != len(names):
         raise ValueError(f"image names collide with surviving ambient names: {names}")
-    gram = [
-        [sum(a * amb.gram[i][j] * b for i, a in enumerate(u) for j, b in enumerate(v) if a and b)
-         or Fraction(0)
-         for v in basis]
-        for u in basis
-    ]
-    return IntersectionLattice(names, gram), basis
+    return amb.restricted(names, basis), basis
 
 
 def _rebase(ext: tuple[Fraction, ...], basis: list[tuple[Fraction, ...]]) -> tuple[int, ...]:

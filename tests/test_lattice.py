@@ -1,12 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blowdown.catalog import surgery_plan
+from blowdown.exppoly import refined_lattice
 from blowdown.lattice import (
     ChainConfig,
     HClass,
     IntersectionLattice,
+    QClass,
     RelClass,
     Residue,
     boundary,
@@ -29,6 +35,7 @@ from blowdown.linalg import (
     solve,
     span_coords,
 )
+from blowdown.transform import _blown_down_lattice, blown_up_lattice, chain_pushoff, taut_blowdown
 
 
 def test_plumbing_matrix_entries():
@@ -212,3 +219,203 @@ def test_gf2_solve():
     sol = gf2_solve([[1, 1], [0, 1]], [0, 1])
     assert sol == [1, 1]
     assert gf2_solve([[1, 1], [1, 1]], [0, 1]) is None
+
+
+# ---------------------------------------------------------------------------
+# The integer core against a Fraction double-sum oracle
+
+
+def _ref_pairing(gram, x, y):
+    """x^t G y as a plain Fraction double sum over the Gram the test wrote."""
+    return sum(
+        (Fraction(a) * Fraction(g) * Fraction(b) for a, row in zip(x, gram) for g, b in zip(row, y)),
+        Fraction(0),
+    )
+
+
+def _ref_characteristic(gram, x):
+    for i, row in enumerate(gram):
+        dot = sum((Fraction(g) * Fraction(b) for g, b in zip(row, x)), Fraction(0))
+        sq = Fraction(gram[i][i])
+        if dot.denominator != 1 or sq.denominator != 1 or (dot.numerator - sq.numerator) % 2:
+            return False
+    return True
+
+
+def _assert_matches_oracle(lat, gram, classes):
+    assert lat.gram == tuple(tuple(Fraction(x) for x in row) for row in gram)
+    verdicts = set()
+    for a in classes:
+        verdict = is_characteristic(lat, a)
+        assert verdict == _ref_characteristic(gram, a.coeffs)
+        verdicts.add(verdict)
+        for b in classes:
+            got = pairing(a, b)
+            assert type(got) is Fraction
+            assert got == _ref_pairing(gram, a.coeffs, b.coeffs)
+    return verdicts
+
+
+def _sample_classes(lat, rng, count=6):
+    """Random integral classes, random rational classes, and the basis."""
+    n = lat.rank
+    out = [lat.basis_class(nm) for nm in lat.basis_names]
+    out += [HClass(lat, tuple(rng.randint(-5, 5) for _ in range(n))) for _ in range(count)]
+    out += [
+        QClass(lat, tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)))
+        for _ in range(count)
+    ]
+    return out
+
+
+def _zero_one_classes(lat):
+    return [HClass(lat, bits) for bits in itertools.product((0, 1), repeat=lat.rank)]
+
+
+def test_int_core_matches_oracle_on_plumbing_chains():
+    rng = random.Random(4)
+    verdicts = set()
+    for p in range(2, 10):
+        lat = chain_lattice(p)
+        gram = plumbing_matrix(p)
+        assert lat.den == 1
+        verdicts |= _assert_matches_oracle(lat, gram, _sample_classes(lat, rng))
+        for c in _zero_one_classes(lat):
+            verdict = is_characteristic(lat, c)
+            assert verdict == _ref_characteristic(gram, c.coeffs)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_int_core_matches_oracle_on_blown_up_lattice():
+    rng = random.Random(5)
+    lat = blown_up_lattice(chain_lattice(5), 3, None)
+    assert lat.basis_names == ("u1", "u2", "u3", "u4", "e1", "e2", "e3")
+    gram = [row + [0, 0, 0] for row in plumbing_matrix(5)]
+    gram += [[0] * 4 + [-1 if j == i else 0 for j in range(3)] for i in range(3)]
+    _assert_matches_oracle(lat, gram, _sample_classes(lat, rng))
+    assert {is_characteristic(lat, c) for c in _zero_one_classes(lat)} == {True, False}
+
+
+def test_int_core_matches_oracle_on_refined_lattices():
+    rng = random.Random(6)
+    cases = [
+        # (gram, refined index, divisor, expected den)
+        ([[0, 1], [1, -4]], 0, 3, 3),  # the log-transform fiber f -> f_3
+        ([[0, 1], [1, -4]], 0, 7, 7),
+        ([[4, 2], [2, -4]], 0, 2, 1),  # refines back to an integral Gram
+        ([[4, 2], [2, -4]], 0, 3, 9),
+        ([[0, 1, 0], [1, -4, 1], [0, 1, -2]], 0, 6, 6),
+    ]
+    for gram, idx, d, den in cases:
+        names = [f"x{i}" for i in range(len(gram))]
+        lat = IntersectionLattice(names, gram)
+        new = refined_lattice(lat, lat.basis_class(names[idx]), d, "nu")
+        want = [
+            [Fraction(x, (d if i == idx else 1) * (d if j == idx else 1)) for j, x in enumerate(row)]
+            for i, row in enumerate(gram)
+        ]
+        assert new.den == den
+        _assert_matches_oracle(new, want, _sample_classes(new, rng))
+        # the refinement is the lattice built directly from its Fractions
+        assert new == IntersectionLattice(new.basis_names, want)
+        # blowing up a refined lattice keeps its denominator
+        up = blown_up_lattice(new, 1, None)
+        assert up.den == den
+        want_up = [row + [0] for row in want] + [[0] * len(want) + [-1]]
+        _assert_matches_oracle(up, want_up, _sample_classes(up, rng, count=3))
+
+
+def test_int_core_mixed_integral_and_rational_pairs():
+    lat = IntersectionLattice(["f", "s"], [[0, 1], [1, -4]])
+    f, s = lat.basis_class("f"), lat.basis_class("s")
+    half = QClass(lat, (Fraction(1, 2), Fraction(-1, 3)))
+    assert pairing(f, half) == Fraction(-1, 3) and type(pairing(f, half)) is Fraction
+    assert pairing(half, s) == Fraction(1, 2) + Fraction(4, 3)
+    assert pairing(half, half) == -Fraction(1, 3) - Fraction(4, 9)
+    assert pairing(s, s) == -4 and type(pairing(s, s)) is Fraction
+    # a rational class with integral numerators over 1 behaves as its HClass
+    assert is_characteristic(lat, (f * 2).as_q()) == is_characteristic(lat, f * 2)
+    # fractional pairing with a basis vector is never characteristic
+    assert not is_characteristic(lat, QClass(lat, (Fraction(1, 2), Fraction(0))))
+    with pytest.raises(ValueError):
+        pairing(f, chain_lattice(3).basis_class("u1"))
+
+
+def test_lattice_identity_fast_path_and_canonical_form():
+    lat = IntersectionLattice(["a", "b"], [[Fraction(1, 2), 1], [1, Fraction(-4, 3)]])
+    assert lat == lat
+    assert (lat.num, lat.den) == (((3, 6), (6, -8)), 6)
+    # the same pairing given as numerators over any denominator
+    same = IntersectionLattice(["a", "b"], [[6, 12], [12, -16]], 12)
+    assert same is not lat and same == lat and hash(same) == hash(lat)
+    assert IntersectionLattice(["a", "b"], [[Fraction(1, 2), 1], [1, Fraction(4, 3)]]) != lat
+    with pytest.raises(ValueError):
+        IntersectionLattice(["a"], [[1]], 0)
+    with pytest.raises(ValueError):
+        lat.restricted(["y"], [[1, 0, 0]])
+
+
+_ENTRY = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _lattice_and_classes(draw):
+    n = draw(st.integers(1, 4))
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(_ENTRY)
+    lat = IntersectionLattice([f"x{i}" for i in range(n)], gram)
+    ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    fracs = st.lists(_ENTRY, min_size=n, max_size=n)
+    classes = [HClass(lat, tuple(v)) for v in draw(st.lists(ints, min_size=1, max_size=3))]
+    classes += [QClass(lat, tuple(v)) for v in draw(st.lists(fracs, min_size=1, max_size=3))]
+    return lat, gram, classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_and_classes())
+def test_int_core_matches_oracle_on_generated_grams(case):
+    lat, gram, classes = case
+    _assert_matches_oracle(lat, gram, classes)
+    scale = 2 * lat.den
+    rescaled = [[int(x * scale) for x in row] for row in gram]
+    assert IntersectionLattice(lat.basis_names, rescaled, scale) == lat
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattice_and_classes(), st.data())
+def test_restricted_gram_matches_naive_product(case, data):
+    lat, gram, _ = case
+    n = lat.rank
+    rows = data.draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=1, max_size=3))
+    sub = lat.restricted([f"y{i}" for i in range(len(rows))], rows)
+    assert [list(row) for row in sub.gram] == [[_ref_pairing(gram, u, v) for v in rows] for u in rows]
+
+
+@pytest.mark.parametrize("spec", ["H(8)", "W(2)"])
+def test_blown_down_gram_matches_naive_definition(spec):
+    plan = surgery_plan(spec)
+    m = plan.seed_series()
+    checked = 0
+    for step in plan.steps:
+        c = step.config(m.lattice)
+        _, records = chain_pushoff(c, m.basic_classes(), None, [step.image])
+        extensions = [r.extension for r in records if r.status == "kept"]
+        lat, basis = _blown_down_lattice(c, extensions, [step.image])
+        g = c.ambient.gram
+        naive = [
+            [
+                sum(
+                    (u[i] * g[i][j] * v[j] for i in range(len(u)) for j in range(len(v))),
+                    Fraction(0),
+                )
+                for v in basis
+            ]
+            for u in basis
+        ]
+        assert [list(row) for row in lat.gram] == naive
+        checked += 1
+        m = taut_blowdown(m, c, [step.image]).series
+    assert checked == len(plan.steps) >= 2

@@ -44,6 +44,26 @@ def test_swmap_validation():
     assert not sw_simple_type(m)
 
 
+def test_swmap_checks_each_class_once(monkeypatch):
+    import blowdown.swinv as swinv
+
+    calls = []
+    real = swinv.is_characteristic
+    monkeypatch.setattr(swinv, "is_characteristic", lambda lat, c: calls.append(c) or real(lat, c))
+    m = sw_en(6)
+    assert len(calls) == len(m) == 5
+    calls.clear()
+    up = sw_blowup(m, (0, 1))
+    # only the output map's constructor checks, once per output class
+    assert len(calls) == len(up) == 10
+    calls.clear()
+    assert sw_dim(up, (4, 1)) == 0 and len(calls) == 1
+    lat = diagonal_lattice(["k"], [2])
+    with pytest.raises(ValueError, match=r"^simple type requires a zero-dimensional moduli space, "
+                       r"but class \(2,\) has dimension 3/2$"):
+        SWMap(lat, {(2,): 1}, 46, -30)
+
+
 def test_swmap_merges_and_drops():
     m = SWMap(F, [((0,), 2), ((0,), -2), ((2,), 1)], 24, -16)
     assert m.values == {(2,): 1}
