@@ -109,19 +109,22 @@ def _emit(args, obj: dict, text) -> None:
 # Commands
 
 
-def cmd_series(args) -> int:
-    spec = parse_spec(args.spec)
-    build = donaldson_pipeline if args.route == "pipeline" else donaldson_closed_form
+def _series_output(args, spec, route: str) -> int:
+    build = donaldson_pipeline if route == "pipeline" else donaldson_closed_form
     m = build(spec)
-    obj = {"spec": render(spec), "route": args.route, **series_to_obj(m)}
+    obj = {"spec": render(spec), "route": route, **series_to_obj(m)}
 
     def text():
         print(f"spec: {render(spec)}")
-        print(f"route: {args.route}")
+        print(f"route: {route}")
         _print_series(m)
 
     _emit(args, obj, text)
     return 0
+
+
+def cmd_series(args) -> int:
+    return _series_output(args, parse_spec(args.spec), args.route)
 
 
 def cmd_sw(args) -> int:
@@ -289,17 +292,7 @@ def cmd_blowdown(args) -> int:
 
 
 def cmd_logt(args) -> int:
-    spec = LogSpec(parse_spec(args.spec), args.p)
-    m = donaldson_closed_form(spec)
-    obj = {"spec": render(spec), "route": "closed", **series_to_obj(m)}
-
-    def text():
-        print(f"spec: {render(spec)}")
-        print("route: closed")
-        _print_series(m)
-
-    _emit(args, obj, text)
-    return 0
+    return _series_output(args, LogSpec(parse_spec(args.spec), args.p), "closed")
 
 
 def cmd_audit(args) -> int:

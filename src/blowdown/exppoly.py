@@ -20,6 +20,10 @@ Scalar = Union[int, Fraction]
 
 
 class ExpKernel:
+    """A kernel sum_s a_s e^{kappa_s}: terms maps exponent tuples to nonzero
+    coefficients.  Built from a mapping or from (exponent, coefficient)
+    pairs; pairs with the same exponent are summed."""
+
     __slots__ = ("lattice", "terms")
 
     def __init__(self, lattice: IntersectionLattice, terms: Mapping = ()):

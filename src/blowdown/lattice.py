@@ -31,8 +31,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence, Union
 
-from .linalg import mat_eq
-
 Scalar = Union[int, Fraction]
 
 
@@ -369,10 +367,13 @@ class ChainConfig:
     """An order-p chain embedded in an ambient lattice.
 
     spheres[0], ..., spheres[p-2] are the classes of u_1, ..., u_{p-1}; their
-    mutual pairings must reproduce plumbing_matrix(p) exactly.
+    mutual pairings must reproduce plumbing_matrix(p) exactly.  rows[j] is
+    G.u_j as integers over ambient.den, formed once: a class pairs with u_j
+    in one integer dot with rows[j] (`dots`), and the ambient direction i is
+    orthogonal to the chain exactly when column i of rows is zero.
     """
 
-    __slots__ = ("p", "ambient", "spheres")
+    __slots__ = ("p", "ambient", "spheres", "rows")
 
     def __init__(self, p: int, ambient: IntersectionLattice, spheres: Sequence[HClass]):
         if p < 2:
@@ -382,13 +383,20 @@ class ChainConfig:
         for s in spheres:
             if s.lattice != ambient:
                 raise ValueError("lattice mismatch: sphere class not in the ambient lattice")
-        want = plumbing_matrix(p)
-        got = [[pairing(a, b) for b in spheres] for a in spheres]
-        if not mat_eq(got, want):
-            raise ValueError("sphere pairings do not form the order-%d plumbing chain" % p)
+        rows = tuple(tuple(sum(map(mul, g, s.coeffs)) for g in ambient.num) for s in spheres)
+        for row, want in zip(rows, plumbing_matrix(p)):
+            if [sum(map(mul, row, s.coeffs)) for s in spheres] != [w * ambient.den for w in want]:
+                raise ValueError("sphere pairings do not form the order-%d plumbing chain" % p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "spheres", tuple(spheres))
+        object.__setattr__(self, "rows", rows)
+
+    def dots(self, c: HClass) -> list[int]:
+        """The pairings c . u_j, as integers over ambient.den."""
+        if c.lattice != self.ambient:
+            raise ValueError("lattice mismatch: classes live in different lattices")
+        return [sum(map(mul, row, c.coeffs)) for row in self.rows]
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainConfig is immutable")

@@ -20,8 +20,11 @@ flipped relative to corr (corr(p, m) == -rho_half_closed_form at the anchored
 (t, b)), and tests pin that relation down.
 
 The dimension only depends on the coordinate sum s and the sum of squares q:
-e^2 = ((p+1) s^2 - p^2 q) / p^2.  The exhaustive verifiers below lean on that
-symmetry to stay fast while remaining exhaustive over their search boxes.
+e^2 = ((p+1) s^2 - p^2 q) / p^2.  verify_boundary_value_lemmas leans on that
+symmetry: it enumerates its box once, as one table of coordinate multisets
+with their odd-coordinate counts, stays exhaustive, and names counterexamples
+by sorted coordinates.  min_dim_search scans vectors, since it returns every
+minimizer in lexicographic order.
 """
 
 from __future__ import annotations
@@ -212,22 +215,20 @@ def min_dim_search(
 
 
 def _multiset_stats(p: int, box: int, ncorr: Sequence[int]):
-    """Per-sum dimension statistics over all coordinate multisets in the box.
+    """Every coordinate multiset in the box, grouped by coordinate sum.
 
-    Returns (by_sum, min_dim_by_sum) where by_sum maps a coordinate sum to the
-    list of (dim, sorted coordinate tuple) and min_dim_by_sum to the minimum.
-    Dimension is a symmetric function, so multisets lose nothing.
+    Returns a dict mapping a coordinate sum to the list of (dim, number of odd
+    coordinates, sorted coordinate tuple).  Dimension, coordinate sum and
+    folded boundary are symmetric functions, so multisets lose nothing, and a
+    multiset with k odd entries permutes onto every parity vector with k odd
+    entries.
     """
-    by_sum: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    min_by_sum: dict[int, int] = {}
-    values = range(-box, box + 1)
-    for ms in itertools.combinations_with_replacement(values, p - 1):
+    by_sum: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+    for ms in itertools.combinations_with_replacement(range(-box, box + 1), p - 1):
         s = sum(ms)
         d = _dim_from_sums(p, s, sum(c * c for c in ms), ncorr)
-        by_sum.setdefault(s, []).append((d, ms))
-        if s not in min_by_sum or d < min_by_sum[s]:
-            min_by_sum[s] = d
-    return by_sum, min_by_sum
+        by_sum.setdefault(s, []).append((d, sum(c & 1 for c in ms), ms))
+    return by_sum
 
 
 def verify_boundary_value_lemmas(p: int, t_max: int = 2, box: int = 4) -> list[CheckReport]:
@@ -245,13 +246,18 @@ def verify_boundary_value_lemmas(p: int, t_max: int = 2, box: int = 4) -> list[C
     4. quantized gap: if e' = e (mod 2) and the folded boundaries agree, then
        dim(e') - dim(e) is a nonnegative multiple of 4.
 
+    The box is enumerated once, as the coordinate multisets of
+    _multiset_stats; laws 3 and 4 read the multisets with as many odd
+    coordinates as e, each of which permutes onto e's parity.  A
+    counterexample therefore names a class by its sorted coordinates.
+
     Raises for p < 2, t_max < 0 or box < 0, where the scan would be empty.
     """
     if p < 2 or t_max < 0 or box < 0:
         raise ValueError(f"need p >= 2, t_max >= 0 and box >= 0, got {p}, {t_max}, {box}")
     ncorr = _ncorr_table(p)
     psq = p * p
-    by_sum, min_by_sum = _multiset_stats(p, box, ncorr)
+    by_sum = _multiset_stats(p, box, ncorr)
     smax = (p - 1) * box
 
     canonicals = []
@@ -267,45 +273,34 @@ def verify_boundary_value_lemmas(p: int, t_max: int = 2, box: int = 4) -> list[C
         m0 = canon.boundary_value()
         dim_e = _dim_from_sums(p, m0, sum(c * c for c in e.coeffs), ncorr)
         e_multiset = tuple(sorted(e.coeffs))
+        odd_e = sum(c & 1 for c in e.coeffs)
 
-        r = -((smax + m0) // psq + 1)
-        while m0 + r * psq <= smax:
-            s_shift = m0 + r * psq
-            if r not in (0, -1) and s_shift >= -smax and s_shift in min_by_sum:
-                if min_by_sum[s_shift] <= dim_e:
-                    bad = [ms for d, ms in by_sum[s_shift] if d <= dim_e][:3]
-                    failures["sum-shift"].append(
-                        {"e": e.coeffs, "r": r, "dim_e": dim_e, "classes": bad}
-                    )
-            r += 1
-
-        if -smax <= m0 <= smax:
-            for d, ms in by_sum.get(m0, []):
-                if ms == e_multiset:
-                    if d != dim_e:
-                        failures["tie"].append({"e": e.coeffs, "bad": ms, "dim": d})
-                elif d <= dim_e:
-                    failures["tie"].append(
-                        {"e": e.coeffs, "dim_e": dim_e, "class": ms, "dim": d}
-                    )
-
-        fold_e = min(m0 % psq, psq - m0 % psq) if m0 % psq else 0
-        ranges = [
-            [v for v in range(-box, box + 1) if (v - c) % 2 == 0] for c in e.coeffs
-        ]
-        for coords in itertools.product(*ranges):
-            s = sum(coords)
-            d = _dim_from_sums(p, s, sum(c * c for c in coords), ncorr)
-            fold = min(s % psq, psq - s % psq) if s % psq else 0
-            if d <= dim_e and fold > fold_e:
-                failures["monotone"].append(
-                    {"e": e.coeffs, "dim_e": dim_e, "class": coords, "dim": d, "fold": fold}
+        for r in range(-((smax + m0) // psq), (smax - m0) // psq + 1):
+            if r in (0, -1):
+                continue
+            bad = [ms for d, _, ms in by_sum.get(m0 + r * psq, ()) if d <= dim_e]
+            if bad:
+                failures["sum-shift"].append(
+                    {"e": e.coeffs, "r": r, "dim_e": dim_e, "classes": bad[:3]}
                 )
-            if fold == fold_e:
-                gap = d - dim_e
-                if gap < 0 or gap % 4:
+
+        for d, _, ms in by_sum.get(m0, ()):
+            if d <= dim_e and ms != e_multiset:
+                failures["tie"].append({"e": e.coeffs, "dim_e": dim_e, "class": ms, "dim": d})
+
+        fold_e = min(m0 % psq, -m0 % psq)
+        for s, entries in by_sum.items():
+            fold = min(s % psq, -s % psq)
+            for d, odd, ms in entries:
+                if odd != odd_e:
+                    continue
+                if d <= dim_e and fold > fold_e:
+                    failures["monotone"].append(
+                        {"e": e.coeffs, "dim_e": dim_e, "class": ms, "dim": d, "fold": fold}
+                    )
+                if fold == fold_e and (d < dim_e or (d - dim_e) % 4):
                     failures["quantized-gap"].append(
-                        {"e": e.coeffs, "dim_e": dim_e, "class": coords, "dim": d}
+                        {"e": e.coeffs, "dim_e": dim_e, "class": ms, "dim": d}
                     )
 
     params = {"t_max": t_max, "box": box}

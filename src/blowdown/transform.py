@@ -209,10 +209,10 @@ def check_sphere_relation(m: ManifoldSeries, u: HClass) -> bool:
     return not rel
 
 
-def _is_taut(g: Sequence, p: int) -> bool:
+def _is_taut(g: Sequence[int], bound: int) -> bool:
     """Pairings g with the chain spheres: zero on the interior spheres and at
-    most p in absolute value on the end sphere."""
-    return not any(g[:-1]) and abs(g[-1]) <= p
+    most bound in absolute value on the end sphere."""
+    return not any(g[:-1]) and abs(g[-1]) <= bound
 
 
 def check_taut(m: ManifoldSeries, c: ChainConfig) -> bool:
@@ -220,16 +220,15 @@ def check_taut(m: ManifoldSeries, c: ChainConfig) -> bool:
     at most p in absolute value with the end sphere."""
     if c.ambient != m.lattice:
         raise ValueError("configuration does not live in the series lattice")
-    return all(
-        _is_taut([pairing(kappa, u) for u in c.spheres], c.p) for kappa, _ in m.kernel.classes()
-    )
+    bound = c.p * c.ambient.den
+    return all(_is_taut(c.dots(kappa), bound) for kappa, _ in m.kernel.classes())
 
 
 def _chain_pairings(c: ChainConfig, kappa: HClass) -> tuple[int, ...]:
-    g = [pairing(kappa, u) for u in c.spheres]
-    if any(v.denominator != 1 for v in g):
+    g = [divmod(x, c.ambient.den) for x in c.dots(kappa)]
+    if any(r for _, r in g):
         raise ValueError("class pairs non-integrally with the configuration")
-    return tuple(int(v) for v in g)
+    return tuple(q for q, _ in g)
 
 
 @lru_cache(maxsize=None)
@@ -275,8 +274,8 @@ def _blown_down_lattice(
     """
     amb = c.ambient
     gens: list[tuple[Fraction, ...]] = [tuple(Fraction(x) for x in ext) for ext in extensions]
-    for i, name in enumerate(amb.basis_names):
-        if all(pairing(amb.basis_class(name), u) == 0 for u in c.spheres):
+    for i in range(amb.rank):
+        if not any(row[i] for row in c.rows):
             gens.append(tuple(Fraction(1 if j == i else 0) for j in range(amb.rank)))
     gens = [g for g in gens if any(g)]
     if not gens:
@@ -390,11 +389,8 @@ def taut_blowdown(
         raise ValueError("configuration does not live in the series lattice")
     p = c.p
     lat, records = chain_pushoff(c, m.basic_classes(), None, image_names)
-    terms: dict[tuple[int, ...], Fraction] = {}
     scale = Fraction(2) ** (p - 1)
-    for rec in records:
-        if rec.status == "kept":
-            terms[rec.image] = terms.get(rec.image, Fraction(0)) + scale * m.kernel.terms[rec.source]
+    terms = [(r.image, scale * m.kernel.terms[r.source]) for r in records if r.status == "kept"]
     series = ManifoldSeries(
         ExpKernel(lat, terms), m.euler - (p - 1), m.signature + (p - 1), m.simple_type
     )
@@ -418,10 +414,7 @@ def p2_blowdown(
     classes = m.basic_classes()
     keep = [bool(k2.coeff(kappa)) for kappa in classes]
     lat, records = chain_pushoff(ChainConfig(2, m.lattice, [sigma]), classes, keep, image_names)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for rec in records:
-        if rec.status == "kept":
-            terms[rec.image] = terms.get(rec.image, Fraction(0)) + k2.terms[rec.source]
+    terms = [(r.image, k2.terms[r.source]) for r in records if r.status == "kept"]
     series = ManifoldSeries(ExpKernel(lat, terms), m.euler - 1, m.signature + 1, m.simple_type)
     return BlowdownResult(series, tuple(records))
 
@@ -504,10 +497,7 @@ def log_transform(
     e^{-(p-1)s/p}.  Euler number and signature are unchanged.
     """
     place = log_placement(m.lattice, m.basic_classes(), s, p, new_name)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for key, a in m.kernel.terms.items():
-        for img in place.ladder(key):
-            terms[img] = terms.get(img, Fraction(0)) + a
+    terms = [(img, a) for key, a in m.kernel.terms.items() for img in place.ladder(key)]
     return ManifoldSeries(ExpKernel(place.lattice, terms), m.euler, m.signature, m.simple_type)
 
 

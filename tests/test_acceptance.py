@@ -106,13 +106,13 @@ def test_02_canonical_dimension():
 
 
 def test_03_boundary_value_lemmas():
-    for p in range(2, 8):
+    for p in range(2, 10):
         reports = verify_boundary_value_lemmas(p, t_max=2, box=4)
         assert reports
         for r in reports:
             assert r.passed, (p, r.name, r.counterexamples)
             assert not r.counterexamples
-    _report(3, "boundary-value lemmas exhaustive for p = 2..7, box 4")
+    _report(3, "boundary-value lemmas exhaustive for p = 2..9, box 4")
 
 
 def test_04_nodal_chain_machinery():

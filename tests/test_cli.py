@@ -144,6 +144,12 @@ def test_logt_verb(capsys):
     _, direct, _ = run(capsys, "series", "E(2;3)")
     # same kernel lines as the one-pair elliptic spec
     assert direct.splitlines()[2:] == out.splitlines()[2:]
+    # the verb prints exactly what the series verb prints for logt(S,p)
+    for spec in ("E(2)", "E(3;2)"):
+        for fmt in ("text", "structured"):
+            verb = run(capsys, "logt", spec, "3", "--format", fmt)
+            assert verb == run(capsys, "series", f"logt({spec},3)", "--format", fmt)
+            assert verb[0] == 0 and f"logt({spec},3)" in verb[1]
 
 
 def test_audit_verb(capsys):

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from blowdown import moduli
 from blowdown.lattice import RelClass, Residue, boundary, plumbing_matrix
 from blowdown.moduli import (
     CanonicalClass,
@@ -138,3 +141,89 @@ def test_boundary_value_lemmas_reject_empty_scans():
         with pytest.raises(ValueError):
             verify_boundary_value_lemmas(**kwargs)
     assert len(verify_boundary_value_lemmas(2, t_max=0, box=0)) == 4
+
+
+LAWS = ("sum-shift", "tie", "monotone", "quantized-gap")
+
+
+def _brute_force_verdicts(p, t_max, box):
+    """The four laws by a plain scan of every vector of the box (parity
+    vectors of e for laws 3 and 4), with the dimension the verifier uses."""
+    psq = p * p
+    ncorr = moduli._ncorr_table(p)
+
+    def dim(v):
+        return moduli._dim_from_sums(p, sum(v), sum(c * c for c in v), ncorr)
+
+    def fold(s):
+        return min(s % psq, -s % psq)
+
+    dims = {v: dim(v) for v in itertools.product(range(-box, box + 1), repeat=p - 1)}
+    ok = dict.fromkeys(LAWS, True)
+    for t in range(t_max + 1):
+        for b in range(1, p):
+            m0 = (p - 1) * t + b
+            if 2 * m0 > psq:
+                continue
+            e = (t,) * (p - 1 - b) + (t + 1,) * b
+            dim_e = dim(e)
+            for v, d in dims.items():
+                s = sum(v)
+                r, rem = divmod(s - m0, psq)
+                if not rem and r not in (0, -1) and d <= dim_e:
+                    ok["sum-shift"] = False
+                if s == m0 and d <= dim_e and sorted(v) != sorted(e):
+                    ok["tie"] = False
+                if all((x - y) % 2 == 0 for x, y in zip(v, e)):
+                    if d <= dim_e and fold(s) > fold(m0):
+                        ok["monotone"] = False
+                    if fold(s) == fold(m0) and (d < dim_e or (d - dim_e) % 4):
+                        ok["quantized-gap"] = False
+    return [ok[law] for law in LAWS]
+
+
+def test_boundary_value_lemmas_match_brute_force_under_corruption(monkeypatch):
+    # A correction entry shifted by a multiple of p^2 keeps every dimension
+    # integral and moves the dimensions of one boundary value, which breaks
+    # the monotone and quantized-gap laws; corr itself is never touched.
+    # Laws 1 and 2 compare classes of one residue, so only a corrupted
+    # dimension formula breaks them: the square-sum term with its sign
+    # flipped, one constant dimension (ties everywhere), or negative sums
+    # sunk by a multiple of 4.  The sum-shift law has candidates only once the
+    # box reaches a sum m0 + r p^2 with r not in {0, -1}: hence the extra
+    # boxes of size 5 and 6.
+    true_table, true_dim = moduli._ncorr_table, moduli._dim_from_sums
+
+    def flipped(p, s, q, ncorr):
+        return true_dim(p, s, q, ncorr) - 4 * q
+
+    def flat(p, s, q, ncorr):
+        return 0
+
+    def sunk(p, s, q, ncorr):
+        return true_dim(p, s, q, ncorr) - (400 if s < 0 else 0)
+
+    grids = [(p, box, t_max) for p in range(2, 6) for box, t_max in ((1, 0), (2, 1), (3, 2))]
+    failed = dict.fromkeys(LAWS, 0)
+    for p, box, t_max in grids + [(2, 5, 2), (2, 6, 2), (3, 5, 2)]:
+        psq = p * p
+        variants = [(true_table(p), dim) for dim in (true_dim, flipped, flat, sunk)]
+        for m in range(0, psq, max(1, psq // 5)):
+            for k in (1, -2):
+                table = list(true_table(p))
+                table[m] += k * psq
+                variants.append((tuple(table), true_dim))
+        for table, dim in variants:
+            monkeypatch.setattr(moduli, "_ncorr_table", lambda q, table=table: table)
+            monkeypatch.setattr(moduli, "_dim_from_sums", dim)
+            reports = verify_boundary_value_lemmas(p, t_max=t_max, box=box)
+            want = _brute_force_verdicts(p, t_max, box)
+            assert [r.passed for r in reports] == want, (p, box, t_max, table, dim)
+            for law, r in zip(LAWS, reports):
+                assert r.name == f"boundary-value {law}"
+                assert bool(r.counterexamples) == (not r.passed)
+                failed[law] += not r.passed
+                for ce in r.counterexamples:
+                    for cls in ce.get("classes", [ce.get("class")]):
+                        assert list(cls) == sorted(cls)
+    assert all(failed.values()), failed
