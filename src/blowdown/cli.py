@@ -98,9 +98,11 @@ def _print_series(m: ManifoldSeries) -> None:
     print(f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}")
 
 
-def _emit(args, obj: dict, text) -> None:
+def _emit(args, obj, text) -> None:
+    """Print obj() as JSON under --format structured, else call text(); the
+    structured object is only built when it is printed."""
     if args.format == "structured":
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(json.dumps(obj(), indent=2, sort_keys=True))
     else:
         text()
 
@@ -112,14 +114,13 @@ def _emit(args, obj: dict, text) -> None:
 def _series_output(args, spec, route: str) -> int:
     build = donaldson_pipeline if route == "pipeline" else donaldson_closed_form
     m = build(spec)
-    obj = {"spec": render(spec), "route": route, **series_to_obj(m)}
 
     def text():
         print(f"spec: {render(spec)}")
         print(f"route: {route}")
         _print_series(m)
 
-    _emit(args, obj, text)
+    _emit(args, lambda: {"spec": render(spec), "route": route, **series_to_obj(m)}, text)
     return 0
 
 
@@ -130,7 +131,6 @@ def cmd_series(args) -> int:
 def cmd_sw(args) -> int:
     spec = parse_spec(args.spec)
     m = sw_closed_form(spec)
-    obj = {"spec": render(spec), **swmap_to_obj(m)}
 
     def text():
         print(f"spec: {render(spec)}")
@@ -141,7 +141,7 @@ def cmd_sw(args) -> int:
             print(f"  {_class_text(m.lattice, key)}: {m.values[key]}")
         print(f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}")
 
-    _emit(args, obj, text)
+    _emit(args, lambda: {"spec": render(spec), **swmap_to_obj(m)}, text)
     return 0
 
 
@@ -151,13 +151,15 @@ def cmd_witten(args) -> int:
     swmap = sw_closed_form(spec)
     ok = witten_check(series, swmap)
     c = witten_exponent(swmap.euler, swmap.signature)
-    obj = {
-        "spec": render(spec),
-        "pass": ok,
-        "exponent": c,
-        "series": series_to_obj(series),
-        "sw": swmap_to_obj(swmap),
-    }
+
+    def obj():
+        return {
+            "spec": render(spec),
+            "pass": ok,
+            "exponent": c,
+            "series": series_to_obj(series),
+            "sw": swmap_to_obj(swmap),
+        }
 
     def text():
         tag = "PASS" if ok else "FAIL"
@@ -175,15 +177,17 @@ def cmd_dim(args) -> int:
     else:
         e = RelClass(p, tuple(args.delta))
     rep = dim_report(e)
-    obj = {
-        "p": p,
-        "delta": list(e.delta_coords()),
-        "e_square": fraction_str(rep.e_square),
-        "boundary": rep.boundary.value,
-        "modulus": rep.boundary.modulus,
-        "reduced_boundary": rep.reduced_boundary,
-        "dim": rep.dim,
-    }
+
+    def obj():
+        return {
+            "p": p,
+            "delta": list(e.delta_coords()),
+            "e_square": fraction_str(rep.e_square),
+            "boundary": rep.boundary.value,
+            "modulus": rep.boundary.modulus,
+            "reduced_boundary": rep.reduced_boundary,
+            "dim": rep.dim,
+        }
 
     def text():
         print(f"p: {p}")
@@ -214,11 +218,9 @@ def cmd_verify(args) -> int:
     if suite in ("witten", "all"):
         reports += suite_witten()
     passed = all(r.passed for r in reports)
-    obj = {
-        "suite": suite,
-        "checks": [r.to_obj() for r in reports],
-        "pass": passed,
-    }
+
+    def obj():
+        return {"suite": suite, "checks": [r.to_obj() for r in reports], "pass": passed}
 
     def text():
         for r in reports:
@@ -256,19 +258,21 @@ def cmd_blowdown(args) -> int:
         result = taut_blowdown(final, step.config(pre), image_names=[step.image])
         steps.append((step, pre, result))
         final = result.series
-    obj = {
-        "spec": render(spec),
-        "steps": [
-            {
-                "order": step.n,
-                "chain": list(step.spheres),
-                "basis": list(pre.basis_names),
-                **blowdown_to_obj(result),
-            }
-            for step, pre, result in steps
-        ],
-        "series": series_to_obj(final),
-    }
+
+    def obj():
+        return {
+            "spec": render(spec),
+            "steps": [
+                {
+                    "order": step.n,
+                    "chain": list(step.spheres),
+                    "basis": list(pre.basis_names),
+                    **blowdown_to_obj(result),
+                }
+                for step, pre, result in steps
+            ],
+            "series": series_to_obj(final),
+        }
 
     def text():
         print(f"spec: {render(spec)}")
@@ -299,11 +303,9 @@ def cmd_audit(args) -> int:
     spec = parse_spec(args.spec)
     reports = adjunction_audit(spec)
     passed = all(r.passed for r in reports)
-    obj = {
-        "spec": render(spec),
-        "checks": [r.to_obj() for r in reports],
-        "pass": passed,
-    }
+
+    def obj():
+        return {"spec": render(spec), "checks": [r.to_obj() for r in reports], "pass": passed}
 
     def text():
         for r in reports:

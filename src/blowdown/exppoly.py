@@ -6,42 +6,85 @@ implicit and never stored.  Multiplication convolves exponents
 (e^kappa e^lambda = e^{kappa+lambda}); division is supported exactly when all
 exponents involved sit on one rank-1 direction, which is the only case the
 surgery formulas need (fiber-direction factors like sinh(pu)/sinh(u)).
+Coefficients are kept as integer numerators over one common denominator, so
+the ring operations and the division run in integer arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
-from .lattice import HClass, IntersectionLattice, QClass, pairing
+from .lattice import HClass, IntersectionLattice, QClass, integral_coords, pairing
 
 Scalar = Union[int, Fraction]
 
 
 class ExpKernel:
-    """A kernel sum_s a_s e^{kappa_s}: terms maps exponent tuples to nonzero
-    coefficients.  Built from a mapping or from (exponent, coefficient)
-    pairs; pairs with the same exponent are summed."""
+    """A kernel sum_s a_s e^{kappa_s}, built from a mapping or from
+    (exponent, coefficient) pairs; pairs with the same exponent are summed.
 
-    __slots__ = ("lattice", "terms")
+    The coefficients are stored as integer numerators `num` (a read-only
+    mapping, exponent tuple -> nonzero int) over one denominator `den` > 0,
+    reduced so that gcd(den, *num.values()) == 1: equal kernels give equal
+    (num, den), and the ring operations run on ints.  `terms` is the cached
+    read-only Fraction view of the same coefficients.
+    """
+
+    __slots__ = ("lattice", "num", "den", "_terms")
 
     def __init__(self, lattice: IntersectionLattice, terms: Mapping = ()):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for key, coeff in items:
             if isinstance(key, HClass):
                 if key.lattice != lattice:
                     raise ValueError("lattice mismatch: term class not in the kernel lattice")
                 key = key.coeffs
-            key = tuple(int(k) for k in key)
-            if len(key) != lattice.rank:
+            else:
+                key = tuple(key)
+            c = coeff if type(coeff) is int else Fraction(coeff)
+            acc[key] = acc.get(key, 0) + c
+        den = lcm(*(c.denominator for c in acc.values()))
+        num = {key: c.numerator * (den // c.denominator) for key, c in acc.items()}
+        self._store(lattice, num, den)
+
+    @classmethod
+    def _from_ints(cls, lattice: IntersectionLattice, num: dict, den: int) -> "ExpKernel":
+        """The kernel sum num[key]/den e^key, for int numerators and a
+        positive int denominator; exponents are validated as in __init__."""
+        k = object.__new__(cls)
+        k._store(lattice, num, den)
+        return k
+
+    def _store(self, lattice: IntersectionLattice, num: dict, den: int) -> None:
+        rank = lattice.rank
+        clean = {}
+        for key, c in num.items():
+            key = integral_coords(key)
+            if len(key) != rank:
                 raise ValueError("exponent length does not match lattice rank")
-            c = Fraction(coeff)
             if c:
-                clean[key] = clean.get(key, Fraction(0)) + c
+                clean[key] = c
+        g = gcd(den, *clean.values())
+        if g != 1:
+            clean = {key: c // g for key, c in clean.items()}
+            den //= g
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v})
+        object.__setattr__(self, "num", MappingProxyType(clean))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_terms", None)
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        if self._terms is None:
+            den = self.den
+            view = MappingProxyType({k: Fraction(c, den) for k, c in self.num.items()})
+            object.__setattr__(self, "_terms", view)
+        return self._terms
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpKernel is immutable")
@@ -52,17 +95,18 @@ class ExpKernel:
         return (
             isinstance(other, ExpKernel)
             and self.lattice == other.lattice
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.lattice, tuple(self.sorted_terms())))
+        return hash((self.lattice, self.den, frozenset(self.num.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.num)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items())
@@ -72,7 +116,7 @@ class ExpKernel:
             yield HClass(self.lattice, key), coeff
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "ExpKernel(0)"
         bits = [f"{c}*e^{k}" for k, c in self.sorted_terms()]
         return "ExpKernel(" + " + ".join(bits) + ")"
@@ -85,26 +129,28 @@ class ExpKernel:
 
     def __add__(self, other: "ExpKernel") -> "ExpKernel":
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return ExpKernel(self.lattice, out)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {k: s * c for k, c in self.num.items()}
+        for k, c in other.num.items():
+            out[k] = out.get(k, 0) + t * c
+        return ExpKernel._from_ints(self.lattice, out, den)
 
     def __sub__(self, other: "ExpKernel") -> "ExpKernel":
         return self + (-other)
 
     def __neg__(self) -> "ExpKernel":
-        return ExpKernel(self.lattice, {k: -c for k, c in self.terms.items()})
+        return ExpKernel._from_ints(self.lattice, {k: -c for k, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, ExpKernel):
             self._check(other)
-            out: dict[tuple[int, ...], Fraction] = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(k1, k2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return ExpKernel(self.lattice, out)
+            out: dict[tuple[int, ...], int] = {}
+            for k1, c1 in self.num.items():
+                for k2, c2 in other.num.items():
+                    key = tuple(map(add, k1, k2))
+                    out[key] = out.get(key, 0) + c1 * c2
+            return ExpKernel._from_ints(self.lattice, out, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other) -> "ExpKernel":
@@ -112,11 +158,13 @@ class ExpKernel:
 
     def scale(self, k: Scalar) -> "ExpKernel":
         k = Fraction(k)
-        return ExpKernel(self.lattice, {key: k * c for key, c in self.terms.items()})
+        top = k.numerator
+        out = {key: top * c for key, c in self.num.items()}
+        return ExpKernel._from_ints(self.lattice, out, self.den * k.denominator)
 
     def coeff(self, cls: Union[HClass, tuple]) -> Fraction:
         key = cls.coeffs if isinstance(cls, HClass) else tuple(cls)
-        return self.terms.get(key, Fraction(0))
+        return Fraction(self.num.get(key, 0), self.den)
 
 
 def one(lattice: IntersectionLattice) -> ExpKernel:
@@ -148,16 +196,16 @@ def cosh_c(kappa: HClass) -> ExpKernel:
 
 def coeff_sum(k: ExpKernel) -> Fraction:
     """Evaluation that sends every e^kappa to 1."""
-    return sum(k.terms.values(), Fraction(0))
+    return Fraction(sum(k.num.values()), k.den)
 
 
 def parity(k: ExpKernel) -> str:
     """"even" if a_{-kappa} = a_kappa for all terms, "odd" if negated,
     else "neither".  The zero kernel counts as even."""
-    even = all(k.terms.get(tuple(-x for x in key)) == c for key, c in k.terms.items())
+    even = all(k.num.get(tuple(-x for x in key)) == c for key, c in k.num.items())
     if even:
         return "even"
-    odd = all(k.terms.get(tuple(-x for x in key)) == -c for key, c in k.terms.items())
+    odd = all(k.num.get(tuple(-x for x in key)) == -c for key, c in k.num.items())
     return "odd" if odd else "neither"
 
 
@@ -170,13 +218,13 @@ def twist(k: ExpKernel, c: Union[HClass, QClass]) -> ExpKernel:
         raise ValueError("lattice mismatch: twisting class not in the kernel lattice")
     csq = pairing(c, c)
     out = {}
-    for key, a in k.terms.items():
+    for key, a in k.num.items():
         kc = pairing(HClass(k.lattice, key), c)
         val = csq + kc
         if val.denominator != 1 or int(val) % 2:
             raise ValueError(f"twist undefined for class {key}: exponent {val} is not even")
         out[key] = a if (int(val) // 2) % 2 == 0 else -a
-    return ExpKernel(k.lattice, out)
+    return ExpKernel._from_ints(k.lattice, out, k.den)
 
 
 def directional_derivative(k: ExpKernel, u: Union[HClass, QClass]) -> ExpKernel:
@@ -208,44 +256,53 @@ def _collinear_multiples(direction_pool: Sequence[tuple[int, ...]]) -> tuple[tup
 def exact_div(a: ExpKernel, b: ExpKernel) -> ExpKernel:
     """Exact quotient a / b for kernels supported on one rank-1 direction.
 
-    Both kernels become Laurent polynomials in x = e^d for the primitive common
-    direction d; the quotient must come out exact (zero remainder), otherwise
-    this raises.
+    Both kernels become integer Laurent polynomials A, B in x = e^d for the
+    primitive common direction d (a = A / a.den, b = B / b.den), and B is
+    divided by its content g.  Long division by the primitive B / g visits
+    only its nonzero terms and stays in integers: by Gauss's lemma an exact
+    quotient by a primitive integer polynomial has integer coefficients, so a
+    step whose leading coefficient does not divide proves the division
+    inexact.  The quotient of A by B / g is then scaled by b.den / (a.den g).
+    Raises unless the quotient comes out exact (zero remainder).
     """
     a._check(b)
-    if not b.terms:
+    if not b.num:
         raise ZeroDivisionError("division by the zero kernel")
-    if not a.terms:
+    if not a.num:
         return zero(a.lattice)
-    pool = list(a.terms) + list(b.terms)
+    pool = list(a.num) + list(b.num)
     if not any(any(v) for v in pool):
-        (bk, bc), = b.terms.items()
-        return a.scale(Fraction(1) / bc)
+        (bc,) = b.num.values()
+        return a.scale(Fraction(b.den, bc))
     d, mult = _collinear_multiples(pool)
-    pa = {mult[k]: c for k, c in a.terms.items()}
-    pb = {mult[k]: c for k, c in b.terms.items()}
+    pa = {mult[k]: c for k, c in a.num.items()}
+    pb = {mult[k]: c for k, c in b.num.items()}
     lo_a, hi_a = min(pa), max(pa)
     lo_b, hi_b = min(pb), max(pb)
     da, db = hi_a - lo_a, hi_b - lo_b
     if da < db:
         raise ValueError("inexact division: numerator support is too narrow")
-    rem = [pa.get(lo_a + i, Fraction(0)) for i in range(da + 1)]
-    den = [pb.get(lo_b + i, Fraction(0)) for i in range(db + 1)]
-    quot = [Fraction(0)] * (da - db + 1)
+    g = gcd(*pb.values())
+    lead = pb[hi_b] // g
+    tail = [(e - hi_b, c // g) for e, c in pb.items() if e != hi_b]
+    rem = [pa.get(lo_a + i, 0) for i in range(da + 1)]
+    quot = [0] * (da - db + 1)
     for i in range(da, db - 1, -1):
-        c = rem[i] / den[db]
-        quot[i - db] = c
+        c, r = divmod(rem[i], lead)
+        if r:
+            raise ValueError("inexact division: nonzero remainder")
         if c:
-            for j in range(db + 1):
-                rem[i - db + j] -= c * den[j]
-    if any(rem):
+            quot[i - db] = c
+            for off, t in tail:
+                rem[i + off] -= c * t
+    if any(rem[:db]):
         raise ValueError("inexact division: nonzero remainder")
     shift = lo_a - lo_b
     out = {}
     for i, c in enumerate(quot):
         if c:
-            out[tuple((i + shift) * x for x in d)] = c
-    return ExpKernel(a.lattice, out)
+            out[tuple((i + shift) * x for x in d)] = c * b.den
+    return ExpKernel._from_ints(a.lattice, out, a.den * g)
 
 
 def refined_lattice(
@@ -287,8 +344,8 @@ def refine_lattice(
     lat = refined_lattice(k.lattice, old, divisor, new_name)
     idx = next(i for i, c in enumerate(old.coeffs) if c)
     out = {}
-    for key, c in k.terms.items():
+    for key, c in k.num.items():
         nk = list(key)
         nk[idx] *= divisor
         out[tuple(nk)] = c
-    return ExpKernel(lat, out)
+    return ExpKernel._from_ints(lat, out, k.den)

@@ -149,6 +149,16 @@ def diagonal_lattice(names: Sequence[str], squares: Sequence[Scalar]) -> Interse
     return IntersectionLattice(names, gram)
 
 
+def integral_coords(coords) -> tuple[int, ...]:
+    """coords as a tuple of ints; raises ValueError naming them when a
+    coordinate x has int(x) != x, instead of truncating it."""
+    coords = tuple(coords)
+    out = tuple(map(int, coords))
+    if out != coords:
+        raise ValueError(f"class {coords} has a non-integral coordinate")
+    return out
+
+
 def _check_same_lattice(a, b) -> None:
     if a.lattice != b.lattice:
         raise ValueError("lattice mismatch: classes live in different lattices")

@@ -26,6 +26,7 @@ from .lattice import (
     ChainConfig,
     HClass,
     IntersectionLattice,
+    integral_coords,
     is_characteristic,
     pairing,
 )
@@ -73,7 +74,7 @@ class SWMap:
                     raise ValueError("lattice mismatch: key does not live in the given lattice")
                 key = key.coeffs
             else:
-                key = tuple(int(x) for x in key)
+                key = integral_coords(key)
                 if len(key) != lattice.rank:
                     raise ValueError(f"key {key} does not match lattice rank {lattice.rank}")
             v = Fraction(v)
@@ -141,7 +142,7 @@ class SWMap:
 def sw_dim(m: SWMap, cls: KeyLike) -> Fraction:
     """Expected moduli dimension (cls^2 - (3*signature + 2*euler)) / 4."""
     if not isinstance(cls, HClass):
-        cls = HClass(m.lattice, tuple(int(x) for x in cls))
+        cls = HClass(m.lattice, integral_coords(cls))
     if cls.lattice != m.lattice:
         raise ValueError("lattice mismatch: class does not live in the map's lattice")
     if not is_characteristic(m.lattice, cls):
@@ -269,8 +270,7 @@ def witten_kernel(m: SWMap) -> ExpKernel:
     """The exponential-sum kernel 2^c sum_L value(L) e^L predicted to equal
     the series kernel, with c = witten_exponent(euler, signature)."""
     c = witten_exponent(m.euler, m.signature)
-    scale = Fraction(2) ** c
-    return ExpKernel(m.lattice, {key: scale * v for key, v in m.values.items()})
+    return ExpKernel(m.lattice, m.values).scale(Fraction(2) ** c)
 
 
 def witten_check(series: ManifoldSeries, m: SWMap) -> bool:
@@ -281,4 +281,4 @@ def witten_check(series: ManifoldSeries, m: SWMap) -> bool:
     if (series.euler, series.signature) != (m.euler, m.signature):
         raise ValueError("characteristic numbers differ between the series and the map")
     predicted = witten_kernel(m)
-    return predicted == series.kernel and set(predicted.terms) == set(series.kernel.terms)
+    return predicted == series.kernel

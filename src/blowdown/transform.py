@@ -63,7 +63,7 @@ class ManifoldSeries:
         b = self.b_plus
         if b < 3 or b % 2 == 0:
             raise ValueError(f"b_plus must be odd and >= 3, got {b}")
-        for kappa, _ in self.kernel.classes():
+        for kappa in self.basic_classes():
             if not is_characteristic(self.lattice, kappa):
                 raise ValueError(f"kernel class {kappa.coeffs} is not characteristic")
 
@@ -76,7 +76,7 @@ class ManifoldSeries:
         return (self.euler + self.signature - 2) // 2
 
     def basic_classes(self) -> list[HClass]:
-        return [kappa for kappa, _ in self.kernel.classes()]
+        return [HClass(self.lattice, key) for key in sorted(self.kernel.num)]
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,9 @@ def blowup(m: ManifoldSeries, k: int = 1, names: Optional[Sequence[str]] = None)
     """Add k exceptional square -1 directions and multiply the kernel by
     the product of their cosh factors; euler += k, signature -= k."""
     new_lat = blown_up_lattice(m.lattice, k, names)
-    kernel = ExpKernel(new_lat, {key + (0,) * k: c for key, c in m.kernel.terms.items()})
+    pad = (0,) * k
+    kernel = ExpKernel(new_lat, {key + pad: c for key, c in m.kernel.num.items()})
+    kernel = kernel.scale(Fraction(1, m.kernel.den))
     for name in new_lat.basis_names[m.lattice.rank :]:
         exc = new_lat.basis_class(name)
         kernel = kernel * ExpKernel(new_lat, [(exc.coeffs, Fraction(1, 2)), ((-exc).coeffs, Fraction(1, 2))])
@@ -389,11 +391,9 @@ def taut_blowdown(
         raise ValueError("configuration does not live in the series lattice")
     p = c.p
     lat, records = chain_pushoff(c, m.basic_classes(), None, image_names)
-    scale = Fraction(2) ** (p - 1)
-    terms = [(r.image, scale * m.kernel.terms[r.source]) for r in records if r.status == "kept"]
-    series = ManifoldSeries(
-        ExpKernel(lat, terms), m.euler - (p - 1), m.signature + (p - 1), m.simple_type
-    )
+    terms = [(r.image, m.kernel.num[r.source]) for r in records if r.status == "kept"]
+    kernel = ExpKernel(lat, terms).scale(Fraction(2 ** (p - 1), m.kernel.den))
+    series = ManifoldSeries(kernel, m.euler - (p - 1), m.signature + (p - 1), m.simple_type)
     return BlowdownResult(series, tuple(records))
 
 
@@ -414,8 +414,9 @@ def p2_blowdown(
     classes = m.basic_classes()
     keep = [bool(k2.coeff(kappa)) for kappa in classes]
     lat, records = chain_pushoff(ChainConfig(2, m.lattice, [sigma]), classes, keep, image_names)
-    terms = [(r.image, k2.terms[r.source]) for r in records if r.status == "kept"]
-    series = ManifoldSeries(ExpKernel(lat, terms), m.euler - 1, m.signature + 1, m.simple_type)
+    terms = [(r.image, k2.num[r.source]) for r in records if r.status == "kept"]
+    kernel = ExpKernel(lat, terms).scale(Fraction(1, k2.den))
+    series = ManifoldSeries(kernel, m.euler - 1, m.signature + 1, m.simple_type)
     return BlowdownResult(series, tuple(records))
 
 
@@ -497,8 +498,9 @@ def log_transform(
     e^{-(p-1)s/p}.  Euler number and signature are unchanged.
     """
     place = log_placement(m.lattice, m.basic_classes(), s, p, new_name)
-    terms = [(img, a) for key, a in m.kernel.terms.items() for img in place.ladder(key)]
-    return ManifoldSeries(ExpKernel(place.lattice, terms), m.euler, m.signature, m.simple_type)
+    terms = [(img, a) for key, a in m.kernel.num.items() for img in place.ladder(key)]
+    kernel = ExpKernel(place.lattice, terms).scale(Fraction(1, m.kernel.den))
+    return ManifoldSeries(kernel, m.euler, m.signature, m.simple_type)
 
 
 def formal_log_coefficients(p: int) -> list[tuple[int, Fraction]]:

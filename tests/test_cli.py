@@ -61,6 +61,27 @@ def test_structured_sw_roundtrip(capsys):
         assert swmap_from_obj(obj) == sw_closed_form("H(5)")
 
 
+def test_text_mode_builds_no_structured_object(capsys, monkeypatch):
+    import blowdown.cli as cli
+
+    def fail(*args):
+        raise AssertionError("structured object built in text mode")
+
+    for name in ("series_to_obj", "swmap_to_obj", "blowdown_to_obj"):
+        monkeypatch.setattr(cli, name, fail)
+    for argv in (
+        ["series", "E(3;2)"],
+        ["logt", "E(3)", "2"],
+        ["sw", "E(3;2)"],
+        ["witten", "E(3;2)"],
+        ["blowdown", "E(4)", "--sections", "1"],
+    ):
+        assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(AssertionError):
+        main(["series", "E(3;2)", "--format", "structured"])
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "series", "E(1)")
     assert code == 3 and "n >= 2" in err

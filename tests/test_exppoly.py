@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blowdown.exppoly import (
     ExpKernel,
@@ -156,6 +159,148 @@ def test_exact_div_errors():
     s = LAT.basis_class("s")
     with pytest.raises(ValueError):
         exact_div(one(LAT), exp_c(f) + exp_c(s) + exp_c(-f - s))  # not collinear
+
+
+def _dense_div(pa: dict, pb: dict) -> dict:
+    """Reference Laurent division: dense Fraction long division over every
+    slot of the divisor, exponent -> coefficient dicts in and out."""
+    lo_a, hi_a = min(pa), max(pa)
+    lo_b, hi_b = min(pb), max(pb)
+    da, db = hi_a - lo_a, hi_b - lo_b
+    if da < db:
+        raise ValueError("inexact division: numerator support is too narrow")
+    rem = [Fraction(pa.get(lo_a + i, 0)) for i in range(da + 1)]
+    den = [Fraction(pb.get(lo_b + i, 0)) for i in range(db + 1)]
+    quot = [Fraction(0)] * (da - db + 1)
+    for i in range(da, db - 1, -1):
+        c = rem[i] / den[db]
+        quot[i - db] = c
+        for j in range(db + 1):
+            rem[i - db + j] -= c * den[j]
+    if any(rem):
+        raise ValueError("inexact division: nonzero remainder")
+    return {i + lo_a - lo_b: c for i, c in enumerate(quot) if c}
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _on(direction, poly: dict) -> ExpKernel:
+    """The kernel sum c e^{e * direction} on LAT."""
+    return ExpKernel(LAT, {tuple(e * x for x in direction): c for e, c in poly.items()})
+
+
+_COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+_LAURENT = st.dictionaries(st.integers(-5, 5), _COEFFS, min_size=1, max_size=5)
+# non-monic divisors and divisors of non-unit content: 2e^{2u} + 3e^u, 6 sinh(2u),
+# (3 + 3e^u)/2 and the E(40;11,13) leaf's sinh(13u) sinh(11u)
+_SPECIAL = [
+    {2: Fraction(2), 1: Fraction(3)},
+    {2: Fraction(3), -2: Fraction(-3)},
+    {0: Fraction(3, 2), 1: Fraction(3, 2)},
+    _poly_mul({13: Fraction(1, 2), -13: Fraction(-1, 2)}, {11: Fraction(1, 2), -11: Fraction(-1, 2)}),
+]
+_DIVISORS = st.one_of(st.sampled_from(_SPECIAL), _LAURENT)
+_DIRECTIONS = st.sampled_from([(1, 0), (0, 1), (1, 2), (-2, 3)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=_LAURENT, b=_DIVISORS, d=_DIRECTIONS)
+@example(q={0: Fraction(1, 3), 1: Fraction(1, 3)}, b={0: Fraction(3), 1: Fraction(3)}, d=(1, 0))
+@example(q={0: Fraction(1, 2)}, b={2: Fraction(3), -2: Fraction(-3)}, d=(1, 2))
+def test_exact_div_matches_dense_oracle(q, b, d):
+    prod = _poly_mul(q, b)
+    assert _on(d, q) * _on(d, b) == _on(d, prod)
+    assert exact_div(_on(d, prod), _on(d, b)) == _on(d, q)
+    assert _dense_div(prod, b) == q
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=_LAURENT,
+    b=_DIVISORS.filter(lambda b: len(b) >= 2),
+    d=_DIRECTIONS,
+    pos=st.integers(-14, 14),
+    delta=_COEFFS,
+)
+# the leading coefficient 2 of the divisor fails to divide 3 at the top step,
+# while the low remainder happens to vanish
+@example(q={1: Fraction(1)}, b={2: Fraction(2), 1: Fraction(3)}, d=(1, 0), pos=3, delta=Fraction(1))
+def test_exact_div_perturbed_product_raises(q, b, d, pos, delta):
+    prod = _poly_mul(q, b)
+    prod[pos] = prod.get(pos, 0) + delta
+    prod = {e: c for e, c in prod.items() if c}
+    # a divisor with two or more terms never divides a single monomial, so the
+    # perturbed product is not a multiple of it
+    with pytest.raises(ValueError, match="^inexact division"):
+        exact_div(_on(d, prod), _on(d, b))
+    with pytest.raises(ValueError, match="^inexact division"):
+        _dense_div(prod, b)
+
+
+def test_exact_div_error_messages():
+    lat = diagonal_lattice(["x"], [0])
+    x = lat.basis_class("x")
+    with pytest.raises(ZeroDivisionError, match="^division by the zero kernel$"):
+        exact_div(one(lat), zero(lat))
+    with pytest.raises(ValueError, match="^inexact division: numerator support is too narrow$"):
+        exact_div(exp_c(x), sinh_c(x))
+    with pytest.raises(ValueError, match="^inexact division: nonzero remainder$"):
+        exact_div(exp_c(x * 3) + exp_c(x * 2), exp_c(x * 2).scale(2) + exp_c(x).scale(3))
+    f = LAT.basis_class("f")
+    s = LAT.basis_class("s")
+    with pytest.raises(ValueError, match="^exponents are not collinear"):
+        exact_div(one(LAT), exp_c(f) + exp_c(s) + exp_c(-f - s))
+    assert exact_div(zero(LAT), exp_c(f) + exp_c(s) + exp_c(-f - s)) == zero(LAT)
+    assert exact_div(sinh_c(f), one(LAT).scale(Fraction(-2, 3))) == sinh_c(f).scale(Fraction(-3, 2))
+    assert exact_div(one(LAT).scale(Fraction(5, 7)), one(LAT).scale(Fraction(-2, 3))) == one(
+        LAT
+    ).scale(Fraction(-15, 14))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    poly=_LAURENT,
+    d=_DIRECTIONS,
+    s=st.fractions(min_value=-50, max_value=50, max_denominator=40).filter(bool),
+)
+def test_kernel_canonical_form(poly, d, s):
+    k = _on(d, poly)
+    variants = [
+        k.scale(s).scale(1 / s),
+        _on(d, {e: c * s for e, c in poly.items()}).scale(1 / s),
+        (k * s + k) - k * s,
+        ExpKernel(LAT, [(key, c / 2) for key, c in k.terms.items()] * 2),
+    ]
+    assert k.den > 0
+    assert gcd(k.den, *k.num.values()) == 1
+    assert all(k.num[key] == c * k.den for key, c in k.terms.items())
+    for v in variants:
+        assert (v.num, v.den) == (k.num, k.den)
+        assert hash(v) == hash(k)
+    assert (k - k).den == 1 and not (k - k).num
+    assert k.scale(2) != k and k.scale(Fraction(1, 3)) != k
+
+
+def test_kernel_rejects_non_integral_exponents():
+    lat = diagonal_lattice(["x"], [0])
+    # (3/2,) used to truncate to 1*e^(1,)
+    with pytest.raises(ValueError, match=r"non-integral coordinate"):
+        ExpKernel(lat, {(Fraction(3, 2),): 1})
+    with pytest.raises(ValueError, match=r"non-integral coordinate"):
+        ExpKernel(lat, [((1.5,), 1)])
+    with pytest.raises(ValueError, match=r"non-integral coordinate"):
+        ExpKernel(lat, {(Fraction(3, 2),): 0})  # checked even when the term drops
+    with pytest.raises(ValueError, match=r"non-integral coordinate"):
+        ExpKernel._from_ints(lat, {(Fraction(3, 2),): 1}, 1)
+    with pytest.raises(ValueError, match=r"^exponent length does not match lattice rank$"):
+        ExpKernel._from_ints(lat, {(1, 0): 1}, 1)
+    assert ExpKernel(lat, {(Fraction(4, 2),): 1}) == exp_c(lat.basis_class("x") * 2)
 
 
 def test_refine_lattice_composition():

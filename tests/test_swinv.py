@@ -64,6 +64,17 @@ def test_swmap_checks_each_class_once(monkeypatch):
         SWMap(lat, {(2,): 1}, 46, -30)
 
 
+def test_swmap_rejects_non_integral_keys():
+    # (5/2,) used to truncate to the valid E(4) class (2,)
+    with pytest.raises(ValueError, match=r"non-integral coordinate"):
+        SWMap(IntersectionLattice(["f"], [[0]]), {(Fraction(5, 2),): 1}, 48, -32)
+    m = SWMap(F, {(Fraction(2),): 1}, 48, -32)
+    assert m.values == {(2,): 1}
+    with pytest.raises(ValueError, match=r"non-integral coordinate"):
+        sw_dim(m, (Fraction(5, 2),))
+    assert sw_dim(m, (Fraction(2),)) == 0
+
+
 def test_swmap_merges_and_drops():
     m = SWMap(F, [((0,), 2), ((0,), -2), ((2,), 1)], 24, -16)
     assert m.values == {(2,): 1}
