@@ -55,6 +55,7 @@ from .lattice import (
     boundary,
     boundary_residue_class,
     chain_lattice,
+    characteristic_square,
     diagonal_lattice,
     is_characteristic,
     pairing,

@@ -503,8 +503,7 @@ def sw_closed_form(spec: Union[str, ManifoldSpec]) -> SWMap:
         elif step.op == "logt":
             m = sw_log_transform(m, step.fiber_class(m.lattice), step.n)
         else:  # blowup; a plan with an hpsum step has an sw_gap
-            for _ in range(step.n):
-                m = sw_blowup(m)
+            m = sw_blowup(m, count=step.n)
     return m
 
 

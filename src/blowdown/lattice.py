@@ -18,8 +18,11 @@ denominator `den` (1 for every lattice except the refined fiber lattices), so
 `pairing` and `is_characteristic` run in integer arithmetic: a rational class
 is scaled to integer numerators over the lcm of its denominators first.  All
 pairings are still exact: `pairing` returns one `Fraction` built from the
-integer total.  Classes carry their lattice and arithmetic across different
-lattices is an error, never a coercion.
+integer total.  `characteristic_square` is the one characteristic test: a
+single pass over the nonzero Gram entries gives every c . x for the parity
+test and, from the same dot products, the integer square den * c . c.
+Classes carry their lattice and arithmetic across different lattices is an
+error, never a coercion.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
-from typing import Mapping, Sequence, Union
+from operator import mod, mul, sub
+from typing import Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -40,10 +44,11 @@ class IntersectionLattice:
     The pairing matrix is gram / den with gram integral; den defaults to 1.
     It is stored reduced, as integer numerators `num` over the least common
     denominator `den`, so equal pairings give equal (num, den).  `gram` is the
-    read-only Fraction view of the same matrix.
+    read-only Fraction view of the same matrix.  `sparse_gram` is the cached
+    sparse form of `num` that the characteristic test walks.
     """
 
-    __slots__ = ("basis_names", "num", "den", "_index", "_gram")
+    __slots__ = ("basis_names", "num", "den", "_index", "_gram", "_sparse")
 
     def __init__(
         self, basis_names: Sequence[str], gram: Sequence[Sequence[Scalar]], den: int = 1
@@ -77,6 +82,7 @@ class IntersectionLattice:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_sparse", None)
 
     @property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -85,6 +91,20 @@ class IntersectionLattice:
             view = tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
             object.__setattr__(self, "_gram", view)
         return self._gram
+
+    @property
+    def sparse_gram(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+        """The diagonal of `num` and its nonzero entries (i, j, g) above the
+        diagonal, computed once.  A blown-up lattice G + (-I_k) has no entry
+        above the diagonal past G's."""
+        if self._sparse is None:
+            num = self.num
+            diag = tuple(row[i] for i, row in enumerate(num))
+            upper = tuple(
+                (i, j, row[j]) for i, row in enumerate(num) for j in range(i + 1, len(row)) if row[j]
+            )
+            object.__setattr__(self, "_sparse", (diag, upper))
+        return self._sparse
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionLattice is immutable")
@@ -260,6 +280,34 @@ def pairing(a: Union[HClass, QClass], b: Union[HClass, QClass]) -> Fraction:
     return Fraction(total, a.lattice.den * xden * yden)
 
 
+def characteristic_square(
+    lattice: IntersectionLattice, coords: Sequence[int], xden: int = 1
+) -> Optional[int]:
+    """den * xden^2 * (c . c), with den = lattice.den, when the class
+    c = coords / xden (integer coords) is characteristic: c . x = x . x
+    (mod 2) for every basis vector x, both pairings being integers.  None
+    otherwise.
+
+    One pass over the nonzero Gram entries gives the integers
+    dots[i] = den * xden * (c . x_i); the parity test reads them, and the
+    square is the sum of coords times the same dots.
+    """
+    lden = lattice.den
+    diag, upper = lattice.sparse_gram
+    if lden > 1 and any(s % lden for s in diag):
+        return None  # some x . x is not an integer
+    dots = list(map(mul, diag, coords))
+    for i, j, g in upper:
+        dots[i] += g * coords[j]
+        dots[j] += g * coords[i]
+    # c . x_i is an integer of the parity of x_i . x_i = diag[i] / den exactly
+    # when dots[i] = xden * diag[i] modulo 2 * den * xden
+    targets = diag if xden == 1 else [xden * s for s in diag]
+    if any(map(mod, map(sub, dots, targets), repeat(2 * lden * xden))):
+        return None
+    return sum(map(mul, coords, dots))
+
+
 def is_characteristic(lattice: IntersectionLattice, c: Union[HClass, QClass]) -> bool:
     """True when c . x = x . x (mod 2) for every basis vector x.
 
@@ -269,14 +317,7 @@ def is_characteristic(lattice: IntersectionLattice, c: Union[HClass, QClass]) ->
     if c.lattice != lattice:
         raise ValueError("lattice mismatch: class does not live in this lattice")
     x, xden = _numerators(c)
-    lden = lattice.den
-    den = lden * xden
-    for i, row in enumerate(lattice.num):
-        dot = sum(map(mul, row, x))
-        sq = row[i]
-        if dot % den or sq % lden or (dot // den - sq // lden) % 2:
-            return False
-    return True
+    return characteristic_square(lattice, x, xden) is not None
 
 
 @dataclass(frozen=True)
@@ -438,7 +479,7 @@ class RelClass:
             raise ValueError(f"unknown basis {self.basis!r}; expected one of {_BASES}")
         if len(self.coeffs) != self.p - 1:
             raise ValueError(f"expected {self.p - 1} coordinates for p={self.p}")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", integral_coords(self.coeffs))
 
     def delta_coords(self) -> tuple[int, ...]:
         if self.basis == "delta":

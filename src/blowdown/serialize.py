@@ -17,7 +17,10 @@ from .transform import BlowdownResult, ManifoldSeries
 
 
 def fraction_str(x: Union[Fraction, int]) -> str:
-    x = Fraction(x)
+    if type(x) is int:
+        return str(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

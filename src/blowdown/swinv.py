@@ -26,8 +26,8 @@ from .lattice import (
     ChainConfig,
     HClass,
     IntersectionLattice,
+    characteristic_square,
     integral_coords,
-    is_characteristic,
     pairing,
 )
 from .transform import (
@@ -77,27 +77,29 @@ class SWMap:
                 key = integral_coords(key)
                 if len(key) != lattice.rank:
                     raise ValueError(f"key {key} does not match lattice rank {lattice.rank}")
-            v = Fraction(v)
-            if v.denominator != 1:
-                raise ValueError(f"value for class {key} must be an integer, got {v}")
-            acc[key] = acc.get(key, 0) + int(v)
+            if type(v) is not int:
+                v = Fraction(v)
+                if v.denominator != 1:
+                    raise ValueError(f"value for class {key} must be an integer, got {v}")
+                v = int(v)
+            acc[key] = acc.get(key, 0) + v
         clean = {key: v for key, v in acc.items() if v}
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "values", clean)
         object.__setattr__(self, "euler", int(euler))
         object.__setattr__(self, "signature", int(signature))
         object.__setattr__(self, "simple_type", bool(simple_type))
+        # dimension zero means den * key^2 == den * (3 sigma + 2 e)
+        zero_dim = lattice.den * (3 * self.signature + 2 * self.euler)
         for key in clean:
-            cls = HClass(lattice, key)
-            if not is_characteristic(lattice, cls):
+            sq = characteristic_square(lattice, key)
+            if sq is None:
                 raise ValueError(f"basic class {key} is not characteristic")
-            if self.simple_type:
-                dim = _dim(self, cls)
-                if dim != 0:
-                    raise ValueError(
-                        f"simple type requires a zero-dimensional moduli space, "
-                        f"but class {key} has dimension {dim}"
-                    )
+            if self.simple_type and sq != zero_dim:
+                raise ValueError(
+                    f"simple type requires a zero-dimensional moduli space, "
+                    f"but class {key} has dimension {_dim(self, sq)}"
+                )
 
     def __setattr__(self, name, value):
         raise AttributeError("SWMap is immutable")
@@ -145,14 +147,16 @@ def sw_dim(m: SWMap, cls: KeyLike) -> Fraction:
         cls = HClass(m.lattice, integral_coords(cls))
     if cls.lattice != m.lattice:
         raise ValueError("lattice mismatch: class does not live in the map's lattice")
-    if not is_characteristic(m.lattice, cls):
+    sq = characteristic_square(m.lattice, cls.coeffs)
+    if sq is None:
         raise ValueError(f"class {cls.coeffs} is not characteristic")
-    return _dim(m, cls)
+    return _dim(m, sq)
 
 
-def _dim(m: SWMap, cls: HClass) -> Fraction:
-    """sw_dim without the checks, for classes already known characteristic."""
-    return (pairing(cls, cls) - (3 * m.signature + 2 * m.euler)) / 4
+def _dim(m: SWMap, sq: int) -> Fraction:
+    """The dimension of a class whose square is sq / m.lattice.den."""
+    den = m.lattice.den
+    return Fraction(sq - den * (3 * m.signature + 2 * m.euler), 4 * den)
 
 
 def sw_simple_type(m: SWMap) -> bool:
@@ -171,28 +175,40 @@ def sw_en(n: int) -> SWMap:
 
 
 def sw_blowup(
-    m: SWMap, k_levels: Sequence[int] = (0,), name: Optional[str] = None
+    m: SWMap,
+    k_levels: Sequence[int] = (0,),
+    name: Union[None, str, Sequence[str]] = None,
+    *,
+    count: int = 1,
 ) -> SWMap:
-    """One blowup: adds an exceptional square -1 direction e and, for every
-    class L and every admissible level k (those with dim(L) - k(k+1) >= 0),
-    the classes L +- (2k+1)e with L's value.  Simple type admits only k=0."""
+    """count blowups in one pass.  Adds count exceptional square -1
+    directions (name: one name, or count names) and sends every class L to
+    the classes L + (+-(2k_1+1), ..., +-(2k_count+1)) with L's value, for
+    levels k_i in k_levels.  Each level costs k(k+1) of the moduli dimension,
+    which must stay >= 0, so a simple-type map (dimension 0) admits only
+    k=0: the 2^count sign patterns."""
     levels = sorted(set(int(k) for k in k_levels))
     if not levels or levels[0] < 0:
         raise ValueError("blowup levels must be integers >= 0")
-    new_lat = blown_up_lattice(m.lattice, 1, None if name is None else [name])
+    new_lat = blown_up_lattice(m.lattice, count, [name] if isinstance(name, str) else name)
+    # dimensions are tracked as the integers 4 * den * dim; the input classes
+    # were checked when m was built, so only their squares are read here
+    den = m.lattice.den
+    zero_dim = den * (3 * m.signature + 2 * m.euler)
+    steps = [(sign * (2 * k + 1), 4 * den * k * (k + 1)) for k in levels for sign in (1, -1)]
+    tails: dict[int, list[tuple[int, ...]]] = {}
     values: dict[tuple[int, ...], int] = {}
-    for key in sorted(m.values):
-        v = m.values[key]
-        dim = _dim(m, HClass(m.lattice, key))
-        for k in levels:
-            if dim - k * (k + 1) < 0:
-                continue
-            for sign in (1, -1):
-                nk = key + (sign * (2 * k + 1),)
-                if nk in values:
-                    raise ValueError("blowup target collision: distinct classes map to the same class")
-                values[nk] = v
-    return SWMap(new_lat, values, m.euler + 1, m.signature - 1, m.simple_type)
+    for key, v in m.values.items():
+        cls = HClass(m.lattice, key)
+        slack = (pairing(cls, cls) * den).numerator - zero_dim
+        if slack not in tails:
+            grown = [((), slack)]
+            for _ in range(count):
+                grown = [(t + (c,), s - cost) for t, s in grown for c, cost in steps if s >= cost]
+            tails[slack] = [t for t, _ in grown]
+        for tail in tails[slack]:
+            values[key + tail] = v
+    return SWMap(new_lat, values, m.euler + count, m.signature - count, m.simple_type)
 
 
 def sw_log_transform(

@@ -35,7 +35,7 @@ from .lattice import (
     RelClass,
     Residue,
     boundary,
-    is_characteristic,
+    characteristic_square,
     pairing,
     plumbing_inverse,
     plumbing_matrix,
@@ -63,9 +63,10 @@ class ManifoldSeries:
         b = self.b_plus
         if b < 3 or b % 2 == 0:
             raise ValueError(f"b_plus must be odd and >= 3, got {b}")
-        for kappa in self.basic_classes():
-            if not is_characteristic(self.lattice, kappa):
-                raise ValueError(f"kernel class {kappa.coeffs} is not characteristic")
+        lat = self.lattice
+        bad = [key for key in self.kernel.num if characteristic_square(lat, key) is None]
+        if bad:
+            raise ValueError(f"kernel class {min(bad)} is not characteristic")
 
     @property
     def lattice(self) -> IntersectionLattice:
@@ -162,14 +163,13 @@ def blown_up_lattice(
 
 def blowup(m: ManifoldSeries, k: int = 1, names: Optional[Sequence[str]] = None) -> ManifoldSeries:
     """Add k exceptional square -1 directions and multiply the kernel by
-    the product of their cosh factors; euler += k, signature -= k."""
+    the product of their cosh factors; euler += k, signature -= k.  The
+    product is written out in one pass: each term a e^kappa becomes
+    a / 2^k e^(kappa + (+-1, ..., +-1)) over all 2^k sign patterns."""
     new_lat = blown_up_lattice(m.lattice, k, names)
-    pad = (0,) * k
-    kernel = ExpKernel(new_lat, {key + pad: c for key, c in m.kernel.num.items()})
-    kernel = kernel.scale(Fraction(1, m.kernel.den))
-    for name in new_lat.basis_names[m.lattice.rank :]:
-        exc = new_lat.basis_class(name)
-        kernel = kernel * ExpKernel(new_lat, [(exc.coeffs, Fraction(1, 2)), ((-exc).coeffs, Fraction(1, 2))])
+    signs = list(_sign_vectors(k))
+    num = {key + s: c for key, c in m.kernel.num.items() for s in signs}
+    kernel = ExpKernel._from_ints(new_lat, num, m.kernel.den << k)
     return ManifoldSeries(kernel, m.euler + k, m.signature - k, m.simple_type)
 
 

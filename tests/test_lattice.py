@@ -18,6 +18,7 @@ from blowdown.lattice import (
     boundary,
     boundary_residue_class,
     chain_lattice,
+    characteristic_square,
     diagonal_lattice,
     is_characteristic,
     pairing,
@@ -95,6 +96,16 @@ def test_relclass_basis_roundtrip():
             assert e.delta_coords() == coords
             again = RelClass(p, e.gamma_coords(), basis="gamma")
             assert again.delta_coords() == coords
+
+
+def test_relclass_rejects_non_integral_coordinates():
+    # (3/2, 0) used to truncate to (1, 0)
+    with pytest.raises(ValueError, match=r"non-integral coordinate"):
+        RelClass(3, (Fraction(3, 2), 0))
+    with pytest.raises(ValueError, match=r"non-integral coordinate"):
+        RelClass(3, (0, Fraction(-1, 3)), basis="gamma")
+    e = RelClass(3, (Fraction(4, 2), 0))
+    assert e.coeffs == (2, 0) and all(type(c) is int for c in e.coeffs)
 
 
 def test_rel_pairing_closed_form():
@@ -419,3 +430,67 @@ def test_blown_down_gram_matches_naive_definition(spec):
         checked += 1
         m = taut_blowdown(m, c, [step.image]).series
     assert checked == len(plan.steps) >= 2
+
+
+def _ref_square(gram, x):
+    """Fraction oracle for den * c . c: None unless c is characteristic."""
+    if not _ref_characteristic(gram, x):
+        return None
+    return _ref_pairing(gram, x, x)
+
+
+def _box(n, r=2):
+    return list(itertools.product(range(-r, r + 1), repeat=n))
+
+
+@st.composite
+def _integral_lattice_over_den(draw):
+    """Integer numerators over den 1..4: diagonals mostly multiples of den
+    (odd quotients included), off-diagonal entries often fractional."""
+    n = draw(st.integers(1, 3))
+    den = draw(st.integers(1, 4))
+    num = [[0] * n for _ in range(n)]
+    for i in range(n):
+        num[i][i] = draw(
+            st.one_of(st.integers(-3, 3).map(lambda q: q * den), st.integers(-7, 7))
+        )
+        for j in range(i + 1, n):
+            num[i][j] = num[j][i] = draw(st.integers(-6, 6))
+    gram = [[Fraction(x, den) for x in row] for row in num]
+    return IntersectionLattice([f"x{i}" for i in range(n)], gram), gram
+
+
+@settings(max_examples=80, deadline=None)
+@given(_integral_lattice_over_den(), st.integers(1, 3))
+def test_characteristic_square_matches_fraction_oracle(case, xden):
+    lat, gram = case
+    for x in _box(lat.rank):
+        want = _ref_square(gram, x)
+        got = characteristic_square(lat, x)
+        assert got == (None if want is None else lat.den * want)
+        assert type(got) in (int, type(None))
+        assert is_characteristic(lat, HClass(lat, x)) == (want is not None)
+        # the rational class x / xden
+        q = [Fraction(a, xden) for a in x]
+        want = _ref_square(gram, q)
+        got = characteristic_square(lat, x, xden)
+        assert got == (None if want is None else lat.den * xden * xden * want)
+
+
+def test_characteristic_square_on_refined_and_blown_up_lattices():
+    seen = set()
+    for gram, d in [([[0, 1], [1, -4]], 3), ([[4, 2], [2, -4]], 3), ([[2, 1], [1, -3]], 2)]:
+        lat = IntersectionLattice(["x", "y"], gram)
+        for new in (
+            refined_lattice(lat, lat.basis_class("x"), d, "nu"),
+            blown_up_lattice(refined_lattice(lat, lat.basis_class("x"), d, "nu"), 2, None),
+            blown_up_lattice(lat, 3, None),
+        ):
+            g = new.gram
+            for x in _box(new.rank, 3 if new.rank == 2 else 1):
+                want = _ref_square(g, x)
+                got = characteristic_square(new, x)
+                assert got == (None if want is None else new.den * want)
+                seen.add((new.den > 1, got is None))
+    # den > 1 and den = 1 lattices, each with characteristic and other classes
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -26,6 +26,8 @@ def test_fraction_strings():
     assert fraction_str(Fraction(3)) == "3"
     assert fraction_str(Fraction(-7, 2)) == "-7/2"
     assert fraction_str(5) == "5"
+    for x in [0, 1, -12, 10**30, Fraction(6, 3), Fraction(-10**20, 3), True]:
+        assert fraction_str(x) == str(Fraction(x))
     assert fraction_parse("3") == 3
     assert fraction_parse("-7/2") == Fraction(-7, 2)
     assert fraction_parse(4) == 4

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from blowdown.catalog import surgery_plan, sw_closed_form
 from blowdown.exppoly import ExpKernel, sinh_c
 from blowdown.lattice import ChainConfig, IntersectionLattice, diagonal_lattice
 from blowdown.swinv import (
@@ -48,8 +49,10 @@ def test_swmap_checks_each_class_once(monkeypatch):
     import blowdown.swinv as swinv
 
     calls = []
-    real = swinv.is_characteristic
-    monkeypatch.setattr(swinv, "is_characteristic", lambda lat, c: calls.append(c) or real(lat, c))
+    real = swinv.characteristic_square
+    monkeypatch.setattr(
+        swinv, "characteristic_square", lambda lat, key: calls.append(key) or real(lat, key)
+    )
     m = sw_en(6)
     assert len(calls) == len(m) == 5
     calls.clear()
@@ -58,10 +61,40 @@ def test_swmap_checks_each_class_once(monkeypatch):
     assert len(calls) == len(up) == 10
     calls.clear()
     assert sw_dim(up, (4, 1)) == 0 and len(calls) == 1
+    calls.clear()
+    up3 = sw_blowup(m, count=3)
+    assert len(calls) == len(up3) == 40
     lat = diagonal_lattice(["k"], [2])
     with pytest.raises(ValueError, match=r"^simple type requires a zero-dimensional moduli space, "
                        r"but class \(2,\) has dimension 3/2$"):
         SWMap(lat, {(2,): 1}, 46, -30)
+    # the catalog's blowup step builds one map for all of its blowups
+    built = []
+    real_init = SWMap.__init__
+    monkeypatch.setattr(
+        SWMap, "__init__", lambda self, *a, **kw: built.append(a[0]) or real_init(self, *a, **kw)
+    )
+    assert [step.op for step in surgery_plan("blowup(E(6),8)").steps] == ["blowup"]
+    assert len(sw_closed_form("blowup(E(6),8)")) == 5 * 2**8
+    # sw_en(6) and the seed map on the ambient lattice, then one for the blowup step
+    assert [lat.rank for lat in built] == [1, 1, 9]
+
+
+def test_swmap_dimensions_over_a_gram_denominator():
+    # Gram [[2, 1/3], [1/3, -2]] has den 3; its characteristic classes are
+    # (6u, 6v), and (6, 6) squares to 24 = 3 sigma + 2 e at (e, sigma) = (0, 8)
+    lat = IntersectionLattice(["a", "b"], [[2, Fraction(1, 3)], [Fraction(1, 3), -2]])
+    assert lat.den == 3
+    m = SWMap(lat, {(6, 6): 1, (-6, -6): 1}, 0, 8)
+    assert sw_dim(m, (6, 6)) == 0 and sw_dim(m, (6, 0)) == 12 and sw_dim(m, (0, 6)) == -24
+    with pytest.raises(ValueError, match=r"^class \(3, 0\) is not characteristic$"):
+        sw_dim(m, (3, 0))
+    with pytest.raises(ValueError, match=r"but class \(6, 0\) has dimension 12$"):
+        SWMap(lat, {(6, 6): 1, (6, 0): 1}, 0, 8)
+    with pytest.raises(ValueError, match=r"^basic class \(2, 0\) is not characteristic$"):
+        SWMap(lat, {(2, 0): 1}, 0, 8, simple_type=False)
+    up = sw_blowup(m, count=2)
+    assert len(up) == 8 and all(sw_dim(up, key) == 0 for key in up.values)
 
 
 def test_swmap_rejects_non_integral_keys():

@@ -44,6 +44,9 @@ def test_series_validation():
     with pytest.raises(ValueError):
         # (1, 0) pairs oddly with s while s^2 is even: not characteristic
         ManifoldSeries(ExpKernel(FS, {(1, 0): Fraction(1)}), 48, -32)
+    # the first bad class in sorted order is named, whatever the insertion order
+    with pytest.raises(ValueError, match=r"^kernel class \(1, 0\) is not characteristic$"):
+        ManifoldSeries(ExpKernel(FS, {(3, 0): 1, (0, 0): 1, (1, 0): 1}), 48, -32)
 
 
 def test_series_charnums():
