@@ -159,6 +159,8 @@ class IntersectionLattice:
     def combo(self, terms: Mapping[str, int]) -> "HClass":
         coeffs = [0] * self.rank
         for name, c in terms.items():
+            if int(c) != c:
+                raise ValueError(f"coordinate {name!r} has non-integral coefficient {c}")
             coeffs[self.index(name)] = int(c)
         return HClass(self, tuple(coeffs))
 

@@ -71,17 +71,14 @@ def series_to_obj(m: ManifoldSeries) -> dict:
         "euler": m.euler,
         "signature": m.signature,
         "b_plus": m.b_plus,
-        "simple_type": m.simple_type,
+        "simple_type": True,
     }
 
 
 def series_from_obj(obj: dict) -> ManifoldSeries:
-    return ManifoldSeries(
-        kernel_from_obj(obj["kernel"]),
-        obj["euler"],
-        obj["signature"],
-        obj.get("simple_type", True),
-    )
+    if obj.get("simple_type", True) is not True:
+        raise ValueError("only simple-type series are supported")
+    return ManifoldSeries(kernel_from_obj(obj["kernel"]), obj["euler"], obj["signature"])
 
 
 def swmap_to_obj(m: SWMap) -> dict:
@@ -99,7 +96,7 @@ def swmap_to_obj(m: SWMap) -> dict:
 
 def swmap_from_obj(obj: dict) -> SWMap:
     lat = lattice_from_obj(obj["lattice"])
-    values = {tuple(c["class"]): int(c["sw"]) for c in obj["classes"]}
+    values = {tuple(c["class"]): c["sw"] for c in obj["classes"]}
     return SWMap(lat, values, obj["euler"], obj["signature"], obj.get("simple_type", True))
 
 

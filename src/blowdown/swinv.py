@@ -1,22 +1,24 @@
 """Seiberg-Witten basic-class maps and their surgery transforms.
 
 An SWMap is the finite support of an integer-valued function on characteristic
-classes, carried together with the characteristic numbers of the underlying
-series.  The transforms move classes through the same surgery geometry as the
+classes, stored as an exponential-sum kernel with integer coefficients and
+carried together with the characteristic numbers of the underlying series.
+The transforms move classes through the same surgery geometry as the
 kernel-level surgeries of .transform (blown_up_lattice, log_placement,
 chain_pushoff) but transport plain integer values instead of formal-sum
 coefficients, and never read a series coefficient: blowup adds an exceptional
 direction and splits each class into a pair, the log transform fans each class
 into p translates along the refined fiber, and the chain blowdown keeps
 exactly the classes meeting the end sphere fully, with values unchanged (no
-power-of-two factor on this side).  witten_kernel converts a map
-into an exponential-sum kernel, scaled by a power of two fixed by the
-characteristic numbers, for exact comparison against the series calculus.
+power-of-two factor on this side).  witten_kernel scales a map's kernel by a
+power of two fixed by the characteristic numbers, for exact comparison against
+the series calculus.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -28,11 +30,11 @@ from .lattice import (
     IntersectionLattice,
     characteristic_square,
     integral_coords,
-    pairing,
 )
 from .transform import (
     ORTHOGONAL,
     ManifoldSeries,
+    b_plus_of,
     blown_up_lattice,
     chain_pushoff,
     log_placement,
@@ -41,17 +43,22 @@ from .transform import (
 KeyLike = Union[HClass, tuple]
 
 
+@dataclass(frozen=True, init=False)
 class SWMap:
     """Finite support of a basic-class function, with characteristic numbers.
 
-    values maps exponent coordinate tuples to nonzero integers; every key must
-    be characteristic.  b_plus is determined by (euler, signature) through the
-    simply connected relation e + sigma = 2 + 2*b_plus and must be odd and at
-    least 3.  With the simple-type flag set (the default), every key must sit
-    in a zero-dimensional moduli space: sw_dim(key) = 0.
+    The values are held as an integer ExpKernel (den == 1): `values` is its
+    read-only `num`, mapping exponent coordinate tuples to nonzero integers,
+    and every key must be characteristic.  b_plus is determined by (euler,
+    signature) as for ManifoldSeries (see b_plus_of).  With the simple-type
+    flag set (the default), every key must sit in a zero-dimensional moduli
+    space: sw_dim(key) = 0.
     """
 
-    __slots__ = ("lattice", "values", "euler", "signature", "simple_type")
+    kernel: ExpKernel
+    euler: int
+    signature: int
+    simple_type: bool
 
     def __init__(
         self,
@@ -61,37 +68,19 @@ class SWMap:
         signature: int,
         simple_type: bool = True,
     ):
-        if (euler + signature - 2) % 2:
-            raise ValueError("euler + signature must be even (simply connected model)")
-        b = (euler + signature - 2) // 2
-        if b < 3 or b % 2 == 0:
-            raise ValueError(f"b_plus must be odd and >= 3, got {b}")
-        items = values.items() if isinstance(values, Mapping) else values
-        acc: dict[tuple[int, ...], int] = {}
-        for key, v in items:
-            if isinstance(key, HClass):
-                if key.lattice != lattice:
-                    raise ValueError("lattice mismatch: key does not live in the given lattice")
-                key = key.coeffs
-            else:
-                key = integral_coords(key)
-                if len(key) != lattice.rank:
-                    raise ValueError(f"key {key} does not match lattice rank {lattice.rank}")
-            if type(v) is not int:
-                v = Fraction(v)
-                if v.denominator != 1:
-                    raise ValueError(f"value for class {key} must be an integer, got {v}")
-                v = int(v)
-            acc[key] = acc.get(key, 0) + v
-        clean = {key: v for key, v in acc.items() if v}
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "values", clean)
+        b_plus_of(euler, signature)
+        kernel = ExpKernel(lattice, values)
+        if kernel.den != 1:
+            key = min(k for k, c in kernel.num.items() if c % kernel.den)
+            v = Fraction(kernel.num[key], kernel.den)
+            raise ValueError(f"value for class {key} must be an integer, got {v}")
+        object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "euler", int(euler))
         object.__setattr__(self, "signature", int(signature))
         object.__setattr__(self, "simple_type", bool(simple_type))
         # dimension zero means den * key^2 == den * (3 sigma + 2 e)
         zero_dim = lattice.den * (3 * self.signature + 2 * self.euler)
-        for key in clean:
+        for key in kernel.num:
             sq = characteristic_square(lattice, key)
             if sq is None:
                 raise ValueError(f"basic class {key} is not characteristic")
@@ -101,12 +90,17 @@ class SWMap:
                     f"but class {key} has dimension {_dim(self, sq)}"
                 )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SWMap is immutable")
+    @property
+    def lattice(self) -> IntersectionLattice:
+        return self.kernel.lattice
+
+    @property
+    def values(self) -> Mapping[tuple[int, ...], int]:
+        return self.kernel.num
 
     @property
     def b_plus(self) -> int:
-        return (self.euler + self.signature - 2) // 2
+        return b_plus_of(self.euler, self.signature)
 
     def classes(self):
         for key in sorted(self.values):
@@ -119,26 +113,8 @@ class SWMap:
         key = cls.coeffs if isinstance(cls, HClass) else tuple(cls)
         return self.values.get(key, 0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SWMap):
-            return NotImplemented
-        return (
-            self.lattice == other.lattice
-            and self.values == other.values
-            and self.euler == other.euler
-            and self.signature == other.signature
-            and self.simple_type == other.simple_type
-        )
-
-    def __hash__(self):
-        return hash((self.lattice, tuple(sorted(self.values.items())), self.euler, self.signature))
-
     def __len__(self) -> int:
-        return len(self.values)
-
-    def __repr__(self) -> str:
-        bits = [f"{k}: {v}" for k, v in sorted(self.values.items())]
-        return f"SWMap({{{', '.join(bits)}}}, e={self.euler}, sigma={self.signature})"
+        return len(self.kernel)
 
 
 def sw_dim(m: SWMap, cls: KeyLike) -> Fraction:
@@ -192,15 +168,15 @@ def sw_blowup(
         raise ValueError("blowup levels must be integers >= 0")
     new_lat = blown_up_lattice(m.lattice, count, [name] if isinstance(name, str) else name)
     # dimensions are tracked as the integers 4 * den * dim; the input classes
-    # were checked when m was built, so only their squares are read here
+    # were checked when m was built, so only their squares are read here, and
+    # a simple-type map was built with every square equal to zero_dim
     den = m.lattice.den
     zero_dim = den * (3 * m.signature + 2 * m.euler)
     steps = [(sign * (2 * k + 1), 4 * den * k * (k + 1)) for k in levels for sign in (1, -1)]
     tails: dict[int, list[tuple[int, ...]]] = {}
     values: dict[tuple[int, ...], int] = {}
     for key, v in m.values.items():
-        cls = HClass(m.lattice, key)
-        slack = (pairing(cls, cls) * den).numerator - zero_dim
+        slack = 0 if m.simple_type else characteristic_square(m.lattice, key) - zero_dim
         if slack not in tails:
             grown = [((), slack)]
             for _ in range(count):
@@ -211,9 +187,7 @@ def sw_blowup(
     return SWMap(new_lat, values, m.euler + count, m.signature - count, m.simple_type)
 
 
-def sw_log_transform(
-    m: SWMap, s: HClass, p: int, new_name: Optional[str] = None
-) -> SWMap:
+def sw_log_transform(m: SWMap, s: HClass, p: int) -> SWMap:
     """Order-p logarithmic transform along the fiber class s.
 
     Every basic class must pair to zero with s.  The fiber direction is refined
@@ -221,7 +195,7 @@ def sw_log_transform(
     j = p-1, p-3, ..., -(p-1), all carrying L's value.  Distinct classes whose
     fans meet would need their values reconciled; that case raises instead.
     """
-    place = log_placement(m.lattice, m.basic_classes(), s, p, new_name)
+    place = log_placement(m.lattice, m.basic_classes(), s, p)
     values: dict[tuple[int, ...], int] = {}
     for key in sorted(m.values):
         for nk in place.ladder(key):
@@ -285,8 +259,7 @@ def witten_exponent(euler: int, signature: int) -> int:
 def witten_kernel(m: SWMap) -> ExpKernel:
     """The exponential-sum kernel 2^c sum_L value(L) e^L predicted to equal
     the series kernel, with c = witten_exponent(euler, signature)."""
-    c = witten_exponent(m.euler, m.signature)
-    return ExpKernel(m.lattice, m.values).scale(Fraction(2) ** c)
+    return m.kernel.scale(Fraction(2) ** witten_exponent(m.euler, m.signature))
 
 
 def witten_check(series: ManifoldSeries, m: SWMap) -> bool:

@@ -43,26 +43,31 @@ from .lattice import (
 from .linalg import hnf_rows_rational, identity, mat_inverse, mat_mul, mat_vec, span_coords
 
 
+def b_plus_of(euler: int, signature: int) -> int:
+    """b_plus from the simply connected relation e + sigma = 2 + 2*b_plus;
+    raises unless e + sigma is even and b_plus is odd and at least 3."""
+    if (euler + signature - 2) % 2:
+        raise ValueError("euler + signature must be even (simply connected model)")
+    b = (euler + signature - 2) // 2
+    if b < 3 or b % 2 == 0:
+        raise ValueError(f"b_plus must be odd and >= 3, got {b}")
+    return b
+
+
 @dataclass(frozen=True)
 class ManifoldSeries:
     """A simple-type series kernel with its characteristic numbers.
 
-    b_plus is determined by (euler, signature) through the simply connected
-    relation e + sigma = 2 + 2*b_plus and must be odd and at least 3.  Every
-    kernel exponent must be characteristic for the lattice.
+    b_plus is determined by (euler, signature) as in b_plus_of.  Every kernel
+    exponent must be characteristic for the lattice.
     """
 
     kernel: ExpKernel
     euler: int
     signature: int
-    simple_type: bool = True
 
     def __post_init__(self):
-        if (self.euler + self.signature - 2) % 2:
-            raise ValueError("euler + signature must be even (simply connected model)")
-        b = self.b_plus
-        if b < 3 or b % 2 == 0:
-            raise ValueError(f"b_plus must be odd and >= 3, got {b}")
+        b_plus_of(self.euler, self.signature)
         lat = self.lattice
         bad = [key for key in self.kernel.num if characteristic_square(lat, key) is None]
         if bad:
@@ -74,7 +79,7 @@ class ManifoldSeries:
 
     @property
     def b_plus(self) -> int:
-        return (self.euler + self.signature - 2) // 2
+        return b_plus_of(self.euler, self.signature)
 
     def basic_classes(self) -> list[HClass]:
         return [HClass(self.lattice, key) for key in sorted(self.kernel.num)]
@@ -170,20 +175,20 @@ def blowup(m: ManifoldSeries, k: int = 1, names: Optional[Sequence[str]] = None)
     signs = list(_sign_vectors(k))
     num = {key + s: c for key, c in m.kernel.num.items() for s in signs}
     kernel = ExpKernel._from_ints(new_lat, num, m.kernel.den << k)
-    return ManifoldSeries(kernel, m.euler + k, m.signature - k, m.simple_type)
+    return ManifoldSeries(kernel, m.euler + k, m.signature - k)
 
 
-def check_adjunction(m: ManifoldSeries, u: HClass, positive_double_points: int = 0) -> list[HClass]:
-    """Classes violating 2*points - 2 >= u^2 + |class . u| for the sphere class u."""
+def check_adjunction(m: ManifoldSeries, u: HClass) -> list[HClass]:
+    """Classes violating -2 >= u^2 + |class . u| for the sphere class u (an
+    embedded sphere with no positive double points)."""
     if u.lattice != m.lattice:
         raise ValueError("lattice mismatch: sphere class not in the series lattice")
     if not any(u.coeffs):
         raise ValueError("sphere class must be nontrivial")
-    bound = 2 * positive_double_points - 2
     usq = pairing(u, u)
     out = []
     for kappa, _ in m.kernel.classes():
-        if bound < usq + abs(pairing(kappa, u)):
+        if -2 < usq + abs(pairing(kappa, u)):
             out.append(kappa)
     return out
 
@@ -194,7 +199,7 @@ def check_sphere_relation(m: ManifoldSeries, u: HClass) -> bool:
 
         sum a e^{kappa+u}  -  (-1)^{(1+b_plus)/2} sum a e^{-kappa-u}  =  0.
     """
-    violators = check_adjunction(m, u, 0)
+    violators = check_adjunction(m, u)
     usq = pairing(u, u)
     for kappa in violators:
         if abs(pairing(kappa, u)) != abs(usq):
@@ -385,15 +390,13 @@ def taut_blowdown(
     by 2^(p-1) and square increased by p-1; all others drop.  Surviving
     extensions must descend (boundary class in the index-p subgroup).
     """
-    if not m.simple_type:
-        raise ValueError("taut blowdown requires a simple-type series")
     if c.ambient != m.lattice:
         raise ValueError("configuration does not live in the series lattice")
     p = c.p
     lat, records = chain_pushoff(c, m.basic_classes(), None, image_names)
     terms = [(r.image, m.kernel.num[r.source]) for r in records if r.status == "kept"]
     kernel = ExpKernel(lat, terms).scale(Fraction(2 ** (p - 1), m.kernel.den))
-    series = ManifoldSeries(kernel, m.euler - (p - 1), m.signature + (p - 1), m.simple_type)
+    series = ManifoldSeries(kernel, m.euler - (p - 1), m.signature + (p - 1))
     return BlowdownResult(series, tuple(records))
 
 
@@ -416,7 +419,7 @@ def p2_blowdown(
     lat, records = chain_pushoff(ChainConfig(2, m.lattice, [sigma]), classes, keep, image_names)
     terms = [(r.image, k2.num[r.source]) for r in records if r.status == "kept"]
     kernel = ExpKernel(lat, terms).scale(Fraction(1, k2.den))
-    series = ManifoldSeries(kernel, m.euler - 1, m.signature + 1, m.simple_type)
+    series = ManifoldSeries(kernel, m.euler - 1, m.signature + 1)
     return BlowdownResult(series, tuple(records))
 
 
@@ -461,12 +464,11 @@ def log_placement(
     classes: Sequence[HClass],
     s: HClass,
     p: int,
-    new_name: Optional[str],
 ) -> LogPlacement:
     """Validate the fiber class s (a positive multiple of one square-zero
     basis direction, orthogonal to every class) and refine its direction so
-    s/p becomes integral.  The refined direction is named new_name, or by
-    scaling its `_n` suffix (f -> f_2 -> f_6)."""
+    s/p becomes integral.  The refined direction is named by scaling its
+    `_n` suffix (f -> f_2 -> f_6)."""
     if p < 1:
         raise ValueError("log transform order must be >= 1")
     if s.lattice != lattice:
@@ -483,24 +485,21 @@ def log_placement(
     d = p // gcd(mult, p)
     if d > 1:
         old = lattice.basis_class(lattice.basis_names[idx])
-        name = new_name if new_name is not None else _refined_name(lattice.basis_names[idx], d)
-        lattice = refined_lattice(lattice, old, d, name)
+        lattice = refined_lattice(lattice, old, d, _refined_name(lattice.basis_names[idx], d))
     return LogPlacement(lattice, idx, d, mult * d // p, p)
 
 
-def log_transform(
-    m: ManifoldSeries, s: HClass, p: int, new_name: Optional[str] = None
-) -> ManifoldSeries:
+def log_transform(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
     """Order-p logarithmic transform along the fiber class s.
 
     The fiber direction is refined so s/p becomes integral and the kernel is
     multiplied by the p-term ladder e^{(p-1)s/p} + e^{(p-3)s/p} + ... +
     e^{-(p-1)s/p}.  Euler number and signature are unchanged.
     """
-    place = log_placement(m.lattice, m.basic_classes(), s, p, new_name)
+    place = log_placement(m.lattice, m.basic_classes(), s, p)
     terms = [(img, a) for key, a in m.kernel.num.items() for img in place.ladder(key)]
     kernel = ExpKernel(place.lattice, terms).scale(Fraction(1, m.kernel.den))
-    return ManifoldSeries(kernel, m.euler, m.signature, m.simple_type)
+    return ManifoldSeries(kernel, m.euler, m.signature)
 
 
 def formal_log_coefficients(p: int) -> list[tuple[int, Fraction]]:
@@ -595,7 +594,7 @@ def nodal_log_pipeline(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
     """
     if p < 2:
         raise ValueError("need p >= 2")
-    place = log_placement(m.lattice, m.basic_classes(), s, p, None)
+    place = log_placement(m.lattice, m.basic_classes(), s, p)
     support: set[tuple[tuple[int, ...], int]] = set()
     for kappa, total, r, want in _nodal_pushoffs(m, p, s):
         if r.extension != want:
@@ -613,7 +612,7 @@ def nodal_log_pipeline(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
             raise RuntimeError(f"extension multiplicity {total} missing from the ladder")
         img = place.image(source, total)
         terms[img] = terms.get(img, Fraction(0)) + m.kernel.coeff(source) * b
-    return ManifoldSeries(ExpKernel(place.lattice, terms), m.euler, m.signature, m.simple_type)
+    return ManifoldSeries(ExpKernel(place.lattice, terms), m.euler, m.signature)
 
 
 def connected_sum_hp(m: ManifoldSeries, p: int) -> ManifoldSeries:
@@ -631,4 +630,4 @@ def connected_sum_hp(m: ManifoldSeries, p: int) -> ManifoldSeries:
         if not r.boundary.in_subgroup(p):
             raise RuntimeError("homology-ball extension boundary not divisible by p")
     total = sum(c for _, c in formal_log_coefficients(p))
-    return ManifoldSeries(m.kernel.scale(total), m.euler, m.signature, m.simple_type)
+    return ManifoldSeries(m.kernel.scale(total), m.euler, m.signature)

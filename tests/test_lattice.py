@@ -163,6 +163,17 @@ def test_hclass_operations():
     assert pairing(q, q) == Fraction(2)
 
 
+def test_combo_rejects_non_integral_coefficients():
+    # {"f": 3/2, "s": 2.7} used to truncate to (1, 2)
+    lat = IntersectionLattice(["f", "s"], [[0, 1], [1, -4]])
+    with pytest.raises(ValueError, match=r"^coordinate 'f' has non-integral coefficient 3/2$"):
+        lat.combo({"f": Fraction(3, 2), "s": 2.7})
+    with pytest.raises(ValueError, match=r"^coordinate 's' has non-integral coefficient 2.7$"):
+        lat.combo({"f": 1, "s": 2.7})
+    c = lat.combo({"f": Fraction(4, 2), "s": -3.0})
+    assert c.coeffs == (2, -3) and all(type(x) is int for x in c.coeffs)
+
+
 def test_is_characteristic_diagonal():
     lat = diagonal_lattice(["a", "b"], [1, -1])
     assert is_characteristic(lat, lat.combo({"a": 1, "b": 1}))

@@ -27,7 +27,7 @@ def _cosh_product(m, k, names):
     kernel = ExpKernel(lat, {key + pad: c for key, c in m.kernel.terms.items()})
     for name in lat.basis_names[m.lattice.rank :]:
         kernel = kernel * cosh_c(lat.basis_class(name))
-    return ManifoldSeries(kernel, m.euler + k, m.signature - k, m.simple_type)
+    return ManifoldSeries(kernel, m.euler + k, m.signature - k)
 
 
 @pytest.mark.parametrize("spec", SPECS)

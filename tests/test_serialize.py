@@ -65,6 +65,23 @@ def test_swmap_roundtrip():
             assert back == m
 
 
+def test_swmap_from_obj_rejects_non_integral_values():
+    obj = json.loads(json.dumps(swmap_to_obj(sw_closed_form("E(4)"))))
+    assert swmap_from_obj(obj) == sw_closed_form("E(4)")
+    obj["classes"][0]["sw"] = 1.5  # used to truncate to 1
+    with pytest.raises(ValueError, match=r"must be an integer, got 3/2$"):
+        swmap_from_obj(obj)
+
+
+def test_series_from_obj_rejects_non_simple_type():
+    obj = json.loads(json.dumps(series_to_obj(donaldson_closed_form("E(4)"))))
+    assert obj["simple_type"] is True
+    assert series_from_obj(obj) == donaldson_closed_form("E(4)")
+    obj["simple_type"] = False
+    with pytest.raises(ValueError, match=r"simple-type"):
+        series_from_obj(obj)
+
+
 def test_blowdown_obj_shape():
     from blowdown.catalog import surgery_plan
     from blowdown.transform import taut_blowdown

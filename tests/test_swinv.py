@@ -115,6 +115,37 @@ def test_swmap_merges_and_drops():
     assert len(m) == 1
 
 
+def test_swmap_values_are_a_read_only_integer_kernel():
+    m = sw_en(4)
+    assert m.values is m.kernel.num and m.kernel.den == 1
+    with pytest.raises(TypeError):
+        m.values[(1,)] = 7  # (1,) is not characteristic for E(4)
+    with pytest.raises(AttributeError):
+        m.euler = 0
+    assert m.values == {(2,): 1, (0,): -2, (-2,): 1}
+    assert m.lattice is m.kernel.lattice
+
+
+def test_swmap_equality_and_hash():
+    m = sw_en(4)
+    again = SWMap(IntersectionLattice(["f"], [[0]]), [((-2,), 1), ((0,), -2), ((2,), 1)], 48, -32)
+    assert again == m and hash(again) == hash(m)
+    assert len({m, again}) == 1
+    loose = SWMap(m.lattice, m.values, m.euler, m.signature, simple_type=False)
+    assert loose != m and loose.kernel == m.kernel
+    assert SWMap(m.lattice, m.values, 60, -40) != sw_en(5)
+
+
+def test_swmap_sums_values_before_the_integrality_check():
+    # pairs whose non-integral parts sum to an integer give an integer value
+    m = SWMap(F, [((2,), Fraction(1, 2)), ((2,), Fraction(1, 2)), ((0,), 3)], 24, -16)
+    assert m.values == {(2,): 1, (0,): 3}
+    with pytest.raises(ValueError, match=r"^value for class \(2,\) must be an integer, got 3/2$"):
+        SWMap(F, [((2,), Fraction(1, 2)), ((2,), 1), ((0,), 3)], 24, -16)
+    with pytest.raises(ValueError, match=r"^value for class \(0,\) must be an integer, got 1/2$"):
+        SWMap(F, {(0,): 0.5}, 24, -16)
+
+
 def test_sw_en_binomials():
     for n in range(2, 7):
         m = sw_en(n)
@@ -220,6 +251,10 @@ def test_witten_kernel_and_check():
     assert not witten_check(series, bad)
     with pytest.raises(ValueError):
         witten_check(ManifoldSeries(sinh_c(f), 36, -24), sw_en(4))  # charnum mismatch
+    for spec in ("E(4)", "E(2;2,3)", "W(2)", "blowup(E(3),2)"):
+        m = sw_closed_form(spec)
+        c = witten_exponent(m.euler, m.signature)
+        assert witten_kernel(m) == m.kernel.scale(Fraction(2) ** c)
     g_lat = diagonal_lattice(["g"], [0])
     other = ManifoldSeries(sinh_c(g_lat.basis_class("g")), 36, -24)
     with pytest.raises(ValueError):
