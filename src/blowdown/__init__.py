@@ -29,9 +29,11 @@ from .catalog import (
     donaldson_pipeline,
     parse_spec,
     render,
+    replay,
     surgery_plan,
     sw_closed_form,
     sw_covered,
+    sw_replay,
 )
 from .exppoly import (
     ExpKernel,

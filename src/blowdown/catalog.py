@@ -11,8 +11,9 @@ same split where the transfer theorems cover the family.
 
 A spec is walked once, into a surgery plan: an ambient model with a seed
 fiber power and an ordered list of surgery steps.  The pipeline, the
-basic-class map and the CLI's blowdown walkthrough all interpret that plan;
-the closed route keeps its own closed forms for the family leaf.
+basic-class map and the CLI's blowdown walkthrough all `replay` that plan
+with their calculus's rule table; the closed route keeps its own closed forms
+for the family leaf.
 """
 
 from __future__ import annotations
@@ -411,6 +412,36 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
     return SurgeryPlan(node, ambient, seed, tuple(steps), family_steps, gap)
 
 
+# One rule per step op, called as rule(m, step); a chain rule returns a
+# BlowdownResult.  The lambdas look the transforms up when called, so a
+# wrapper later installed on a module attribute still sees every call.
+SERIES_RULES = {
+    "chain": lambda m, step: taut_blowdown(m, step.config(m.lattice), [step.image]),
+    "logt": lambda m, step: log_transform(m, step.fiber_class(m.lattice), step.n),
+    "blowup": lambda m, step: blowup(m, step.n),
+    "hpsum": lambda m, step: connected_sum_hp(m, step.n),
+}
+# no "hpsum": a plan with an hpsum step has an sw_gap
+SW_RULES = {
+    "chain": lambda m, step: sw_taut_blowdown(m, step.config(m.lattice), [step.image]),
+    "logt": lambda m, step: sw_log_transform(m, step.fiber_class(m.lattice), step.n),
+    "blowup": lambda m, step: sw_blowup(m, count=step.n),
+}
+
+
+def replay(m, steps: tuple[SurgeryStep, ...], rules: dict) -> tuple[object, list[tuple]]:
+    """Apply the steps to m (a ManifoldSeries or SWMap) by one calculus's
+    rules.  Returns the final object and, per chain step, (step, lattice
+    before, BlowdownResult), whose class map says what dropped and why."""
+    chains = []
+    for step in steps:
+        pre, m = m, rules[step.op](m, step)
+        if step.op == "chain":
+            chains.append((step, pre.lattice, m))
+            m = m.result
+    return m, chains
+
+
 # ---------------------------------------------------------------------------
 # Donaldson series, closed form and pipeline
 
@@ -458,53 +489,38 @@ def _closed_family(spec: ManifoldSpec) -> ManifoldSeries:
     return ManifoldSeries(kernel, 10 * n + 6, -6 * n - 6)
 
 
-def _series_steps(m: ManifoldSeries, steps: tuple[SurgeryStep, ...]) -> ManifoldSeries:
-    for step in steps:
-        if step.op == "chain":
-            m = taut_blowdown(m, step.config(m.lattice), [step.image]).series
-        elif step.op == "logt":
-            m = log_transform(m, step.fiber_class(m.lattice), step.n)
-        elif step.op == "blowup":
-            m = blowup(m, step.n)
-        else:
-            m = connected_sum_hp(m, step.n)
-    return m
-
-
 def donaldson_closed_form(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
     """Series from the printed closed forms: exact division of sinh ladders
     for the elliptic family, explicit sinh/cosh forms for W, Y, and H, then
     the plan's steps after the family leaf."""
     plan = surgery_plan(spec)
-    return _series_steps(_closed_family(plan.family), plan.steps[plan.family_steps :])
+    return replay(_closed_family(plan.family), plan.steps[plan.family_steps :], SERIES_RULES)[0]
 
 
 def donaldson_pipeline(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
     """Series rebuilt through the surgery pipeline: fiber powers seeded on the
     ambient model, then log transforms and chain blowdowns step by step."""
     plan = surgery_plan(spec)
-    return _series_steps(plan.seed_series(), plan.steps)
+    return replay(plan.seed_series(), plan.steps, SERIES_RULES)[0]
 
 
 # ---------------------------------------------------------------------------
 # Basic-class maps
 
 
-def sw_closed_form(spec: Union[str, ManifoldSpec]) -> SWMap:
+def sw_replay(spec: Union[str, ManifoldSpec]) -> tuple[SWMap, list[tuple]]:
     """Basic-class map for specs inside the covered family: the elliptic map
-    transported through blowups, log transforms, and chain blowdowns."""
+    transported through blowups, log transforms, and chain blowdowns, with
+    the chain records of replay."""
     plan = surgery_plan(spec)
     if plan.sw_gap is not None:
         raise ValueError(plan.sw_gap)
-    m = plan.seed_swmap()
-    for step in plan.steps:
-        if step.op == "chain":
-            m = sw_taut_blowdown(m, step.config(m.lattice), [step.image])
-        elif step.op == "logt":
-            m = sw_log_transform(m, step.fiber_class(m.lattice), step.n)
-        else:  # blowup; a plan with an hpsum step has an sw_gap
-            m = sw_blowup(m, count=step.n)
-    return m
+    return replay(plan.seed_swmap(), plan.steps, SW_RULES)
+
+
+def sw_closed_form(spec: Union[str, ManifoldSpec]) -> SWMap:
+    """The basic-class map of sw_replay."""
+    return sw_replay(spec)[0]
 
 
 def sw_covered(spec: Union[str, ManifoldSpec]) -> bool:

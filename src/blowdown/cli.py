@@ -4,7 +4,8 @@ Verbs: series, sw, witten, dim, verify, blowdown, logt, audit.  Exit codes:
 0 success, 1 a verification or comparison failed, 2 usage or spec parse
 error, 3 semantic error (well-formed input rejected by the mathematics).
 Output is deterministic byte for byte for a given invocation; --format
-structured emits the documented JSON encodings instead of text.
+structured emits the documented JSON encodings instead of text.  sw and witten
+name on stderr each class a chain blowdown drops for want of an extension.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 from typing import Optional
 
 from .catalog import (
+    SERIES_RULES,
     EllipticSpec,
     HSpec,
     LogSpec,
@@ -26,8 +28,9 @@ from .catalog import (
     donaldson_pipeline,
     parse_spec,
     render,
+    replay,
     surgery_plan,
-    sw_closed_form,
+    sw_replay,
 )
 from .exppoly import ExpKernel
 from .lattice import IntersectionLattice, RelClass
@@ -42,7 +45,7 @@ from .serialize import (
 )
 from .suites import suite_identities, suite_lattice, suite_lemmas, suite_witten
 from .swinv import witten_check, witten_exponent
-from .transform import ManifoldSeries, taut_blowdown
+from .transform import ORTHOGONAL, ManifoldSeries
 
 # ---------------------------------------------------------------------------
 # Text rendering
@@ -98,6 +101,14 @@ def _print_series(m: ManifoldSeries) -> None:
     print(f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}")
 
 
+def _print_drops(chains) -> None:
+    """Name on stderr each class a chain step dropped for want of an extension."""
+    for _, _, result in chains:
+        for rec in result.class_map:
+            if rec.status == "dropped" and rec.reason != ORTHOGONAL:
+                print(f"dropping class {rec.source}: {rec.reason}", file=sys.stderr)
+
+
 def _emit(args, obj, text) -> None:
     """Print obj() as JSON under --format structured, else call text(); the
     structured object is only built when it is printed."""
@@ -130,7 +141,8 @@ def cmd_series(args) -> int:
 
 def cmd_sw(args) -> int:
     spec = parse_spec(args.spec)
-    m = sw_closed_form(spec)
+    m, chains = sw_replay(spec)
+    _print_drops(chains)
 
     def text():
         print(f"spec: {render(spec)}")
@@ -148,7 +160,8 @@ def cmd_sw(args) -> int:
 def cmd_witten(args) -> int:
     spec = parse_spec(args.spec)
     series = donaldson_closed_form(spec)
-    swmap = sw_closed_form(spec)
+    swmap, chains = sw_replay(spec)
+    _print_drops(chains)
     ok = witten_check(series, swmap)
     c = witten_exponent(swmap.euler, swmap.signature)
 
@@ -251,13 +264,7 @@ def cmd_blowdown(args) -> int:
         if n < 4:
             raise ValueError("Horikawa-type blowdowns need n >= 4 (chain order n-2 >= 2)")
         plan = surgery_plan(YSpec(n) if args.horikawa == 1 else HSpec(n))
-    steps = []
-    final = plan.seed_series()
-    for step in plan.steps:
-        pre = final.lattice
-        result = taut_blowdown(final, step.config(pre), image_names=[step.image])
-        steps.append((step, pre, result))
-        final = result.series
+    final, steps = replay(plan.seed_series(), plan.steps, SERIES_RULES)
 
     def obj():
         return {
@@ -277,18 +284,13 @@ def cmd_blowdown(args) -> int:
     def text():
         print(f"spec: {render(spec)}")
         for i, (step, pre, result) in enumerate(steps, start=1):
-            order = step.n
-            print(f"step {i}: blow down order-{order} chain ending at {step.spheres[-1]}")
-            post = result.series.lattice
+            print(f"step {i}: blow down order-{step.n} chain ending at {step.spheres[-1]}")
             for rec in result.class_map:
                 src = _class_text(pre, rec.source)
+                line = f"  {src}: {rec.status} (boundary {rec.residue} mod {step.n**2})"
                 if rec.status == "kept":
-                    img = _class_text(post, rec.image)
-                    print(
-                        f"  {src}: kept (boundary {rec.residue} mod {order * order}) -> {img}"
-                    )
-                else:
-                    print(f"  {src}: dropped (boundary {rec.residue} mod {order * order})")
+                    line += f" -> {_class_text(result.result.lattice, rec.image)}"
+                print(line)
         _print_series(final)
 
     _emit(args, obj, text)

@@ -102,6 +102,6 @@ def swmap_from_obj(obj: dict) -> SWMap:
 
 def blowdown_to_obj(result: BlowdownResult) -> dict:
     return {
-        "series": series_to_obj(result.series),
+        "series": series_to_obj(result.result),
         "class_map": [rec.to_obj() for rec in result.class_map],
     }

@@ -6,7 +6,6 @@ witten (the two-calculi comparison on the 47 catalog specs).
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 
 from .catalog import EllipticSpec, donaldson_closed_form, sw_closed_form
@@ -129,8 +128,6 @@ def witten_specs() -> list[str]:
 def suite_witten() -> list[CheckReport]:
     out = []
     for s in witten_specs():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ok = witten_check(donaldson_closed_form(s), sw_closed_form(s))
+        ok = witten_check(donaldson_closed_form(s), sw_closed_form(s))
         out.append(CheckReport("witten", ok, parameters={"spec": s}))
     return out

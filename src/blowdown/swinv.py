@@ -10,14 +10,13 @@ coefficients, and never read a series coefficient: blowup adds an exceptional
 direction and splits each class into a pair, the log transform fans each class
 into p translates along the refined fiber, and the chain blowdown keeps
 exactly the classes meeting the end sphere fully, with values unchanged (no
-power-of-two factor on this side).  witten_kernel scales a map's kernel by a
-power of two fixed by the characteristic numbers, for exact comparison against
-the series calculus.
+power-of-two factor on this side), recording why each other class drops.
+witten_kernel scales a map's kernel by a power of two fixed by the
+characteristic numbers, for exact comparison against the series calculus.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -32,7 +31,7 @@ from .lattice import (
     integral_coords,
 )
 from .transform import (
-    ORTHOGONAL,
+    BlowdownResult,
     ManifoldSeries,
     b_plus_of,
     blown_up_lattice,
@@ -75,8 +74,8 @@ class SWMap:
             v = Fraction(kernel.num[key], kernel.den)
             raise ValueError(f"value for class {key} must be an integer, got {v}")
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "euler", int(euler))
-        object.__setattr__(self, "signature", int(signature))
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "simple_type", bool(simple_type))
         # dimension zero means den * key^2 == den * (3 sigma + 2 e)
         zero_dim = lattice.den * (3 * self.signature + 2 * self.euler)
@@ -209,7 +208,7 @@ def sw_log_transform(m: SWMap, s: HClass, p: int) -> SWMap:
 
 def sw_taut_blowdown(
     m: SWMap, c: ChainConfig, image_names: Optional[Sequence[str]] = None
-) -> SWMap:
+) -> BlowdownResult:
     """Rational blowdown of a chain configuration tautly embedded with respect
     to every basic class.
 
@@ -217,23 +216,19 @@ def sw_taut_blowdown(
     keep their values; their squares gain exactly p-1.  Classes pairing to zero
     drop (their extension would violate the odd-multiplicity constraint on a
     characteristic lift).  Classes with intermediate pairing have no lift at
-    all; they are dropped with a warning since no value transfer is available
-    for them in either direction.
+    all, so no value transfer is available for them in either direction; they
+    drop too.  The class map records each drop with its reason.
     """
     if c.ambient != m.lattice:
         raise ValueError("configuration does not live in the map's lattice")
-    p = c.p
     lat, records = chain_pushoff(c, m.basic_classes(), None, image_names)
     values: dict[tuple[int, ...], int] = {}
-    for rec in records:
-        if rec.status == "dropped":
-            if rec.reason != ORTHOGONAL:
-                warnings.warn(f"dropping class {rec.source}: {rec.reason}")
-            continue
+    for rec in (r for r in records if r.status == "kept"):
         if rec.image in values:
             raise ValueError("blowdown target collision: distinct classes map to the same class")
         values[rec.image] = m.values[rec.source]
-    return SWMap(lat, values, m.euler - (p - 1), m.signature + (p - 1), m.simple_type)
+    out = SWMap(lat, values, m.euler - (c.p - 1), m.signature + (c.p - 1), m.simple_type)
+    return BlowdownResult(out, tuple(records))
 
 
 def sw_dim_shift(p: int, mult: int) -> Fraction:

@@ -45,7 +45,9 @@ from .linalg import hnf_rows_rational, identity, mat_inverse, mat_mul, mat_vec, 
 
 def b_plus_of(euler: int, signature: int) -> int:
     """b_plus from the simply connected relation e + sigma = 2 + 2*b_plus;
-    raises unless e + sigma is even and b_plus is odd and at least 3."""
+    raises unless e, sigma are ints, e + sigma is even and b_plus odd >= 3."""
+    if not (isinstance(euler, int) and isinstance(signature, int)):
+        raise ValueError(f"euler and signature must be integers, got {euler!r} and {signature!r}")
     if (euler + signature - 2) % 2:
         raise ValueError("euler + signature must be even (simply connected model)")
     b = (euler + signature - 2) // 2
@@ -109,7 +111,7 @@ class ClassRecord:
 
 @dataclass(frozen=True)
 class BlowdownResult:
-    series: ManifoldSeries
+    result: object  # the blown-down ManifoldSeries or SWMap
     class_map: tuple[ClassRecord, ...] = field(default_factory=tuple)
 
 

@@ -6,7 +6,6 @@ The whole file is budgeted to run in well under a minute.
 """
 
 import itertools
-import warnings
 from fractions import Fraction
 from math import comb
 
@@ -34,6 +33,7 @@ from blowdown.moduli import (
     e_square,
     verify_boundary_value_lemmas,
 )
+from blowdown.suites import witten_specs
 from blowdown.swinv import sw_dim, sw_en, sw_log_transform, sw_taut_blowdown, witten_check, witten_exponent
 from blowdown.transform import (
     ManifoldSeries,
@@ -53,12 +53,6 @@ F = diagonal_lattice(["f"], [0])
 
 def _report(idx, label):
     print(f"PASS [{idx:2d}] {label}")
-
-
-def _quiet_sw(spec):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return sw_closed_form(spec)
 
 
 def test_01_plumbing_inverse():
@@ -155,7 +149,7 @@ def test_06_p2_route():
         m = blowup(donaldson_closed_form(f"E({n})"), 1)
         sigma = m.lattice.combo({"f": 1, "e1": -2})
         res = p2_blowdown(m, sigma, image_names=["f_2"])
-        assert res.series == donaldson_closed_form(f"E({n};2)"), n
+        assert res.result == donaldson_closed_form(f"E({n};2)"), n
     _report(6, "square -4 sphere blowdown reproduces the order-2 closed form, n = 2..5")
 
 
@@ -224,15 +218,13 @@ def test_09_sw_transforms():
     # taut blowdown carries values and shifts squares by exactly p - 1
     for n in (4, 5, 6):
         spec_p = n - 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            y = _quiet_sw(f"Y({n})")
+        y = sw_closed_form(f"Y({n})")
         src = sw_en(n)
         top = max(src.values)
         assert y.value(y.lattice.basis_class("lam")) == src.values[top]
         assert y.lattice.basis_class("lam").square() == 0 + (spec_p - 1)
     for spec in ("E(2)", "E(5)", "E(3;2,5)", "W(6)", "Y(7)", "H(8)", "blowup(E(3),1)"):
-        m = _quiet_sw(spec)
+        m = sw_closed_form(spec)
         assert all(sw_dim(m, c) == 0 for c in m.basic_classes()), spec
     _report(9, "basic-class values: binomial pattern, transported values, square shift p-1")
 
@@ -258,19 +250,15 @@ def test_10_witten_comparison():
     # closed form reproduces it
     for n in (2, 3, 4):
         series = donaldson_closed_form(f"E({n})")
-        swmap = _quiet_sw(f"E({n})")
+        swmap = sw_closed_form(f"E({n})")
         c = _fit_power_of_two(series, swmap)
         assert c == 2 - n
         assert c == witten_exponent(swmap.euler, swmap.signature)
-    specs = [f"E({n})" for n in range(2, 7)]
-    for n in range(2, 6):
-        specs += [f"E({n};{pq})" for pq in ("2", "3", "2,3", "2,5", "3,4", "3,5")]
-    specs += [f"W({n})" for n in range(1, 9)]
-    specs += [f"H({n})" for n in range(4, 9)]
-    specs += [f"Y({n})" for n in range(4, 9)]
+    specs = witten_specs()
+    assert len(specs) == 47
     for s in specs:
         assert sw_covered(s), s
-        assert witten_check(donaldson_closed_form(s), _quiet_sw(s)), s
+        assert witten_check(donaldson_closed_form(s), sw_closed_form(s)), s
     _report(10, "two-calculi comparison green on 47 catalog specs, exponent 2+(7e+11s)/4")
 
 
@@ -280,8 +268,8 @@ def test_11_negative_controls():
     k3 = ManifoldSeries(one(lat), 24, -16)
     s = lat.basis_class("s")
     for res in (p2_blowdown(k3, s), taut_blowdown(k3, ChainConfig(2, lat, [s]))):
-        assert tuple(res.series.lattice.basis_names) == ("f",)
-        assert res.series.kernel == zero(res.series.lattice)
+        assert tuple(res.result.lattice.basis_names) == ("f",)
+        assert res.result.kernel == zero(res.result.lattice)
         assert all(rec.status == "dropped" for rec in res.class_map)
     # homology-ball sums scale the kernel by exactly p
     e3 = donaldson_closed_form("E(3)")
@@ -290,7 +278,7 @@ def test_11_negative_controls():
     # corrupting any single basic-class value breaks the comparison
     spec = "E(3;2)"
     series = donaldson_closed_form(spec)
-    swmap = _quiet_sw(spec)
+    swmap = sw_closed_form(spec)
     from blowdown.swinv import SWMap
 
     for key in swmap.values:

@@ -1,9 +1,9 @@
-import warnings
 from fractions import Fraction
 
 import pytest
 
 from blowdown.catalog import (
+    SERIES_RULES,
     BlowupSpec,
     EllipticSpec,
     HpSumSpec,
@@ -17,17 +17,14 @@ from blowdown.catalog import (
     donaldson_pipeline,
     parse_spec,
     render,
+    replay,
+    surgery_plan,
     sw_closed_form,
     sw_covered,
+    sw_replay,
 )
 from blowdown.exppoly import cosh_c, sinh_c
 from blowdown.swinv import witten_check
-
-
-def _quiet_sw(spec):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return sw_closed_form(spec)
 
 
 def test_parse_render_roundtrip():
@@ -97,7 +94,7 @@ def test_dual_routes_agree_everywhere():
 
 def test_w_and_h_overlap():
     assert donaldson_closed_form("H(4)") == donaldson_closed_form("W(2)")
-    assert _quiet_sw("H(4)") == _quiet_sw("W(2)")
+    assert sw_closed_form("H(4)") == sw_closed_form("W(2)")
 
 
 def test_w_closed_forms():
@@ -148,7 +145,7 @@ def test_sw_covered_family():
 
 def test_witten_check_on_catalog():
     for s in ("E(2)", "E(4)", "E(3;2,5)", "W(3)", "Y(6)", "H(5)", "blowup(E(3),1)", "logt(E(2;2),3)"):
-        assert witten_check(donaldson_closed_form(s), _quiet_sw(s)), s
+        assert witten_check(donaldson_closed_form(s), sw_closed_form(s)), s
 
 
 def test_adjunction_audit_reports():
@@ -182,8 +179,37 @@ def test_sw_covered_matches_sw_closed_form():
     ]
     for s in specs:
         try:
-            _quiet_sw(s)
+            sw_closed_form(s)
             defined = True
         except ValueError:
             defined = False
         assert sw_covered(s) == defined, s
+
+
+def test_series_and_sw_replays_give_equal_chain_class_maps():
+    # whole records: source, status, residue, reason, extension and image
+    specs = [f"W({n})" for n in range(1, 9)] + [f"{x}({n})" for x in "YH" for n in range(4, 9)]
+    compared = 0
+    for s in specs + ["blowup(H(6),2)"]:
+        plan = surgery_plan(s)
+        series = replay(plan.seed_series(), plan.steps, SERIES_RULES)[1]
+        sw = sw_replay(s)[1]
+        assert [(st, pre, res.class_map) for st, pre, res in series] == [
+            (st, pre, res.class_map) for st, pre, res in sw
+        ], s
+        compared += len(series)
+    assert compared == 53
+
+
+def test_replay_rules_look_transforms_up_when_called(monkeypatch):
+    import blowdown.catalog as catalog
+
+    calls = []
+    for name in ("taut_blowdown", "sw_taut_blowdown"):
+        real = getattr(catalog, name)
+        monkeypatch.setattr(
+            catalog, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    catalog.donaldson_pipeline("H(5)")
+    catalog.sw_closed_form("H(5)")
+    assert calls == ["taut_blowdown"] * 2 + ["sw_taut_blowdown"] * 2

@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import pytest
 
@@ -9,9 +8,7 @@ from blowdown.serialize import series_from_obj, swmap_from_obj
 
 
 def run(capsys, *argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = main(list(argv))
+    code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -56,9 +53,15 @@ def test_structured_sw_roundtrip(capsys):
     code, out, _ = run(capsys, "sw", "H(5)", "--format", "structured")
     assert code == 0
     obj = json.loads(out)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert swmap_from_obj(obj) == sw_closed_form("H(5)")
+    assert swmap_from_obj(obj) == sw_closed_form("H(5)")
+
+
+def test_sw_names_each_drop_on_every_call(capsys):
+    why = "with the end sphere admits no extension across the blowdown"
+    want = [f"dropping class ({e}, 0, 0, 0, 0): pairing {e} {why}" for e in (-1, 1)]
+    for _ in range(2):
+        code, _, err = run(capsys, "sw", "Y(5)")
+        assert code == 0 and err.splitlines() == want
 
 
 def test_text_mode_builds_no_structured_object(capsys, monkeypatch):

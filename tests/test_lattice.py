@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowdown.catalog import surgery_plan
+from blowdown.catalog import SERIES_RULES, replay, surgery_plan
 from blowdown.exppoly import refined_lattice
 from blowdown.lattice import (
     ChainConfig,
@@ -36,7 +36,7 @@ from blowdown.linalg import (
     solve,
     span_coords,
 )
-from blowdown.transform import _blown_down_lattice, blown_up_lattice, chain_pushoff, taut_blowdown
+from blowdown.transform import _blown_down_lattice, blown_up_lattice
 
 
 def test_plumbing_matrix_entries():
@@ -419,28 +419,14 @@ def test_restricted_gram_matches_naive_product(case, data):
 @pytest.mark.parametrize("spec", ["H(8)", "W(2)"])
 def test_blown_down_gram_matches_naive_definition(spec):
     plan = surgery_plan(spec)
-    m = plan.seed_series()
-    checked = 0
-    for step in plan.steps:
-        c = step.config(m.lattice)
-        _, records = chain_pushoff(c, m.basic_classes(), None, [step.image])
-        extensions = [r.extension for r in records if r.status == "kept"]
-        lat, basis = _blown_down_lattice(c, extensions, [step.image])
-        g = c.ambient.gram
-        naive = [
-            [
-                sum(
-                    (u[i] * g[i][j] * v[j] for i in range(len(u)) for j in range(len(v))),
-                    Fraction(0),
-                )
-                for v in basis
-            ]
-            for u in basis
-        ]
+    _, chains = replay(plan.seed_series(), plan.steps, SERIES_RULES)
+    assert len(chains) == len(plan.steps) >= 2
+    for step, pre, res in chains:
+        extensions = [r.extension for r in res.class_map if r.status == "kept"]
+        lat, basis = _blown_down_lattice(step.config(pre), extensions, [step.image])
+        assert lat == res.result.lattice
+        naive = [[_ref_pairing(pre.gram, u, v) for v in basis] for u in basis]
         assert [list(row) for row in lat.gram] == naive
-        checked += 1
-        m = taut_blowdown(m, c, [step.image]).series
-    assert checked == len(plan.steps) >= 2
 
 
 def _ref_square(gram, x):

@@ -1,5 +1,4 @@
 import json
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -20,6 +19,8 @@ from blowdown.serialize import (
     swmap_from_obj,
     swmap_to_obj,
 )
+from blowdown.swinv import SWMap
+from blowdown.transform import ManifoldSeries
 
 
 def test_fraction_strings():
@@ -57,12 +58,10 @@ def test_kernel_and_series_roundtrip():
 
 
 def test_swmap_roundtrip():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for s in ("E(2;3)", "W(2)", "H(5)"):
-            m = sw_closed_form(s)
-            back = swmap_from_obj(json.loads(json.dumps(swmap_to_obj(m))))
-            assert back == m
+    for s in ("E(2;3)", "W(2)", "H(5)"):
+        m = sw_closed_form(s)
+        back = swmap_from_obj(json.loads(json.dumps(swmap_to_obj(m))))
+        assert back == m
 
 
 def test_swmap_from_obj_rejects_non_integral_values():
@@ -82,14 +81,28 @@ def test_series_from_obj_rejects_non_simple_type():
         series_from_obj(obj)
 
 
+def test_non_integral_characteristic_numbers_are_rejected():
+    # e + sigma = 16 is even and gives b_plus 7, so only the integrality check
+    # stops these; SWMap used to truncate them to 48 and -32, the series kept them
+    series, swmap = donaldson_closed_form("E(4)"), sw_closed_form("E(4)")
+    objs = [series_to_obj(series), swmap_to_obj(swmap)]
+    for obj in objs:
+        obj["euler"], obj["signature"] = 48.5, -32.5
+    for build in (
+        lambda: ManifoldSeries(series.kernel, 48.5, -32.5),
+        lambda: SWMap(swmap.lattice, swmap.values, 48.5, -32.5, simple_type=False),
+        lambda: series_from_obj(objs[0]),
+        lambda: swmap_from_obj(objs[1]),
+    ):
+        with pytest.raises(ValueError, match="euler and signature must be integers"):
+            build()
+
+
 def test_blowdown_obj_shape():
-    from blowdown.catalog import surgery_plan
-    from blowdown.transform import taut_blowdown
+    from blowdown.catalog import SERIES_RULES, replay, surgery_plan
 
     plan = surgery_plan("W(1)")
-    m = plan.seed_series()
-    (step,) = plan.steps
-    res = taut_blowdown(m, step.config(m.lattice), [step.image])
+    [(_, _, res)] = replay(plan.seed_series(), plan.steps, SERIES_RULES)[1]
     obj = blowdown_to_obj(res)
     assert set(obj) == {"series", "class_map"}
     statuses = {rec["status"] for rec in obj["class_map"]}

@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 from math import comb
 
@@ -192,14 +191,14 @@ def test_sw_log_transform_collision():
 def test_sw_taut_blowdown_w_route():
     vals = {(2, 0): 1, (0, 0): -2, (-2, 0): 1}
     m = SWMap(FS, vals, 48, -32)
-    out = sw_taut_blowdown(m, ChainConfig(2, FS, [FS.basis_class("s")]), image_names=["k"])
+    out = sw_taut_blowdown(m, ChainConfig(2, FS, [FS.basis_class("s")]), image_names=["k"]).result
     assert tuple(out.lattice.basis_names) == ("k",)
     assert out.lattice.gram[0][0] == 1
     assert out.values == {(1,): 1, (-1,): 1}  # values carried unchanged
     assert (out.euler, out.signature) == (47, -31)
 
 
-def test_sw_taut_blowdown_partial_pairing_warns():
+def test_sw_taut_blowdown_partial_pairing_records_drops():
     # order-3 chain: one -2 sphere then the -5 end sphere meeting the fiber
     lat = IntersectionLattice(
         ["f", "a", "s"], [[0, 0, 1], [0, -2, 1], [1, 1, -5]]
@@ -207,10 +206,16 @@ def test_sw_taut_blowdown_partial_pairing_warns():
     vals = {(3, 0, 0): 1, (1, 0, 0): -3, (-1, 0, 0): 3, (-3, 0, 0): -1}
     m = SWMap(lat, vals, 60, -40)
     cfg = ChainConfig(3, lat, [lat.basis_class("a"), lat.basis_class("s")])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = sw_taut_blowdown(m, cfg, image_names=["lam"])
-    assert len(caught) == 2  # the two middle classes admit no extension
+    res = sw_taut_blowdown(m, cfg, image_names=["lam"])
+    # the two middle classes admit no extension; the outer two meet the end sphere in +-3
+    why = "with the end sphere admits no extension across the blowdown"
+    assert [(r.source, r.status, r.reason) for r in res.class_map] == [
+        ((-3, 0, 0), "kept", "meets the end sphere in -3"),
+        ((-1, 0, 0), "dropped", f"pairing -1 {why}"),
+        ((1, 0, 0), "dropped", f"pairing 1 {why}"),
+        ((3, 0, 0), "kept", "meets the end sphere in 3"),
+    ]
+    out = res.result
     assert set(out.values.values()) == {1, -1}
     assert len(out) == 2
     assert (out.euler, out.signature) == (58, -38)

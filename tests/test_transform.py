@@ -115,7 +115,7 @@ def test_taut_blowdown_w_chain():
     m = _e4_fs()
     cfg = ChainConfig(2, FS, [FS.basis_class("s")])
     res = taut_blowdown(m, cfg, image_names=["k"])
-    out = res.series
+    out = res.result
     assert tuple(out.lattice.basis_names) == ("k",)
     assert out.lattice.gram[0][0] == 1
     assert (out.euler, out.signature) == (47, -31)
@@ -154,7 +154,7 @@ def test_p2_blowdown_agrees_with_taut():
         m = ManifoldSeries(ExpKernel(FS, terms), 48, -32)
         a_res = taut_blowdown(m, cfg)
         b_res = p2_blowdown(m, s)
-        assert a_res.series == b_res.series
+        assert a_res.result == b_res.result
 
 
 def test_p2_blowdown_validates_sphere():
