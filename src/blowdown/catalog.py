@@ -176,6 +176,10 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return out
 
 
+# Deepest combinator nesting parse_spec accepts, far below the recursion limit.
+MAX_SPEC_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -205,7 +209,7 @@ class _Parser:
             raise SpecParseError(f"expected an integer, found {tok!r}", pos)
         return int(tok)
 
-    def spec(self) -> ManifoldSpec:
+    def spec(self, depth: int = 0) -> ManifoldSpec:
         pos = self._pos()
         head = self.take()
         if head == "E":
@@ -237,8 +241,10 @@ class _Parser:
             self.take(")")
             return {"W": WSpec, "Y": YSpec, "H": HSpec}[head](n)
         if head in ("blowup", "logt", "hpsum"):
+            if depth == MAX_SPEC_DEPTH:
+                raise SpecParseError(f"spec nested deeper than {MAX_SPEC_DEPTH} combinators", pos)
             self.take("(")
-            base = self.spec()
+            base = self.spec(depth + 1)
             self.take(",")
             arg = self.integer()
             self.take(")")

@@ -14,6 +14,10 @@ How a surgery moves lattice classes is the same for both calculi and lives in
 one function per surgery: blown_up_lattice, log_placement and chain_pushoff.
 The series transforms here and the basic-class transforms in .swinv differ
 only in the coefficient a moved class carries.
+
+The nodal models push each basic class and each exceptional direction off
+their chain once (_check_nodal_chain); restriction is affine, so that covers
+all 2^(p-1) sign patterns, whose enumeration tests/test_nodal_check.py keeps.
 """
 
 from __future__ import annotations
@@ -166,6 +170,11 @@ def blown_up_lattice(
     for i in range(n, n + k):
         gram[i][i] = -1
     return IntersectionLattice(list(lattice.basis_names) + list(names), gram)
+
+
+def _sign_vectors(n: int):
+    for bits in range(1 << n):
+        yield tuple(1 if bits & (1 << i) else -1 for i in range(n))
 
 
 def blowup(m: ManifoldSeries, k: int = 1, names: Optional[Sequence[str]] = None) -> ManifoldSeries:
@@ -517,20 +526,19 @@ def formal_log_coefficients(p: int) -> list[tuple[int, Fraction]]:
 
 
 def _exceptional_chain_spheres(
-    lat: IntersectionLattice, exc_names: Sequence[str], s_coeffs: Optional[tuple[int, ...]]
+    lat: IntersectionLattice, exc_names: Sequence[str], s_coeffs: tuple[int, ...]
 ) -> list[HClass]:
     """The chain of length p-1 carried by p-1 exceptional directions: interior
-    spheres are consecutive differences, the end sphere is (optionally a fiber
-    class) minus twice the first exceptional direction minus the rest."""
+    spheres are consecutive differences, the end sphere is the fiber class
+    s_coeffs (zero for no fiber) minus twice the first exceptional direction
+    minus the rest."""
     p = len(exc_names) + 1
     e = [lat.basis_class(n) for n in exc_names]
     spheres = [e[p - (i + 1) - 1] - e[p - i - 1] for i in range(1, p - 1)]
     end = e[0] * (-2)
     for i in range(1, p - 1):
         end = end - e[i]
-    if s_coeffs is not None:
-        end = end + HClass(lat, s_coeffs)
-    spheres.append(end)
+    spheres.append(end + HClass(lat, s_coeffs))
     return spheres
 
 
@@ -562,59 +570,44 @@ def verify_nodal_matrix_identity(p: int) -> bool:
     return x[n - 1] == Fraction(p - 1, p)
 
 
-def _sign_vectors(n: int):
-    for bits in range(1 << n):
-        yield tuple(1 if bits & (1 << i) else -1 for i in range(n))
-
-
-def _nodal_pushoffs(m: ManifoldSeries, p: int, s: Optional[HClass]):
+def _check_nodal_chain(m: ManifoldSeries, p: int, s: Optional[HClass]) -> None:
     """Blow up p-1 times, form the exceptional chain (ending on the fiber s
-    when given) and push every blown-up class kappa + (signs on the
-    exceptional directions) off it.  Yields (kappa, signed count,
-    restriction, the extension kappa + (count / p) * s it must equal)."""
+    when given) and check that every kappa + eps, eps a sign vector on the
+    exceptional directions, pushes off to kappa + (sum(eps) / p) * s with
+    boundary p * sum(eps) mod p^2.  Restriction is affine in the class, so
+    it is enough that each basic class extends to itself with boundary 0
+    and each exceptional direction to s/p (0 without a fiber) with boundary
+    p.  Raises RuntimeError on a mismatch."""
     up = blown_up_lattice(m.lattice, p - 1, None)
     pad = (0,) * (p - 1)
-    s_up = None if s is None else HClass(up, s.coeffs + pad)
-    spheres = _exceptional_chain_spheres(
-        up, up.basis_names[m.lattice.rank :], None if s_up is None else s_up.coeffs
-    )
-    config = ChainConfig(p, up, spheres)
-    for kappa, _ in m.kernel.classes():
-        base = HClass(up, kappa.coeffs + pad).as_q()
-        for eps in _sign_vectors(p - 1):
-            total = sum(eps)
-            want = base if s_up is None else base + s_up * Fraction(total, p)
-            yield kappa, total, restrict_class(config, HClass(up, kappa.coeffs + eps)), want
+    s_up = HClass(up, (s.coeffs if s is not None else (0,) * m.lattice.rank) + pad)
+    exc_names = up.basis_names[m.lattice.rank :]
+    config = ChainConfig(p, up, _exceptional_chain_spheres(up, exc_names, s_up.coeffs))
+    step = s_up * Fraction(1, p)
+    checks = [(k, k.as_q(), 0) for k in (HClass(up, key + pad) for key in m.kernel.num)]
+    checks += [(up.basis_class(name), step, p) for name in exc_names]
+    for kappa, want, b in checks:
+        r = restrict_class(config, kappa)
+        if r.extension != want or r.boundary.value != b:
+            raise RuntimeError(
+                f"nodal push-off of {kappa.coeffs}: got extension {r.extension.coeffs} "
+                f"with boundary {r.boundary.value}, expected {want.coeffs} with boundary {b}"
+            )
 
 
 def nodal_log_pipeline(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
-    """Order-p log transform built the long way: blow up p-1 times, form the
-    exceptional chain ending on the fiber, push every blown-up class off the
-    chain (each extension must come out as source + (signed count / p) * fiber
-    with boundary p * signed count), and reassemble with the division-derived
-    ladder coefficients.  Must agree with log_transform exactly.
-    """
+    """Order-p log transform built the long way: blow up p-1 times, check
+    the push-offs off the exceptional chain ending on the fiber
+    (_check_nodal_chain), and reassemble with the division-derived ladder
+    coefficients.  Must agree with log_transform exactly."""
     if p < 2:
         raise ValueError("need p >= 2")
     place = log_placement(m.lattice, m.basic_classes(), s, p)
-    support: set[tuple[tuple[int, ...], int]] = set()
-    for kappa, total, r, want in _nodal_pushoffs(m, p, s):
-        if r.extension != want:
-            raise RuntimeError(
-                f"nodal extension mismatch: got {r.extension.coeffs}, expected {want.coeffs}"
-            )
-        if r.boundary.value != (p * total) % (p * p) or not r.boundary.in_subgroup(p):
-            raise RuntimeError("nodal extension boundary is not p times the signed count")
-        support.add((kappa.coeffs, total))
-    ladder_coeffs = dict(formal_log_coefficients(p))
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for source, total in sorted(support):
-        b = ladder_coeffs.get(total)
-        if b is None:
-            raise RuntimeError(f"extension multiplicity {total} missing from the ladder")
-        img = place.image(source, total)
-        terms[img] = terms.get(img, Fraction(0)) + m.kernel.coeff(source) * b
-    return ManifoldSeries(ExpKernel(place.lattice, terms), m.euler, m.signature)
+    _check_nodal_chain(m, p, s)
+    ladder = formal_log_coefficients(p)
+    terms = [(place.image(key, j), a * b) for key, a in m.kernel.num.items() for j, b in ladder]
+    kernel = ExpKernel(place.lattice, terms).scale(Fraction(1, m.kernel.den))
+    return ManifoldSeries(kernel, m.euler, m.signature)
 
 
 def connected_sum_hp(m: ManifoldSeries, p: int) -> ManifoldSeries:
@@ -626,10 +619,6 @@ def connected_sum_hp(m: ManifoldSeries, p: int) -> ManifoldSeries:
         raise ValueError("order must be >= 1")
     if p == 1:
         return m
-    for _, _, r, want in _nodal_pushoffs(m, p, None):
-        if r.extension != want:
-            raise RuntimeError("homology-ball extension should equal its source class")
-        if not r.boundary.in_subgroup(p):
-            raise RuntimeError("homology-ball extension boundary not divisible by p")
+    _check_nodal_chain(m, p, None)
     total = sum(c for _, c in formal_log_coefficients(p))
     return ManifoldSeries(m.kernel.scale(total), m.euler, m.signature)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from blowdown.catalog import (
+    MAX_SPEC_DEPTH,
     SERIES_RULES,
     BlowupSpec,
     EllipticSpec,
@@ -53,6 +54,17 @@ def test_parse_errors_carry_position():
         with pytest.raises(SpecParseError) as err:
             parse_spec(text)
         assert hasattr(err.value, "pos")
+
+
+def test_parse_rejects_nesting_past_the_depth_limit():
+    def nested(depth):
+        return "logt(" * depth + "E(2)" + ",1)" * depth
+
+    assert parse_spec(nested(MAX_SPEC_DEPTH)) is not None
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(nested(MAX_SPEC_DEPTH + 1))
+    # the combinator one past the limit
+    assert err.value.pos == len("logt(") * MAX_SPEC_DEPTH
 
 
 def test_spec_validation():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from blowdown.catalog import donaldson_closed_form, sw_closed_form
+from blowdown.catalog import MAX_SPEC_DEPTH, donaldson_closed_form, sw_closed_form
 from blowdown.cli import main
 from blowdown.serialize import series_from_obj, swmap_from_obj
 
@@ -96,6 +96,9 @@ def test_exit_codes(capsys):
     assert code == 0
     code, _, err = run(capsys, "sw", "hpsum(E(2),2)")
     assert code == 3
+    deep = "hpsum(" * (MAX_SPEC_DEPTH + 1) + "E(2)" + ",1)" * (MAX_SPEC_DEPTH + 1)
+    code, _, err = run(capsys, "series", deep)
+    assert code == 2 and "nested deeper" in err
 
 
 def test_dim_verb(capsys):
