@@ -37,13 +37,8 @@ from .catalog import (
 )
 from .exppoly import (
     ExpKernel,
-    coeff_sum,
     cosh_c,
-    directional_derivative,
     exact_div,
-    exp_c,
-    parity,
-    refine_lattice,
     sinh_c,
     twist,
 )
@@ -55,10 +50,7 @@ from .lattice import (
     RelClass,
     Residue,
     boundary,
-    boundary_residue_class,
-    chain_lattice,
     characteristic_square,
-    diagonal_lattice,
     is_characteristic,
     pairing,
     plumbing_inverse,
@@ -73,9 +65,7 @@ from .moduli import (
     dim_moduli,
     dim_report,
     e_square,
-    general_e_square,
     min_dim_search,
-    mod2_lift_exists,
     rho_half_closed_form,
     verify_boundary_value_lemmas,
 )
@@ -84,10 +74,8 @@ from .swinv import (
     SWMap,
     sw_blowup,
     sw_dim,
-    sw_dim_shift,
     sw_en,
     sw_log_transform,
-    sw_simple_type,
     sw_taut_blowdown,
     witten_check,
     witten_exponent,
@@ -99,9 +87,6 @@ from .transform import (
     ManifoldSeries,
     RestrictedClass,
     blowup,
-    check_adjunction,
-    check_sphere_relation,
-    check_taut,
     connected_sum_hp,
     formal_log_coefficients,
     log_transform,

@@ -322,10 +322,11 @@ def cmd_audit(args) -> int:
 
 
 def _canonical_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected t,b")
-    return int(parts[0]), int(parts[1])
+    try:
+        t, b = (int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("expected t,b") from exc
+    return t, b
 
 
 def _int_list(text: str) -> list[int]:

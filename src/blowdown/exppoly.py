@@ -175,10 +175,6 @@ def zero(lattice: IntersectionLattice) -> ExpKernel:
     return ExpKernel(lattice, {})
 
 
-def exp_c(kappa: HClass) -> ExpKernel:
-    return ExpKernel(kappa.lattice, {kappa.coeffs: Fraction(1)})
-
-
 def sinh_c(kappa: HClass) -> ExpKernel:
     """(e^kappa - e^{-kappa}) / 2; the zero class gives the zero kernel."""
     return ExpKernel(
@@ -192,21 +188,6 @@ def cosh_c(kappa: HClass) -> ExpKernel:
         kappa.lattice,
         [(kappa.coeffs, Fraction(1, 2)), ((-kappa).coeffs, Fraction(1, 2))],
     )
-
-
-def coeff_sum(k: ExpKernel) -> Fraction:
-    """Evaluation that sends every e^kappa to 1."""
-    return Fraction(sum(k.num.values()), k.den)
-
-
-def parity(k: ExpKernel) -> str:
-    """"even" if a_{-kappa} = a_kappa for all terms, "odd" if negated,
-    else "neither".  The zero kernel counts as even."""
-    even = all(k.num.get(tuple(-x for x in key)) == c for key, c in k.num.items())
-    if even:
-        return "even"
-    odd = all(k.num.get(tuple(-x for x in key)) == -c for key, c in k.num.items())
-    return "odd" if odd else "neither"
 
 
 def twist(k: ExpKernel, c: Union[HClass, QClass]) -> ExpKernel:
@@ -225,16 +206,6 @@ def twist(k: ExpKernel, c: Union[HClass, QClass]) -> ExpKernel:
             raise ValueError(f"twist undefined for class {key}: exponent {val} is not even")
         out[key] = a if (int(val) // 2) % 2 == 0 else -a
     return ExpKernel._from_ints(k.lattice, out, k.den)
-
-
-def directional_derivative(k: ExpKernel, u: Union[HClass, QClass]) -> ExpKernel:
-    """a_s e^{kappa_s} -> a_s (kappa_s . u) e^{kappa_s}; a derivation."""
-    if u.lattice != k.lattice:
-        raise ValueError("lattice mismatch: direction not in the kernel lattice")
-    return ExpKernel(
-        k.lattice,
-        {key: a * pairing(HClass(k.lattice, key), u) for key, a in k.terms.items()},
-    )
 
 
 def _collinear_multiples(direction_pool: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], dict]:
@@ -331,21 +302,3 @@ def refined_lattice(
         gram[j][idx] = gram[idx][j]
     gram[idx][idx] = lattice.gram[idx][idx] / (divisor * divisor)
     return IntersectionLattice(names, gram)
-
-
-def refine_lattice(
-    k: ExpKernel, old: HClass, divisor: int, new_name: str
-) -> ExpKernel:
-    """Re-express a kernel on the refinement old = divisor * new basis vector.
-
-    Exponent coordinates along the refined direction are multiplied by the
-    divisor, staying integral by construction.
-    """
-    lat = refined_lattice(k.lattice, old, divisor, new_name)
-    idx = next(i for i, c in enumerate(old.coeffs) if c)
-    out = {}
-    for key, c in k.num.items():
-        nk = list(key)
-        nk[idx] *= divisor
-        out[tuple(nk)] = c
-    return ExpKernel._from_ints(lat, out, k.den)

@@ -165,12 +165,6 @@ class IntersectionLattice:
         return HClass(self, tuple(coeffs))
 
 
-def diagonal_lattice(names: Sequence[str], squares: Sequence[Scalar]) -> IntersectionLattice:
-    n = len(names)
-    gram = [[squares[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return IntersectionLattice(names, gram)
-
-
 def integral_coords(coords) -> tuple[int, ...]:
     """coords as a tuple of ints; raises ValueError naming them when a
     coordinate x has int(x) != x, instead of truncating it."""
@@ -410,12 +404,6 @@ def plumbing_inverse(p: int) -> list[list[Fraction]]:
     return [list(row) for row in _plumbing_inverse_cached(p)]
 
 
-def chain_lattice(p: int) -> IntersectionLattice:
-    """The chain's own second homology in the sphere basis u_1, ..., u_{p-1}."""
-    names = [f"u{i}" for i in range(1, p)]
-    return IntersectionLattice(names, plumbing_matrix(p))
-
-
 class ChainConfig:
     """An order-p chain embedded in an ambient lattice.
 
@@ -525,8 +513,3 @@ def boundary(e: RelClass) -> Residue:
     """Boundary onto H_1 of the lens space: sum of delta coordinates mod p^2.
     In particular gamma_j maps to j."""
     return Residue(sum(e.delta_coords()), e.p * e.p)
-
-
-def boundary_residue_class(e: RelClass) -> int:
-    """Boundary folded onto {0, ..., floor(p^2/2)} (orientation fold)."""
-    return boundary(e).reduced()

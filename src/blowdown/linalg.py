@@ -2,9 +2,8 @@
 
 Everything in this package is exact: matrices are lists of lists of ints or
 fractions.Fraction, never floats.  Sizes are tiny (rank at most a few dozen),
-so plain Gaussian elimination is all we need.  The integer routines (Hermite
-row reduction, GF(2) solving) support re-basing blown-down lattices and mod-2
-lifting.
+so plain Gaussian elimination is all we need.  Hermite row reduction over
+the integers supports re-basing blown-down lattices.
 """
 
 from __future__ import annotations
@@ -138,33 +137,3 @@ def span_coords(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> O
     if any(residual):
         return None
     return coords
-
-
-def gf2_solve(a: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[list[int]]:
-    """One solution of a x = rhs over GF(2), or None if inconsistent."""
-    rows = len(a)
-    if rows == 0:
-        return []
-    n = len(a[0])
-    aug = [[x & 1 for x in row] + [rhs[i] & 1] for i, row in enumerate(a)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, rows) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(rows):
-            if i != r and aug[i][col]:
-                aug[i] = [x ^ y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][n]:
-            return None
-    x = [0] * n
-    for row, col in pivots:
-        x[col] = aug[row][n]
-    return x

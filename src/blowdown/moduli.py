@@ -15,9 +15,10 @@ e0 = <t0, t0+1; b0> of canonical_tb, so the equal-boundary law
 dim(e) = dim(e0) - 2 (e^2 - e0^2) fixes its dimension, which in general is not
 2t - 1 (for p = 3, <4, 5; 2> has dimension 9); a wrapped step class with
 trivial boundary gets -2 e^2 - 3.  A closed form for the boundary term is kept
-in rho_half_closed_form for cross-checking: its sign convention is globally
-flipped relative to corr (corr(p, m) == -rho_half_closed_form at the anchored
-(t, b)), and tests pin that relation down.
+in rho_half_closed_form, written independently of corr's e_square route: its
+sign convention is globally flipped relative to corr (corr(p, m) ==
+-rho_half_closed_form at the anchored (t, b)), and `verify lattice` checks
+that relation for every nonzero boundary m < p^2.
 
 The dimension only depends on the coordinate sum s and the sum of squares q:
 e^2 = ((p+1) s^2 - p^2 q) / p^2.  verify_boundary_value_lemmas leans on that
@@ -35,8 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .lattice import RelClass, Residue, boundary, plumbing_matrix, rel_pairing
-from .linalg import gf2_solve
+from .lattice import RelClass, Residue, boundary, rel_pairing
 from .reporting import CheckReport
 
 
@@ -45,10 +45,6 @@ def e_square(p: int, t: int, b: int) -> Fraction:
     (b^2 + b^2 p - b p^2 - 2 b t + t^2 - p t^2) / p^2."""
     num = b * b + b * b * p - b * p * p - 2 * b * t + t * t - p * t * t
     return Fraction(num, p * p)
-
-
-def general_e_square(e: RelClass) -> Fraction:
-    return rel_pairing(e, e)
 
 
 @dataclass(frozen=True)
@@ -309,21 +305,3 @@ def verify_boundary_value_lemmas(p: int, t_max: int = 2, box: int = 4) -> list[C
                     counterexamples=fails[:5])
         for name, fails in failures.items()
     ]
-
-
-def mod2_lift_exists(p: int, e: RelClass) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Whether e mod 2 lifts through the chain inclusion, with a witness.
-
-    A lift is an integral class c in the chain's own homology whose image
-    P c agrees with e mod 2 (coordinates of e taken in the gamma basis).  It
-    exists exactly when p is odd or the boundary of e is even.  Returns
-    (exists, witness sphere-basis coordinates or None).
-    """
-    if e.p != p:
-        raise ValueError("chain order mismatch")
-    closed = (p % 2 == 1) or (boundary(e).value % 2 == 0)
-    rhs = [g % 2 for g in e.gamma_coords()]
-    witness = gf2_solve(plumbing_matrix(p), rhs)
-    if (witness is not None) != closed:
-        raise RuntimeError("mod-2 solvability disagrees with the parity criterion")
-    return closed, tuple(witness) if witness is not None else None

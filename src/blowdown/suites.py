@@ -1,7 +1,8 @@
 """The verification suites behind `blowdown verify`: lattice (plumbing
-inverse, relative pairing, boundary values), lemmas (the exhaustive
-boundary-value lemmas), identities (nodal and log-ladder identities) and
-witten (the two-calculi comparison on the 47 catalog specs).
+inverse, relative pairing, boundary values, corr against its closed form),
+lemmas (the exhaustive boundary-value lemmas), identities (nodal and
+log-ladder identities) and witten (the two-calculi comparison on the 47
+catalog specs).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from .catalog import EllipticSpec, donaldson_closed_form, sw_closed_form
 from .exppoly import exact_div, sinh_c
 from .lattice import RelClass, boundary, plumbing_inverse, plumbing_matrix, rel_pairing
 from .linalg import identity, mat_eq, mat_mul
-from .moduli import verify_boundary_value_lemmas
+from .moduli import canonical_tb, corr, rho_half_closed_form, verify_boundary_value_lemmas
 from .reporting import CheckReport
 from .swinv import witten_check
 from .transform import (
@@ -55,6 +56,12 @@ def suite_lattice(p_max: int) -> list[CheckReport]:
             if RelClass(p, gj.delta_coords()).gamma_coords() != gj.gamma_coords():
                 gok = False
         out.append(CheckReport("boundary-gamma", gok, p=p))
+        off_form = [
+            m
+            for m in range(1, p * p)
+            if corr(p, m) != -rho_half_closed_form(p, *canonical_tb(p, m))
+        ]
+        out.append(CheckReport("corr-closed-form", not off_form, p=p, counterexamples=off_form))
     return out
 
 

@@ -86,7 +86,7 @@ class SWMap:
             if self.simple_type and sq != zero_dim:
                 raise ValueError(
                     f"simple type requires a zero-dimensional moduli space, "
-                    f"but class {key} has dimension {_dim(self, sq)}"
+                    f"but class {key} has dimension {sw_dim(self, key)}"
                 )
 
     @property
@@ -125,18 +125,8 @@ def sw_dim(m: SWMap, cls: KeyLike) -> Fraction:
     sq = characteristic_square(m.lattice, cls.coeffs)
     if sq is None:
         raise ValueError(f"class {cls.coeffs} is not characteristic")
-    return _dim(m, sq)
-
-
-def _dim(m: SWMap, sq: int) -> Fraction:
-    """The dimension of a class whose square is sq / m.lattice.den."""
     den = m.lattice.den
     return Fraction(sq - den * (3 * m.signature + 2 * m.euler), 4 * den)
-
-
-def sw_simple_type(m: SWMap) -> bool:
-    """True iff every basic class has expected dimension zero."""
-    return all(sw_dim(m, cls) == 0 for cls, _ in m.classes())
 
 
 def sw_en(n: int) -> SWMap:
@@ -229,15 +219,6 @@ def sw_taut_blowdown(
         values[rec.image] = m.values[rec.source]
     out = SWMap(lat, values, m.euler - (c.p - 1), m.signature + (c.p - 1), m.simple_type)
     return BlowdownResult(out, tuple(records))
-
-
-def sw_dim_shift(p: int, mult: int) -> Fraction:
-    """Moduli-dimension shift (mult^2 - 1)(p - 1)/4 for a class whose extension
-    meets the end sphere with odd multiplicity mult; even mult is impossible
-    for a characteristic lift and raises."""
-    if mult % 2 == 0:
-        raise ValueError("end-sphere multiplicity must be odd for a characteristic lift")
-    return Fraction((mult * mult - 1) * (p - 1), 4)
 
 
 def witten_exponent(euler: int, signature: int) -> int:

@@ -30,7 +30,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .exppoly import ExpKernel, exact_div, refined_lattice, sinh_c, twist, zero
+from .exppoly import ExpKernel, exact_div, refined_lattice, sinh_c, twist
 from .lattice import (
     ChainConfig,
     HClass,
@@ -189,57 +189,10 @@ def blowup(m: ManifoldSeries, k: int = 1, names: Optional[Sequence[str]] = None)
     return ManifoldSeries(kernel, m.euler + k, m.signature - k)
 
 
-def check_adjunction(m: ManifoldSeries, u: HClass) -> list[HClass]:
-    """Classes violating -2 >= u^2 + |class . u| for the sphere class u (an
-    embedded sphere with no positive double points)."""
-    if u.lattice != m.lattice:
-        raise ValueError("lattice mismatch: sphere class not in the series lattice")
-    if not any(u.coeffs):
-        raise ValueError("sphere class must be nontrivial")
-    usq = pairing(u, u)
-    out = []
-    for kappa, _ in m.kernel.classes():
-        if -2 < usq + abs(pairing(kappa, u)):
-            out.append(kappa)
-    return out
-
-
-def check_sphere_relation(m: ManifoldSeries, u: HClass) -> bool:
-    """Kernel identity forced by an embedded sphere u with no positive double
-    points: over the violating classes with kappa.u = -u^2,
-
-        sum a e^{kappa+u}  -  (-1)^{(1+b_plus)/2} sum a e^{-kappa-u}  =  0.
-    """
-    violators = check_adjunction(m, u)
-    usq = pairing(u, u)
-    for kappa in violators:
-        if abs(pairing(kappa, u)) != abs(usq):
-            raise ValueError("violating classes do not all satisfy class.u = +-u^2")
-    neg = [kappa for kappa in violators if pairing(kappa, u) == -usq]
-    if usq != 0 and 2 * len(neg) != len(violators):
-        raise ValueError("violating classes do not split evenly between the two signs")
-    sign = -1 if ((1 + m.b_plus) // 2) % 2 else 1
-    rel = zero(m.lattice)
-    for kappa in neg:
-        a = m.kernel.coeff(kappa)
-        # the two exponents can coincide (kappa = -u); list input sums them
-        rel = rel + ExpKernel(m.lattice, [((kappa + u).coeffs, a), (((-kappa) - u).coeffs, -sign * a)])
-    return not rel
-
-
 def _is_taut(g: Sequence[int], bound: int) -> bool:
     """Pairings g with the chain spheres: zero on the interior spheres and at
     most bound in absolute value on the end sphere."""
     return not any(g[:-1]) and abs(g[-1]) <= bound
-
-
-def check_taut(m: ManifoldSeries, c: ChainConfig) -> bool:
-    """True iff every kernel class pairs to 0 with the interior spheres and to
-    at most p in absolute value with the end sphere."""
-    if c.ambient != m.lattice:
-        raise ValueError("configuration does not live in the series lattice")
-    bound = c.p * c.ambient.den
-    return all(_is_taut(c.dots(kappa), bound) for kappa, _ in m.kernel.classes())
 
 
 def _chain_pairings(c: ChainConfig, kappa: HClass) -> tuple[int, ...]:

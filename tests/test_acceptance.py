@@ -21,7 +21,6 @@ from blowdown.lattice import (
     HClass,
     IntersectionLattice,
     QClass,
-    diagonal_lattice,
     plumbing_inverse,
     plumbing_matrix,
 )
@@ -47,6 +46,7 @@ from blowdown.transform import (
     taut_blowdown,
     verify_nodal_matrix_identity,
 )
+from lattices import diagonal_lattice
 
 F = diagonal_lattice(["f"], [0])
 

@@ -114,6 +114,14 @@ def test_dim_verb(capsys):
     assert obj["dim"] == 5 and obj["e_square"] == "-4"
 
 
+def test_dim_rejects_a_malformed_canonical_pair(capsys):
+    for text in ("a,b", "1,x", "1", "1,2,3"):
+        code, out, err = run(capsys, "dim", "--p", "3", "--canonical", text)
+        assert code == 2 and out == "", text
+        assert "argument --canonical: expected t,b" in err, text
+        assert "_canonical_pair" not in err, text
+
+
 def test_witten_verb(capsys):
     code, out, _ = run(capsys, "witten", "E(3;2)")
     assert code == 0
@@ -131,6 +139,24 @@ def test_verify_suites(capsys):
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
+
+
+def test_verify_lattice_checks_corr_against_its_closed_form(capsys, monkeypatch):
+    import blowdown.suites as suites
+
+    code, out, _ = run(capsys, "verify", "lattice")
+    assert code == 0
+    assert [f"PASS corr-closed-form p={p}" for p in range(2, 13)] == [
+        line for line in out.splitlines() if "corr-closed-form" in line
+    ]
+    # negative control: corr off by one at a single boundary value
+    real = suites.corr
+    monkeypatch.setattr(suites, "corr", lambda p, m: real(p, m) + (p == 5 and m == 7))
+    code, out, _ = run(capsys, "verify", "lattice")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL corr-closed-form p=5  counterexample: 7"
+    ]
 
 
 def test_verify_structured(capsys):

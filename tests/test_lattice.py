@@ -16,10 +16,7 @@ from blowdown.lattice import (
     RelClass,
     Residue,
     boundary,
-    boundary_residue_class,
-    chain_lattice,
     characteristic_square,
-    diagonal_lattice,
     is_characteristic,
     pairing,
     plumbing_inverse,
@@ -27,7 +24,6 @@ from blowdown.lattice import (
     rel_pairing,
 )
 from blowdown.linalg import (
-    gf2_solve,
     hnf_rows,
     identity,
     mat_eq,
@@ -37,6 +33,7 @@ from blowdown.linalg import (
     span_coords,
 )
 from blowdown.transform import _blown_down_lattice, blown_up_lattice
+from lattices import chain_lattice, diagonal_lattice
 
 
 def test_plumbing_matrix_entries():
@@ -134,9 +131,9 @@ def test_boundary_values():
 def test_boundary_residue_folding():
     e = RelClass(3, (0, 4))  # boundary 4 in Z_9
     assert boundary(e).value == 4
-    assert boundary_residue_class(e) == 4
+    assert boundary(e).reduced() == 4
     e = RelClass(3, (4, 4))  # boundary 8 in Z_9 folds to 1
-    assert boundary_residue_class(e) == 1
+    assert boundary(e).reduced() == 1
 
 
 def test_chain_lattice_and_config():
@@ -234,13 +231,6 @@ def test_span_coords():
     basis = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(2)]]
     assert span_coords(basis, [Fraction(3), Fraction(7)]) == [Fraction(3), Fraction(2)]
     assert span_coords([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)]) is None
-
-
-def test_gf2_solve():
-    # x1 + x2 = 1, x2 = 1 over GF(2)
-    sol = gf2_solve([[1, 1], [0, 1]], [0, 1])
-    assert sol == [1, 1]
-    assert gf2_solve([[1, 1], [1, 1]], [0, 1]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from blowdown import moduli
-from blowdown.lattice import RelClass, Residue, boundary, plumbing_matrix
+from blowdown.lattice import RelClass, Residue, boundary, rel_pairing
 from blowdown.moduli import (
     CanonicalClass,
     canonical_tb,
@@ -11,9 +11,7 @@ from blowdown.moduli import (
     dim_moduli,
     dim_report,
     e_square,
-    general_e_square,
     min_dim_search,
-    mod2_lift_exists,
     rho_half_closed_form,
     verify_boundary_value_lemmas,
 )
@@ -27,7 +25,8 @@ def test_e_square_matches_general():
     for p in range(2, 7):
         for t in range(4):
             for b in range(1, p):
-                assert e_square(p, t, b) == general_e_square(_canon(p, t, b))
+                e = _canon(p, t, b)
+                assert e_square(p, t, b) == rel_pairing(e, e)
 
 
 def test_canonical_class_shape():
@@ -107,26 +106,6 @@ def test_min_dim_search_empty_raises():
     parity = RelClass(2, (1,))
     with pytest.raises(ValueError):
         min_dim_search(2, 1, parity, box=0)
-
-
-def test_mod2_lift_parity_rule():
-    for p in (3, 5):
-        for coords in ((1, 0) + (0,) * (p - 3), (1,) * (p - 1)):
-            ok, witness = mod2_lift_exists(p, RelClass(p, coords))
-            assert ok and witness is not None
-            # witness solves P c = gamma coords of e over GF(2)
-            rhs = [g % 2 for g in RelClass(p, coords).gamma_coords()]
-            pm = plumbing_matrix(p)
-            got = [sum(pm[i][j] * witness[j] for j in range(p - 1)) % 2 for i in range(p - 1)]
-            assert got == rhs
-    ok, witness = mod2_lift_exists(2, RelClass(2, (1,)))
-    assert not ok and witness is None
-    ok, _ = mod2_lift_exists(2, RelClass(2, (2,)))
-    assert ok
-    ok, witness = mod2_lift_exists(4, RelClass(4, (1, 0, 0)))
-    assert not ok and witness is None
-    ok, _ = mod2_lift_exists(4, RelClass(4, (1, 1, 0)))
-    assert ok
 
 
 def test_boundary_value_lemmas_small():

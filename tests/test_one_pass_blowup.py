@@ -13,9 +13,10 @@ import pytest
 
 from blowdown.catalog import donaldson_closed_form, sw_closed_form
 from blowdown.exppoly import ExpKernel, cosh_c
-from blowdown.lattice import IntersectionLattice, diagonal_lattice
+from blowdown.lattice import IntersectionLattice
 from blowdown.swinv import SWMap, sw_blowup, sw_dim
 from blowdown.transform import ManifoldSeries, blowup, blown_up_lattice
+from lattices import diagonal_lattice
 
 SPECS = ["E(2)", "E(5)", "E(4;2,3)", "E(3;2,5)"]
 NAMES = ["z", "b2", "e", "x9"]

@@ -5,21 +5,20 @@ import pytest
 
 from blowdown.catalog import surgery_plan, sw_closed_form
 from blowdown.exppoly import ExpKernel, sinh_c
-from blowdown.lattice import ChainConfig, IntersectionLattice, diagonal_lattice
+from blowdown.lattice import ChainConfig, IntersectionLattice
 from blowdown.swinv import (
     SWMap,
     sw_blowup,
     sw_dim,
-    sw_dim_shift,
     sw_en,
     sw_log_transform,
-    sw_simple_type,
     sw_taut_blowdown,
     witten_check,
     witten_exponent,
     witten_kernel,
 )
 from blowdown.transform import ManifoldSeries
+from lattices import diagonal_lattice
 
 F = diagonal_lattice(["f"], [0])
 FS = IntersectionLattice(["f", "s"], [[0, 1], [1, -4]])
@@ -41,7 +40,6 @@ def test_swmap_validation():
         SWMap(lat, {(3,): 1}, 46, -30)  # dimension 4 under simple type
     m = SWMap(lat, {(3,): 1}, 46, -30, simple_type=False)
     assert sw_dim(m, (3,)) == 4
-    assert not sw_simple_type(m)
 
 
 def test_swmap_checks_each_class_once(monkeypatch):
@@ -154,7 +152,6 @@ def test_sw_en_binomials():
             want[(n - 2 - 2 * r,)] = (-1) ** r * comb(n - 2, r)
         want = {k: v for k, v in want.items() if v}
         assert m.values == want
-        assert sw_simple_type(m)
         assert all(sw_dim(m, c) == 0 for c in m.basic_classes())
     with pytest.raises(ValueError):
         sw_en(1)
@@ -226,15 +223,6 @@ def test_sw_taut_blowdown_rejects_untaut():
     m = SWMap(FS, vals, 48, -32)
     with pytest.raises(ValueError):
         sw_taut_blowdown(m, ChainConfig(2, FS, [FS.basis_class("s")]))
-
-
-def test_sw_dim_shift():
-    assert sw_dim_shift(2, 1) == 0
-    assert sw_dim_shift(5, 1) == 0
-    assert sw_dim_shift(2, 3) == 2
-    assert sw_dim_shift(3, 5) == 12
-    with pytest.raises(ValueError):
-        sw_dim_shift(3, 2)
 
 
 def test_witten_exponent():
