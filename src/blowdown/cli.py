@@ -2,7 +2,8 @@
 
 Verbs: series, sw, witten, dim, verify, blowdown, logt, audit.  Exit codes:
 0 success, 1 a verification or comparison failed, 2 usage or spec parse
-error, 3 semantic error (well-formed input rejected by the mathematics).
+error, 3 semantic error (well-formed input rejected by the mathematics), 141
+the reader closed stdout early (128 + SIGPIPE, as a shell reports for cat).
 Output is deterministic byte for byte for a given invocation; --format
 structured emits the documented JSON encodings instead of text.  sw and witten
 name on stderr each class a chain blowdown drops for want of an extension.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -412,6 +414,10 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # point fd 1 at devnull so that the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

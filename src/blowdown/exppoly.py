@@ -296,9 +296,9 @@ def refined_lattice(
     if new_name != names[idx] and new_name in names:
         raise ValueError(f"basis name {new_name!r} already in use")
     names[idx] = new_name
-    gram = [list(row) for row in lattice.gram]
-    for j in range(lattice.rank):
-        gram[idx][j] /= divisor
-        gram[j][idx] = gram[idx][j]
-    gram[idx][idx] = lattice.gram[idx][idx] / (divisor * divisor)
-    return IntersectionLattice(names, gram)
+    # numerators over den * divisor^2: entry (i, j) scales by s_i s_j, with
+    # s = divisor off nu and 1 on nu, so nu's own square keeps its numerator
+    s = [divisor] * lattice.rank
+    s[idx] = 1
+    num = [[x * a * b for x, b in zip(row, s)] for row, a in zip(lattice.num, s)]
+    return IntersectionLattice(names, num, lattice.den * divisor * divisor)

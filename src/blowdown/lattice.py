@@ -6,7 +6,7 @@ intersection 1.  Its boundary is the lens space L(p^2, p-1), and rational
 blowdown replaces a neighborhood of the chain by a rational ball.  This module
 carries the integral bookkeeping for that surgery:
 
-* the plumbing intersection matrix P(p) and its closed-form inverse,
+* the plumbing intersection matrix P(p) and the integer closed form p^2 P^-1,
 * relative second homology of the chain in the dual gamma basis
   (gamma_k . u_l = delta_{kl}) and the difference basis delta_i = gamma_i -
   gamma_{i-1}, which is where class enumeration happens,
@@ -110,19 +110,16 @@ class IntersectionLattice:
         raise AttributeError("IntersectionLattice is immutable")
 
     def restricted(
-        self, basis_names: Sequence[str], rows: Sequence[Sequence[Scalar]]
+        self, basis_names: Sequence[str], rows: Sequence[Sequence[int]], den: int
     ) -> "IntersectionLattice":
-        """The lattice whose basis vectors are the given rational combinations
-        (rows) of this basis, with the pairing restricted to them: its Gram is
-        B G B^t.  G.v is formed once per row, then one dot product per entry."""
-        rows = [[Fraction(x) for x in row] for row in rows]
+        """The lattice whose basis vectors are rows / den in this basis (integer
+        rows over one denominator), with the pairing restricted to them: its
+        Gram is B G B^t.  G.v is formed once per row, then one dot per entry."""
         if any(len(row) != self.rank for row in rows):
             raise ValueError("row length does not match lattice rank")
-        scale = lcm(*(x.denominator for row in rows for x in row))
-        ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-        gv = [[sum(map(mul, g, v)) for g in self.num] for v in ints]
-        gram = [[sum(map(mul, u, w)) for w in gv] for u in ints]
-        return IntersectionLattice(basis_names, gram, self.den * scale * scale)
+        gv = [[sum(map(mul, g, v)) for g in self.num] for v in rows]
+        gram = [[sum(map(mul, u, w)) for w in gv] for u in rows]
+        return IntersectionLattice(basis_names, gram, self.den * den * den)
 
     @property
     def rank(self) -> int:
@@ -384,24 +381,20 @@ def plumbing_matrix(p: int) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _plumbing_inverse_cached(p: int) -> tuple[tuple[Fraction, ...], ...]:
-    n = p - 1
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            a, b = (i, j) if j <= i else (j, i)
-            row.append(Fraction(-b) + Fraction(a * b * (p + 1), p * p))
-        rows.append(tuple(row))
-    return tuple(rows)
+def scaled_plumbing_inverse(p: int) -> tuple[tuple[int, ...], ...]:
+    """p^2 times the inverse of plumbing_matrix(p), an integer matrix in
+    closed form: entry (i, j) = j (i (p+1) - p^2) for j <= i, symmetric."""
+    if p < 2:
+        raise ValueError("chain order p must be at least 2")
+    return tuple(
+        tuple(min(i, j) * (max(i, j) * (p + 1) - p * p) for j in range(1, p)) for i in range(1, p)
+    )
 
 
 def plumbing_inverse(p: int) -> list[list[Fraction]]:
-    """Closed-form inverse of plumbing_matrix(p):
-    entry (i, j) = -j + i j (p+1)/p^2 for j <= i, symmetric."""
-    if p < 2:
-        raise ValueError("chain order p must be at least 2")
-    return [list(row) for row in _plumbing_inverse_cached(p)]
+    """The inverse of plumbing_matrix(p): scaled_plumbing_inverse(p) / p^2."""
+    p2 = p * p
+    return [[Fraction(x, p2) for x in row] for row in scaled_plumbing_inverse(p)]
 
 
 class ChainConfig:

@@ -1,15 +1,15 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact linear algebra on small dense matrices.
 
 Everything in this package is exact: matrices are lists of lists of ints or
 fractions.Fraction, never floats.  Sizes are tiny (rank at most a few dozen),
-so plain Gaussian elimination is all we need.  Hermite row reduction over
-the integers supports re-basing blown-down lattices.
+so plain Gaussian elimination is all we need.  The rational matrices serve
+the checks; the blowdown runs on integers: Hermite forms and Z-span
+coordinates of numerators over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 Vector = Sequence[Fraction]
@@ -113,27 +113,19 @@ def hnf_rows(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     return basis
 
 
-def hnf_rows_rational(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Hermite basis for the subgroup of Q^n generated over Z by rational rows."""
-    vecs = [[Fraction(x) for x in v] for v in vectors]
-    vecs = [v for v in vecs if any(v)]
-    if not vecs:
-        return []
-    scale = lcm(*[x.denominator for v in vecs for x in v]) if vecs else 1
-    integral = [[int(x * scale) for x in v] for v in vecs]
-    return [[Fraction(x, scale) for x in row] for row in hnf_rows(integral)]
-
-
-def span_coords(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Coordinates of v in an echelon (by leading column) basis, or None."""
-    residual = [Fraction(x) for x in v]
-    coords: list[Fraction] = []
+def span_coords(basis: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list[int]]:
+    """Integer coordinates of v in an echelon (by leading column) integer
+    basis, or None when v is not in its Z-span (a pivot leaves a remainder)."""
+    residual = list(v)
+    coords: list[int] = []
     for row in basis:
         lead = next(j for j, x in enumerate(row) if x)
-        c = residual[lead] / row[lead]
+        c, r = divmod(residual[lead], row[lead])
+        if r:
+            return None
         coords.append(c)
         if c:
-            residual = [r - c * x for r, x in zip(residual, row)]
+            residual = [a - c * x for a, x in zip(residual, row)]
     if any(residual):
         return None
     return coords

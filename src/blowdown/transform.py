@@ -15,6 +15,12 @@ one function per surgery: blown_up_lattice, log_placement and chain_pushoff.
 The series transforms here and the basic-class transforms in .swinv differ
 only in the coefficient a moved class carries.
 
+A chain of order p has |det P| = p^2, so chain_pushoff runs on integer
+numerators over p^2, from lattice.scaled_plumbing_inverse through the
+Hermite basis of the blown-down lattice to the images' coordinates.
+Fractions are built only where a value leaves: a RestrictedClass and the
+extension a ClassRecord prints.
+
 The nodal models push each basic class and each exceptional direction off
 their chain once (_check_nodal_chain); restriction is affine, so that covers
 all 2^(p-1) sign patterns, whose enumeration tests/test_nodal_check.py keeps.
@@ -25,7 +31,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import Optional, Sequence
@@ -43,8 +48,9 @@ from .lattice import (
     pairing,
     plumbing_inverse,
     plumbing_matrix,
+    scaled_plumbing_inverse,
 )
-from .linalg import hnf_rows_rational, identity, mat_inverse, mat_mul, mat_vec, span_coords
+from .linalg import hnf_rows, identity, mat_inverse, mat_mul, mat_vec, span_coords
 
 
 def b_plus_of(euler: int, signature: int) -> int:
@@ -165,11 +171,11 @@ def blown_up_lattice(
     for name in names:
         if name in lattice.basis_names:
             raise ValueError(f"exceptional name {name!r} is already a basis name")
-    n = lattice.rank
-    gram = [list(row) + [0] * k for row in lattice.gram] + [[0] * (n + k) for _ in range(k)]
+    n, den = lattice.rank, lattice.den
+    num = [list(row) + [0] * k for row in lattice.num] + [[0] * (n + k) for _ in range(k)]
     for i in range(n, n + k):
-        gram[i][i] = -1
-    return IntersectionLattice(list(lattice.basis_names) + list(names), gram)
+        num[i][i] = -den
+    return IntersectionLattice(list(lattice.basis_names) + list(names), num, den)
 
 
 def _sign_vectors(n: int):
@@ -202,22 +208,16 @@ def _chain_pairings(c: ChainConfig, kappa: HClass) -> tuple[int, ...]:
     return tuple(q for q, _ in g)
 
 
-@lru_cache(maxsize=None)
-def _scaled_plumbing_inverse(p: int) -> tuple[tuple[int, ...], ...]:
-    """p^2 times plumbing_inverse(p), which is an integer matrix."""
-    return tuple(tuple(int(x * p * p) for x in row) for row in plumbing_inverse(p))
-
-
-def _extension(c: ChainConfig, kappa: HClass, g: Sequence[int]) -> QClass:
-    """kappa + sum x_i u_i with x solving (kappa + sum x_i u_i) . u_j = 0,
-    given the pairings g_j = kappa . u_j.  Computed as integers over p^2."""
+def _extension(c: ChainConfig, kappa: HClass, g: Sequence[int]) -> tuple[int, ...]:
+    """The integer numerators of p^2 (kappa + sum x_i u_i), x solving
+    (kappa + sum x_i u_i) . u_j = 0 given the pairings g_j = kappa . u_j."""
     p2 = c.p * c.p
     ext = [p2 * a for a in kappa.coeffs]
-    for row, u in zip(_scaled_plumbing_inverse(c.p), c.spheres):
+    for row, u in zip(scaled_plumbing_inverse(c.p), c.spheres):
         xi = -sum(map(mul, row, g))
         if xi:
             ext = [a + xi * b for a, b in zip(ext, u.coeffs)]
-    return QClass(c.ambient, tuple(Fraction(a, p2) for a in ext))
+    return tuple(ext)
 
 
 def restrict_class(c: ChainConfig, kappa: HClass) -> RestrictedClass:
@@ -226,41 +226,42 @@ def restrict_class(c: ChainConfig, kappa: HClass) -> RestrictedClass:
     if kappa.lattice != c.ambient:
         raise ValueError("class does not live in the configuration's ambient lattice")
     g = _chain_pairings(c, kappa)
-    ext = _extension(c, kappa, g)
+    p2 = c.p * c.p
+    ext = QClass(c.ambient, tuple(Fraction(a, p2) for a in _extension(c, kappa, g)))
     return RestrictedClass(ext, pairing(ext, ext), boundary(RelClass(c.p, g, basis="gamma")))
 
 
 def _blown_down_lattice(
     c: ChainConfig,
-    extensions: Sequence[tuple[Fraction, ...]],
+    extensions: Sequence[tuple[int, ...]],
     image_names: Optional[Sequence[str]],
-) -> tuple[IntersectionLattice, list[tuple[Fraction, ...]]]:
+) -> tuple[IntersectionLattice, list[list[int]]]:
     """Canonical basis for the group generated by the surviving extensions and
     the ambient unit directions orthogonal to the configuration.
 
-    Returns the new lattice and its basis vectors in ambient coordinates.  Rows
-    that land exactly on an ambient unit vector keep that name; the remaining
-    rows are named from image_names (in row order), with k1, k2, ... as the
-    fallback.
+    Every row is an integer numerator over p^2, as _extension gives them.
+    Returns the new lattice and its basis rows.  Rows equal to p^2 e_i keep
+    e_i's name; the others are named from image_names (in row order), with
+    k1, k2, ... as the fallback.
     """
     amb = c.ambient
-    gens: list[tuple[Fraction, ...]] = [tuple(Fraction(x) for x in ext) for ext in extensions]
+    p2 = c.p * c.p
+    gens = [ext for ext in extensions if any(ext)]
     for i in range(amb.rank):
         if not any(row[i] for row in c.rows):
-            gens.append(tuple(Fraction(1 if j == i else 0) for j in range(amb.rank)))
-    gens = [g for g in gens if any(g)]
+            gens.append(tuple(p2 if j == i else 0 for j in range(amb.rank)))
     if not gens:
         raise ValueError(
             "blown-down lattice model is empty; the ambient model needs a direction "
             "disjoint from the configuration"
         )
-    basis = hnf_rows_rational(gens)
+    basis = hnf_rows(gens)
     names: list[str] = []
     fresh = list(image_names) if image_names is not None else []
     auto = 0
     for row in basis:
         ones = [j for j, v in enumerate(row) if v]
-        if len(ones) == 1 and row[ones[0]] == 1:
+        if len(ones) == 1 and row[ones[0]] == p2:
             names.append(amb.basis_names[ones[0]])
             continue
         if fresh:
@@ -270,14 +271,14 @@ def _blown_down_lattice(
             names.append(f"k{auto}")
     if len(set(names)) != len(names):
         raise ValueError(f"image names collide with surviving ambient names: {names}")
-    return amb.restricted(names, basis), basis
+    return amb.restricted(names, basis, p2), basis
 
 
-def _rebase(ext: tuple[Fraction, ...], basis: list[tuple[Fraction, ...]]) -> tuple[int, ...]:
-    coords = span_coords([list(b) for b in basis], list(ext))
-    if coords is None or any(x.denominator != 1 for x in coords):
+def _rebase(ext: tuple[int, ...], basis: list[list[int]]) -> tuple[int, ...]:
+    coords = span_coords(basis, ext)
+    if coords is None:
         raise RuntimeError("extension class is not integral on the blown-down lattice")
-    return tuple(int(x) for x in coords)
+    return tuple(coords)
 
 
 # ClassRecord.reason of a class that a taut blowdown drops because it misses
@@ -305,10 +306,12 @@ def chain_pushoff(
     image, so a dropped class costs its pairings alone.
     """
     p = c.p
+    p2 = p * p
     pairings = [_chain_pairings(c, kappa) for kappa in classes]
     if keep is None and not all(_is_taut(g, p) for g in pairings):
         raise ValueError("configuration is not tautly embedded for these classes")
     records: list[ClassRecord] = []
+    extensions: list[tuple[int, ...]] = []
     for i, (kappa, g) in enumerate(zip(classes, pairings)):
         residue = boundary(RelClass(p, g, basis="gamma"))
         end = g[-1]
@@ -332,16 +335,15 @@ def chain_pushoff(
                 f"(boundary {residue.value} mod {p * p})"
             )
         ext = _extension(c, kappa, g)
-        if keep is None and pairing(ext, ext) != pairing(kappa, kappa) + (p - 1):
+        e = HClass(c.ambient, ext)
+        if keep is None and pairing(e, e) != (pairing(kappa, kappa) + p - 1) * p2 * p2:
             raise RuntimeError("extension square does not shift by p-1 on a taut survivor")
-        records.append(ClassRecord(kappa.coeffs, "kept", residue.value, ext.coeffs, reason=reason))
-    lat, basis = _blown_down_lattice(
-        c, [r.extension for r in records if r.status == "kept"], image_names
-    )
-    records = [
-        replace(r, image=_rebase(r.extension, basis)) if r.status == "kept" else r
-        for r in records
-    ]
+        extensions.append(ext)
+        qext = tuple(Fraction(a, p2) for a in ext)
+        records.append(ClassRecord(kappa.coeffs, "kept", residue.value, qext, reason=reason))
+    lat, basis = _blown_down_lattice(c, extensions, image_names)
+    kept = iter(extensions)
+    records = [replace(r, image=_rebase(next(kept), basis)) if r.extension else r for r in records]
     return lat, records
 
 
@@ -441,7 +443,7 @@ def log_placement(
     if len(nonzero) != 1 or nonzero[0][1] < 1:
         raise ValueError("fiber class must be a positive multiple of one basis direction")
     idx, mult = nonzero[0]
-    if lattice.gram[idx][idx] != 0:
+    if lattice.num[idx][idx] != 0:
         raise ValueError("fiber direction must have square zero")
     for kappa in classes:
         if pairing(kappa, s) != 0:
@@ -515,7 +517,7 @@ def verify_nodal_matrix_identity(p: int) -> bool:
     neg_a = [[-x for x in row] for row in a]
     if mat_mul(pm, mat_inverse(at)) != neg_a:
         return False
-    pinv = [[Fraction(x) for x in row] for row in plumbing_inverse(p)]
+    pinv = plumbing_inverse(p)
     prod = mat_mul(mat_mul(at, pinv), a)
     if prod != [[-x for x in row] for row in identity(n)]:
         return False

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from blowdown.catalog import MAX_SPEC_DEPTH, donaldson_closed_form, sw_closed_form
 from blowdown.cli import main
-from blowdown.serialize import series_from_obj, swmap_from_obj
+from decode import series_from_obj, swmap_from_obj
 
 
 def run(capsys, *argv):
@@ -226,3 +230,24 @@ def test_verify_rejects_empty_ranges(capsys):
         assert "must be at least" in err, argv
     code, out, _ = run(capsys, "verify", "lemmas", "--p-max", "2", "--box", "0", "--t-max", "0")
     assert code == 0 and out.strip().splitlines()[-1] == "4/4 checks passed"
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # the text output (about 100 kB) outgrows the pipe buffer, so the verb is
+    # still writing when the reader closes its end after one line
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blowdown.cli", "series", "blowup(E(3),10)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"spec: blowup(E(3),10)\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""

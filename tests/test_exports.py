@@ -1,10 +1,12 @@
-"""Lint: every function the package exports has a caller inside the package.
+"""Lint: every public function of the package has a caller inside the package.
 
-A name that blowdown/__init__.py imports must be loaded in some module of
-src/blowdown/ other than __init__.py, outside its own definition, unless it is
-a class or sits on ALLOWED.  A load counts only in the module that defines the
-name or in one that imports it, so a parameter that happens to share an
-exported name is not a caller.  Uses only the standard library's ast.
+Every public (no leading underscore) top-level function of every module of
+src/blowdown/ must be loaded in some module other than __init__.py, outside
+its own definition, unless it sits on ALLOWED; re-exporting a name from
+__init__.py does not count as a call.  A load counts only in the module that
+defines the name or in one that imports it, so a parameter that happens to
+share a function's name is not a caller.  Uses only the standard library's
+ast.
 """
 
 import ast
@@ -12,7 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "blowdown"
 
-# Exported functions that are kept without a caller in src/blowdown/.
+# Public functions that are kept without a caller in src/blowdown/.
 ALLOWED = {
     # the vector-scan oracle for a faster boundary-value-law verifier
     "min_dim_search",
@@ -38,16 +40,16 @@ def _loads(tree: ast.Module, visible: set[str]) -> set[str]:
     return found
 
 
-def orphans(init_source: str, modules: dict[str, str]) -> list[str]:
-    """Names imported in init_source that are not classes and that no module
-    of `modules` (module name -> source) loads outside their own definition."""
+def orphans(modules: dict[str, str]) -> list[str]:
+    """Public top-level functions of `modules` (module name -> source) that
+    no module of `modules` loads outside their own definition."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
-    exported = [
-        (node.module, alias.asname or alias.name)
-        for node in ast.parse(init_source).body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
+    public = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
     used = set()
     for tree in trees.values():
         visible = {
@@ -62,37 +64,40 @@ def orphans(init_source: str, modules: dict[str, str]) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         }
         used |= _loads(tree, visible)
-    classes = {
-        (module, node.name)
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.ClassDef)
-    }
-    return sorted(
-        name for module, name in exported if (module, name) not in classes and name not in used
-    )
+    return sorted(public - used)
 
 
 def test_every_export_has_a_caller():
     modules = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
-    found = orphans((SRC / "__init__.py").read_text(), modules)
+    found = orphans(modules)
     assert len(ALLOWED) <= 4
-    assert [name for name in found if name not in ALLOWED] == [], "exported with no caller"
+    assert [name for name in found if name not in ALLOWED] == [], "public with no caller"
     assert sorted(ALLOWED - set(found)) == [], "allowed names that now have a caller"
 
 
 def test_guard_names_a_planted_orphan():
-    init = "from .geo import Shape, area, perimeter, used\n"
     modules = {
         "geo": (
             "class Shape:\n    pass\n\n"
             "def used():\n    return 1\n\n"
             "def area(r):\n    return area(r - 1) if r else 0\n\n"
-            "def perimeter(s):\n    return used() * s\n"
+            "def perimeter(s):\n    return used() * s\n\n"
+            "def _helper():\n    return 0\n"
         ),
-        "cli": "from .geo import perimeter\n\ndef main(n):\n    return perimeter(n)\n",
+        "cli": "from .geo import perimeter\n\ndef main(n):\n    return perimeter(n)\n\nmain(1)\n",
         "other": "def scale(area):\n    return 2 * area\n",
     }
-    assert orphans(init, modules) == ["area"]
+    assert orphans(modules) == ["area", "scale"]
     modules["other"] = "from .geo import area\n\ndef scale(r):\n    return area(r)\n"
-    assert orphans(init, modules) == []
+    modules["cli"] += "\nfrom .other import scale\n\nscale(2)\n"
+    assert orphans(modules) == []
+
+
+def test_guard_sees_modules_that_are_not_re_exported():
+    # `decode` is imported by no __init__; its orphan is still named
+    modules = {
+        "codec": "def encode(x):\n    return str(x)\n",
+        "decode": "def decode(s):\n    return int(s)\n",
+        "cli": "from .codec import encode\n\ndef main():\n    return encode(1)\n\nmain()\n",
+    }
+    assert orphans(modules) == ["decode"]

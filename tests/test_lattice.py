@@ -22,6 +22,7 @@ from blowdown.lattice import (
     plumbing_inverse,
     plumbing_matrix,
     rel_pairing,
+    scaled_plumbing_inverse,
 )
 from blowdown.linalg import (
     hnf_rows,
@@ -52,6 +53,17 @@ def test_plumbing_inverse_matches_generic_inverse():
     for p in range(2, 10):
         pm = [[Fraction(x) for x in row] for row in plumbing_matrix(p)]
         assert plumbing_inverse(p) == mat_inverse(pm)
+
+
+def test_scaled_plumbing_inverse_is_integral_p2_inverse():
+    for p in range(2, 41):
+        n = p - 1
+        inv, pm = scaled_plumbing_inverse(p), plumbing_matrix(p)
+        prod = [[sum(inv[i][k] * pm[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert prod == [[p * p if i == j else 0 for j in range(n)] for i in range(n)]
+        assert all(type(x) is int for row in inv for x in row)
+    with pytest.raises(ValueError):
+        scaled_plumbing_inverse(1)
 
 
 def test_plumbing_inverse_entry_formula():
@@ -228,9 +240,13 @@ def test_hnf_rows_canonical():
 
 def test_span_coords():
     # basis rows must be in echelon form by leading column
-    basis = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(2)]]
-    assert span_coords(basis, [Fraction(3), Fraction(7)]) == [Fraction(3), Fraction(2)]
-    assert span_coords([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)]) is None
+    basis = [[1, 1], [0, 2]]
+    assert span_coords(basis, [3, 7]) == [3, 2]
+    assert span_coords(basis, [-3, -5]) == [-3, -1]
+    assert span_coords([[1, 0]], [0, 1]) is None
+    # in the Q-span but not the Z-span: a pivot leaves a remainder
+    assert span_coords([[2, 0]], [1, 0]) is None
+    assert span_coords(basis, [3, 6]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +381,7 @@ def test_lattice_identity_fast_path_and_canonical_form():
     with pytest.raises(ValueError):
         IntersectionLattice(["a"], [[1]], 0)
     with pytest.raises(ValueError):
-        lat.restricted(["y"], [[1, 0, 0]])
+        lat.restricted(["y"], [[1, 0, 0]], 1)
 
 
 _ENTRY = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -397,13 +413,15 @@ def test_int_core_matches_oracle_on_generated_grams(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_lattice_and_classes(), st.data())
-def test_restricted_gram_matches_naive_product(case, data):
+@given(_lattice_and_classes(), st.integers(1, 4), st.data())
+def test_restricted_gram_matches_naive_product(case, den, data):
     lat, gram, _ = case
     n = lat.rank
-    rows = data.draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=1, max_size=3))
-    sub = lat.restricted([f"y{i}" for i in range(len(rows))], rows)
-    assert [list(row) for row in sub.gram] == [[_ref_pairing(gram, u, v) for v in rows] for u in rows]
+    ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    rows = data.draw(st.lists(ints, min_size=1, max_size=3))
+    sub = lat.restricted([f"y{i}" for i in range(len(rows))], rows, den)
+    qrows = [[Fraction(x, den) for x in row] for row in rows]
+    assert [list(row) for row in sub.gram] == [[_ref_pairing(gram, u, v) for v in qrows] for u in qrows]
 
 
 @pytest.mark.parametrize("spec", ["H(8)", "W(2)"])
@@ -412,10 +430,16 @@ def test_blown_down_gram_matches_naive_definition(spec):
     _, chains = replay(plan.seed_series(), plan.steps, SERIES_RULES)
     assert len(chains) == len(plan.steps) >= 2
     for step, pre, res in chains:
-        extensions = [r.extension for r in res.class_map if r.status == "kept"]
-        lat, basis = _blown_down_lattice(step.config(pre), extensions, [step.image])
+        config = step.config(pre)
+        p2 = config.p * config.p
+        extensions = [
+            tuple(int(x * p2) for x in r.extension) for r in res.class_map if r.status == "kept"
+        ]
+        lat, basis = _blown_down_lattice(config, extensions, [step.image])
         assert lat == res.result.lattice
-        naive = [[_ref_pairing(pre.gram, u, v) for v in basis] for u in basis]
+        assert all(type(x) is int for row in basis for x in row)
+        qbasis = [[Fraction(x, p2) for x in row] for row in basis]
+        naive = [[_ref_pairing(pre.gram, u, v) for v in qbasis] for u in qbasis]
         assert [list(row) for row in lat.gram] == naive
 
 

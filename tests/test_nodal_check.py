@@ -13,7 +13,7 @@ import pytest
 
 from blowdown import transform
 from blowdown.catalog import donaldson_closed_form, donaldson_pipeline
-from blowdown.lattice import ChainConfig, HClass, QClass
+from blowdown.lattice import ChainConfig, HClass
 from blowdown.transform import (
     _check_nodal_chain,
     _exceptional_chain_spheres,
@@ -68,13 +68,14 @@ def test_affine_check_and_enumeration_both_pass():
 
 def test_perturbed_exceptional_direction_fails_both(monkeypatch):
     """Shift the extension linearly in the last exceptional coordinate, so
-    that direction alone extends to the wrong class: both checks must raise."""
+    that direction alone extends to the wrong class: both checks must raise.
+    The shift is kappa's last coordinate over p, so p times it on the
+    integer numerators over p^2."""
     original = transform._extension
 
     def perturbed(c, kappa, g):
         ext = original(c, kappa, g)
-        shifted = ext.coeffs[:-1] + (ext.coeffs[-1] + Fraction(kappa.coeffs[-1], c.p),)
-        return QClass(ext.lattice, shifted)
+        return ext[:-1] + (ext[-1] + kappa.coeffs[-1] * c.p,)
 
     monkeypatch.setattr(transform, "_extension", perturbed)
     for spec, m, s, p in _cases():

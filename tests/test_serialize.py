@@ -8,19 +8,21 @@ from blowdown.exppoly import ExpKernel
 from blowdown.lattice import IntersectionLattice
 from blowdown.serialize import (
     blowdown_to_obj,
-    fraction_parse,
     fraction_str,
-    kernel_from_obj,
     kernel_to_obj,
-    lattice_from_obj,
     lattice_to_obj,
-    series_from_obj,
     series_to_obj,
-    swmap_from_obj,
     swmap_to_obj,
 )
 from blowdown.swinv import SWMap
 from blowdown.transform import ManifoldSeries
+from decode import (
+    fraction_parse,
+    kernel_from_obj,
+    lattice_from_obj,
+    series_from_obj,
+    swmap_from_obj,
+)
 
 
 def test_fraction_strings():
