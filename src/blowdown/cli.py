@@ -4,8 +4,9 @@ Verbs: series, sw, witten, dim, verify, blowdown, logt, audit.  Exit codes:
 0 success, 1 a verification or comparison failed, 2 usage or spec parse
 error, 3 semantic error (well-formed input rejected by the mathematics), 141
 the reader closed stdout early (128 + SIGPIPE, as a shell reports for cat).
-Output is deterministic byte for byte for a given invocation; --format
-structured emits the documented JSON encodings instead of text.  sw and witten
+Output is deterministic byte for byte for a given invocation and is written
+in one piece; --format structured emits the documented JSON encodings
+instead of text.  sw and witten
 name on stderr each class a chain blowdown drops for want of an extension.
 """
 
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .catalog import (
@@ -40,8 +42,10 @@ from .moduli import CanonicalClass, dim_report
 from .reporting import CheckReport
 from .serialize import (
     blowdown_to_obj,
+    dumps,
     fraction_str,
     lattice_to_obj,
+    ratio_str,
     series_to_obj,
     swmap_to_obj,
 )
@@ -53,54 +57,50 @@ from .transform import ORTHOGONAL, ManifoldSeries
 # Text rendering
 
 
+@lru_cache(maxsize=4096)
+def _piece(name: str, c: int) -> str:
+    """The signed summand c*name of a class sum, "" for c == 0."""
+    if not c:
+        return ""
+    return ("-" if c < 0 else "+") + (name if abs(c) == 1 else f"{abs(c)}*{name}")
+
+
 def _class_text(lattice: IntersectionLattice, coeffs) -> str:
-    bits = []
-    for name, c in zip(lattice.basis_names, coeffs):
-        if not c:
-            continue
-        mag = name if abs(c) == 1 else f"{abs(c)}*{name}"
-        bits.append(("-" if c < 0 else "+", mag))
-    if not bits:
-        return "0"
-    sign, mag = bits[0]
-    out = ("-" if sign == "-" else "") + mag
-    for sign, mag in bits[1:]:
-        out += sign + mag
-    return out
+    return "".join(map(_piece, lattice.basis_names, coeffs)).removeprefix("+") or "0"
 
 
 def _compact_kernel(k: ExpKernel) -> Optional[str]:
-    terms = k.sorted_terms()
+    terms = sorted(k.num.items()) if len(k) <= 2 else ()
     if len(terms) == 1 and not any(terms[0][0]):
-        return fraction_str(terms[0][1])
+        return ratio_str(terms[0][1], k.den)
     if len(terms) != 2:
         return None
     (neg_key, neg_c), (pos_key, pos_c) = terms
-    if tuple(-x for x in pos_key) != neg_key:
+    if tuple(-x for x in pos_key) != neg_key or abs(neg_c) != abs(pos_c):
         return None
-    if neg_c == pos_c:
-        scale, fn = 2 * pos_c, "cosh"
-    elif neg_c == -pos_c:
-        scale, fn = 2 * pos_c, "sinh"
-    else:
-        return None
-    arg = _class_text(k.lattice, pos_key)
-    lead = "" if scale == 1 else f"{fraction_str(scale)}*"
-    return f"{lead}{fn}({arg})"
+    fn = "cosh" if neg_c == pos_c else "sinh"
+    lead = "" if 2 * pos_c == k.den else f"{ratio_str(2 * pos_c, k.den)}*"
+    return f"{lead}{fn}({_class_text(k.lattice, pos_key)})"
 
 
-def _print_series(m: ManifoldSeries) -> None:
-    print(f"basis: {' '.join(m.lattice.basis_names)}")
-    print(f"gram: {json.dumps(lattice_to_obj(m.lattice)['gram'])}")
+def _lattice_lines(lat: IntersectionLattice) -> list[str]:
+    gram = json.dumps(lattice_to_obj(lat)["gram"])
+    return [f"basis: {' '.join(lat.basis_names)}", f"gram: {gram}"]
+
+
+def _series_lines(m: ManifoldSeries) -> list[str]:
+    lines = _lattice_lines(m.lattice)
     compact = _compact_kernel(m.kernel)
     if compact is not None:
-        print(f"kernel: {compact}")
+        lines.append(f"kernel: {compact}")
     else:
-        terms = m.kernel.sorted_terms()
-        print(f"kernel ({len(terms)} terms):")
-        for key, c in terms:
-            print(f"  {fraction_str(c)} * e^({_class_text(m.lattice, key)})")
-    print(f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}")
+        num, den = m.kernel.num, m.kernel.den
+        lines.append(f"kernel ({len(num)} terms):")
+        lines += [
+            f"  {ratio_str(num[key], den)} * e^({_class_text(m.lattice, key)})"
+            for key in sorted(num)
+        ]
+    return lines + [f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}"]
 
 
 def _print_drops(chains) -> None:
@@ -112,12 +112,23 @@ def _print_drops(chains) -> None:
 
 
 def _emit(args, obj, text) -> None:
-    """Print obj() as JSON under --format structured, else call text(); the
-    structured object is only built when it is printed."""
+    """Write dumps(obj()) under --format structured, else the lines text()
+    returns, to stdout in one piece; the structured object is only built when
+    it is written."""
     if args.format == "structured":
-        print(json.dumps(obj(), indent=2, sort_keys=True))
+        data = dumps(obj()) + "\n"
     else:
-        text()
+        data = "\n".join([*text(), ""])
+    raw = getattr(sys.stdout, "buffer", None)
+    if raw is None:
+        sys.stdout.write(data)
+        return
+    # unbuffered (python -u), the binary layer may take only part of a write,
+    # which the text layer would drop; the loop reaches a closed reader's EPIPE
+    sys.stdout.flush()
+    view = memoryview(data.encode(sys.stdout.encoding))
+    while view:
+        view = view[raw.write(view):]
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +140,7 @@ def _series_output(args, spec, route: str) -> int:
     m = build(spec)
 
     def text():
-        print(f"spec: {render(spec)}")
-        print(f"route: {route}")
-        _print_series(m)
+        return [f"spec: {render(spec)}", f"route: {route}", *_series_lines(m)]
 
     _emit(args, lambda: {"spec": render(spec), "route": route, **series_to_obj(m)}, text)
     return 0
@@ -147,13 +156,13 @@ def cmd_sw(args) -> int:
     _print_drops(chains)
 
     def text():
-        print(f"spec: {render(spec)}")
-        print(f"basis: {' '.join(m.lattice.basis_names)}")
-        print(f"gram: {json.dumps(lattice_to_obj(m.lattice)['gram'])}")
-        print(f"classes ({len(m.values)}):")
-        for key in sorted(m.values):
-            print(f"  {_class_text(m.lattice, key)}: {m.values[key]}")
-        print(f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}")
+        return [
+            f"spec: {render(spec)}",
+            *_lattice_lines(m.lattice),
+            f"classes ({len(m.values)}):",
+            *(f"  {_class_text(m.lattice, key)}: {m.values[key]}" for key in sorted(m.values)),
+            f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}",
+        ]
 
     _emit(args, lambda: {"spec": render(spec), **swmap_to_obj(m)}, text)
     return 0
@@ -177,8 +186,7 @@ def cmd_witten(args) -> int:
         }
 
     def text():
-        tag = "PASS" if ok else "FAIL"
-        print(f"{tag} witten {render(spec)} (exponent {c})")
+        return [f"{'PASS' if ok else 'FAIL'} witten {render(spec)} (exponent {c})"]
 
     _emit(args, obj, text)
     return 0 if ok else 1
@@ -205,12 +213,14 @@ def cmd_dim(args) -> int:
         }
 
     def text():
-        print(f"p: {p}")
-        print(f"delta: {tuple(e.delta_coords())}")
-        print(f"e_square: {fraction_str(rep.e_square)}")
-        print(f"boundary: {rep.boundary.value} (mod {rep.boundary.modulus})")
-        print(f"reduced_boundary: {rep.reduced_boundary}")
-        print(f"dim: {rep.dim}")
+        return [
+            f"p: {p}",
+            f"delta: {tuple(e.delta_coords())}",
+            f"e_square: {fraction_str(rep.e_square)}",
+            f"boundary: {rep.boundary.value} (mod {rep.boundary.modulus})",
+            f"reduced_boundary: {rep.reduced_boundary}",
+            f"dim: {rep.dim}",
+        ]
 
     _emit(args, obj, text)
     return 0
@@ -238,9 +248,8 @@ def cmd_verify(args) -> int:
         return {"suite": suite, "checks": [r.to_obj() for r in reports], "pass": passed}
 
     def text():
-        for r in reports:
-            print(r.line())
-        print(f"{sum(1 for r in reports if r.passed)}/{len(reports)} checks passed")
+        passes = sum(1 for r in reports if r.passed)
+        return [r.line() for r in reports] + [f"{passes}/{len(reports)} checks passed"]
 
     _emit(args, obj, text)
     return 0 if passed else 1
@@ -284,16 +293,16 @@ def cmd_blowdown(args) -> int:
         }
 
     def text():
-        print(f"spec: {render(spec)}")
+        lines = [f"spec: {render(spec)}"]
         for i, (step, pre, result) in enumerate(steps, start=1):
-            print(f"step {i}: blow down order-{step.n} chain ending at {step.spheres[-1]}")
+            lines.append(f"step {i}: blow down order-{step.n} chain ending at {step.spheres[-1]}")
             for rec in result.class_map:
                 src = _class_text(pre, rec.source)
                 line = f"  {src}: {rec.status} (boundary {rec.residue} mod {step.n**2})"
                 if rec.status == "kept":
                     line += f" -> {_class_text(result.result.lattice, rec.image)}"
-                print(line)
-        _print_series(final)
+                lines.append(line)
+        return lines + _series_lines(final)
 
     _emit(args, obj, text)
     return 0
@@ -312,8 +321,7 @@ def cmd_audit(args) -> int:
         return {"spec": render(spec), "checks": [r.to_obj() for r in reports], "pass": passed}
 
     def text():
-        for r in reports:
-            print(r.line())
+        return [r.line() for r in reports]
 
     _emit(args, obj, text)
     return 0 if passed else 1

@@ -130,16 +130,14 @@ class RestrictedClass:
 
     extension: the ambient rational class kappa + sum x_i u_i orthogonal to
         every sphere of the configuration.
-    square: its self-pairing.
     boundary: the class of the relative restriction in Z_{p^2}; the extension
         descends to the blowdown exactly when this lies in the index-p subgroup.
     """
 
-    __slots__ = ("extension", "square", "boundary")
+    __slots__ = ("extension", "boundary")
 
-    def __init__(self, extension: QClass, square: Fraction, boundary: Residue):
+    def __init__(self, extension: QClass, boundary: Residue):
         self.extension = extension
-        self.square = square
         self.boundary = boundary
 
 
@@ -222,13 +220,13 @@ def _extension(c: ChainConfig, kappa: HClass, g: Sequence[int]) -> tuple[int, ..
 
 def restrict_class(c: ChainConfig, kappa: HClass) -> RestrictedClass:
     """Solve (kappa + sum x_i u_i) . u_j = 0 and report the orthogonal
-    extension, its square, and the boundary class of the relative restriction."""
+    extension and the boundary class of the relative restriction."""
     if kappa.lattice != c.ambient:
         raise ValueError("class does not live in the configuration's ambient lattice")
     g = _chain_pairings(c, kappa)
     p2 = c.p * c.p
     ext = QClass(c.ambient, tuple(Fraction(a, p2) for a in _extension(c, kappa, g)))
-    return RestrictedClass(ext, pairing(ext, ext), boundary(RelClass(c.p, g, basis="gamma")))
+    return RestrictedClass(ext, boundary(RelClass(c.p, g, basis="gamma")))
 
 
 def _blown_down_lattice(

@@ -74,7 +74,7 @@ def test_restrict_class_w_chain():
     f = FS.basis_class("f")
     r = restrict_class(cfg, f * 2)
     assert r.extension.coeffs == (Fraction(2), Fraction(1, 2))
-    assert r.square == 1  # 0 + (p-1)
+    assert pairing(r.extension, r.extension) == 1  # 0 + (p-1)
     assert r.boundary.value == 2 and r.boundary.modulus == 4
     assert r.boundary.in_subgroup(2)
 
