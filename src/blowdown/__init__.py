@@ -13,88 +13,55 @@ Fraction or an int:
     moves, a catalog of named families walked into surgery plans and built
     along two independent routes, the verification suites, and a
     command-line front end that replays every comparison.
+
+`import blowdown` loads no submodule: each name below is imported from its
+module on first access (PEP 562), so a caller pays only for what it uses.
 """
 
-from .catalog import (
-    BlowupSpec,
-    EllipticSpec,
-    HpSumSpec,
-    HSpec,
-    LogSpec,
-    SpecParseError,
-    WSpec,
-    YSpec,
-    adjunction_audit,
-    donaldson_closed_form,
-    donaldson_pipeline,
-    parse_spec,
-    render,
-    replay,
-    surgery_plan,
-    sw_closed_form,
-    sw_covered,
-    sw_replay,
-)
-from .exppoly import (
-    ExpKernel,
-    cosh_c,
-    exact_div,
-    sinh_c,
-    twist,
-)
-from .lattice import (
-    ChainConfig,
-    HClass,
-    IntersectionLattice,
-    QClass,
-    RelClass,
-    Residue,
-    boundary,
-    characteristic_square,
-    is_characteristic,
-    pairing,
-    plumbing_inverse,
-    plumbing_matrix,
-    rel_pairing,
-)
-from .moduli import (
-    CanonicalClass,
-    DimReport,
-    canonical_tb,
-    corr,
-    dim_moduli,
-    dim_report,
-    e_square,
-    min_dim_search,
-    rho_half_closed_form,
-    verify_boundary_value_lemmas,
-)
-from .reporting import CheckReport
-from .swinv import (
-    SWMap,
-    sw_blowup,
-    sw_dim,
-    sw_en,
-    sw_log_transform,
-    sw_taut_blowdown,
-    witten_check,
-    witten_exponent,
-    witten_kernel,
-)
-from .transform import (
-    BlowdownResult,
-    ClassRecord,
-    ManifoldSeries,
-    RestrictedClass,
-    blowup,
-    connected_sum_hp,
-    formal_log_coefficients,
-    log_transform,
-    nodal_log_pipeline,
-    p2_blowdown,
-    restrict_class,
-    taut_blowdown,
-    verify_nodal_matrix_identity,
-)
+from importlib import import_module
 
+# module -> the names this package re-exports from it
+_EXPORTS = {
+    "catalog": (
+        "BlowupSpec", "EllipticSpec", "HpSumSpec", "HSpec", "LogSpec", "WSpec", "YSpec",
+        "adjunction_audit", "donaldson_closed_form", "donaldson_pipeline", "parse_spec",
+        "render", "replay", "surgery_plan", "sw_closed_form", "sw_covered", "sw_replay",
+    ),
+    "exppoly": ("ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist"),
+    "lattice": (
+        "ChainConfig", "HClass", "IntersectionLattice", "QClass", "RelClass", "Residue",
+        "boundary", "characteristic_square", "is_characteristic", "pairing",
+        "plumbing_inverse", "plumbing_matrix", "rel_pairing",
+    ),
+    "moduli": (
+        "CanonicalClass", "DimReport", "canonical_tb", "corr", "dim_moduli", "dim_report",
+        "e_square", "min_dim_search", "rho_half_closed_form", "verify_boundary_value_lemmas",
+    ),
+    "reporting": ("CheckReport", "SpecParseError"),
+    "swinv": (
+        "SWMap", "sw_blowup", "sw_dim", "sw_en", "sw_log_transform", "sw_taut_blowdown",
+        "witten_check", "witten_exponent", "witten_kernel",
+    ),
+    "transform": (
+        "BlowdownResult", "ClassRecord", "ManifoldSeries", "RestrictedClass", "blowup",
+        "connected_sum_hp", "formal_log_coefficients", "log_transform", "nodal_log_pipeline",
+        "p2_blowdown", "restrict_class", "taut_blowdown", "verify_nodal_matrix_identity",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

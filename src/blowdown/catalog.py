@@ -19,14 +19,13 @@ for the family leaf.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
 from .exppoly import ExpKernel, cosh_c, exact_div, one, sinh_c
 from .lattice import ChainConfig, HClass, IntersectionLattice, pairing, plumbing_matrix
-from .reporting import CheckReport
+from .reporting import CheckReport, Frozen, SpecParseError, set_field
 from .swinv import SWMap, sw_blowup, sw_en, sw_log_transform, sw_taut_blowdown
 from .transform import (
     ManifoldSeries,
@@ -41,84 +40,82 @@ from .transform import (
 # Spec expression tree
 
 
-@dataclass(frozen=True)
-class EllipticSpec:
+class EllipticSpec(Frozen):
     """E(n) with zero, one, or three (p, q) pairs of fiber multiplicities."""
 
-    n: int
-    pairs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("n", "pairs")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, pairs: tuple[tuple[int, int], ...] = ()):
+        if n < 2:
             raise ValueError("n >= 2 required (b+ >= 3)")
-        if len(self.pairs) not in (0, 1, 3):
+        if len(pairs) not in (0, 1, 3):
             raise ValueError("elliptic spec takes zero, one, or three multiplicity pairs")
-        for p, q in self.pairs:
+        for p, q in pairs:
             if p < 1 or q < 1:
                 raise ValueError("fiber multiplicities must be >= 1")
             if gcd(p, q) != 1:
                 raise ValueError(f"fiber multiplicities {p} and {q} must be coprime")
+        set_field(self, "n", n)
+        set_field(self, "pairs", pairs)
 
 
-@dataclass(frozen=True)
-class WSpec:
-    n: int
+class WSpec(Frozen):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("W(n) needs n >= 1")
-        if self.n > 8:
-            raise ValueError(
-                f"W({self.n}) rejected: simple connectivity is only guaranteed for n <= 8"
-            )
+        if n > 8:
+            raise ValueError(f"W({n}) rejected: simple connectivity is only guaranteed for n <= 8")
+        set_field(self, "n", n)
 
 
-@dataclass(frozen=True)
-class YSpec:
-    n: int
+class YSpec(Frozen):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 4:
+    def __init__(self, n: int):
+        if n < 4:
             raise ValueError("Y(n) needs n >= 4 (chain order n-2 >= 2)")
+        set_field(self, "n", n)
 
 
-@dataclass(frozen=True)
-class HSpec:
-    n: int
+class HSpec(Frozen):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 4:
+    def __init__(self, n: int):
+        if n < 4:
             raise ValueError("H(n) needs n >= 4 (chain order n-2 >= 2)")
+        set_field(self, "n", n)
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
-    base: "ManifoldSpec"
-    k: int
+class BlowupSpec(Frozen):
+    __slots__ = ("base", "k")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, base: "ManifoldSpec", k: int):
+        if k < 1:
             raise ValueError("blowup count must be >= 1")
+        set_field(self, "base", base)
+        set_field(self, "k", k)
 
 
-@dataclass(frozen=True)
-class LogSpec:
-    base: "ManifoldSpec"
-    p: int
+class LogSpec(Frozen):
+    __slots__ = ("base", "p")
 
-    def __post_init__(self):
-        if self.p < 1:
+    def __init__(self, base: "ManifoldSpec", p: int):
+        if p < 1:
             raise ValueError("log transform order must be >= 1")
+        set_field(self, "base", base)
+        set_field(self, "p", p)
 
 
-@dataclass(frozen=True)
-class HpSumSpec:
-    base: "ManifoldSpec"
-    p: int
+class HpSumSpec(Frozen):
+    __slots__ = ("base", "p")
 
-    def __post_init__(self):
-        if self.p < 1:
+    def __init__(self, base: "ManifoldSpec", p: int):
+        if p < 1:
             raise ValueError("homology-ball sum order must be >= 1")
+        set_field(self, "base", base)
+        set_field(self, "p", p)
 
 
 ManifoldSpec = Union[EllipticSpec, WSpec, YSpec, HSpec, BlowupSpec, LogSpec, HpSumSpec]
@@ -148,14 +145,6 @@ def render(spec: ManifoldSpec) -> str:
 
 # ---------------------------------------------------------------------------
 # Parsing
-
-
-class SpecParseError(ValueError):
-    """Malformed spec text; .pos is the character offset of the problem."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|[();,])")
@@ -278,8 +267,7 @@ def _kernel_pow(k: ExpKernel, n: int) -> ExpKernel:
     return out
 
 
-@dataclass(frozen=True)
-class SurgeryStep:
+class SurgeryStep(Frozen):
     """One surgery of a plan.
 
     op is "chain" (blow down the order-n chain of the named spheres, naming
@@ -288,11 +276,21 @@ class SurgeryStep:
     (n blowups) or "hpsum" (sum with the order-n homology ball).
     """
 
-    op: str
-    n: int
-    fiber: Optional[tuple[int, int]] = None
-    spheres: tuple[str, ...] = ()
-    image: Optional[str] = None
+    __slots__ = ("op", "n", "fiber", "spheres", "image")
+
+    def __init__(
+        self,
+        op: str,
+        n: int,
+        fiber: Optional[tuple[int, int]] = None,
+        spheres: tuple[str, ...] = (),
+        image: Optional[str] = None,
+    ):
+        set_field(self, "op", op)
+        set_field(self, "n", n)
+        set_field(self, "fiber", fiber)
+        set_field(self, "spheres", spheres)
+        set_field(self, "image", image)
 
     def config(self, lattice: IntersectionLattice) -> ChainConfig:
         return ChainConfig(self.n, lattice, [lattice.basis_class(nm) for nm in self.spheres])
@@ -302,8 +300,7 @@ class SurgeryStep:
         return HClass(lattice, tuple(mult if i == idx else 0 for i in range(lattice.rank)))
 
 
-@dataclass(frozen=True)
-class SurgeryPlan:
+class SurgeryPlan(Frozen):
     """A spec as an ordered list of surgeries on a seed.
 
     The seed is the elliptic surface E(seed) placed on the ambient lattice,
@@ -313,12 +310,23 @@ class SurgeryPlan:
     calculus cannot follow the plan, or is None when it can.
     """
 
-    family: ManifoldSpec
-    ambient: IntersectionLattice
-    seed: int
-    steps: tuple[SurgeryStep, ...]
-    family_steps: int
-    sw_gap: Optional[str]
+    __slots__ = ("family", "ambient", "seed", "steps", "family_steps", "sw_gap")
+
+    def __init__(
+        self,
+        family: ManifoldSpec,
+        ambient: IntersectionLattice,
+        seed: int,
+        steps: tuple[SurgeryStep, ...],
+        family_steps: int,
+        sw_gap: Optional[str],
+    ):
+        set_field(self, "family", family)
+        set_field(self, "ambient", ambient)
+        set_field(self, "seed", seed)
+        set_field(self, "steps", steps)
+        set_field(self, "family_steps", family_steps)
+        set_field(self, "sw_gap", sw_gap)
 
     def seed_series(self) -> ManifoldSeries:
         """The fiber power sinh^(seed-2)(f)."""

@@ -27,13 +27,14 @@ error, never a coercion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import mod, mul, sub
 from typing import Mapping, Optional, Sequence, Union
+
+from .reporting import Frozen, set_field
 
 Scalar = Union[int, Fraction]
 
@@ -177,18 +178,18 @@ def _check_same_lattice(a, b) -> None:
         raise ValueError("lattice mismatch: classes live in different lattices")
 
 
-@dataclass(frozen=True)
-class HClass:
+class HClass(Frozen):
     """Integral class: integer coordinates in the lattice basis."""
 
-    lattice: IntersectionLattice
-    coeffs: tuple[int, ...]
+    __slots__ = ("lattice", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.lattice.rank:
+    def __init__(self, lattice: IntersectionLattice, coeffs: tuple[int, ...]):
+        if len(coeffs) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        if not all(isinstance(c, int) for c in self.coeffs):
+        if not all(isinstance(c, int) for c in coeffs):
             raise TypeError("HClass coordinates must be ints")
+        set_field(self, "lattice", lattice)
+        set_field(self, "coeffs", coeffs)
 
     def __add__(self, other: "HClass") -> "HClass":
         _check_same_lattice(self, other)
@@ -218,17 +219,16 @@ class HClass:
         return pairing(self, self)
 
 
-@dataclass(frozen=True)
-class QClass:
+class QClass(Frozen):
     """Rational class: used for extensions of classes across a blowdown."""
 
-    lattice: IntersectionLattice
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("lattice", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.lattice.rank:
+    def __init__(self, lattice: IntersectionLattice, coeffs: Sequence[Scalar]):
+        if len(coeffs) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        set_field(self, "lattice", lattice)
+        set_field(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     def __add__(self, other) -> "QClass":
         _check_same_lattice(self, other)
@@ -313,17 +313,16 @@ def is_characteristic(lattice: IntersectionLattice, c: Union[HClass, QClass]) ->
     return characteristic_square(lattice, x, xden) is not None
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(Frozen):
     """An element of Z_m that refuses arithmetic across different moduli."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        if self.modulus <= 0:
+    def __init__(self, value: int, modulus: int):
+        if modulus <= 0:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "value", self.value % self.modulus)
+        set_field(self, "value", value % modulus)
+        set_field(self, "modulus", modulus)
 
     def _check(self, other: "Residue") -> None:
         if self.modulus != other.modulus:
@@ -443,26 +442,25 @@ class ChainConfig:
 _BASES = ("delta", "gamma")
 
 
-@dataclass(frozen=True)
-class RelClass:
+class RelClass(Frozen):
     """A class in the relative second homology of the order-p chain.
 
     Coordinates are in the delta basis by default (delta_1 = gamma_1,
     delta_i = gamma_i - gamma_{i-1}); the gamma basis is dual to the spheres.
     """
 
-    p: int
-    coeffs: tuple[int, ...]
-    basis: str = "delta"
+    __slots__ = ("p", "coeffs", "basis")
 
-    def __post_init__(self):
-        if self.p < 2:
+    def __init__(self, p: int, coeffs: Sequence[Scalar], basis: str = "delta"):
+        if p < 2:
             raise ValueError("chain order p must be at least 2")
-        if self.basis not in _BASES:
-            raise ValueError(f"unknown basis {self.basis!r}; expected one of {_BASES}")
-        if len(self.coeffs) != self.p - 1:
-            raise ValueError(f"expected {self.p - 1} coordinates for p={self.p}")
-        object.__setattr__(self, "coeffs", integral_coords(self.coeffs))
+        if basis not in _BASES:
+            raise ValueError(f"unknown basis {basis!r}; expected one of {_BASES}")
+        if len(coeffs) != p - 1:
+            raise ValueError(f"expected {p - 1} coordinates for p={p}")
+        set_field(self, "p", p)
+        set_field(self, "coeffs", integral_coords(coeffs))
+        set_field(self, "basis", basis)
 
     def delta_coords(self) -> tuple[int, ...]:
         if self.basis == "delta":

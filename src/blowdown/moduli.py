@@ -31,13 +31,12 @@ minimizer in lexicographic order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .lattice import RelClass, Residue, boundary, rel_pairing
-from .reporting import CheckReport
+from .reporting import CheckReport, Frozen, set_field
 
 
 def e_square(p: int, t: int, b: int) -> Fraction:
@@ -47,8 +46,7 @@ def e_square(p: int, t: int, b: int) -> Fraction:
     return Fraction(num, p * p)
 
 
-@dataclass(frozen=True)
-class CanonicalClass:
+class CanonicalClass(Frozen):
     """The step class <t, t+1; b>: p-1-b leading t's, then b entries t+1.
 
     Its moduli dimension is 2t - 1 only while boundary_value() < p^2 (t <= p);
@@ -56,17 +54,18 @@ class CanonicalClass:
     -2 e^2 - 3 for trivial boundary, gives the dimension.
     """
 
-    p: int
-    t: int
-    b: int
+    __slots__ = ("p", "t", "b")
 
-    def __post_init__(self):
-        if self.p < 2:
+    def __init__(self, p: int, t: int, b: int):
+        if p < 2:
             raise ValueError("chain order p must be at least 2")
-        if self.t < 0:
+        if t < 0:
             raise ValueError("t must be nonnegative")
-        if not 1 <= self.b <= self.p - 1:
+        if not 1 <= b <= p - 1:
             raise ValueError("b must satisfy 1 <= b <= p-1")
+        set_field(self, "p", p)
+        set_field(self, "t", t)
+        set_field(self, "b", b)
 
     def rel_class(self) -> RelClass:
         coords = (self.t,) * (self.p - 1 - self.b) + (self.t + 1,) * self.b
@@ -129,13 +128,17 @@ def dim_moduli(e: RelClass) -> int:
     return int(d)
 
 
-@dataclass(frozen=True)
-class DimReport:
-    e: RelClass
-    e_square: Fraction
-    boundary: Residue
-    reduced_boundary: int
-    dim: int
+class DimReport(Frozen):
+    __slots__ = ("e", "e_square", "boundary", "reduced_boundary", "dim")
+
+    def __init__(
+        self, e: RelClass, e_square: Fraction, boundary: Residue, reduced_boundary: int, dim: int
+    ):
+        set_field(self, "e", e)
+        set_field(self, "e_square", e_square)
+        set_field(self, "boundary", boundary)
+        set_field(self, "reduced_boundary", reduced_boundary)
+        set_field(self, "dim", dim)
 
 
 def dim_report(e: RelClass) -> DimReport:

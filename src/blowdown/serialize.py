@@ -16,12 +16,13 @@ import json
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
 
-from .exppoly import ExpKernel
-from .lattice import IntersectionLattice
-from .swinv import SWMap
-from .transform import BlowdownResult, ManifoldSeries
+if TYPE_CHECKING:  # annotations only, so that dim formats numbers without the calculus
+    from .exppoly import ExpKernel
+    from .lattice import IntersectionLattice
+    from .swinv import SWMap
+    from .transform import BlowdownResult, ManifoldSeries
 
 
 @lru_cache(maxsize=4096)

@@ -9,19 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .catalog import EllipticSpec, donaldson_closed_form, sw_closed_form
-from .exppoly import exact_div, sinh_c
 from .lattice import RelClass, boundary, plumbing_inverse, plumbing_matrix, rel_pairing
 from .linalg import identity, mat_eq, mat_mul
 from .moduli import canonical_tb, corr, rho_half_closed_form, verify_boundary_value_lemmas
 from .reporting import CheckReport
-from .swinv import witten_check
-from .transform import (
-    formal_log_coefficients,
-    log_transform,
-    nodal_log_pipeline,
-    verify_nodal_matrix_identity,
-)
 
 
 def suite_lattice(p_max: int) -> list[CheckReport]:
@@ -73,6 +64,16 @@ def suite_lemmas(p_max: int, t_max: int, box: int) -> list[CheckReport]:
 
 
 def suite_identities(p_max: int) -> list[CheckReport]:
+    # imported here so that verify lattice and lemmas never load the calculus
+    from .catalog import EllipticSpec, donaldson_closed_form
+    from .exppoly import exact_div, sinh_c
+    from .transform import (
+        formal_log_coefficients,
+        log_transform,
+        nodal_log_pipeline,
+        verify_nodal_matrix_identity,
+    )
+
     out = []
     for p in range(2, p_max + 1):
         out.append(CheckReport("nodal-matrix", verify_nodal_matrix_identity(p), p=p))
@@ -133,6 +134,9 @@ def witten_specs() -> list[str]:
 
 
 def suite_witten() -> list[CheckReport]:
+    from .catalog import donaldson_closed_form, sw_closed_form
+    from .swinv import witten_check
+
     out = []
     for s in witten_specs():
         ok = witten_check(donaldson_closed_form(s), sw_closed_form(s))

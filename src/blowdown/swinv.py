@@ -17,7 +17,6 @@ characteristic numbers, for exact comparison against the series calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -30,6 +29,7 @@ from .lattice import (
     characteristic_square,
     integral_coords,
 )
+from .reporting import Frozen, set_field
 from .transform import (
     BlowdownResult,
     ManifoldSeries,
@@ -42,8 +42,7 @@ from .transform import (
 KeyLike = Union[HClass, tuple]
 
 
-@dataclass(frozen=True, init=False)
-class SWMap:
+class SWMap(Frozen):
     """Finite support of a basic-class function, with characteristic numbers.
 
     The values are held as an integer ExpKernel (den == 1): `values` is its
@@ -54,10 +53,7 @@ class SWMap:
     space: sw_dim(key) = 0.
     """
 
-    kernel: ExpKernel
-    euler: int
-    signature: int
-    simple_type: bool
+    __slots__ = ("kernel", "euler", "signature", "simple_type")
 
     def __init__(
         self,
@@ -73,10 +69,10 @@ class SWMap:
             key = min(k for k, c in kernel.num.items() if c % kernel.den)
             v = Fraction(kernel.num[key], kernel.den)
             raise ValueError(f"value for class {key} must be an integer, got {v}")
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "simple_type", bool(simple_type))
+        set_field(self, "kernel", kernel)
+        set_field(self, "euler", euler)
+        set_field(self, "signature", signature)
+        set_field(self, "simple_type", bool(simple_type))
         # dimension zero means den * key^2 == den * (3 sigma + 2 e)
         zero_dim = lattice.den * (3 * self.signature + 2 * self.euler)
         for key in kernel.num:

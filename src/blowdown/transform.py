@@ -29,7 +29,6 @@ all 2^(p-1) sign patterns, whose enumeration tests/test_nodal_check.py keeps.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -51,6 +50,7 @@ from .lattice import (
     scaled_plumbing_inverse,
 )
 from .linalg import hnf_rows, identity, mat_inverse, mat_mul, mat_vec, span_coords
+from .reporting import Frozen, set_field
 
 
 def b_plus_of(euler: int, signature: int) -> int:
@@ -66,24 +66,24 @@ def b_plus_of(euler: int, signature: int) -> int:
     return b
 
 
-@dataclass(frozen=True)
-class ManifoldSeries:
+class ManifoldSeries(Frozen):
     """A simple-type series kernel with its characteristic numbers.
 
     b_plus is determined by (euler, signature) as in b_plus_of.  Every kernel
     exponent must be characteristic for the lattice.
     """
 
-    kernel: ExpKernel
-    euler: int
-    signature: int
+    __slots__ = ("kernel", "euler", "signature")
 
-    def __post_init__(self):
-        b_plus_of(self.euler, self.signature)
-        lat = self.lattice
-        bad = [key for key in self.kernel.num if characteristic_square(lat, key) is None]
+    def __init__(self, kernel: ExpKernel, euler: int, signature: int):
+        b_plus_of(euler, signature)
+        lat = kernel.lattice
+        bad = [key for key in kernel.num if characteristic_square(lat, key) is None]
         if bad:
             raise ValueError(f"kernel class {min(bad)} is not characteristic")
+        set_field(self, "kernel", kernel)
+        set_field(self, "euler", euler)
+        set_field(self, "signature", signature)
 
     @property
     def lattice(self) -> IntersectionLattice:
@@ -97,16 +97,26 @@ class ManifoldSeries:
         return [HClass(self.lattice, key) for key in sorted(self.kernel.num)]
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(Frozen):
     """Audit entry for one input class under a blowdown."""
 
-    source: tuple[int, ...]
-    status: str  # "kept" or "dropped"
-    residue: int
-    extension: Optional[tuple[Fraction, ...]] = None
-    image: Optional[tuple[int, ...]] = None
-    reason: str = ""
+    __slots__ = ("source", "status", "residue", "extension", "image", "reason")
+
+    def __init__(
+        self,
+        source: tuple[int, ...],
+        status: str,  # "kept" or "dropped"
+        residue: int,
+        extension: Optional[tuple[Fraction, ...]] = None,
+        image: Optional[tuple[int, ...]] = None,
+        reason: str = "",
+    ):
+        set_field(self, "source", source)
+        set_field(self, "status", status)
+        set_field(self, "residue", residue)
+        set_field(self, "extension", extension)
+        set_field(self, "image", image)
+        set_field(self, "reason", reason)
 
     def to_obj(self) -> dict:
         from .serialize import fraction_str
@@ -119,10 +129,13 @@ class ClassRecord:
         return obj
 
 
-@dataclass(frozen=True)
-class BlowdownResult:
-    result: object  # the blown-down ManifoldSeries or SWMap
-    class_map: tuple[ClassRecord, ...] = field(default_factory=tuple)
+class BlowdownResult(Frozen):
+    __slots__ = ("result", "class_map")
+
+    # result is the blown-down ManifoldSeries or SWMap
+    def __init__(self, result: object, class_map: tuple[ClassRecord, ...] = ()):
+        set_field(self, "result", result)
+        set_field(self, "class_map", class_map)
 
 
 class RestrictedClass:
@@ -341,7 +354,12 @@ def chain_pushoff(
         records.append(ClassRecord(kappa.coeffs, "kept", residue.value, qext, reason=reason))
     lat, basis = _blown_down_lattice(c, extensions, image_names)
     kept = iter(extensions)
-    records = [replace(r, image=_rebase(next(kept), basis)) if r.extension else r for r in records]
+    records = [
+        ClassRecord(r.source, r.status, r.residue, r.extension, _rebase(next(kept), basis), r.reason)
+        if r.extension
+        else r
+        for r in records
+    ]
     return lat, records
 
 
@@ -397,8 +415,7 @@ def _refined_name(old: str, divisor: int) -> str:
     return f"{old}_{divisor}"
 
 
-@dataclass(frozen=True)
-class LogPlacement:
+class LogPlacement(Frozen):
     """Where an order-p log transform sends exponent coordinates.
 
     lattice is the refined lattice, in which the fiber direction `index` is
@@ -407,11 +424,16 @@ class LogPlacement:
     times divisor plus j * step.
     """
 
-    lattice: IntersectionLattice
-    index: int
-    divisor: int
-    step: int
-    order: int
+    __slots__ = ("lattice", "index", "divisor", "step", "order")
+
+    def __init__(
+        self, lattice: IntersectionLattice, index: int, divisor: int, step: int, order: int
+    ):
+        set_field(self, "lattice", lattice)
+        set_field(self, "index", index)
+        set_field(self, "divisor", divisor)
+        set_field(self, "step", step)
+        set_field(self, "order", order)
 
     def image(self, key: tuple[int, ...], j: int) -> tuple[int, ...]:
         out = list(key)

@@ -69,13 +69,14 @@ def test_sw_names_each_drop_on_every_call(capsys):
 
 
 def test_text_mode_builds_no_structured_object(capsys, monkeypatch):
-    import blowdown.cli as cli
+    # the verbs import the builders from blowdown.serialize when they run
+    import blowdown.serialize as serialize
 
     def fail(*args):
         raise AssertionError("structured object built in text mode")
 
     for name in ("series_to_obj", "swmap_to_obj", "blowdown_to_obj"):
-        monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr(serialize, name, fail)
     for argv in (
         ["series", "E(3;2)"],
         ["logt", "E(3)", "2"],

@@ -1,0 +1,239 @@
+"""The slot records and the lazy package exports keep the semantics of the
+frozen dataclasses and eager imports they replaced: equality by exact type,
+hashing, refused assignment, unshared defaults, reprs and export identity."""
+
+import copy
+import pickle
+import sys
+from fractions import Fraction
+
+import pytest
+
+import blowdown
+from blowdown.catalog import (
+    BlowupSpec,
+    EllipticSpec,
+    HpSumSpec,
+    HSpec,
+    LogSpec,
+    SurgeryPlan,
+    SurgeryStep,
+    WSpec,
+    YSpec,
+    donaldson_closed_form,
+    parse_spec,
+    surgery_plan,
+)
+from blowdown.lattice import HClass, IntersectionLattice, QClass, RelClass, Residue
+from blowdown.moduli import CanonicalClass, dim_report
+from blowdown.reporting import CheckReport
+from blowdown.swinv import SWMap, sw_en
+from blowdown.transform import (
+    BlowdownResult,
+    ClassRecord,
+    LogPlacement,
+    ManifoldSeries,
+    log_placement,
+)
+
+# the names `import blowdown` offered when it imported every submodule eagerly
+EXPORTS = [
+    "BlowupSpec", "EllipticSpec", "HpSumSpec", "HSpec", "LogSpec", "SpecParseError", "WSpec",
+    "YSpec", "adjunction_audit", "donaldson_closed_form", "donaldson_pipeline", "parse_spec",
+    "render", "replay", "surgery_plan", "sw_closed_form", "sw_covered", "sw_replay",
+    "ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist", "ChainConfig", "HClass",
+    "IntersectionLattice", "QClass", "RelClass", "Residue", "boundary", "characteristic_square",
+    "is_characteristic", "pairing", "plumbing_inverse", "plumbing_matrix", "rel_pairing",
+    "CanonicalClass", "DimReport", "canonical_tb", "corr", "dim_moduli", "dim_report",
+    "e_square", "min_dim_search", "rho_half_closed_form", "verify_boundary_value_lemmas",
+    "CheckReport", "SWMap", "sw_blowup", "sw_dim", "sw_en", "sw_log_transform",
+    "sw_taut_blowdown", "witten_check", "witten_exponent", "witten_kernel", "BlowdownResult",
+    "ClassRecord", "ManifoldSeries", "RestrictedClass", "blowup", "connected_sum_hp",
+    "formal_log_coefficients", "log_transform", "nodal_log_pipeline", "p2_blowdown",
+    "restrict_class", "taut_blowdown", "verify_nodal_matrix_identity",
+]
+
+
+def _fiber_lattice():
+    return IntersectionLattice(["f"], [[0]])
+
+
+def frozen_records():
+    """One instance of every frozen record class, with a field name to poke."""
+    lat = IntersectionLattice(["f", "e"], [[0, 1], [1, -1]])
+    f = _fiber_lattice()
+    plan = surgery_plan("W(1)")
+    return [
+        (EllipticSpec(3, ((2, 3),)), "n"),
+        (WSpec(4), "n"),
+        (YSpec(4), "n"),
+        (HSpec(4), "n"),
+        (BlowupSpec(WSpec(1), 2), "k"),
+        (LogSpec(EllipticSpec(2), 3), "p"),
+        (HpSumSpec(EllipticSpec(2), 3), "p"),
+        (plan.steps[0], "n"),
+        (plan, "seed"),
+        (HClass(lat, (1, -2)), "coeffs"),
+        (QClass(lat, (Fraction(1, 2), 3)), "coeffs"),
+        (Residue(7, 4), "value"),
+        (RelClass(3, (1, 2)), "coeffs"),
+        (CanonicalClass(5, 1, 2), "t"),
+        (dim_report(RelClass(3, (1, 2))), "dim"),
+        (sw_en(3), "euler"),
+        (donaldson_closed_form("E(3)"), "euler"),
+        (ClassRecord((0, 1), "dropped", 0), "status"),
+        (BlowdownResult(None), "class_map"),
+        (log_placement(f, [], HClass(f, (1,)), 2), "order"),
+    ]
+
+
+def test_equality_needs_the_exact_type():
+    assert WSpec(4) != YSpec(4)
+    assert YSpec(4) != HSpec(4)
+    assert WSpec(4) != HSpec(4)
+    assert WSpec(4) != (4,)
+    assert LogSpec(EllipticSpec(2), 3) != HpSumSpec(EllipticSpec(2), 3)
+    assert len({WSpec(4), YSpec(4), HSpec(4)}) == 3
+
+
+def test_equal_records_hash_equal():
+    for text in ("E(3;2,3)", "hpsum(logt(blowup(E(2),2),3),5)", "W(4)"):
+        a, b = parse_spec(text), parse_spec(text)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+    assert {Residue(7, 4): 1}[Residue(3, 4)] == 1
+    assert RelClass(3, (1, 2)) != RelClass(3, (1, 2), basis="gamma")
+
+
+FROZEN = frozen_records()
+
+
+@pytest.mark.parametrize("record, name", FROZEN, ids=[type(r).__name__ for r, _ in FROZEN])
+def test_frozen_records_refuse_assignment(record, name):
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.unknown_field = 1
+    assert repr(record) == before
+    assert hash(record) == hash(record)
+
+
+@pytest.mark.parametrize("record, _", FROZEN, ids=[type(r).__name__ for r, _ in FROZEN])
+def test_records_copy_and_pickle_as_before(record, _):
+    assert copy.copy(record) == record
+    # records holding an IntersectionLattice neither deep-copied nor pickled before
+    if not isinstance(record, (HClass, QClass, LogPlacement, SWMap, ManifoldSeries, SurgeryPlan)):
+        for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert clone == record and type(clone) is type(record)
+
+
+def test_every_frozen_class_is_covered():
+    import blowdown.reporting as reporting
+
+    def leaves(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from leaves(sub)
+
+    covered = {type(record) for record, _ in FROZEN}
+    ours = {cls for cls in leaves(reporting.Frozen) if cls.__module__.startswith("blowdown.")}
+    assert ours <= covered
+    assert len(covered) == 20
+
+
+def test_check_reports_do_not_share_their_lists():
+    a, b = CheckReport("a", True), CheckReport("b", True)
+    a.parameters["q"] = 3
+    a.counterexamples.append([1, 2])
+    assert b.parameters == {} and b.counterexamples == []
+    a.passed = False  # check reports stay mutable, and so unhashable
+    assert a.line() == "FAIL a q=3  counterexample: [1, 2]"
+    with pytest.raises(TypeError):
+        hash(a)
+    assert CheckReport("a", True) == CheckReport("a", True)
+
+
+# (expression, its repr) as the frozen dataclasses printed them
+REPRS = [
+    ("WSpec(4)", "WSpec(n=4)"),
+    ("EllipticSpec(3, ((2, 3),))", "EllipticSpec(n=3, pairs=((2, 3),))"),
+    (
+        'parse_spec("hpsum(logt(blowup(E(2),2),3),5)")',
+        "HpSumSpec(base=LogSpec(base=BlowupSpec(base=EllipticSpec(n=2, pairs=()), k=2), p=3), p=5)",
+    ),
+    (
+        'SurgeryStep("logt", 3, fiber=(0, 2))',
+        "SurgeryStep(op='logt', n=3, fiber=(0, 2), spheres=(), image=None)",
+    ),
+    (
+        'surgery_plan("W(1)")',
+        "SurgeryPlan(family=WSpec(n=1), ambient=IntersectionLattice(['f', 's1']), seed=4, "
+        "steps=(SurgeryStep(op='chain', n=2, fiber=None, spheres=('s1',), image='k'),), "
+        "family_steps=1, sw_gap=None)",
+    ),
+    ("Residue(7, 4)", "Residue(value=3, modulus=4)"),
+    ('RelClass(3, (1, 2), basis="gamma")', "RelClass(p=3, coeffs=(1, 2), basis='gamma')"),
+    ("CanonicalClass(5, 1, 2)", "CanonicalClass(p=5, t=1, b=2)"),
+    (
+        "dim_report(RelClass(3, (1, 2)))",
+        "DimReport(e=RelClass(p=3, coeffs=(1, 2), basis='delta'), e_square=Fraction(-1, 1), "
+        "boundary=Residue(value=3, modulus=9), reduced_boundary=3, dim=1)",
+    ),
+    (
+        'CheckReport("y", False, parameters={"q": 3}, counterexamples=[[1, 2]])',
+        "CheckReport(name='y', passed=False, p=None, parameters={'q': 3}, counterexamples=[[1, 2]])",
+    ),
+    (
+        'ClassRecord((1, 0), "kept", 3, (Fraction(1, 2), Fraction(-1, 4)), (2, 1), "r")',
+        "ClassRecord(source=(1, 0), status='kept', residue=3, "
+        "extension=(Fraction(1, 2), Fraction(-1, 4)), image=(2, 1), reason='r')",
+    ),
+    ("BlowdownResult(None)", "BlowdownResult(result=None, class_map=())"),
+    (
+        "QClass(IntersectionLattice(['f', 'e'], [[0, 1], [1, -1]]), (Fraction(1, 2), 3))",
+        "QClass(lattice=IntersectionLattice(['f', 'e']), coeffs=(Fraction(1, 2), Fraction(3, 1)))",
+    ),
+    (
+        'donaldson_closed_form("E(3)")',
+        "ManifoldSeries(kernel=ExpKernel(-1/2*e^(-1,) + 1/2*e^(1,)), euler=36, signature=-24)",
+    ),
+    (
+        "sw_en(3)",
+        "SWMap(kernel=ExpKernel(-1*e^(-1,) + 1*e^(1,)), euler=36, signature=-24, simple_type=True)",
+    ),
+    (
+        "log_placement(_fiber_lattice(), [], HClass(_fiber_lattice(), (1,)), 2)",
+        "LogPlacement(lattice=IntersectionLattice(['f_2']), index=0, divisor=2, step=1, order=2)",
+    ),
+]
+
+
+@pytest.mark.parametrize("expr, text", REPRS, ids=[e for e, _ in REPRS])
+def test_reprs_are_unchanged(expr, text):
+    assert repr(eval(expr)) == text
+
+
+def test_exports_are_the_defining_modules_objects():
+    assert sorted(blowdown.__all__) == sorted(EXPORTS)
+    for name in blowdown.__all__:
+        value = getattr(blowdown, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("blowdown."), name
+        assert getattr(home, name) is value, name
+    import blowdown.catalog as catalog
+
+    assert catalog.SpecParseError is blowdown.SpecParseError
+
+
+def test_dir_lists_exports_and_unknown_names_raise():
+    listing = dir(blowdown)
+    assert set(EXPORTS) <= set(listing) and "__version__" in listing
+    assert listing == sorted(listing)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        blowdown.no_such_name
+    assert not hasattr(blowdown, "SERIES_RULES")  # a public name that is not exported
+    with pytest.raises(ImportError):
+        from blowdown import no_such_name  # noqa: F401
