@@ -89,6 +89,9 @@ class ExpKernel:
     def __setattr__(self, name, value):
         raise AttributeError("ExpKernel is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return ExpKernel._from_ints, (self.lattice, dict(self.num), self.den)
+
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -110,6 +110,9 @@ class IntersectionLattice:
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionLattice is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return IntersectionLattice, (self.basis_names, self.num, self.den)
+
     def restricted(
         self, basis_names: Sequence[str], rows: Sequence[Sequence[int]], den: int
     ) -> "IntersectionLattice":
@@ -212,9 +215,6 @@ class HClass(Frozen):
     def as_q(self) -> "QClass":
         return QClass(self.lattice, tuple(Fraction(a) for a in self.coeffs))
 
-    def dot(self, other) -> Fraction:
-        return pairing(self, other)
-
     def square(self) -> Fraction:
         return pairing(self, self)
 
@@ -245,9 +245,6 @@ class QClass(Frozen):
         return QClass(self.lattice, tuple(Fraction(k) * a for a in self.coeffs))
 
     __rmul__ = __mul__
-
-    def dot(self, other) -> Fraction:
-        return pairing(self, other)
 
     def square(self) -> Fraction:
         return pairing(self, self)
@@ -433,6 +430,9 @@ class ChainConfig:
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainConfig is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return ChainConfig, (self.p, self.ambient, self.spheres)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def swmap_to_obj(m: SWMap) -> dict:
         "euler": m.euler,
         "signature": m.signature,
         "b_plus": m.b_plus,
-        "simple_type": m.simple_type,
+        "simple_type": True,
     }
 
 

@@ -3,11 +3,11 @@
 An SWMap is the finite support of an integer-valued function on characteristic
 classes, stored as an exponential-sum kernel with integer coefficients and
 carried together with the characteristic numbers of the underlying series.
-The transforms move classes through the same surgery geometry as the
-kernel-level surgeries of .transform (blown_up_lattice, log_placement,
-chain_pushoff) but transport plain integer values instead of formal-sum
-coefficients, and never read a series coefficient: blowup adds an exceptional
-direction and splits each class into a pair, the log transform fans each class
+Every map is of simple type (each basic class has a zero-dimensional moduli
+space).  The transforms move classes through the surgery geometry of
+.transform (blown_up_lattice, sign_vectors, log_placement, chain_pushoff) but
+carry plain integer values and never read a series coefficient: blowup copies
+each class's value to its 2^k sign patterns, the log transform fans each class
 into p translates along the refined fiber, and the chain blowdown keeps
 exactly the classes meeting the end sphere fully, with values unchanged (no
 power-of-two factor on this side), recording why each other class drops.
@@ -37,6 +37,7 @@ from .transform import (
     blown_up_lattice,
     chain_pushoff,
     log_placement,
+    sign_vectors,
 )
 
 KeyLike = Union[HClass, tuple]
@@ -48,12 +49,11 @@ class SWMap(Frozen):
     The values are held as an integer ExpKernel (den == 1): `values` is its
     read-only `num`, mapping exponent coordinate tuples to nonzero integers,
     and every key must be characteristic.  b_plus is determined by (euler,
-    signature) as for ManifoldSeries (see b_plus_of).  With the simple-type
-    flag set (the default), every key must sit in a zero-dimensional moduli
-    space: sw_dim(key) = 0.
+    signature) as for ManifoldSeries (see b_plus_of).  Simple type: every
+    key must sit in a zero-dimensional moduli space, sw_dim(key) = 0.
     """
 
-    __slots__ = ("kernel", "euler", "signature", "simple_type")
+    __slots__ = ("kernel", "euler", "signature")
 
     def __init__(
         self,
@@ -61,7 +61,6 @@ class SWMap(Frozen):
         values: Union[Mapping[KeyLike, int], Iterable[tuple[KeyLike, int]]],
         euler: int,
         signature: int,
-        simple_type: bool = True,
     ):
         b_plus_of(euler, signature)
         kernel = ExpKernel(lattice, values)
@@ -72,14 +71,13 @@ class SWMap(Frozen):
         set_field(self, "kernel", kernel)
         set_field(self, "euler", euler)
         set_field(self, "signature", signature)
-        set_field(self, "simple_type", bool(simple_type))
         # dimension zero means den * key^2 == den * (3 sigma + 2 e)
         zero_dim = lattice.den * (3 * self.signature + 2 * self.euler)
         for key in kernel.num:
             sq = characteristic_square(lattice, key)
             if sq is None:
                 raise ValueError(f"basic class {key} is not characteristic")
-            if self.simple_type and sq != zero_dim:
+            if sq != zero_dim:
                 raise ValueError(
                     f"simple type requires a zero-dimensional moduli space, "
                     f"but class {key} has dimension {sw_dim(self, key)}"
@@ -135,41 +133,15 @@ def sw_en(n: int) -> SWMap:
     return SWMap(lat, values, 12 * n, -8 * n)
 
 
-def sw_blowup(
-    m: SWMap,
-    k_levels: Sequence[int] = (0,),
-    name: Union[None, str, Sequence[str]] = None,
-    *,
-    count: int = 1,
-) -> SWMap:
+def sw_blowup(m: SWMap, count: int = 1) -> SWMap:
     """count blowups in one pass.  Adds count exceptional square -1
-    directions (name: one name, or count names) and sends every class L to
-    the classes L + (+-(2k_1+1), ..., +-(2k_count+1)) with L's value, for
-    levels k_i in k_levels.  Each level costs k(k+1) of the moduli dimension,
-    which must stay >= 0, so a simple-type map (dimension 0) admits only
-    k=0: the 2^count sign patterns."""
-    levels = sorted(set(int(k) for k in k_levels))
-    if not levels or levels[0] < 0:
-        raise ValueError("blowup levels must be integers >= 0")
-    new_lat = blown_up_lattice(m.lattice, count, [name] if isinstance(name, str) else name)
-    # dimensions are tracked as the integers 4 * den * dim; the input classes
-    # were checked when m was built, so only their squares are read here, and
-    # a simple-type map was built with every square equal to zero_dim
-    den = m.lattice.den
-    zero_dim = den * (3 * m.signature + 2 * m.euler)
-    steps = [(sign * (2 * k + 1), 4 * den * k * (k + 1)) for k in levels for sign in (1, -1)]
-    tails: dict[int, list[tuple[int, ...]]] = {}
-    values: dict[tuple[int, ...], int] = {}
-    for key, v in m.values.items():
-        slack = 0 if m.simple_type else characteristic_square(m.lattice, key) - zero_dim
-        if slack not in tails:
-            grown = [((), slack)]
-            for _ in range(count):
-                grown = [(t + (c,), s - cost) for t, s in grown for c, cost in steps if s >= cost]
-            tails[slack] = [t for t, _ in grown]
-        for tail in tails[slack]:
-            values[key + tail] = v
-    return SWMap(new_lat, values, m.euler + count, m.signature - count, m.simple_type)
+    directions and copies the value of every class L to the 2^count classes
+    L + (+-1, ..., +-1); these are the classes of dimension zero again, so
+    the result is of simple type."""
+    lat = blown_up_lattice(m.lattice, count)
+    tails = sign_vectors(count)
+    values = {key + tail: v for key, v in m.values.items() for tail in tails}
+    return SWMap(lat, values, m.euler + count, m.signature - count)
 
 
 def sw_log_transform(m: SWMap, s: HClass, p: int) -> SWMap:
@@ -189,7 +161,7 @@ def sw_log_transform(m: SWMap, s: HClass, p: int) -> SWMap:
                     "log transform target collision: distinct classes map to the same class"
                 )
             values[nk] = m.values[key]
-    return SWMap(place.lattice, values, m.euler, m.signature, m.simple_type)
+    return SWMap(place.lattice, values, m.euler, m.signature)
 
 
 def sw_taut_blowdown(
@@ -213,7 +185,7 @@ def sw_taut_blowdown(
         if rec.image in values:
             raise ValueError("blowdown target collision: distinct classes map to the same class")
         values[rec.image] = m.values[rec.source]
-    out = SWMap(lat, values, m.euler - (c.p - 1), m.signature + (c.p - 1), m.simple_type)
+    out = SWMap(lat, values, m.euler - (c.p - 1), m.signature + (c.p - 1))
     return BlowdownResult(out, tuple(records))
 
 

@@ -11,9 +11,9 @@ blowup (e+1, sigma-1), chain blowdown (e-(p-1), sigma+(p-1)), log transform
 neutral.
 
 How a surgery moves lattice classes is the same for both calculi and lives in
-one function per surgery: blown_up_lattice, log_placement and chain_pushoff.
-The series transforms here and the basic-class transforms in .swinv differ
-only in the coefficient a moved class carries.
+one place per surgery: blown_up_lattice and sign_vectors, log_placement and
+chain_pushoff.  The series transforms here and the basic-class transforms in
+.swinv differ only in the coefficient a moved class carries.
 
 A chain of order p has |det P| = p^2, so chain_pushoff runs on integer
 numerators over p^2, from lattice.scaled_plumbing_inverse through the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from operator import mul
 from typing import Optional, Sequence
@@ -167,41 +168,32 @@ def _fresh_names(lattice: IntersectionLattice, stem: str, count: int) -> list[st
     return out
 
 
-def blown_up_lattice(
-    lattice: IntersectionLattice, k: int, names: Optional[Sequence[str]]
-) -> IntersectionLattice:
+def blown_up_lattice(lattice: IntersectionLattice, k: int) -> IntersectionLattice:
     """The lattice with k exceptional square -1 directions appended, orthogonal
-    to everything.  Without names they are called e1, e2, ..., skipping names
-    already in use."""
+    to everything, called e1, e2, ..., skipping names already in use."""
     if k < 1:
         raise ValueError("blowup count must be >= 1")
-    if names is None:
-        names = _fresh_names(lattice, "e", k)
-    elif len(names) != k or len(set(names)) != k:
-        raise ValueError("need k distinct exceptional names")
-    for name in names:
-        if name in lattice.basis_names:
-            raise ValueError(f"exceptional name {name!r} is already a basis name")
     n, den = lattice.rank, lattice.den
     num = [list(row) + [0] * k for row in lattice.num] + [[0] * (n + k) for _ in range(k)]
     for i in range(n, n + k):
         num[i][i] = -den
-    return IntersectionLattice(list(lattice.basis_names) + list(names), num, den)
+    return IntersectionLattice(list(lattice.basis_names) + _fresh_names(lattice, "e", k), num, den)
 
 
-def _sign_vectors(n: int):
-    for bits in range(1 << n):
-        yield tuple(1 if bits & (1 << i) else -1 for i in range(n))
+def sign_vectors(k: int) -> list[tuple[int, ...]]:
+    """The 2^k tails (+-1, ..., +-1) a blowup appends to every class, in
+    increasing order."""
+    return list(product((-1, 1), repeat=k))
 
 
-def blowup(m: ManifoldSeries, k: int = 1, names: Optional[Sequence[str]] = None) -> ManifoldSeries:
+def blowup(m: ManifoldSeries, k: int = 1) -> ManifoldSeries:
     """Add k exceptional square -1 directions and multiply the kernel by
     the product of their cosh factors; euler += k, signature -= k.  The
     product is written out in one pass: each term a e^kappa becomes
     a / 2^k e^(kappa + (+-1, ..., +-1)) over all 2^k sign patterns."""
-    new_lat = blown_up_lattice(m.lattice, k, names)
-    signs = list(_sign_vectors(k))
-    num = {key + s: c for key, c in m.kernel.num.items() for s in signs}
+    new_lat = blown_up_lattice(m.lattice, k)
+    tails = sign_vectors(k)
+    num = {key + tail: c for key, c in m.kernel.num.items() for tail in tails}
     kernel = ExpKernel._from_ints(new_lat, num, m.kernel.den << k)
     return ManifoldSeries(kernel, m.euler + k, m.signature - k)
 
@@ -553,7 +545,7 @@ def _check_nodal_chain(m: ManifoldSeries, p: int, s: Optional[HClass]) -> None:
     it is enough that each basic class extends to itself with boundary 0
     and each exceptional direction to s/p (0 without a fiber) with boundary
     p.  Raises RuntimeError on a mismatch."""
-    up = blown_up_lattice(m.lattice, p - 1, None)
+    up = blown_up_lattice(m.lattice, p - 1)
     pad = (0,) * (p - 1)
     s_up = HClass(up, (s.coeffs if s is not None else (0,) * m.lattice.rank) + pad)
     exc_names = up.basis_names[m.lattice.rank :]

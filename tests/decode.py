@@ -43,6 +43,8 @@ def series_from_obj(obj: dict) -> ManifoldSeries:
 
 
 def swmap_from_obj(obj: dict) -> SWMap:
+    if obj.get("simple_type", True) is not True:
+        raise ValueError("only simple-type basic-class maps are supported")
     lat = lattice_from_obj(obj["lattice"])
     values = {tuple(c["class"]): c["sw"] for c in obj["classes"]}
-    return SWMap(lat, values, obj["euler"], obj["signature"], obj.get("simple_type", True))
+    return SWMap(lat, values, obj["euler"], obj["signature"])

@@ -317,7 +317,7 @@ def test_int_core_matches_oracle_on_plumbing_chains():
 
 def test_int_core_matches_oracle_on_blown_up_lattice():
     rng = random.Random(5)
-    lat = blown_up_lattice(chain_lattice(5), 3, None)
+    lat = blown_up_lattice(chain_lattice(5), 3)
     assert lat.basis_names == ("u1", "u2", "u3", "u4", "e1", "e2", "e3")
     gram = [row + [0, 0, 0] for row in plumbing_matrix(5)]
     gram += [[0] * 4 + [-1 if j == i else 0 for j in range(3)] for i in range(3)]
@@ -348,7 +348,7 @@ def test_int_core_matches_oracle_on_refined_lattices():
         # the refinement is the lattice built directly from its Fractions
         assert new == IntersectionLattice(new.basis_names, want)
         # blowing up a refined lattice keeps its denominator
-        up = blown_up_lattice(new, 1, None)
+        up = blown_up_lattice(new, 1)
         assert up.den == den
         want_up = [row + [0] for row in want] + [[0] * len(want) + [-1]]
         _assert_matches_oracle(up, want_up, _sample_classes(up, rng, count=3))
@@ -494,8 +494,8 @@ def test_characteristic_square_on_refined_and_blown_up_lattices():
         lat = IntersectionLattice(["x", "y"], gram)
         for new in (
             refined_lattice(lat, lat.basis_class("x"), d, "nu"),
-            blown_up_lattice(refined_lattice(lat, lat.basis_class("x"), d, "nu"), 2, None),
-            blown_up_lattice(lat, 3, None),
+            blown_up_lattice(refined_lattice(lat, lat.basis_class("x"), d, "nu"), 2),
+            blown_up_lattice(lat, 3),
         ):
             g = new.gram
             for x in _box(new.rank, 3 if new.rank == 2 else 1):

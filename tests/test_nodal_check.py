@@ -35,7 +35,7 @@ def _sign_vectors(n):
 def _enumerated_check(m, p, s):
     """Every kappa + eps must push off to kappa + (sum(eps) / p) * s with
     boundary p * sum(eps) mod p^2, in the index-p subgroup."""
-    up = blown_up_lattice(m.lattice, p - 1, None)
+    up = blown_up_lattice(m.lattice, p - 1)
     pad = (0,) * (p - 1)
     s_up = HClass(up, (s.coeffs if s is not None else (0,) * m.lattice.rank) + pad)
     config = ChainConfig(

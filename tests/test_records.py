@@ -24,17 +24,12 @@ from blowdown.catalog import (
     parse_spec,
     surgery_plan,
 )
-from blowdown.lattice import HClass, IntersectionLattice, QClass, RelClass, Residue
+from blowdown.exppoly import ExpKernel
+from blowdown.lattice import ChainConfig, HClass, IntersectionLattice, QClass, RelClass, Residue
 from blowdown.moduli import CanonicalClass, dim_report
 from blowdown.reporting import CheckReport
-from blowdown.swinv import SWMap, sw_en
-from blowdown.transform import (
-    BlowdownResult,
-    ClassRecord,
-    LogPlacement,
-    ManifoldSeries,
-    log_placement,
-)
+from blowdown.swinv import sw_en
+from blowdown.transform import BlowdownResult, ClassRecord, log_placement
 
 # the names `import blowdown` offered when it imported every submodule eagerly
 EXPORTS = [
@@ -121,13 +116,46 @@ def test_frozen_records_refuse_assignment(record, name):
     assert hash(record) == hash(record)
 
 
-@pytest.mark.parametrize("record, _", FROZEN, ids=[type(r).__name__ for r, _ in FROZEN])
-def test_records_copy_and_pickle_as_before(record, _):
+@pytest.mark.parametrize("record, name", FROZEN, ids=[type(r).__name__ for r, _ in FROZEN])
+def test_records_copy_and_pickle_as_before(record, name):
     assert copy.copy(record) == record
-    # records holding an IntersectionLattice neither deep-copied nor pickled before
-    if not isinstance(record, (HClass, QClass, LogPlacement, SWMap, ManifoldSeries, SurgeryPlan)):
-        for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
-            assert clone == record and type(clone) is type(record)
+    for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert clone == record and type(clone) is type(record)
+        assert hash(clone) == hash(record)
+        with pytest.raises(AttributeError):
+            setattr(clone, name, 0)
+
+
+def _clones(obj):
+    return [copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+
+
+def test_lattices_and_kernels_copy_and_pickle():
+    lat = IntersectionLattice(["a", "b"], [[2, Fraction(1, 3)], [Fraction(1, 3), -2]])
+    kernel = donaldson_closed_form("E(4;2,3)").kernel
+    for obj in (lat, kernel, ExpKernel(lat, {(6, 6): Fraction(1, 4), (-6, -6): 3})):
+        for clone in _clones(obj):
+            assert clone == obj and type(clone) is type(obj) and hash(clone) == hash(obj)
+            with pytest.raises(AttributeError, match="is immutable"):
+                clone.den = 5
+    for clone in _clones(kernel):
+        assert clone.num == kernel.num and clone.den == kernel.den
+        assert clone.terms == kernel.terms
+        with pytest.raises(TypeError):
+            clone.num[(0,)] = 1
+
+
+def test_chain_configs_copy_and_pickle():
+    plan = surgery_plan("W(2)")
+    lat = plan.ambient
+    config = ChainConfig(2, lat, [lat.basis_class(plan.steps[0].spheres[0])])
+    for clone in _clones(config):
+        assert type(clone) is ChainConfig
+        assert (clone.p, clone.ambient, clone.spheres, clone.rows) == (
+            config.p, config.ambient, config.spheres, config.rows
+        )
+        with pytest.raises(AttributeError, match="is immutable"):
+            clone.p = 3
 
 
 def test_every_frozen_class_is_covered():
@@ -202,7 +230,7 @@ REPRS = [
     ),
     (
         "sw_en(3)",
-        "SWMap(kernel=ExpKernel(-1*e^(-1,) + 1*e^(1,)), euler=36, signature=-24, simple_type=True)",
+        "SWMap(kernel=ExpKernel(-1*e^(-1,) + 1*e^(1,)), euler=36, signature=-24)",
     ),
     (
         "log_placement(_fiber_lattice(), [], HClass(_fiber_lattice(), (1,)), 2)",

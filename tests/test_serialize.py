@@ -86,6 +86,15 @@ def test_series_from_obj_rejects_non_simple_type():
         series_from_obj(obj)
 
 
+def test_swmap_from_obj_rejects_non_simple_type():
+    obj = encoded(swmap_to_obj(sw_closed_form("E(4)")))
+    assert obj["simple_type"] is True
+    assert swmap_from_obj(obj) == sw_closed_form("E(4)")
+    obj["simple_type"] = False
+    with pytest.raises(ValueError, match=r"simple-type"):
+        swmap_from_obj(obj)
+
+
 def test_non_integral_characteristic_numbers_are_rejected():
     # e + sigma = 16 is even and gives b_plus 7, so only the integrality check
     # stops these; SWMap used to truncate them to 48 and -32, the series kept them
@@ -95,7 +104,7 @@ def test_non_integral_characteristic_numbers_are_rejected():
         obj["euler"], obj["signature"] = 48.5, -32.5
     for build in (
         lambda: ManifoldSeries(series.kernel, 48.5, -32.5),
-        lambda: SWMap(swmap.lattice, swmap.values, 48.5, -32.5, simple_type=False),
+        lambda: SWMap(swmap.lattice, swmap.values, 48.5, -32.5),
         lambda: series_from_obj(objs[0]),
         lambda: swmap_from_obj(objs[1]),
     ):

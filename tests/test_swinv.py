@@ -37,9 +37,10 @@ def test_swmap_validation():
     with pytest.raises(ValueError):
         SWMap(lat, {(2,): 1}, 46, -30)  # dimension 3/2
     with pytest.raises(ValueError):
-        SWMap(lat, {(3,): 1}, 46, -30)  # dimension 4 under simple type
-    m = SWMap(lat, {(3,): 1}, 46, -30, simple_type=False)
-    assert sw_dim(m, (3,)) == 4
+        SWMap(lat, {(3,): 1}, 46, -30)  # dimension 4
+    # the map is of simple type; sw_dim still measures any characteristic class
+    m = SWMap(lat, {(1,): 1, (-1,): -1}, 46, -30)
+    assert sw_dim(m, (1,)) == 0 and sw_dim(m, (3,)) == 4 and sw_dim(m, (2,)) == Fraction(3, 2)
 
 
 def test_swmap_checks_each_class_once(monkeypatch):
@@ -53,7 +54,7 @@ def test_swmap_checks_each_class_once(monkeypatch):
     m = sw_en(6)
     assert len(calls) == len(m) == 5
     calls.clear()
-    up = sw_blowup(m, (0, 1))
+    up = sw_blowup(m)
     # only the output map's constructor checks, once per output class
     assert len(calls) == len(up) == 10
     calls.clear()
@@ -89,7 +90,7 @@ def test_swmap_dimensions_over_a_gram_denominator():
     with pytest.raises(ValueError, match=r"but class \(6, 0\) has dimension 12$"):
         SWMap(lat, {(6, 6): 1, (6, 0): 1}, 0, 8)
     with pytest.raises(ValueError, match=r"^basic class \(2, 0\) is not characteristic$"):
-        SWMap(lat, {(2, 0): 1}, 0, 8, simple_type=False)
+        SWMap(lat, {(2, 0): 1}, 0, 8)
     up = sw_blowup(m, count=2)
     assert len(up) == 8 and all(sw_dim(up, key) == 0 for key in up.values)
 
@@ -128,8 +129,6 @@ def test_swmap_equality_and_hash():
     again = SWMap(IntersectionLattice(["f"], [[0]]), [((-2,), 1), ((0,), -2), ((2,), 1)], 48, -32)
     assert again == m and hash(again) == hash(m)
     assert len({m, again}) == 1
-    loose = SWMap(m.lattice, m.values, m.euler, m.signature, simple_type=False)
-    assert loose != m and loose.kernel == m.kernel
     assert SWMap(m.lattice, m.values, 60, -40) != sw_en(5)
 
 
@@ -157,16 +156,18 @@ def test_sw_en_binomials():
         sw_en(1)
 
 
-def test_sw_blowup_levels():
+def test_sw_blowup_examples():
     m = sw_blowup(sw_en(2))
     assert tuple(m.lattice.basis_names) == ("f", "e1")
     assert m.values == {(0, 1): 1, (0, -1): 1}
     assert (m.euler, m.signature) == (25, -17)
-    # level 1 needs dimension at least k(k+1) = 2, so it contributes nothing
-    m = sw_blowup(sw_en(3), k_levels=(0, 1))
+    m = sw_blowup(sw_en(3))
     assert m.values == {(1, 1): 1, (1, -1): 1, (-1, 1): -1, (-1, -1): -1}
-    with pytest.raises(ValueError):
-        sw_blowup(sw_en(2), k_levels=(-1,))
+    # the classes L + (+-3) have dimension -2, so a simple-type map refuses them
+    with pytest.raises(ValueError, match=r"has dimension -2$"):
+        SWMap(m.lattice, {(1, 3): 1}, m.euler, m.signature)
+    with pytest.raises(ValueError, match=r"^blowup count must be >= 1$"):
+        sw_blowup(sw_en(2), count=0)
 
 
 def test_sw_log_transform_examples():

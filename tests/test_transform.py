@@ -63,8 +63,6 @@ def test_blowup_multiplies_by_cosh():
     assert up.kernel == cosh_c(e1) * cosh_c(e2)
     with pytest.raises(ValueError):
         blowup(m, 0)
-    with pytest.raises(ValueError):
-        blowup(m, 2, names=["e", "e"])
 
 
 def test_restrict_class_w_chain():
