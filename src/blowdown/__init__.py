@@ -31,7 +31,7 @@ _EXPORTS = {
     "lattice": (
         "ChainConfig", "HClass", "IntersectionLattice", "QClass", "RelClass", "Residue",
         "boundary", "characteristic_square", "is_characteristic", "pairing",
-        "plumbing_inverse", "plumbing_matrix", "rel_pairing",
+        "plumbing_matrix", "rel_pairing",
     ),
     "moduli": (
         "CanonicalClass", "DimReport", "canonical_tb", "corr", "dim_moduli", "dim_report",

@@ -44,12 +44,12 @@ class IntersectionLattice:
 
     The pairing matrix is gram / den with gram integral; den defaults to 1.
     It is stored reduced, as integer numerators `num` over the least common
-    denominator `den`, so equal pairings give equal (num, den).  `gram` is the
-    read-only Fraction view of the same matrix.  `sparse_gram` is the cached
-    sparse form of `num` that the characteristic test walks.
+    denominator `den`, so equal pairings give equal (num, den).
+    `sparse_gram` is the cached sparse form of `num` that the characteristic
+    test walks.
     """
 
-    __slots__ = ("basis_names", "num", "den", "_index", "_gram", "_sparse")
+    __slots__ = ("basis_names", "num", "den", "_index", "_sparse")
 
     def __init__(
         self, basis_names: Sequence[str], gram: Sequence[Sequence[Scalar]], den: int = 1
@@ -82,16 +82,7 @@ class IntersectionLattice:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
-        object.__setattr__(self, "_gram", None)
         object.__setattr__(self, "_sparse", None)
-
-    @property
-    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._gram is None:
-            den = self.den
-            view = tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
-            object.__setattr__(self, "_gram", view)
-        return self._gram
 
     @property
     def sparse_gram(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -385,12 +376,6 @@ def scaled_plumbing_inverse(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(min(i, j) * (max(i, j) * (p + 1) - p * p) for j in range(1, p)) for i in range(1, p)
     )
-
-
-def plumbing_inverse(p: int) -> list[list[Fraction]]:
-    """The inverse of plumbing_matrix(p): scaled_plumbing_inverse(p) / p^2."""
-    p2 = p * p
-    return [[Fraction(x, p2) for x in row] for row in scaled_plumbing_inverse(p)]
 
 
 class ChainConfig:

@@ -66,14 +66,12 @@ def _terms_json(k: ExpKernel, field: str, quote: str, pad: str) -> str:
     return "[" + body + pad + "]"
 
 
-def _num_obj(x: Fraction) -> Any:
-    return int(x) if x.denominator == 1 else fraction_str(x)
-
-
 def lattice_to_obj(lat: IntersectionLattice) -> dict:
+    """Gram entries as ints when integral, else as "num/den" strings."""
+    den = lat.den
     return {
         "basis": list(lat.basis_names),
-        "gram": [[_num_obj(v) for v in row] for row in lat.gram],
+        "gram": [[x // den if x % den == 0 else ratio_str(x, den) for x in row] for row in lat.num],
     }
 
 

@@ -46,11 +46,10 @@ from .lattice import (
     boundary,
     characteristic_square,
     pairing,
-    plumbing_inverse,
     plumbing_matrix,
     scaled_plumbing_inverse,
 )
-from .linalg import hnf_rows, identity, mat_inverse, mat_mul, mat_vec, span_coords
+from .linalg import hnf_rows, mat_vec, span_coords
 from .reporting import Frozen, set_field
 
 
@@ -509,32 +508,35 @@ def _exceptional_chain_spheres(
     return spheres
 
 
+def _nodal_matrix(p: int) -> list[list[int]]:
+    """A: row i holds the coordinates of the i-th sphere of the exceptional
+    chain (no fiber) in the exceptional directions e_1, ..., e_{p-1}."""
+    n = p - 1
+    a = [[0] * n for _ in range(n)]
+    for i in range(1, p - 1):
+        a[i - 1][p - i - 2], a[i - 1][p - i - 1] = 1, -1
+    a[n - 1] = [-2] + [-1] * (n - 1)
+    return a
+
+
 def verify_nodal_matrix_identity(p: int) -> bool:
-    """Exact checks of the linear algebra behind the nodal-chain extension:
-    with A the change-of-basis matrix of the exceptional chain,
-    P (A^t)^{-1} = -A, A^t P^{-1} A = -I, and the end coordinate of
-    P^{-1} A (1,...,1) equals (p-1)/p."""
+    """Exact integer checks of the linear algebra behind the nodal-chain
+    extension.  With A the change-of-basis matrix of the exceptional chain
+    and S = p^2 P^{-1} (scaled_plumbing_inverse): P = -A A^t, which is
+    P (A^t)^{-1} = -A; A^t S A = -p^2 I; and the end coordinate of
+    S A (1,...,1) equals p(p-1), that is (p-1)/p over p^2.  A wrong A gives
+    False, never an error."""
     if p < 2:
         raise ValueError("need p >= 2")
-    n = p - 1
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, p - 1):
-        a[i - 1][p - (i + 1) - 1] = Fraction(1)
-        a[i - 1][p - i - 1] = Fraction(-1)
-    a[n - 1][0] = Fraction(-2)
-    for j in range(1, n):
-        a[n - 1][j] = Fraction(-1)
-    pm = [[Fraction(x) for x in row] for row in plumbing_matrix(p)]
-    at = [list(col) for col in zip(*a)]
-    neg_a = [[-x for x in row] for row in a]
-    if mat_mul(pm, mat_inverse(at)) != neg_a:
+    n, p2 = p - 1, p * p
+    a, s = _nodal_matrix(p), scaled_plumbing_inverse(p)
+    if plumbing_matrix(p) != [[-x for x in mat_vec(a, row)] for row in a]:
         return False
-    pinv = plumbing_inverse(p)
-    prod = mat_mul(mat_mul(at, pinv), a)
-    if prod != [[-x for x in row] for row in identity(n)]:
-        return False
-    x = mat_vec(pinv, mat_vec(a, [Fraction(1)] * n))
-    return x[n - 1] == Fraction(p - 1, p)
+    at = list(zip(*a))
+    for j, col in enumerate(at):
+        if mat_vec(at, mat_vec(s, col)) != [-p2 if i == j else 0 for i in range(n)]:
+            return False
+    return mat_vec(s, mat_vec(a, [1] * n))[n - 1] == p * (p - 1)
 
 
 def _check_nodal_chain(m: ManifoldSeries, p: int, s: Optional[HClass]) -> None:

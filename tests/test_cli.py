@@ -164,6 +164,45 @@ def test_verify_lattice_checks_corr_against_its_closed_form(capsys, monkeypatch)
     ]
 
 
+def test_verify_lattice_fails_a_wrong_plumbing_inverse(capsys, monkeypatch):
+    import blowdown.suites as suites
+
+    real = suites.scaled_plumbing_inverse
+
+    def off_by_one(p):
+        s = [list(row) for row in real(p)]
+        if p == 5:
+            s[2][1] += 1
+        return s
+
+    monkeypatch.setattr(suites, "scaled_plumbing_inverse", off_by_one)
+    code, out, _ = run(capsys, "verify", "lattice")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL plumbing-inverse p=5"
+    ]
+
+
+def test_verify_identities_fails_a_wrong_nodal_matrix(capsys, monkeypatch):
+    import blowdown.transform as transform
+
+    real = transform._nodal_matrix
+
+    def corrupted(p):
+        a = real(p)
+        if p == 4:
+            a[2][2] = 3  # makes A singular, so A^t has no inverse
+        return a
+
+    monkeypatch.setattr(transform, "_nodal_matrix", corrupted)
+    assert transform.verify_nodal_matrix_identity(4) is False
+    code, out, _ = run(capsys, "verify", "identities")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL nodal-matrix p=4"
+    ]
+
+
 def test_verify_structured(capsys):
     code, out, _ = run(capsys, "verify", "lattice", "--p-max", "3", "--format", "structured")
     assert code == 0

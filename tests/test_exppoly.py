@@ -298,6 +298,5 @@ def test_refined_lattice_gram_scaling():
     new = refined_lattice(lat, lat.basis_class("f"), 2, "f_2")
     assert tuple(new.basis_names) == ("f_2", "s")
     # f = 2 f_2 so f_2^2 = 4/4 = 1 and f_2.s = 2/2 = 1
-    assert new.gram[0][0] == 1
-    assert new.gram[0][1] == 1
-    assert new.gram[1][1] == -4
+    assert new.den == 1
+    assert new.num == ((1, 1), (1, -4))

@@ -1,4 +1,5 @@
-"""Lint: every name a library module imports is used in that module.
+"""Lint: every name a library module imports is used in that module, and
+linalg imports nothing from fractions.
 
 Uses only the standard library's ast.  The package's __init__.py is exempt,
 since its imports are the public re-exports.
@@ -56,3 +57,12 @@ def test_lint_catches_an_unused_import():
     src = "from math import gcd, lcm\nimport os.path\n\ndef f(x: 'Fraction'):\n    return lcm(x, 2)\n"
     assert unused_imports(src) == [("gcd", 1), ("os", 2)]
     assert unused_imports("from fractions import Fraction\ndef f(x: 'Fraction'): pass\n") == []
+
+
+def test_linalg_is_integer_only():
+    """The Fraction matrix layer stays gone: linalg imports nothing from
+    fractions, so every matrix routine there runs on ints."""
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert "fractions" not in modules

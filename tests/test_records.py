@@ -38,7 +38,7 @@ EXPORTS = [
     "render", "replay", "surgery_plan", "sw_closed_form", "sw_covered", "sw_replay",
     "ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist", "ChainConfig", "HClass",
     "IntersectionLattice", "QClass", "RelClass", "Residue", "boundary", "characteristic_square",
-    "is_characteristic", "pairing", "plumbing_inverse", "plumbing_matrix", "rel_pairing",
+    "is_characteristic", "pairing", "plumbing_matrix", "rel_pairing",
     "CanonicalClass", "DimReport", "canonical_tb", "corr", "dim_moduli", "dim_report",
     "e_square", "min_dim_search", "rho_half_closed_form", "verify_boundary_value_lemmas",
     "CheckReport", "SWMap", "sw_blowup", "sw_dim", "sw_en", "sw_log_transform",
