@@ -283,6 +283,39 @@ def test_kernel_rejects_non_integral_exponents():
     assert ExpKernel(lat, {(Fraction(4, 2),): 1}) == ExpKernel(lat, {(2,): 1})
 
 
+@pytest.mark.parametrize("at", [0, 2500, 5000])
+def test_one_bad_exponent_among_many_valid_ones(at):
+    lat = diagonal_lattice(["x", "y"], [0, -1])
+    valid = [((i, i % 7), 1) for i in range(5000)]
+
+    def with_term(key):
+        return valid[:at] + [(key, 3)] + valid[at:]
+
+    for bad, message in [
+        ((Fraction(1, 2), 0), r"non-integral coordinate"),
+        ((7,), r"^exponent length does not match lattice rank$"),
+        ((1, 2, 3), r"^exponent length does not match lattice rank$"),
+    ]:
+        for make in (ExpKernel, lambda lat, terms: ExpKernel._from_ints(lat, dict(terms), 1)):
+            for terms in (with_term(bad), dict(with_term(bad))):
+                with pytest.raises(ValueError, match=message):
+                    make(lat, terms)
+    # a list exponent is read as its tuple; a bad one raises as the tuple would
+    for bad, message in [
+        ([Fraction(1, 2), 0], r"non-integral coordinate"),
+        ([7], r"^exponent length does not match lattice rank$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ExpKernel(lat, with_term(bad))
+    k = ExpKernel(lat, with_term([-1, 2]))
+    assert k.num[(-1, 2)] == 3 and len(k) == 5001
+    # exact ints are stored: True becomes 1, an integral Fraction its int
+    for odd in [(True, 0), (Fraction(-4, 2), False)]:
+        for k in (ExpKernel(lat, dict(with_term(odd))), ExpKernel._from_ints(lat, dict(with_term(odd)), 1)):
+            assert len(k) == 5001 and k.num[tuple(map(int, odd))] == 3
+            assert {type(x) for key in k.num for x in key} == {int}
+
+
 def test_refine_lattice_composition():
     lat = IntersectionLattice(["f", "s"], [[0, 1], [1, -4]])
     f = lat.basis_class("f")

@@ -95,6 +95,25 @@ def test_swmap_dimensions_over_a_gram_denominator():
     assert len(up) == 8 and all(sw_dim(up, key) == 0 for key in up.values)
 
 
+def test_swmap_names_the_first_bad_class_in_insertion_order():
+    # on f^2 = 0, e1^2 = -1 at (e, sigma) = (49, -33) the basic classes are (a, +-1);
+    # (5, 3) is characteristic of dimension -2, (-7, 2) is not characteristic
+    lat = diagonal_lattice(["f", "e1"], [0, -1])
+    good = [((a, s), 1) for a in range(-2000, 2000) for s in (-1, 1)]
+    assert len(SWMap(lat, good, 49, -33)) == 8000
+    wrong_dim = (r"^simple type requires a zero-dimensional moduli space, "
+                 r"but class \(5, 3\) has dimension -2$")
+    not_char = r"^basic class \(-7, 2\) is not characteristic$"
+    for first, second, message in [((5, 3), (-7, 2), wrong_dim), ((-7, 2), (5, 3), not_char)]:
+        values = dict(good[:4000] + [(first, 1), (second, -1)] + good[4000:])
+        with pytest.raises(ValueError, match=message):
+            SWMap(lat, values, 49, -33)
+    # the fiber check names the smallest class that meets f
+    m = SWMap(FS, {(4, 2): 1, (0, 0): 1, (-4, -2): 1, (2, 0): 1}, 48, -32)
+    with pytest.raises(ValueError, match=r"^class \(-4, -2\) is not orthogonal to the fiber$"):
+        sw_log_transform(m, FS.basis_class("f"), 3)
+
+
 def test_swmap_rejects_non_integral_keys():
     # (5/2,) used to truncate to the valid E(4) class (2,)
     with pytest.raises(ValueError, match=r"non-integral coordinate"):

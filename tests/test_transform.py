@@ -47,6 +47,19 @@ def test_series_validation():
         ManifoldSeries(ExpKernel(FS, {(3, 0): 1, (0, 0): 1, (1, 0): 1}), 48, -32)
 
 
+def test_series_and_fiber_checks_name_the_smallest_bad_class():
+    # on FS the characteristic classes are (even, even), and f pairs with (a, b) to b
+    good = [(2 * a, 2 * b) for a in range(-30, 30) for b in range(-30, 30)]
+    mixed = good + [(5, 2), (1, -8), (2, 7), (-3, 0)]
+    random.Random(5).shuffle(mixed)
+    with pytest.raises(ValueError, match=r"^kernel class \(-3, 0\) is not characteristic$"):
+        ManifoldSeries(ExpKernel(FS, dict.fromkeys(mixed, 1)), 48, -32)
+    m = ManifoldSeries(ExpKernel(FS, {(4, 2): 1, (0, 0): 1, (2, -2): 1, (-6, 0): 1, (2, 4): 1}), 48, -32)
+    for route in (log_transform, nodal_log_pipeline):
+        with pytest.raises(ValueError, match=r"^class \(2, -2\) is not orthogonal to the fiber$"):
+            route(m, FS.basis_class("f"), 3)
+
+
 def test_series_charnums():
     m = _en(3)
     assert (m.euler, m.signature, m.b_plus) == (36, -24, 5)
