@@ -37,6 +37,13 @@ class ExpKernel:
     __slots__ = ("lattice", "num", "den", "_terms")
 
     def __init__(self, lattice: IntersectionLattice, terms: Mapping = ()):
+        if (
+            isinstance(terms, Mapping)
+            and set(map(type, terms)) <= {tuple}
+            and set(map(type, terms.values())) <= {int}
+        ):
+            self._store(lattice, terms, 1)
+            return
         acc: dict[tuple, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for key, coeff in items:
@@ -60,15 +67,24 @@ class ExpKernel:
         k._store(lattice, num, den)
         return k
 
-    def _store(self, lattice: IntersectionLattice, num: dict, den: int) -> None:
+    def _store(self, lattice: IntersectionLattice, num: Mapping, den: int) -> None:
         rank = lattice.rank
-        clean = {}
-        for key, c in num.items():
-            key = integral_coords(key)
-            if len(key) != rank:
-                raise ValueError("exponent length does not match lattice rank")
-            if c:
-                clean[key] = c
+        keys = num.keys()
+        # tuples of exact ints of the right length, checked a column at a time
+        if (
+            set(map(type, keys)) <= {tuple}
+            and set(map(len, keys)) <= {rank}
+            and all(set(map(type, col)) <= {int} for col in zip(*keys))
+        ):
+            clean = {key: c for key, c in num.items() if c}
+        else:
+            clean = {}
+            for key, c in num.items():
+                key = integral_coords(key)
+                if len(key) != rank:
+                    raise ValueError("exponent length does not match lattice rank")
+                if c:
+                    clean[key] = c
         g = gcd(den, *clean.values())
         if g != 1:
             clean = {key: c // g for key, c in clean.items()}

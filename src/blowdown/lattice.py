@@ -18,9 +18,11 @@ denominator `den` (1 for every lattice except the refined fiber lattices), so
 `pairing` and `is_characteristic` run in integer arithmetic: a rational class
 is scaled to integer numerators over the lcm of its denominators first.  All
 pairings are still exact: `pairing` returns one `Fraction` built from the
-integer total.  `characteristic_square` is the one characteristic test: a
-single pass over the nonzero Gram entries gives every c . x for the parity
-test and, from the same dot products, the integer square den * c . c.
+integer total.  `characteristic_squares` is the one characteristic test, and
+it reads a batch of classes as columns, one per lattice coordinate: the
+nonzero entries of Gram row i give the column of every c . x_i, the parity
+test runs on that column, and the same dots add into the integer squares
+den * c . c.  `characteristic_square` is its one-class call.
 Classes carry their lattice and arithmetic across different lattices is an
 error, never a coercion.
 """
@@ -29,10 +31,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import mod, mul, sub
-from typing import Mapping, Optional, Sequence, Union
+from operator import add, mod, mul, sub
+from typing import Collection, Mapping, Optional, Sequence, Union
 
 from .reporting import Frozen, set_field
 
@@ -45,8 +47,8 @@ class IntersectionLattice:
     The pairing matrix is gram / den with gram integral; den defaults to 1.
     It is stored reduced, as integer numerators `num` over the least common
     denominator `den`, so equal pairings give equal (num, den).
-    `sparse_gram` is the cached sparse form of `num` that the characteristic
-    test walks.
+    `sparse_gram` is the cached sparse form of `num`, row by row, that the
+    characteristic test walks.
     """
 
     __slots__ = ("basis_names", "num", "den", "_index", "_sparse")
@@ -85,17 +87,16 @@ class IntersectionLattice:
         object.__setattr__(self, "_sparse", None)
 
     @property
-    def sparse_gram(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-        """The diagonal of `num` and its nonzero entries (i, j, g) above the
-        diagonal, computed once.  A blown-up lattice G + (-I_k) has no entry
-        above the diagonal past G's."""
+    def sparse_gram(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """Row i of `num` as its diagonal entry and its nonzero entries (j, g)
+        off the diagonal, computed once.  A blown-up lattice G + (-I_k) has
+        no off-diagonal entry in its exceptional rows."""
         if self._sparse is None:
-            num = self.num
-            diag = tuple(row[i] for i, row in enumerate(num))
-            upper = tuple(
-                (i, j, row[j]) for i, row in enumerate(num) for j in range(i + 1, len(row)) if row[j]
+            sparse = tuple(
+                (row[i], tuple((j, g) for j, g in enumerate(row) if g and j != i))
+                for i, row in enumerate(self.num)
             )
-            object.__setattr__(self, "_sparse", (diag, upper))
+            object.__setattr__(self, "_sparse", sparse)
         return self._sparse
 
     def __setattr__(self, name, value):
@@ -261,32 +262,51 @@ def pairing(a: Union[HClass, QClass], b: Union[HClass, QClass]) -> Fraction:
     return Fraction(total, a.lattice.den * xden * yden)
 
 
+def characteristic_squares(
+    lattice: IntersectionLattice, keys: Collection[Sequence[int]], xden: int = 1
+) -> list[Optional[int]]:
+    """den * xden^2 * (c . c), with den = lattice.den, for each class
+    c = key / xden (integer keys) that is characteristic: c . x = x . x
+    (mod 2) for every basis vector x, both pairings being integers.  None
+    for the others.
+
+    The keys are read as columns, one per lattice coordinate i: the nonzero
+    entries of Gram row i give the column dots = den * xden * (c . x_i) of
+    every class, the parity test reads it, and coordinate i times dots adds
+    into every square.  A zero Gram row pairs every class to 0 = x_i . x_i
+    and adds 0 to the square, so its coordinate is skipped.
+    """
+    n = len(keys)
+    lden = lattice.den
+    rows = lattice.sparse_gram
+    if not n or (lden > 1 and any(s % lden for s, _ in rows)):
+        return [None] * n  # no classes, or some x . x is not an integer
+    cols = list(zip(*keys))
+    modulus = 2 * lden * xden
+    squares = [0] * n
+    bad: set[int] = set()
+    for col, (s, off) in zip(cols, rows):
+        if not (s or off):
+            continue
+        dots = list(map(mul, col, repeat(s)))
+        for j, g in off:
+            dots = list(map(add, dots, map(mul, cols[j], repeat(g))))
+        # c . x_i is an integer of the parity of x_i . x_i = s / den exactly
+        # when dots = xden * s modulo 2 * den * xden
+        odd = list(map(mod, map(sub, dots, repeat(xden * s)), repeat(modulus)))
+        if any(odd):
+            bad.update(compress(range(n), odd))
+        squares = list(map(add, squares, map(mul, col, dots)))
+    for k in bad:
+        squares[k] = None
+    return squares
+
+
 def characteristic_square(
     lattice: IntersectionLattice, coords: Sequence[int], xden: int = 1
 ) -> Optional[int]:
-    """den * xden^2 * (c . c), with den = lattice.den, when the class
-    c = coords / xden (integer coords) is characteristic: c . x = x . x
-    (mod 2) for every basis vector x, both pairings being integers.  None
-    otherwise.
-
-    One pass over the nonzero Gram entries gives the integers
-    dots[i] = den * xden * (c . x_i); the parity test reads them, and the
-    square is the sum of coords times the same dots.
-    """
-    lden = lattice.den
-    diag, upper = lattice.sparse_gram
-    if lden > 1 and any(s % lden for s in diag):
-        return None  # some x . x is not an integer
-    dots = list(map(mul, diag, coords))
-    for i, j, g in upper:
-        dots[i] += g * coords[j]
-        dots[j] += g * coords[i]
-    # c . x_i is an integer of the parity of x_i . x_i = diag[i] / den exactly
-    # when dots[i] = xden * diag[i] modulo 2 * den * xden
-    targets = diag if xden == 1 else [xden * s for s in diag]
-    if any(map(mod, map(sub, dots, targets), repeat(2 * lden * xden))):
-        return None
-    return sum(map(mul, coords, dots))
+    """characteristic_squares for the one class coords / xden."""
+    return characteristic_squares(lattice, [coords], xden)[0]
 
 
 def is_characteristic(lattice: IntersectionLattice, c: Union[HClass, QClass]) -> bool:

@@ -27,6 +27,7 @@ from .lattice import (
     HClass,
     IntersectionLattice,
     characteristic_square,
+    characteristic_squares,
     integral_coords,
 )
 from .reporting import Frozen, set_field
@@ -73,15 +74,15 @@ class SWMap(Frozen):
         set_field(self, "signature", signature)
         # dimension zero means den * key^2 == den * (3 sigma + 2 e)
         zero_dim = lattice.den * (3 * self.signature + 2 * self.euler)
-        for key in kernel.num:
-            sq = characteristic_square(lattice, key)
+        squares = characteristic_squares(lattice, kernel.num)
+        if squares.count(zero_dim) != len(squares):
+            key, sq = next((k, sq) for k, sq in zip(kernel.num, squares) if sq != zero_dim)
             if sq is None:
                 raise ValueError(f"basic class {key} is not characteristic")
-            if sq != zero_dim:
-                raise ValueError(
-                    f"simple type requires a zero-dimensional moduli space, "
-                    f"but class {key} has dimension {sw_dim(self, key)}"
-                )
+            raise ValueError(
+                f"simple type requires a zero-dimensional moduli space, "
+                f"but class {key} has dimension {sw_dim(self, key)}"
+            )
 
     @property
     def lattice(self) -> IntersectionLattice:
@@ -152,16 +153,12 @@ def sw_log_transform(m: SWMap, s: HClass, p: int) -> SWMap:
     j = p-1, p-3, ..., -(p-1), all carrying L's value.  Distinct classes whose
     fans meet would need their values reconciled; that case raises instead.
     """
-    place = log_placement(m.lattice, m.basic_classes(), s, p)
-    values: dict[tuple[int, ...], int] = {}
-    for key in sorted(m.values):
-        for nk in place.ladder(key):
-            if nk in values:
-                raise ValueError(
-                    "log transform target collision: distinct classes map to the same class"
-                )
-            values[nk] = m.values[key]
-    return SWMap(place.lattice, values, m.euler, m.signature)
+    values = m.values
+    place = log_placement(m.lattice, values, s, p)
+    fanned = {nk: v for key, v in sorted(values.items()) for nk in place.ladder(key)}
+    if len(fanned) != p * len(values):
+        raise ValueError("log transform target collision: distinct classes map to the same class")
+    return SWMap(place.lattice, fanned, m.euler, m.signature)
 
 
 def sw_taut_blowdown(

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product, repeat
 from math import gcd
-from operator import mul
-from typing import Optional, Sequence
+from operator import add, mul
+from typing import Collection, Optional, Sequence
 
 from .exppoly import ExpKernel, exact_div, refined_lattice, sinh_c, twist
 from .lattice import (
@@ -44,7 +44,7 @@ from .lattice import (
     RelClass,
     Residue,
     boundary,
-    characteristic_square,
+    characteristic_squares,
     pairing,
     plumbing_matrix,
     scaled_plumbing_inverse,
@@ -77,10 +77,10 @@ class ManifoldSeries(Frozen):
 
     def __init__(self, kernel: ExpKernel, euler: int, signature: int):
         b_plus_of(euler, signature)
-        lat = kernel.lattice
-        bad = [key for key in kernel.num if characteristic_square(lat, key) is None]
-        if bad:
-            raise ValueError(f"kernel class {min(bad)} is not characteristic")
+        squares = characteristic_squares(kernel.lattice, kernel.num)
+        if None in squares:
+            bad = min(key for key, sq in zip(kernel.num, squares) if sq is None)
+            raise ValueError(f"kernel class {bad} is not characteristic")
         set_field(self, "kernel", kernel)
         set_field(self, "euler", euler)
         set_field(self, "signature", signature)
@@ -433,19 +433,22 @@ class LogPlacement(Frozen):
 
     def ladder(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
         """The p rung images of a class, from j = p-1 down to -(p-1)."""
-        return [self.image(key, j) for j in range(self.order - 1, -self.order, -2)]
+        i, step = self.index, self.step
+        head, tail = key[:i], key[i + 1 :]
+        top = key[i] * self.divisor + (self.order - 1) * step
+        return [head + (v,) + tail for v in range(top, top - 2 * self.order * step, -2 * step)]
 
 
 def log_placement(
     lattice: IntersectionLattice,
-    classes: Sequence[HClass],
+    keys: Collection[tuple[int, ...]],
     s: HClass,
     p: int,
 ) -> LogPlacement:
     """Validate the fiber class s (a positive multiple of one square-zero
-    basis direction, orthogonal to every class) and refine its direction so
-    s/p becomes integral.  The refined direction is named by scaling its
-    `_n` suffix (f -> f_2 -> f_6)."""
+    basis direction, orthogonal to the class of every exponent key) and
+    refine its direction so s/p becomes integral.  The refined direction is
+    named by scaling its `_n` suffix (f -> f_2 -> f_6)."""
     if p < 1:
         raise ValueError("log transform order must be >= 1")
     if s.lattice != lattice:
@@ -454,11 +457,16 @@ def log_placement(
     if len(nonzero) != 1 or nonzero[0][1] < 1:
         raise ValueError("fiber class must be a positive multiple of one basis direction")
     idx, mult = nonzero[0]
-    if lattice.num[idx][idx] != 0:
+    row = lattice.num[idx]
+    if row[idx] != 0:
         raise ValueError("fiber direction must have square zero")
-    for kappa in classes:
-        if pairing(kappa, s) != 0:
-            raise ValueError(f"class {kappa.coeffs} is not orthogonal to the fiber")
+    # den * key . s / mult for every key at once, one Gram entry at a time
+    dots = [0] * len(keys)
+    for col, g in zip(zip(*keys), row):
+        if g:
+            dots = list(map(add, dots, map(mul, col, repeat(g))))
+    if any(dots):
+        raise ValueError(f"class {min(compress(keys, dots))} is not orthogonal to the fiber")
     d = p // gcd(mult, p)
     if d > 1:
         old = lattice.basis_class(lattice.basis_names[idx])
@@ -473,9 +481,12 @@ def log_transform(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
     multiplied by the p-term ladder e^{(p-1)s/p} + e^{(p-3)s/p} + ... +
     e^{-(p-1)s/p}.  Euler number and signature are unchanged.
     """
-    place = log_placement(m.lattice, m.basic_classes(), s, p)
-    terms = [(img, a) for key, a in m.kernel.num.items() for img in place.ladder(key)]
-    kernel = ExpKernel(place.lattice, terms).scale(Fraction(1, m.kernel.den))
+    place = log_placement(m.lattice, m.kernel.num, s, p)
+    num: dict[tuple[int, ...], int] = {}
+    for key, a in m.kernel.num.items():
+        for img in place.ladder(key):
+            num[img] = num.get(img, 0) + a
+    kernel = ExpKernel._from_ints(place.lattice, num, m.kernel.den)
     return ManifoldSeries(kernel, m.euler, m.signature)
 
 
@@ -571,7 +582,7 @@ def nodal_log_pipeline(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
     coefficients.  Must agree with log_transform exactly."""
     if p < 2:
         raise ValueError("need p >= 2")
-    place = log_placement(m.lattice, m.basic_classes(), s, p)
+    place = log_placement(m.lattice, m.kernel.num, s, p)
     _check_nodal_chain(m, p, s)
     ladder = formal_log_coefficients(p)
     terms = [(place.image(key, j), a * b) for key, a in m.kernel.num.items() for j, b in ladder]

@@ -17,6 +17,7 @@ from blowdown.lattice import (
     Residue,
     boundary,
     characteristic_square,
+    characteristic_squares,
     is_characteristic,
     pairing,
     plumbing_matrix,
@@ -446,7 +447,8 @@ def _integral_lattice_over_den(draw):
 @given(_integral_lattice_over_den(), st.integers(1, 3))
 def test_characteristic_square_matches_fraction_oracle(case, xden):
     lat, gram = case
-    for x in _box(lat.rank):
+    box = _box(lat.rank)
+    for x in box:
         want = _ref_square(gram, x)
         got = characteristic_square(lat, x)
         assert got == (None if want is None else lat.den * want)
@@ -457,11 +459,31 @@ def test_characteristic_square_matches_fraction_oracle(case, xden):
         want = _ref_square(gram, q)
         got = characteristic_square(lat, x, xden)
         assert got == (None if want is None else lat.den * xden * xden * want)
+    # the whole box as one batch, and the empty batch
+    _assert_batch_matches_oracle(lat, gram, box, xden)
+    assert characteristic_squares(lat, [], xden) == []
+
+
+def _assert_batch_matches_oracle(lat, gram, keys, xden=1):
+    got = characteristic_squares(lat, keys, xden)
+    want = [_ref_square(gram, [Fraction(a, xden) for a in x]) for x in keys]
+    scale = lat.den * xden * xden
+    assert got == [None if w is None else scale * w for w in want]
+    assert {type(g) for g in got} <= {int, type(None)}
+    return got
 
 
 def test_characteristic_square_on_refined_and_blown_up_lattices():
-    seen = set()
-    for gram, d in [([[0, 1], [1, -4]], 3), ([[4, 2], [2, -4]], 3), ([[2, 1], [1, -3]], 2)]:
+    seen, mixed = set(), set()
+    grams = [
+        ([[0, 1], [1, -4]], 3),
+        ([[4, 2], [2, -4]], 3),
+        ([[2, 1], [1, -3]], 2),
+        # y's Gram row is zero, beside the nonzero rows of x and, once
+        # refined, of nu over a denominator
+        ([[1, 0], [0, 0]], 2),
+    ]
+    for gram, d in grams:
         lat = IntersectionLattice(["x", "y"], gram)
         for new in (
             refined_lattice(lat, lat.basis_class("x"), d, "nu"),
@@ -469,10 +491,19 @@ def test_characteristic_square_on_refined_and_blown_up_lattices():
             blown_up_lattice(lat, 3),
         ):
             g = _fraction_gram(new)
-            for x in _box(new.rank, 3 if new.rank == 2 else 1):
+            box = _box(new.rank, 3 if new.rank == 2 else 1)
+            for x in box:
                 want = _ref_square(g, x)
                 got = characteristic_square(new, x)
                 assert got == (None if want is None else new.den * want)
                 seen.add((new.den > 1, got is None))
-    # den > 1 and den = 1 lattices, each with characteristic and other classes
+            # the whole box as one batch, over xden 1 and 2
+            for xden in (1, 2):
+                got = _assert_batch_matches_oracle(new, g, box, xden)
+                if None in got and {None} != set(got):
+                    mixed.add(new.den > 1)
+            assert characteristic_squares(new, []) == []
+    # den > 1 and den = 1 lattices, each with characteristic and other classes,
+    # in one batch as well
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert mixed == {True, False}

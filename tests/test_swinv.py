@@ -46,10 +46,15 @@ def test_swmap_validation():
 def test_swmap_checks_each_class_once(monkeypatch):
     import blowdown.swinv as swinv
 
+    # every class handed to the batch test, one entry per class
     calls = []
-    real = swinv.characteristic_square
+    real = swinv.characteristic_squares
     monkeypatch.setattr(
-        swinv, "characteristic_square", lambda lat, key: calls.append(key) or real(lat, key)
+        swinv, "characteristic_squares", lambda lat, keys: calls.extend(keys) or real(lat, keys)
+    )
+    real_one = swinv.characteristic_square
+    monkeypatch.setattr(
+        swinv, "characteristic_square", lambda lat, key: calls.append(key) or real_one(lat, key)
     )
     m = sw_en(6)
     assert len(calls) == len(m) == 5
