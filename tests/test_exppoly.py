@@ -311,7 +311,8 @@ def test_one_bad_exponent_among_many_valid_ones(at):
     assert k.num[(-1, 2)] == 3 and len(k) == 5001
     # exact ints are stored: True becomes 1, an integral Fraction its int
     for odd in [(True, 0), (Fraction(-4, 2), False)]:
-        for k in (ExpKernel(lat, dict(with_term(odd))), ExpKernel._from_ints(lat, dict(with_term(odd)), 1)):
+        terms = dict(with_term(odd))
+        for k in (ExpKernel(lat, terms), ExpKernel._from_ints(lat, terms, 1)):
             assert len(k) == 5001 and k.num[tuple(map(int, odd))] == 3
             assert {type(x) for key in k.num for x in key} == {int}
 

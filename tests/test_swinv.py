@@ -46,7 +46,7 @@ def test_swmap_validation():
 def test_swmap_checks_each_class_once(monkeypatch):
     import blowdown.swinv as swinv
 
-    # every class handed to the batch test, one entry per class
+    # one entry per class handed to the batch test or to the one-class test
     calls = []
     real = swinv.characteristic_squares
     monkeypatch.setattr(

@@ -54,7 +54,8 @@ def test_series_and_fiber_checks_name_the_smallest_bad_class():
     random.Random(5).shuffle(mixed)
     with pytest.raises(ValueError, match=r"^kernel class \(-3, 0\) is not characteristic$"):
         ManifoldSeries(ExpKernel(FS, dict.fromkeys(mixed, 1)), 48, -32)
-    m = ManifoldSeries(ExpKernel(FS, {(4, 2): 1, (0, 0): 1, (2, -2): 1, (-6, 0): 1, (2, 4): 1}), 48, -32)
+    kernel = ExpKernel(FS, {(4, 2): 1, (0, 0): 1, (2, -2): 1, (-6, 0): 1, (2, 4): 1})
+    m = ManifoldSeries(kernel, 48, -32)
     for route in (log_transform, nodal_log_pipeline):
         with pytest.raises(ValueError, match=r"^class \(2, -2\) is not orthogonal to the fiber$"):
             route(m, FS.basis_class("f"), 3)
