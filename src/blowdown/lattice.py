@@ -14,15 +14,19 @@ carries the integral bookkeeping for that surgery:
 * characteristic-ness tests used throughout the series calculus.
 
 A lattice stores its Gram matrix as an integer matrix `num` over one common
-denominator `den` (1 for every lattice except the refined fiber lattices), so
-`pairing` and `is_characteristic` run in integer arithmetic: a rational class
-is scaled to integer numerators over the lcm of its denominators first.  All
-pairings are still exact: `pairing` returns one `Fraction` built from the
-integer total.  `characteristic_squares` is the one characteristic test, and
-it reads a batch of classes as columns, one per lattice coordinate: the
-nonzero entries of Gram row i give the column of every c . x_i, the parity
-test runs on that column, and the same dots add into the integer squares
-den * c . c.  `characteristic_square` is its one-class call.
+denominator `den` (1 for every lattice except the refined fiber lattices),
+and its nonzero entries row by row as `sparse_gram`.  Every product here
+walks those entries in integer arithmetic: a rational class is scaled to
+integer numerators over the lcm of its denominators first, and `pairing`
+returns one exact `Fraction` built from the integer total.
+`characteristic_squares` is the one characteristic test, and it reads a
+batch of classes as columns, one per lattice coordinate: the nonzero entries
+of Gram row i give the column of every c . x_i, the parity test runs on that
+column, and the same dots add into the integer squares den * c . c.
+`characteristic_square` is its one-class call.  `ChainConfig` and
+`IntersectionLattice.restricted` form G.v from the nonzero entries of v, so
+the p-1 spheres of a chain, each with two or three nonzero coordinates (the
+end sphere of an exceptional chain has p-1), cost O(p), not the ambient rank.
 Classes carry their lattice and arithmetic across different lattices is an
 error, never a coercion.
 """
@@ -110,11 +114,10 @@ class IntersectionLattice:
     ) -> "IntersectionLattice":
         """The lattice whose basis vectors are rows / den in this basis (integer
         rows over one denominator), with the pairing restricted to them: its
-        Gram is B G B^t.  G.v is formed once per row, then one dot per entry."""
+        Gram is B G B^t, formed over the rows' nonzero entries alone."""
         if any(len(row) != self.rank for row in rows):
             raise ValueError("row length does not match lattice rank")
-        gv = [[sum(map(mul, g, v)) for g in self.num] for v in rows]
-        gram = [[sum(map(mul, u, w)) for w in gv] for u in rows]
+        _, gram = _gram_products(self, [_support(v) for v in rows])
         return IntersectionLattice(basis_names, gram, self.den * den * den)
 
     @property
@@ -156,6 +159,33 @@ class IntersectionLattice:
                 raise ValueError(f"coordinate {name!r} has non-integral coefficient {c}")
             coeffs[self.index(name)] = int(c)
         return HClass(self, tuple(coeffs))
+
+
+def _support(v: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((i, a) for i, a in enumerate(v) if a)
+
+
+def _gram_products(lattice: IntersectionLattice, supports: Sequence) -> tuple[list, list]:
+    """The rows num . v and the Gram matrix over `num` of vectors v given by
+    their nonzero entries (`_support`), summed over nonzero entries alone."""
+    sparse = lattice.sparse_gram
+    gv = []
+    for supp in supports:
+        w = [0] * lattice.rank
+        for k, a in supp:
+            s, off = sparse[k]
+            w[k] += a * s
+            for j, g in off:
+                w[j] += a * g
+        gv.append(w)
+    cols = list(zip(*gv))
+    gram = []
+    for supp in supports:
+        row = [0] * len(supports)
+        for k, a in supp:
+            row = list(map(add, row, map(mul, cols[k], repeat(a))))
+        gram.append(row)
+    return gv, gram
 
 
 def integral_coords(coords) -> tuple[int, ...]:
@@ -220,7 +250,7 @@ class QClass(Frozen):
         if len(coeffs) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
         set_field(self, "lattice", lattice)
-        set_field(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        set_field(self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
     def __add__(self, other) -> "QClass":
         _check_same_lattice(self, other)
@@ -256,9 +286,10 @@ def pairing(a: Union[HClass, QClass], b: Union[HClass, QClass]) -> Fraction:
     x, xden = _numerators(a)
     y, yden = _numerators(b)
     total = 0
-    for xi, row in zip(x, a.lattice.num):
+    for i, xi in enumerate(x):
         if xi:
-            total += xi * sum(map(mul, row, y))
+            s, off = a.lattice.sparse_gram[i]
+            total += xi * (s * y[i] + sum(g * y[j] for j, g in off))
     return Fraction(total, a.lattice.den * xden * yden)
 
 
@@ -403,12 +434,12 @@ class ChainConfig:
 
     spheres[0], ..., spheres[p-2] are the classes of u_1, ..., u_{p-1}; their
     mutual pairings must reproduce plumbing_matrix(p) exactly.  rows[j] is
-    G.u_j as integers over ambient.den, formed once: a class pairs with u_j
-    in one integer dot with rows[j] (`dots`), and the ambient direction i is
-    orthogonal to the chain exactly when column i of rows is zero.
+    G.u_j over ambient.den; `supports` and `row_supports` are the nonzero (i, v)
+    of each sphere and row.  A class pairs with u_j in one dot over row_supports[j]
+    (`dots`); direction i is orthogonal to the chain when no row support holds it.
     """
 
-    __slots__ = ("p", "ambient", "spheres", "rows")
+    __slots__ = ("p", "ambient", "spheres", "rows", "supports", "row_supports")
 
     def __init__(self, p: int, ambient: IntersectionLattice, spheres: Sequence[HClass]):
         if p < 2:
@@ -418,20 +449,22 @@ class ChainConfig:
         for s in spheres:
             if s.lattice != ambient:
                 raise ValueError("lattice mismatch: sphere class not in the ambient lattice")
-        rows = tuple(tuple(sum(map(mul, g, s.coeffs)) for g in ambient.num) for s in spheres)
-        for row, want in zip(rows, plumbing_matrix(p)):
-            if [sum(map(mul, row, s.coeffs)) for s in spheres] != [w * ambient.den for w in want]:
-                raise ValueError("sphere pairings do not form the order-%d plumbing chain" % p)
+        supports = tuple(_support(s.coeffs) for s in spheres)
+        rows, gram = _gram_products(ambient, supports)
+        if gram != [[w * ambient.den for w in want] for want in plumbing_matrix(p)]:
+            raise ValueError("sphere pairings do not form the order-%d plumbing chain" % p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "spheres", tuple(spheres))
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "row_supports", tuple(map(_support, rows)))
 
     def dots(self, c: HClass) -> list[int]:
         """The pairings c . u_j, as integers over ambient.den."""
         if c.lattice != self.ambient:
             raise ValueError("lattice mismatch: classes live in different lattices")
-        return [sum(map(mul, row, c.coeffs)) for row in self.rows]
+        return [sum(c.coeffs[i] * v for i, v in supp) for supp in self.row_supports]
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainConfig is immutable")

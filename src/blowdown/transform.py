@@ -16,7 +16,7 @@ chain_pushoff.  The series transforms here and the basic-class transforms in
 .swinv differ only in the coefficient a moved class carries.
 
 A chain of order p has |det P| = p^2, so chain_pushoff runs on integer
-numerators over p^2, from lattice.scaled_plumbing_inverse through the
+numerators over p^2, from the closed form of p^2 P^-1 through the
 Hermite basis of the blown-down lattice to the images' coordinates.
 Fractions are built only where a value leaves: a RestrictedClass and the
 extension a ClassRecord prints.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import compress, product, repeat
+from itertools import accumulate, compress, product, repeat
 from math import gcd
 from operator import add, mul
 from typing import Collection, Optional, Sequence
@@ -212,13 +212,19 @@ def _chain_pairings(c: ChainConfig, kappa: HClass) -> tuple[int, ...]:
 
 def _extension(c: ChainConfig, kappa: HClass, g: Sequence[int]) -> tuple[int, ...]:
     """The integer numerators of p^2 (kappa + sum x_i u_i), x solving
-    (kappa + sum x_i u_i) . u_j = 0 given the pairings g_j = kappa . u_j."""
-    p2 = c.p * c.p
+    (kappa + sum x_i u_i) . u_j = 0 given the pairings g_j = kappa . u_j:
+    p^2 x = -S g, S = scaled_plumbing_inverse(p).  S_ij = min(i, j) (max(i, j)
+    (p+1) - p^2) makes (S g)_i = (i (p+1) - p^2) sum_{j <= i} j g_j + i sum_{j > i}
+    (j (p+1) - p^2) g_j, a prefix and a suffix sum; x_i moves u_i's support."""
+    p2, q = c.p * c.p, c.p + 1
+    terms = [(j * q - p2) * x for j, x in enumerate(g, 1)]
+    suffix = [0, *accumulate(reversed(terms))][::-1]
     ext = [p2 * a for a in kappa.coeffs]
-    for row, u in zip(scaled_plumbing_inverse(c.p), c.spheres):
-        xi = -sum(map(mul, row, g))
+    for i, (prefix, supp) in enumerate(zip(accumulate(map(mul, range(1, c.p), g)), c.supports), 1):
+        xi = (p2 - i * q) * prefix - i * suffix[i]
         if xi:
-            ext = [a + xi * b for a, b in zip(ext, u.coeffs)]
+            for k, a in supp:
+                ext[k] += xi * a
     return tuple(ext)
 
 
@@ -249,8 +255,9 @@ def _blown_down_lattice(
     amb = c.ambient
     p2 = c.p * c.p
     gens = [ext for ext in extensions if any(ext)]
+    chain = {i for supp in c.row_supports for i, _ in supp}
     for i in range(amb.rank):
-        if not any(row[i] for row in c.rows):
+        if i not in chain:
             gens.append(tuple(p2 if j == i else 0 for j in range(amb.rank)))
     if not gens:
         raise ValueError(

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from blowdown.lattice import (
     scaled_plumbing_inverse,
 )
 from blowdown.linalg import hnf_rows, span_coords
-from blowdown.transform import _blown_down_lattice, blown_up_lattice
+from blowdown.transform import _blown_down_lattice, _exceptional_chain_spheres, blown_up_lattice
 from lattices import chain_lattice, diagonal_lattice
 
 
@@ -150,6 +151,82 @@ def test_chain_lattice_and_config():
     lat = diagonal_lattice(["a", "b"], [-2, -2])
     with pytest.raises(ValueError):
         ChainConfig(3, lat, [lat.basis_class("a"), lat.basis_class("b")])
+
+
+def test_chain_config_rejects_a_single_wrong_pairing():
+    """Every one of the (p-1)^2 pairings is compared: a coupling between two
+    non-adjacent spheres (u_1 . u_3 = 1), or an end sphere of the wrong
+    square, is caught although every other pairing is right."""
+    p = 5
+    far, end = plumbing_matrix(p), plumbing_matrix(p)
+    far[0][2] = far[2][0] = 1
+    end[-1][-1] = -(p + 1)
+    for gram in (far, end):
+        for den in (1, 3):
+            lat = IntersectionLattice([f"u{i}" for i in range(1, p)], gram, den)
+            with pytest.raises(ValueError, match="order-5 plumbing chain"):
+                ChainConfig(p, lat, [lat.basis_class(nm) for nm in lat.basis_names])
+
+
+def _dense_products(num, v):
+    """num . v, one full dot per Gram row."""
+    return [sum(map(mul, row, v)) for row in num]
+
+
+@st.composite
+def _exceptional_chain_case(draw):
+    """An order-p exceptional chain in a generated base lattice blown up p-1
+    times: base Gram numerators over den 1..4 with some rows and columns set
+    to zero, and the end sphere running along one zero-row direction (square
+    zero and orthogonal to everything) when there is one."""
+    n = draw(st.integers(1, 4))
+    num = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            num[i][j] = num[j][i] = draw(st.integers(-6, 6))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    for i in zero:
+        num[i] = [0] * n
+        for row in num:
+            row[i] = 0
+    base = IntersectionLattice([f"x{i}" for i in range(n)], num, draw(st.integers(1, 4)))
+    p = draw(st.integers(2, 7))
+    up = blown_up_lattice(base, p - 1)
+    fiber = [0] * up.rank
+    if zero:
+        fiber[min(zero)] = draw(st.integers(-3, 3))
+    return up, p, _exceptional_chain_spheres(up, up.basis_names[n:], tuple(fiber))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exceptional_chain_case(), st.integers(1, 3), st.data())
+def test_sparse_chain_products_match_dense_products(case, den, data):
+    """ChainConfig.rows, dots and restricted, which walk nonzero entries
+    only, against full dense products over every Gram row."""
+    up, p, spheres = case
+    cfg = ChainConfig(p, up, spheres)
+    dense_rows = [_dense_products(up.num, s.coeffs) for s in spheres]
+    assert cfg.rows == tuple(map(tuple, dense_rows))
+    ints = st.lists(st.integers(-5, 5), min_size=up.rank, max_size=up.rank)
+    for v in data.draw(st.lists(ints, min_size=1, max_size=3)):
+        assert cfg.dots(HClass(up, tuple(v))) == [sum(map(mul, row, v)) for row in dense_rows]
+    names = [f"u{i}" for i in range(1, p)]
+    assert up.restricted(names, [s.coeffs for s in spheres], 1) == IntersectionLattice(
+        names, plumbing_matrix(p)
+    )
+    rows = data.draw(st.lists(ints, min_size=1, max_size=4))
+    sub = up.restricted([f"y{i}" for i in range(len(rows))], rows, den)
+    gram = [[sum(map(mul, u, _dense_products(up.num, w))) for w in rows] for u in rows]
+    assert sub == IntersectionLattice(sub.basis_names, gram, up.den * den * den)
+
+
+def test_qclass_converts_coordinates_exactly():
+    lat = diagonal_lattice(["a", "b", "c", "d"], [1, -1, -1, 0])
+    half = Fraction(1, 2)
+    q = QClass(lat, (half, 3, 0.25, Fraction(6, 4)))
+    assert q.coeffs == (half, Fraction(3), Fraction(1, 4), Fraction(3, 2))
+    assert {type(c) for c in q.coeffs} == {Fraction}
+    assert q.coeffs[0] == half and (q * 2).coeffs == (1, 6, half, 3)
 
 
 def test_hclass_operations():

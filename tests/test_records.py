@@ -154,6 +154,7 @@ def test_chain_configs_copy_and_pickle():
         assert (clone.p, clone.ambient, clone.spheres, clone.rows) == (
             config.p, config.ambient, config.spheres, config.rows
         )
+        assert (clone.supports, clone.row_supports) == (config.supports, config.row_supports)
         with pytest.raises(AttributeError, match="is immutable"):
             clone.p = 3
 

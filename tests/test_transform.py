@@ -1,11 +1,21 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from blowdown.exppoly import ExpKernel, cosh_c, one, sinh_c
-from blowdown.lattice import ChainConfig, IntersectionLattice, pairing
+from blowdown.lattice import (
+    ChainConfig,
+    HClass,
+    IntersectionLattice,
+    pairing,
+    scaled_plumbing_inverse,
+)
 from blowdown.transform import (
+    _exceptional_chain_spheres,
+    _extension,
+    blown_up_lattice,
     ManifoldSeries,
     blowup,
     connected_sum_hp,
@@ -17,7 +27,7 @@ from blowdown.transform import (
     taut_blowdown,
     verify_nodal_matrix_identity,
 )
-from lattices import diagonal_lattice
+from lattices import chain_lattice, diagonal_lattice
 
 FS = IntersectionLattice(["f", "s"], [[0, 1], [1, -4]])
 
@@ -208,3 +218,30 @@ def test_connected_sum_hp():
     assert (out.euler, out.signature) == (m.euler, m.signature)
     with pytest.raises(ValueError):
         connected_sum_hp(m, 0)
+
+
+def test_extension_solve_matches_scaled_plumbing_inverse():
+    """_extension's prefix and suffix sums give x = -S g / p^2 with
+    S = scaled_plumbing_inverse(p), for p = 2..59 on random integer g: on the
+    chain lattice (each sphere one basis vector) and on an exceptional chain,
+    whose end sphere has p-1 nonzero coordinates."""
+    rng = random.Random(18)
+    for p in range(2, 60):
+        s = scaled_plumbing_inverse(p)
+        chain = chain_lattice(p)
+        up = blown_up_lattice(diagonal_lattice(["f"], [0]), p - 1)
+        fiber = (1,) + (0,) * (p - 1)
+        configs = [
+            ChainConfig(p, chain, [chain.basis_class(nm) for nm in chain.basis_names]),
+            ChainConfig(p, up, _exceptional_chain_spheres(up, up.basis_names[1:], fiber)),
+        ]
+        for cfg in configs:
+            rank = cfg.ambient.rank
+            for _ in range(3):
+                g = [rng.randint(-3 * p, 3 * p) for _ in range(p - 1)]
+                kappa = HClass(cfg.ambient, tuple(rng.randint(-3, 3) for _ in range(rank)))
+                want = [p * p * a for a in kappa.coeffs]
+                for row, u in zip(s, cfg.spheres):
+                    x = -sum(map(mul, row, g))
+                    want = [w + x * b for w, b in zip(want, u.coeffs)]
+                assert list(_extension(cfg, kappa, g)) == want
