@@ -207,7 +207,7 @@ def cmd_dim(args) -> int:
     def obj():
         return {
             "p": p,
-            "delta": list(e.delta_coords()),
+            "delta": list(e.coeffs),
             "e_square": fraction_str(rep.e_square),
             "boundary": rep.boundary.value,
             "modulus": rep.boundary.modulus,
@@ -218,7 +218,7 @@ def cmd_dim(args) -> int:
     def text():
         return [
             f"p: {p}",
-            f"delta: {tuple(e.delta_coords())}",
+            f"delta: {e.coeffs}",
             f"e_square: {fraction_str(rep.e_square)}",
             f"boundary: {rep.boundary.value} (mod {rep.boundary.modulus})",
             f"reduced_boundary: {rep.reduced_boundary}",

@@ -6,10 +6,13 @@ intersection 1.  Its boundary is the lens space L(p^2, p-1), and rational
 blowdown replaces a neighborhood of the chain by a rational ball.  This module
 carries the integral bookkeeping for that surgery:
 
-* the plumbing intersection matrix P(p) and the integer closed form p^2 P^-1,
-* relative second homology of the chain in the dual gamma basis
-  (gamma_k . u_l = delta_{kl}) and the difference basis delta_i = gamma_i -
-  gamma_{i-1}, which is where class enumeration happens,
+* `Plumbing`, a linear plumbing whose matrix, determinant, solve and boundary
+  map are read off two continuant tables, and the order-p chain
+  `chain_plumbing(p)`; `scaled_plumbing_inverse` is the closed form of
+  p^2 P^-1 that the continuant solve is checked against,
+* relative second homology of the chain in the difference basis delta_i =
+  gamma_i - gamma_{i-1}, gamma dual to the spheres, where class enumeration
+  happens,
 * the boundary map onto Z_{p^2} and its fold onto {0, ..., floor(p^2/2)},
 * characteristic-ness tests used throughout the series calculus.
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd, lcm
 from operator import add, mod, mul, sub
 from typing import Collection, Mapping, Optional, Sequence, Union
@@ -80,10 +83,8 @@ class IntersectionLattice:
             rows = [[x // common for x in row] for row in rows]
             den //= common
         num = tuple(tuple(row) for row in rows)
-        for i in range(len(names)):
-            for j in range(i):
-                if num[i][j] != num[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        if num != tuple(zip(*num)):
+            raise ValueError("gram matrix must be symmetric")
         object.__setattr__(self, "basis_names", names)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -395,27 +396,63 @@ class Residue(Frozen):
 # Plumbing chain data
 
 
+class Plumbing(Frozen):
+    """The linear plumbing of spheres u_1, ..., u_r of squares -a_1, ..., -a_r,
+    each meeting the next once, read from two continuant tables head[i] =
+    K(a_1..a_i) and tail[i] = K(a_{i+1}..a_r), K() = 1: det = head[r] = |det P|
+    and (det P^-1)_ij = -head[i-1] tail[j] for i <= j, symmetric."""
+
+    __slots__ = ("weights", "head", "tail")
+
+    def __init__(self, weights: Sequence[int]):
+        weights = tuple(weights)
+        if not weights or not all(type(a) is int and a >= 2 for a in weights):
+            raise ValueError(f"plumbing weights must be integers >= 2, got {weights}")
+        head, tail = [1, weights[0]], [1, weights[-1]]
+        for a in weights[1:]:
+            head.append(a * head[-1] - head[-2])
+        for a in reversed(weights[:-1]):
+            tail.append(a * tail[-1] - tail[-2])
+        set_field(self, "weights", weights)
+        set_field(self, "head", tuple(head))
+        set_field(self, "tail", tuple(reversed(tail)))
+
+    @property
+    def det(self) -> int:
+        return self.head[-1]
+
+    def matrix(self) -> list[list[int]]:
+        """The intersection matrix: -a_i on the diagonal, 1 beside it."""
+        w, r = self.weights, range(len(self.weights))
+        return [[-w[i] if j == i else int(abs(j - i) == 1) for j in r] for i in r]
+
+    def solve(self, g: Sequence[int]) -> list[int]:
+        """det x for the x with P x = -g: det x_i = tail[i] sum_{j <= i}
+        head[j-1] g_j + head[i-1] sum_{j > i} tail[j] g_j, one prefix and one
+        suffix sum."""
+        head, tail = self.head, self.tail
+        suffix = [0, *accumulate(reversed(list(map(mul, tail[1:], g))))][::-1]
+        prefix = accumulate(map(mul, head, g))
+        return [t * a + h * b for t, a, h, b in zip(tail[1:], prefix, head, suffix[1:])]
+
+    def boundary(self, g: Sequence[int]) -> Residue:
+        """The boundary in H_1 = Z_det of the relative class g_1 gamma_1 + ...
+        + g_r gamma_r, gamma_j dual to u_j: gamma_j maps to head[j-1]."""
+        return Residue(sum(map(mul, self.head, g)), self.det)
+
+
 @lru_cache(maxsize=None)
-def _plumbing_cached(p: int) -> tuple[tuple[int, ...], ...]:
-    n = p - 1
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = -(p + 2) if i == n - 1 else -2
-        if i > 0:
-            row[i - 1] = 1
-        if i < n - 1:
-            row[i + 1] = 1
-        rows.append(tuple(row))
-    return tuple(rows)
+def chain_plumbing(p: int) -> Plumbing:
+    """The order-p chain: weights (2, ..., 2, p+2), so det = p^2."""
+    if p < 2:
+        raise ValueError("chain order p must be at least 2")
+    return Plumbing((2,) * (p - 2) + (p + 2,))
 
 
 def plumbing_matrix(p: int) -> list[list[int]]:
     """Intersection matrix of the order-p chain: tridiagonal, diagonal
     (-2, ..., -2, -(p+2)), off-diagonal 1.  Size (p-1) x (p-1)."""
-    if p < 2:
-        raise ValueError("chain order p must be at least 2")
-    return [list(row) for row in _plumbing_cached(p)]
+    return chain_plumbing(p).matrix()
 
 
 @lru_cache(maxsize=None)
@@ -433,17 +470,17 @@ class ChainConfig:
     """An order-p chain embedded in an ambient lattice.
 
     spheres[0], ..., spheres[p-2] are the classes of u_1, ..., u_{p-1}; their
-    mutual pairings must reproduce plumbing_matrix(p) exactly.  rows[j] is
-    G.u_j over ambient.den; `supports` and `row_supports` are the nonzero (i, v)
-    of each sphere and row.  A class pairs with u_j in one dot over row_supports[j]
-    (`dots`); direction i is orthogonal to the chain when no row support holds it.
+    mutual pairings must reproduce `plumbing` = chain_plumbing(p) exactly.
+    rows[j] is G.u_j over ambient.den; `supports` and `row_supports` are the
+    nonzero (i, v) of each sphere and row.  A class pairs with u_j in one dot
+    over row_supports[j] (`dots`); direction i is orthogonal to the chain when
+    no row support holds it.
     """
 
-    __slots__ = ("p", "ambient", "spheres", "rows", "supports", "row_supports")
+    __slots__ = ("p", "plumbing", "ambient", "spheres", "rows", "supports", "row_supports")
 
     def __init__(self, p: int, ambient: IntersectionLattice, spheres: Sequence[HClass]):
-        if p < 2:
-            raise ValueError("chain order p must be at least 2")
+        plumbing = chain_plumbing(p)
         if len(spheres) != p - 1:
             raise ValueError(f"order-{p} chain needs {p - 1} sphere classes")
         for s in spheres:
@@ -451,9 +488,10 @@ class ChainConfig:
                 raise ValueError("lattice mismatch: sphere class not in the ambient lattice")
         supports = tuple(_support(s.coeffs) for s in spheres)
         rows, gram = _gram_products(ambient, supports)
-        if gram != [[w * ambient.den for w in want] for want in plumbing_matrix(p)]:
+        if gram != [[w * ambient.den for w in want] for want in plumbing.matrix()]:
             raise ValueError("sphere pairings do not form the order-%d plumbing chain" % p)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "plumbing", plumbing)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "spheres", tuple(spheres))
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))
@@ -477,48 +515,20 @@ class ChainConfig:
 # Relative classes of the chain
 
 
-_BASES = ("delta", "gamma")
-
-
 class RelClass(Frozen):
-    """A class in the relative second homology of the order-p chain.
+    """A class in the relative second homology of the order-p chain, in the
+    delta basis: delta_1 = gamma_1 and delta_i = gamma_i - gamma_{i-1}, where
+    gamma_k . u_l = delta_{kl} is dual to the spheres."""
 
-    Coordinates are in the delta basis by default (delta_1 = gamma_1,
-    delta_i = gamma_i - gamma_{i-1}); the gamma basis is dual to the spheres.
-    """
+    __slots__ = ("p", "coeffs")
 
-    __slots__ = ("p", "coeffs", "basis")
-
-    def __init__(self, p: int, coeffs: Sequence[Scalar], basis: str = "delta"):
+    def __init__(self, p: int, coeffs: Sequence[Scalar]):
         if p < 2:
             raise ValueError("chain order p must be at least 2")
-        if basis not in _BASES:
-            raise ValueError(f"unknown basis {basis!r}; expected one of {_BASES}")
         if len(coeffs) != p - 1:
             raise ValueError(f"expected {p - 1} coordinates for p={p}")
         set_field(self, "p", p)
         set_field(self, "coeffs", integral_coords(coeffs))
-        set_field(self, "basis", basis)
-
-    def delta_coords(self) -> tuple[int, ...]:
-        if self.basis == "delta":
-            return self.coeffs
-        # gamma_j = delta_1 + ... + delta_j, so delta_i coefficient is the
-        # tail sum of gamma coefficients from i on.
-        g = self.coeffs
-        n = len(g)
-        out = []
-        tail = 0
-        for i in reversed(range(n)):
-            tail += g[i]
-            out.append(tail)
-        return tuple(reversed(out))
-
-    def gamma_coords(self) -> tuple[int, ...]:
-        if self.basis == "gamma":
-            return self.coeffs
-        a = self.coeffs + (0,)
-        return tuple(a[i] - a[i + 1] for i in range(self.p - 1))
 
 
 def rel_pairing(a: RelClass, b: RelClass) -> Fraction:
@@ -530,15 +540,12 @@ def rel_pairing(a: RelClass, b: RelClass) -> Fraction:
     """
     if a.p != b.p:
         raise ValueError(f"chain order mismatch: p={a.p} vs p={b.p}")
-    x = a.delta_coords()
-    y = b.delta_coords()
-    sx = sum(x)
-    sy = sum(y)
+    x, y = a.coeffs, b.coeffs
     dot = sum(u * v for u, v in zip(x, y))
-    return Fraction((a.p + 1) * sx * sy, a.p * a.p) - dot
+    return Fraction((a.p + 1) * sum(x) * sum(y), a.p * a.p) - dot
 
 
 def boundary(e: RelClass) -> Residue:
-    """Boundary onto H_1 of the lens space: sum of delta coordinates mod p^2.
-    In particular gamma_j maps to j."""
-    return Residue(sum(e.delta_coords()), e.p * e.p)
+    """Boundary onto H_1 of the lens space: sum of delta coordinates mod p^2,
+    so gamma_j = delta_1 + ... + delta_j maps to j."""
+    return Residue(sum(e.coeffs), e.p * e.p)

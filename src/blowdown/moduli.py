@@ -192,7 +192,7 @@ def min_dim_search(
     ncorr = _ncorr_table(p)
     ranges = [
         [v for v in range(-box, box + 1) if (v - c) % 2 == 0]
-        for c in parity.delta_coords()
+        for c in parity.coeffs
     ]
     if any(not r for r in ranges):
         raise ValueError("empty search set: box too small for the parity constraint")

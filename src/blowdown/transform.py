@@ -16,10 +16,10 @@ chain_pushoff.  The series transforms here and the basic-class transforms in
 .swinv differ only in the coefficient a moved class carries.
 
 A chain of order p has |det P| = p^2, so chain_pushoff runs on integer
-numerators over p^2, from the closed form of p^2 P^-1 through the
-Hermite basis of the blown-down lattice to the images' coordinates.
-Fractions are built only where a value leaves: a RestrictedClass and the
-extension a ClassRecord prints.
+numerators over p^2, from the continuant solve of the chain's Plumbing
+through the Hermite basis of the blown-down lattice to the images'
+coordinates.  Fractions are built only where a value leaves: a
+RestrictedClass and the extension a ClassRecord prints.
 
 The nodal models push each basic class and each exceptional direction off
 their chain once (_check_nodal_chain); restriction is affine, so that covers
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import accumulate, compress, product, repeat
+from itertools import compress, product, repeat
 from math import gcd
 from operator import add, mul
 from typing import Collection, Optional, Sequence
@@ -41,9 +41,7 @@ from .lattice import (
     HClass,
     IntersectionLattice,
     QClass,
-    RelClass,
     Residue,
-    boundary,
     characteristic_squares,
     pairing,
     plumbing_matrix,
@@ -211,17 +209,12 @@ def _chain_pairings(c: ChainConfig, kappa: HClass) -> tuple[int, ...]:
 
 
 def _extension(c: ChainConfig, kappa: HClass, g: Sequence[int]) -> tuple[int, ...]:
-    """The integer numerators of p^2 (kappa + sum x_i u_i), x solving
+    """The integer numerators of det (kappa + sum x_i u_i), det = p^2, x solving
     (kappa + sum x_i u_i) . u_j = 0 given the pairings g_j = kappa . u_j:
-    p^2 x = -S g, S = scaled_plumbing_inverse(p).  S_ij = min(i, j) (max(i, j)
-    (p+1) - p^2) makes (S g)_i = (i (p+1) - p^2) sum_{j <= i} j g_j + i sum_{j > i}
-    (j (p+1) - p^2) g_j, a prefix and a suffix sum; x_i moves u_i's support."""
-    p2, q = c.p * c.p, c.p + 1
-    terms = [(j * q - p2) * x for j, x in enumerate(g, 1)]
-    suffix = [0, *accumulate(reversed(terms))][::-1]
-    ext = [p2 * a for a in kappa.coeffs]
-    for i, (prefix, supp) in enumerate(zip(accumulate(map(mul, range(1, c.p), g)), c.supports), 1):
-        xi = (p2 - i * q) * prefix - i * suffix[i]
+    det x = c.plumbing.solve(g), and x_i moves u_i's support."""
+    det = c.plumbing.det
+    ext = [det * a for a in kappa.coeffs]
+    for xi, supp in zip(c.plumbing.solve(g), c.supports):
         if xi:
             for k, a in supp:
                 ext[k] += xi * a
@@ -234,9 +227,9 @@ def restrict_class(c: ChainConfig, kappa: HClass) -> RestrictedClass:
     if kappa.lattice != c.ambient:
         raise ValueError("class does not live in the configuration's ambient lattice")
     g = _chain_pairings(c, kappa)
-    p2 = c.p * c.p
-    ext = QClass(c.ambient, tuple(Fraction(a, p2) for a in _extension(c, kappa, g)))
-    return RestrictedClass(ext, boundary(RelClass(c.p, g, basis="gamma")))
+    det = c.plumbing.det
+    ext = QClass(c.ambient, tuple(Fraction(a, det) for a in _extension(c, kappa, g)))
+    return RestrictedClass(ext, c.plumbing.boundary(g))
 
 
 def _blown_down_lattice(
@@ -322,7 +315,7 @@ def chain_pushoff(
     records: list[ClassRecord] = []
     extensions: list[tuple[int, ...]] = []
     for i, (kappa, g) in enumerate(zip(classes, pairings)):
-        residue = boundary(RelClass(p, g, basis="gamma"))
+        residue = c.plumbing.boundary(g)
         end = g[-1]
         if keep is None:
             kept = abs(end) == p
@@ -512,18 +505,18 @@ def formal_log_coefficients(p: int) -> list[tuple[int, Fraction]]:
 def _exceptional_chain_spheres(
     lat: IntersectionLattice, exc_names: Sequence[str], s_coeffs: tuple[int, ...]
 ) -> list[HClass]:
-    """The chain of length p-1 carried by p-1 exceptional directions: interior
-    spheres are consecutive differences, the end sphere is the fiber class
-    s_coeffs (zero for no fiber) minus twice the first exceptional direction
-    minus the rest."""
-    p = len(exc_names) + 1
-    e = [lat.basis_class(n) for n in exc_names]
-    spheres = [e[p - (i + 1) - 1] - e[p - i - 1] for i in range(1, p - 1)]
-    end = e[0] * (-2)
-    for i in range(1, p - 1):
-        end = end - e[i]
-    spheres.append(end + HClass(lat, s_coeffs))
-    return spheres
+    """The chain of length p-1 carried by p-1 exceptional directions: sphere i
+    has row i of _nodal_matrix(p) as its coordinates along them, and the end
+    sphere also carries the fiber class s_coeffs (zero for no fiber)."""
+    at = [lat.index(n) for n in exc_names]
+    spheres = []
+    for row in _nodal_matrix(len(exc_names) + 1):
+        coeffs = [0] * lat.rank
+        for k, a in zip(at, row):
+            coeffs[k] = a
+        spheres.append(coeffs)
+    spheres[-1] = list(map(add, spheres[-1], s_coeffs))
+    return [HClass(lat, tuple(c)) for c in spheres]
 
 
 def _nodal_matrix(p: int) -> list[list[int]]:

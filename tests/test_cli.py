@@ -183,6 +183,27 @@ def test_verify_lattice_fails_a_wrong_plumbing_inverse(capsys, monkeypatch):
     ]
 
 
+def test_verify_lattice_fails_a_wrong_chain_weight(capsys, monkeypatch):
+    import blowdown.suites as suites
+    from blowdown.lattice import Plumbing
+
+    real = suites.chain_plumbing
+
+    def off_by_one(p):
+        weights = list(real(p).weights)
+        if p == 5:
+            weights[1] += 1  # an interior sphere of square -3
+        return Plumbing(weights)
+
+    monkeypatch.setattr(suites, "chain_plumbing", off_by_one)
+    code, out, _ = run(capsys, "verify", "lattice")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL plumbing-inverse p=5",
+        "FAIL boundary-gamma p=5",
+    ]
+
+
 def test_verify_identities_fails_a_wrong_nodal_matrix(capsys, monkeypatch):
     import blowdown.transform as transform
 
@@ -198,8 +219,11 @@ def test_verify_identities_fails_a_wrong_nodal_matrix(capsys, monkeypatch):
     assert transform.verify_nodal_matrix_identity(4) is False
     code, out, _ = run(capsys, "verify", "identities")
     assert code == 1
+    # the exceptional chain of the log pipeline is built from the same rows
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        "FAIL nodal-matrix p=4"
+        "FAIL nodal-matrix p=4",
+        "FAIL log-pipeline-match p=4  counterexample: "
+        "sphere pairings do not form the order-4 plumbing chain",
     ]
 
 

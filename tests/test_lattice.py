@@ -13,10 +13,12 @@ from blowdown.lattice import (
     ChainConfig,
     HClass,
     IntersectionLattice,
+    Plumbing,
     QClass,
     RelClass,
     Residue,
     boundary,
+    chain_plumbing,
     characteristic_square,
     characteristic_squares,
     is_characteristic,
@@ -70,6 +72,78 @@ def test_plumbing_inverse_entry_formula():
                 assert inv[j - 1][i - 1] == want
 
 
+def _fraction_det_and_inverse(m):
+    """det m and m^-1 by Gauss-Jordan elimination over Fractions."""
+    n = len(m)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next(r for r in range(c, n) if a[r][c])
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            f = a[r][c]
+            if r != c and f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det, [row[n:] for row in a]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=8), st.data())
+def test_plumbing_matches_a_dense_exact_oracle(weights, data):
+    """The continuant tables of a Plumbing on random weights against
+    Gauss-Jordan elimination over Fractions: the matrix, det, P (det P^-1) =
+    det I, solve, and a boundary map that kills exactly P Z^r."""
+    plumbing = Plumbing(weights)
+    r, pm, det = len(weights), plumbing.matrix(), plumbing.det
+    for i in range(r):
+        for j in range(r):
+            assert pm[i][j] == (-weights[i] if i == j else 1 if abs(i - j) == 1 else 0)
+    oracle_det, inv = _fraction_det_and_inverse(pm)
+    assert det == (-1) ** r * oracle_det  # P is negative definite
+    units = [[int(i == j) for i in range(r)] for j in range(r)]
+    columns = [[-x for x in plumbing.solve(u)] for u in units]  # of det P^-1
+    assert columns == [[det * inv[i][j] for i in range(r)] for j in range(r)]
+    assert [[sum(map(mul, row, col)) for row in pm] for col in columns] == [
+        [det * x for x in u] for u in units
+    ]
+    g = data.draw(st.lists(st.integers(-20, 20), min_size=r, max_size=r), label="g")
+    x = plumbing.solve(g)
+    assert x == [-det * sum(map(mul, row, g)) for row in inv]
+    # the boundary is Z^r / P Z^r = Z_det with gamma_1 -> 1: it vanishes on
+    # P y, and on g exactly when the extension x / det is integral
+    assert plumbing.boundary(units[0]) == Residue(1, det)
+    y = data.draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r), label="y")
+    py = [sum(map(mul, row, y)) for row in pm]
+    assert plumbing.boundary(py) == Residue(0, det)
+    assert plumbing.solve(py) == [-det * v for v in y]
+    assert (plumbing.boundary(g).value == 0) == all(v % det == 0 for v in x)
+
+
+def test_chain_plumbing_is_the_order_p_chain():
+    for p in range(2, 30):
+        plumbing, s = chain_plumbing(p), scaled_plumbing_inverse(p)
+        assert plumbing.weights == (2,) * (p - 2) + (p + 2,) and plumbing.det == p * p
+        for j in range(p - 1):
+            unit = [int(i == j) for i in range(p - 1)]
+            assert plumbing.solve(unit) == [-row[j] for row in s]
+    assert chain_plumbing(7) is chain_plumbing(7)
+
+
+def test_plumbing_rejects_weights_below_two():
+    for weights in ((), (2, 1), (3, 0, 2)):
+        with pytest.raises(ValueError, match="weights must be integers >= 2"):
+            Plumbing(weights)
+    with pytest.raises(ValueError, match="chain order p must be at least 2"):
+        chain_plumbing(1)
+
+
 def test_residue_arithmetic():
     a = Residue(7, 9)
     b = Residue(5, 9)
@@ -90,23 +164,10 @@ def test_residue_arithmetic():
         Residue(2, 9).in_subgroup(4)
 
 
-def test_relclass_basis_roundtrip():
-    rng = random.Random(11)
-    for p in range(2, 8):
-        for _ in range(10):
-            coords = tuple(rng.randint(-5, 5) for _ in range(p - 1))
-            e = RelClass(p, coords)
-            assert e.delta_coords() == coords
-            again = RelClass(p, e.gamma_coords(), basis="gamma")
-            assert again.delta_coords() == coords
-
-
 def test_relclass_rejects_non_integral_coordinates():
     # (3/2, 0) used to truncate to (1, 0)
     with pytest.raises(ValueError, match=r"non-integral coordinate"):
         RelClass(3, (Fraction(3, 2), 0))
-    with pytest.raises(ValueError, match=r"non-integral coordinate"):
-        RelClass(3, (0, Fraction(-1, 3)), basis="gamma")
     e = RelClass(3, (Fraction(4, 2), 0))
     assert e.coeffs == (2, 0) and all(type(c) is int for c in e.coeffs)
 
@@ -127,8 +188,10 @@ def test_rel_pairing_closed_form():
 def test_boundary_values():
     for p in range(2, 8):
         for j in range(1, p):
-            gj = RelClass(p, tuple(1 if k == j - 1 else 0 for k in range(p - 1)), basis="gamma")
-            assert boundary(gj).value == j
+            # gamma_j, dual to u_j, is delta_1 + ... + delta_j
+            gj = tuple(1 if k == j - 1 else 0 for k in range(p - 1))
+            assert chain_plumbing(p).boundary(gj) == Residue(j, p * p)
+            assert boundary(RelClass(p, (1,) * j + (0,) * (p - 1 - j))) == Residue(j, p * p)
         # every delta coordinate hits the boundary generator once
         e = RelClass(p, tuple(range(1, p)))
         assert boundary(e).value == sum(range(1, p)) % (p * p)
@@ -267,8 +330,8 @@ def test_lattice_structural_equality():
     l3 = IntersectionLattice(["a", "b"], [[1, 0], [0, -2]])
     assert l1 == l2 and hash(l1) == hash(l2)
     assert l1 != l3
-    with pytest.raises(ValueError):
-        IntersectionLattice(["a", "b"], [[0, 1], [2, 0]])  # not symmetric
+    with pytest.raises(ValueError, match="gram matrix must be symmetric"):
+        IntersectionLattice(["a", "b"], [[0, 1], [2, 0]])
     with pytest.raises(ValueError):
         IntersectionLattice(["a", "a"], [[0, 0], [0, 0]])  # duplicate name
 

@@ -31,7 +31,7 @@ def test_e_square_matches_general():
 
 def test_canonical_class_shape():
     e = _canon(5, 2, 3)
-    assert e.delta_coords() == (2, 3, 3, 3)
+    assert e.coeffs == (2, 3, 3, 3)
     assert boundary(e).value == CanonicalClass(5, 2, 3).boundary_value()
     with pytest.raises(ValueError):
         CanonicalClass(5, 2, 0)
@@ -99,7 +99,7 @@ def test_min_dim_search_finds_canonical():
     e = _canon(3, 1, 1)
     best, minimizers = min_dim_search(3, boundary(e), e, box=4)
     assert best == 1
-    assert any(m.delta_coords() == e.delta_coords() for m in minimizers)
+    assert any(m.coeffs == e.coeffs for m in minimizers)
 
 
 def test_min_dim_search_empty_raises():
