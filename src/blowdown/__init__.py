@@ -30,8 +30,7 @@ _EXPORTS = {
     "exppoly": ("ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist"),
     "lattice": (
         "ChainConfig", "HClass", "IntersectionLattice", "QClass", "RelClass", "Residue",
-        "boundary", "characteristic_square", "is_characteristic", "pairing",
-        "plumbing_matrix", "rel_pairing",
+        "boundary", "is_characteristic", "pairing", "plumbing_matrix", "rel_pairing",
     ),
     "moduli": (
         "CanonicalClass", "DimReport", "canonical_tb", "corr", "dim_moduli", "dim_report",

@@ -18,7 +18,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
-from .lattice import HClass, IntersectionLattice, QClass, integral_coords, pairing
+from .lattice import HClass, IntersectionLattice, integral_coords, pairing
 
 Scalar = Union[int, Fraction]
 
@@ -209,7 +209,7 @@ def cosh_c(kappa: HClass) -> ExpKernel:
     )
 
 
-def twist(k: ExpKernel, c: Union[HClass, QClass]) -> ExpKernel:
+def twist(k: ExpKernel, c: HClass) -> ExpKernel:
     """Coefficient twist a_s -> a_s (-1)^{(c^2 + kappa_s . c)/2}.
 
     Every exponent (c^2 + kappa_s . c) must be an even integer.

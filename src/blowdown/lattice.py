@@ -19,26 +19,23 @@ carries the integral bookkeeping for that surgery:
 A lattice stores its Gram matrix as an integer matrix `num` over one common
 denominator `den` (1 for every lattice except the refined fiber lattices),
 and its nonzero entries row by row as `sparse_gram`.  Every product here
-walks those entries in integer arithmetic: a rational class is scaled to
-integer numerators over the lcm of its denominators first, and `pairing`
-returns one exact `Fraction` built from the integer total.
-`characteristic_squares` is the one characteristic test, and it reads a
-batch of classes as columns, one per lattice coordinate: the nonzero entries
-of Gram row i give the column of every c . x_i, the parity test runs on that
-column, and the same dots add into the integer squares den * c . c.
-`characteristic_square` is its one-class call.  `ChainConfig` and
-`IntersectionLattice.restricted` form G.v from the nonzero entries of v, so
-the p-1 spheres of a chain, each with two or three nonzero coordinates (the
-end sphere of an exceptional chain has p-1), cost O(p), not the ambient rank.
-Classes carry their lattice and arithmetic across different lattices is an
-error, never a coercion.
+walks those entries, and `pairing` returns one exact `Fraction`, the total
+over `den`.  `characteristic_squares` is the one characteristic test, and it
+reads a batch of classes as columns, one per lattice coordinate: the nonzero
+entries of Gram row i give the column of every c . x_i, the parity test runs
+on that column, and the same dots add into the squares den * c . c.
+`ChainConfig` and `IntersectionLattice.restricted` form G.v from the nonzero
+entries of v, so the p-1 spheres of a chain, each with two or three nonzero
+coordinates (the end sphere of an exceptional chain has p-1), cost O(p), not
+the ambient rank.  Classes carry their lattice, and arithmetic across
+different lattices is an error, never a coercion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
 from operator import add, mod, mul, sub
 from typing import Collection, Mapping, Optional, Sequence, Union
@@ -73,7 +70,7 @@ class IntersectionLattice:
         rows = [list(row) for row in gram]
         if len(rows) != len(names) or any(len(row) != len(names) for row in rows):
             raise ValueError("gram matrix shape does not match basis")
-        if not all(type(x) is int for row in rows for x in row):
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
             rows = [[Fraction(x) for x in row] for row in rows]
             scale = lcm(*(x.denominator for row in rows for x in row))
             rows = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
@@ -228,22 +225,17 @@ class HClass(Frozen):
     def __neg__(self) -> "HClass":
         return HClass(self.lattice, tuple(-a for a in self.coeffs))
 
-    def __mul__(self, k: Scalar):
-        if isinstance(k, int):
-            return HClass(self.lattice, tuple(k * a for a in self.coeffs))
-        return QClass(self.lattice, tuple(Fraction(k) * a for a in self.coeffs))
+    def __mul__(self, k: int) -> "HClass":
+        return HClass(self.lattice, tuple(k * a for a in self.coeffs))
 
     __rmul__ = __mul__
-
-    def as_q(self) -> "QClass":
-        return QClass(self.lattice, tuple(Fraction(a) for a in self.coeffs))
 
     def square(self) -> Fraction:
         return pairing(self, self)
 
 
 class QClass(Frozen):
-    """Rational class: used for extensions of classes across a blowdown."""
+    """Rational class: the extension of a class across a blowdown."""
 
     __slots__ = ("lattice", "coeffs")
 
@@ -253,60 +245,36 @@ class QClass(Frozen):
         set_field(self, "lattice", lattice)
         set_field(self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
-    def __add__(self, other) -> "QClass":
-        _check_same_lattice(self, other)
-        return QClass(self.lattice, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other) -> "QClass":
-        _check_same_lattice(self, other)
-        return QClass(self.lattice, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "QClass":
-        return QClass(self.lattice, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, k: Scalar) -> "QClass":
-        return QClass(self.lattice, tuple(Fraction(k) * a for a in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def square(self) -> Fraction:
-        return pairing(self, self)
-
-
-def _numerators(c: Union[HClass, QClass]) -> tuple[Sequence[int], int]:
-    """Integer coordinates of c over one denominator: c = coords / den."""
-    if isinstance(c, HClass):
-        return c.coeffs, 1
-    den = lcm(*(x.denominator for x in c.coeffs))
-    return [x.numerator * (den // x.denominator) for x in c.coeffs], den
-
 
 def pairing(a: Union[HClass, QClass], b: Union[HClass, QClass]) -> Fraction:
-    """Intersection pairing a . b through the lattice gram matrix."""
+    """Intersection pairing a . b: the coordinates summed over the nonzero
+    Gram entries, over den.  Integer coordinates sum in ints; Fraction
+    coordinates (a QClass) run through the same loop and give the exact
+    pairing."""
     _check_same_lattice(a, b)
-    x, xden = _numerators(a)
-    y, yden = _numerators(b)
+    y = b.coeffs
     total = 0
-    for i, xi in enumerate(x):
+    for i, xi in enumerate(a.coeffs):
         if xi:
             s, off = a.lattice.sparse_gram[i]
             total += xi * (s * y[i] + sum(g * y[j] for j, g in off))
-    return Fraction(total, a.lattice.den * xden * yden)
+    return Fraction(total, a.lattice.den)
 
 
 def characteristic_squares(
-    lattice: IntersectionLattice, keys: Collection[Sequence[int]], xden: int = 1
-) -> list[Optional[int]]:
-    """den * xden^2 * (c . c), with den = lattice.den, for each class
-    c = key / xden (integer keys) that is characteristic: c . x = x . x
-    (mod 2) for every basis vector x, both pairings being integers.  None
-    for the others.
+    lattice: IntersectionLattice, keys: Collection[Sequence[Scalar]]
+) -> list[Optional[Scalar]]:
+    """den * (c . c), with den = lattice.den, for each class c = key that is
+    characteristic: c . x = x . x (mod 2) for every basis vector x, both
+    pairings being integers.  None for the others.  Integer keys give int
+    squares; Fraction keys run through the same loop and give the exact
+    rational test and square.
 
     The keys are read as columns, one per lattice coordinate i: the nonzero
-    entries of Gram row i give the column dots = den * xden * (c . x_i) of
-    every class, the parity test reads it, and coordinate i times dots adds
-    into every square.  A zero Gram row pairs every class to 0 = x_i . x_i
-    and adds 0 to the square, so its coordinate is skipped.
+    entries of Gram row i give the column dots = den * (c . x_i) of every
+    class, the parity test reads it, and coordinate i times dots adds into
+    every square.  A zero Gram row pairs every class to 0 = x_i . x_i and
+    adds 0 to the square, so its coordinate is skipped.
     """
     n = len(keys)
     lden = lattice.den
@@ -314,7 +282,7 @@ def characteristic_squares(
     if not n or (lden > 1 and any(s % lden for s, _ in rows)):
         return [None] * n  # no classes, or some x . x is not an integer
     cols = list(zip(*keys))
-    modulus = 2 * lden * xden
+    modulus = 2 * lden
     squares = [0] * n
     bad: set[int] = set()
     for col, (s, off) in zip(cols, rows):
@@ -324,8 +292,8 @@ def characteristic_squares(
         for j, g in off:
             dots = list(map(add, dots, map(mul, cols[j], repeat(g))))
         # c . x_i is an integer of the parity of x_i . x_i = s / den exactly
-        # when dots = xden * s modulo 2 * den * xden
-        odd = list(map(mod, map(sub, dots, repeat(xden * s)), repeat(modulus)))
+        # when dots = s modulo 2 * den
+        odd = list(map(mod, map(sub, dots, repeat(s)), repeat(modulus)))
         if any(odd):
             bad.update(compress(range(n), odd))
         squares = list(map(add, squares, map(mul, col, dots)))
@@ -334,23 +302,16 @@ def characteristic_squares(
     return squares
 
 
-def characteristic_square(
-    lattice: IntersectionLattice, coords: Sequence[int], xden: int = 1
-) -> Optional[int]:
-    """characteristic_squares for the one class coords / xden."""
-    return characteristic_squares(lattice, [coords], xden)[0]
-
-
 def is_characteristic(lattice: IntersectionLattice, c: Union[HClass, QClass]) -> bool:
-    """True when c . x = x . x (mod 2) for every basis vector x.
+    """True when c . x = x . x (mod 2) for every basis vector x, through
+    characteristic_squares; Fraction coordinates take the same path.
 
     Requires the relevant pairings to be integers; a class pairing fractionally
     with some basis vector is never characteristic here.
     """
     if c.lattice != lattice:
         raise ValueError("lattice mismatch: class does not live in this lattice")
-    x, xden = _numerators(c)
-    return characteristic_square(lattice, x, xden) is not None
+    return characteristic_squares(lattice, [c.coeffs])[0] is not None
 
 
 class Residue(Frozen):
@@ -471,13 +432,13 @@ class ChainConfig:
 
     spheres[0], ..., spheres[p-2] are the classes of u_1, ..., u_{p-1}; their
     mutual pairings must reproduce `plumbing` = chain_plumbing(p) exactly.
-    rows[j] is G.u_j over ambient.den; `supports` and `row_supports` are the
-    nonzero (i, v) of each sphere and row.  A class pairs with u_j in one dot
+    `supports` and `row_supports` are the nonzero (i, v) of each sphere u_j
+    and of its row G.u_j over ambient.den.  A class pairs with u_j in one dot
     over row_supports[j] (`dots`); direction i is orthogonal to the chain when
     no row support holds it.
     """
 
-    __slots__ = ("p", "plumbing", "ambient", "spheres", "rows", "supports", "row_supports")
+    __slots__ = ("p", "plumbing", "ambient", "spheres", "supports", "row_supports")
 
     def __init__(self, p: int, ambient: IntersectionLattice, spheres: Sequence[HClass]):
         plumbing = chain_plumbing(p)
@@ -494,7 +455,6 @@ class ChainConfig:
         object.__setattr__(self, "plumbing", plumbing)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "spheres", tuple(spheres))
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "supports", supports)
         object.__setattr__(self, "row_supports", tuple(map(_support, rows)))
 

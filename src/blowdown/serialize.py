@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # annotations only, so that dim formats numbers without the c
     from .exppoly import ExpKernel
     from .lattice import IntersectionLattice
     from .swinv import SWMap
-    from .transform import BlowdownResult, ManifoldSeries
+    from .transform import BlowdownResult, ClassRecord, ManifoldSeries
 
 
 @lru_cache(maxsize=4096)
@@ -100,8 +100,17 @@ def swmap_to_obj(m: SWMap) -> dict:
     }
 
 
+def _record_to_obj(rec: ClassRecord) -> dict:
+    obj = {"source": list(rec.source), "status": rec.status, "residue": rec.residue}
+    if rec.extension is not None:
+        obj["extension"] = [fraction_str(x) for x in rec.extension]
+    if rec.image is not None:
+        obj["image"] = list(rec.image)
+    return obj
+
+
 def blowdown_to_obj(result: BlowdownResult) -> dict:
     return {
         "series": series_to_obj(result.result),
-        "class_map": [rec.to_obj() for rec in result.class_map],
+        "class_map": [_record_to_obj(rec) for rec in result.class_map],
     }

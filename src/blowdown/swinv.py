@@ -26,7 +26,6 @@ from .lattice import (
     ChainConfig,
     HClass,
     IntersectionLattice,
-    characteristic_square,
     characteristic_squares,
     integral_coords,
 )
@@ -117,7 +116,7 @@ def sw_dim(m: SWMap, cls: KeyLike) -> Fraction:
         cls = HClass(m.lattice, integral_coords(cls))
     if cls.lattice != m.lattice:
         raise ValueError("lattice mismatch: class does not live in the map's lattice")
-    sq = characteristic_square(m.lattice, cls.coeffs)
+    sq = characteristic_squares(m.lattice, [cls.coeffs])[0]
     if sq is None:
         raise ValueError(f"class {cls.coeffs} is not characteristic")
     den = m.lattice.den

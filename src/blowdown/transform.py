@@ -116,16 +116,6 @@ class ClassRecord(Frozen):
         set_field(self, "image", image)
         set_field(self, "reason", reason)
 
-    def to_obj(self) -> dict:
-        from .serialize import fraction_str
-
-        obj = {"source": list(self.source), "status": self.status, "residue": self.residue}
-        if self.extension is not None:
-            obj["extension"] = [fraction_str(x) for x in self.extension]
-        if self.image is not None:
-            obj["image"] = list(self.image)
-        return obj
-
 
 class BlowdownResult(Frozen):
     __slots__ = ("result", "class_map")
@@ -496,7 +486,7 @@ def formal_log_coefficients(p: int) -> list[tuple[int, Fraction]]:
     rank-1 lattice, not written down: the all-ones answer is a theorem here."""
     if p < 1:
         raise ValueError("order must be >= 1")
-    scratch = IntersectionLattice(["u"], [[Fraction(0)]])
+    scratch = IntersectionLattice(["u"], [[0]])
     u = scratch.basis_class("u")
     q = exact_div(sinh_c(u * p), sinh_c(u))
     return sorted(((key[0], c) for key, c in q.terms.items()), reverse=True)
@@ -560,11 +550,11 @@ def _check_nodal_chain(m: ManifoldSeries, p: int, s: Optional[HClass]) -> None:
     p.  Raises RuntimeError on a mismatch."""
     up = blown_up_lattice(m.lattice, p - 1)
     pad = (0,) * (p - 1)
-    s_up = HClass(up, (s.coeffs if s is not None else (0,) * m.lattice.rank) + pad)
+    s_up = (s.coeffs if s is not None else (0,) * m.lattice.rank) + pad
     exc_names = up.basis_names[m.lattice.rank :]
-    config = ChainConfig(p, up, _exceptional_chain_spheres(up, exc_names, s_up.coeffs))
-    step = s_up * Fraction(1, p)
-    checks = [(k, k.as_q(), 0) for k in (HClass(up, key + pad) for key in m.kernel.num)]
+    config = ChainConfig(p, up, _exceptional_chain_spheres(up, exc_names, s_up))
+    step = QClass(up, [Fraction(a, p) for a in s_up])
+    checks = [(HClass(up, key + pad), QClass(up, key + pad), 0) for key in m.kernel.num]
     checks += [(up.basis_class(name), step, p) for name in exc_names]
     for kappa, want, b in checks:
         r = restrict_class(config, kappa)

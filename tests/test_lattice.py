@@ -19,7 +19,6 @@ from blowdown.lattice import (
     Residue,
     boundary,
     chain_plumbing,
-    characteristic_square,
     characteristic_squares,
     is_characteristic,
     pairing,
@@ -264,12 +263,14 @@ def _exceptional_chain_case(draw):
 @settings(max_examples=80, deadline=None)
 @given(_exceptional_chain_case(), st.integers(1, 3), st.data())
 def test_sparse_chain_products_match_dense_products(case, den, data):
-    """ChainConfig.rows, dots and restricted, which walk nonzero entries
-    only, against full dense products over every Gram row."""
+    """ChainConfig.row_supports, dots and restricted, which walk nonzero
+    entries only, against full dense products over every Gram row."""
     up, p, spheres = case
     cfg = ChainConfig(p, up, spheres)
     dense_rows = [_dense_products(up.num, s.coeffs) for s in spheres]
-    assert cfg.rows == tuple(map(tuple, dense_rows))
+    assert cfg.row_supports == tuple(
+        tuple((i, a) for i, a in enumerate(row) if a) for row in dense_rows
+    )
     ints = st.lists(st.integers(-5, 5), min_size=up.rank, max_size=up.rank)
     for v in data.draw(st.lists(ints, min_size=1, max_size=3)):
         assert cfg.dots(HClass(up, tuple(v))) == [sum(map(mul, row, v)) for row in dense_rows]
@@ -289,7 +290,7 @@ def test_qclass_converts_coordinates_exactly():
     q = QClass(lat, (half, 3, 0.25, Fraction(6, 4)))
     assert q.coeffs == (half, Fraction(3), Fraction(1, 4), Fraction(3, 2))
     assert {type(c) for c in q.coeffs} == {Fraction}
-    assert q.coeffs[0] == half and (q * 2).coeffs == (1, 6, half, 3)
+    assert q.coeffs[0] == half
 
 
 def test_hclass_operations():
@@ -301,8 +302,16 @@ def test_hclass_operations():
     c = a * 3 - b
     assert c.coeffs == (3, -1)
     assert c.square() == 8
-    q = c.as_q() * Fraction(1, 2)
+    q = QClass(lat, (Fraction(3, 2), Fraction(-1, 2)))
     assert pairing(q, q) == Fraction(2)
+
+
+def test_hclass_scales_by_integers_only():
+    c = diagonal_lattice(["a", "b"], [1, -1]).basis_class("a")
+    assert (c * 2).coeffs == (2, 0) and (3 * c).coeffs == (3, 0)
+    for scaled in (lambda: c * Fraction(1, 2), lambda: Fraction(1, 2) * c):
+        with pytest.raises(TypeError, match="HClass coordinates must be ints"):
+            scaled()
 
 
 def test_combo_rejects_non_integral_coefficients():
@@ -475,7 +484,7 @@ def test_int_core_mixed_integral_and_rational_pairs():
     assert pairing(half, half) == -Fraction(1, 3) - Fraction(4, 9)
     assert pairing(s, s) == -4 and type(pairing(s, s)) is Fraction
     # a rational class with integral numerators over 1 behaves as its HClass
-    assert is_characteristic(lat, (f * 2).as_q()) == is_characteristic(lat, f * 2)
+    assert is_characteristic(lat, QClass(lat, (2, 0))) == is_characteristic(lat, f * 2)
     # fractional pairing with a basis vector is never characteristic
     assert not is_characteristic(lat, QClass(lat, (Fraction(1, 2), Fraction(0))))
     with pytest.raises(ValueError):
@@ -590,26 +599,31 @@ def test_characteristic_square_matches_fraction_oracle(case, xden):
     box = _box(lat.rank)
     for x in box:
         want = _ref_square(gram, x)
-        got = characteristic_square(lat, x)
+        got = characteristic_squares(lat, [x])[0]
         assert got == (None if want is None else lat.den * want)
         assert type(got) in (int, type(None))
         assert is_characteristic(lat, HClass(lat, x)) == (want is not None)
-        # the rational class x / xden
+        # the rational class x / xden, as Fraction coordinates
         q = [Fraction(a, xden) for a in x]
         want = _ref_square(gram, q)
-        got = characteristic_square(lat, x, xden)
-        assert got == (None if want is None else lat.den * xden * xden * want)
+        got = characteristic_squares(lat, [q])[0]
+        assert got == (None if want is None else lat.den * want)
+        assert is_characteristic(lat, QClass(lat, q)) == (want is not None)
     # the whole box as one batch, and the empty batch
     _assert_batch_matches_oracle(lat, gram, box, xden)
-    assert characteristic_squares(lat, [], xden) == []
+    assert characteristic_squares(lat, []) == []
 
 
 def _assert_batch_matches_oracle(lat, gram, keys, xden=1):
-    got = characteristic_squares(lat, keys, xden)
-    want = [_ref_square(gram, [Fraction(a, xden) for a in x]) for x in keys]
-    scale = lat.den * xden * xden
-    assert got == [None if w is None else scale * w for w in want]
-    assert {type(g) for g in got} <= {int, type(None)}
+    """The batch of classes x / xden, Fraction coordinates when xden > 1;
+    the squares are ints exactly for the integral keys."""
+    if xden > 1:
+        keys = [[Fraction(a, xden) for a in x] for x in keys]
+    got = characteristic_squares(lat, keys)
+    want = [_ref_square(gram, x) for x in keys]
+    assert got == [None if w is None else lat.den * w for w in want]
+    if xden == 1:
+        assert {type(g) for g in got} <= {int, type(None)}
     return got
 
 
@@ -634,7 +648,7 @@ def test_characteristic_square_on_refined_and_blown_up_lattices():
             box = _box(new.rank, 3 if new.rank == 2 else 1)
             for x in box:
                 want = _ref_square(g, x)
-                got = characteristic_square(new, x)
+                got = characteristic_squares(new, [x])[0]
                 assert got == (None if want is None else new.den * want)
                 seen.add((new.den > 1, got is None))
             # the whole box as one batch, over xden 1 and 2

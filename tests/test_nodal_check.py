@@ -13,7 +13,7 @@ import pytest
 
 from blowdown import transform
 from blowdown.catalog import donaldson_closed_form, donaldson_pipeline
-from blowdown.lattice import ChainConfig, HClass
+from blowdown.lattice import ChainConfig, HClass, QClass
 from blowdown.transform import (
     _check_nodal_chain,
     _exceptional_chain_spheres,
@@ -37,16 +37,17 @@ def _enumerated_check(m, p, s):
     boundary p * sum(eps) mod p^2, in the index-p subgroup."""
     up = blown_up_lattice(m.lattice, p - 1)
     pad = (0,) * (p - 1)
-    s_up = HClass(up, (s.coeffs if s is not None else (0,) * m.lattice.rank) + pad)
+    s_up = (s.coeffs if s is not None else (0,) * m.lattice.rank) + pad
     config = ChainConfig(
-        p, up, _exceptional_chain_spheres(up, up.basis_names[m.lattice.rank :], s_up.coeffs)
+        p, up, _exceptional_chain_spheres(up, up.basis_names[m.lattice.rank :], s_up)
     )
     for kappa, _ in m.kernel.classes():
-        base = HClass(up, kappa.coeffs + pad).as_q()
+        base = kappa.coeffs + pad
         for eps in _sign_vectors(p - 1):
             total = sum(eps)
             r = restrict_class(config, HClass(up, kappa.coeffs + eps))
-            if r.extension != base + s_up * Fraction(total, p):
+            want = QClass(up, [a + Fraction(total * b, p) for a, b in zip(base, s_up)])
+            if r.extension != want:
                 raise RuntimeError(f"extension mismatch at {kappa.coeffs} + {eps}")
             if r.boundary.value != (p * total) % (p * p) or not r.boundary.in_subgroup(p):
                 raise RuntimeError(f"boundary mismatch at {kappa.coeffs} + {eps}")

@@ -45,8 +45,8 @@ EXPORTS = [
     "YSpec", "adjunction_audit", "donaldson_closed_form", "donaldson_pipeline", "parse_spec",
     "render", "replay", "surgery_plan", "sw_closed_form", "sw_covered", "sw_replay",
     "ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist", "ChainConfig", "HClass",
-    "IntersectionLattice", "QClass", "RelClass", "Residue", "boundary", "characteristic_square",
-    "is_characteristic", "pairing", "plumbing_matrix", "rel_pairing",
+    "IntersectionLattice", "QClass", "RelClass", "Residue", "boundary", "is_characteristic",
+    "pairing", "plumbing_matrix", "rel_pairing",
     "CanonicalClass", "DimReport", "canonical_tb", "corr", "dim_moduli", "dim_report",
     "e_square", "min_dim_search", "rho_half_closed_form", "verify_boundary_value_lemmas",
     "CheckReport", "SWMap", "sw_blowup", "sw_dim", "sw_en", "sw_log_transform",
@@ -159,10 +159,10 @@ def test_chain_configs_copy_and_pickle():
     config = ChainConfig(2, lat, [lat.basis_class(plan.steps[0].spheres[0])])
     for clone in _clones(config):
         assert type(clone) is ChainConfig
-        assert (clone.p, clone.ambient, clone.spheres, clone.rows) == (
-            config.p, config.ambient, config.spheres, config.rows
+        assert (clone.p, clone.ambient, clone.spheres, clone.row_supports) == (
+            config.p, config.ambient, config.spheres, config.row_supports
         )
-        assert (clone.supports, clone.row_supports) == (config.supports, config.row_supports)
+        assert clone.supports == config.supports
         assert clone.plumbing == config.plumbing
         with pytest.raises(AttributeError, match="is immutable"):
             clone.p = 3

@@ -46,15 +46,11 @@ def test_swmap_validation():
 def test_swmap_checks_each_class_once(monkeypatch):
     import blowdown.swinv as swinv
 
-    # one entry per class handed to the batch test or to the one-class test
+    # one entry per class handed to the characteristic test, sw_dim's included
     calls = []
     real = swinv.characteristic_squares
     monkeypatch.setattr(
         swinv, "characteristic_squares", lambda lat, keys: calls.extend(keys) or real(lat, keys)
-    )
-    real_one = swinv.characteristic_square
-    monkeypatch.setattr(
-        swinv, "characteristic_square", lambda lat, key: calls.append(key) or real_one(lat, key)
     )
     m = sw_en(6)
     assert len(calls) == len(m) == 5
