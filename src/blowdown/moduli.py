@@ -22,10 +22,11 @@ that relation for every nonzero boundary m < p^2.
 
 The dimension only depends on the coordinate sum s and the sum of squares q:
 e^2 = ((p+1) s^2 - p^2 q) / p^2.  verify_boundary_value_lemmas leans on that
-symmetry: it enumerates its box once, as one table of coordinate multisets
-with their odd-coordinate counts, stays exhaustive, and names counterexamples
-by sorted coordinates.  min_dim_search scans vectors, since it returns every
-minimizer in lexicographic order.
+symmetry: one dynamic-programming pass over the box values reaches every
+(sum, square-sum, odd-count) state of a coordinate multiset and gives each state
+one dimension, so the check stays exhaustive without listing multisets, and it
+names a failing state by its least sorted multiset.  min_dim_search scans
+vectors, since it returns every minimizer in lexicographic order.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ def _ncorr_table(p: int) -> tuple[int, ...]:
     out = []
     for m in range(p * p):
         c = corr(p, m) * p * p
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ValueError(f"p^2 corr({p}, {m}) = {c} is not an integer")
         out.append(int(c))
     return tuple(out)
 
@@ -213,21 +215,38 @@ def min_dim_search(
     return best, [RelClass(p, c) for c in minimizers]
 
 
-def _multiset_stats(p: int, box: int, ncorr: Sequence[int]):
-    """Every coordinate multiset in the box, grouped by coordinate sum.
+def _box_layers(p: int, box: int) -> list[list[dict[int, int]]]:
+    """Reachable states of coordinate multisets, one layer per box value.
 
-    Returns a dict mapping a coordinate sum to the list of (dim, number of odd
-    coordinates, sorted coordinate tuple).  Dimension, coordinate sum and
-    folded boundary are symmetric functions, so multisets lose nothing, and a
-    multiset with k odd entries permutes onto every parity vector with k odd
-    entries.
+    layers[i][c] maps a coordinate sum s to a bitset whose bit q p + odd is set
+    when some multiset of c values from [i - box, box] has sum s, square-sum q
+    and odd odd coordinates; odd <= c < p, so a slot never carries into the next.
     """
-    by_sum: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
-    for ms in itertools.combinations_with_replacement(range(-box, box + 1), p - 1):
-        s = sum(ms)
-        d = _dim_from_sums(p, s, sum(c * c for c in ms), ncorr)
-        by_sum.setdefault(s, []).append((d, sum(c & 1 for c in ms), ms))
-    return by_sum
+    layers = [[{0: 1}] + [{} for _ in range(p - 1)]]
+    for v in range(box, -box - 1, -1):
+        shift = v * v * p + (v & 1)
+        layer = [dict(row) for row in layers[-1]]
+        for c in range(1, p):  # ascending, so that v may repeat
+            row = layer[c]
+            for s, bits in layer[c - 1].items():
+                row[s + v] = row.get(s + v, 0) | bits << shift
+        layers.append(layer)
+    return layers[::-1]
+
+
+def _multisets(layers, p: int, box: int, i: int, c: int, s: int, idx: int):
+    """The sorted multisets of c values from [i - box, box] in state (s, idx) of
+    layers[i], in lexicographic order: more copies of the least value first."""
+    if c == 0:
+        yield ()
+        return
+    v = i - box
+    shift = v * v * p + (v & 1)
+    for k in range(c, -1, -1):
+        rest = idx - k * shift
+        if rest >= 0 and layers[i + 1][c - k].get(s - k * v, 0) >> rest & 1:
+            for tail in _multisets(layers, p, box, i + 1, c - k, s - k * v, rest):
+                yield (v,) * k + tail
 
 
 def verify_boundary_value_lemmas(p: int, t_max: int = 2, box: int = 4) -> list[CheckReport]:
@@ -245,63 +264,83 @@ def verify_boundary_value_lemmas(p: int, t_max: int = 2, box: int = 4) -> list[C
     4. quantized gap: if e' = e (mod 2) and the folded boundaries agree, then
        dim(e') - dim(e) is a nonnegative multiple of 4.
 
-    The box is enumerated once, as the coordinate multisets of
-    _multiset_stats; laws 3 and 4 read the multisets with as many odd
-    coordinates as e, each of which permutes onto e's parity.  A
-    counterexample therefore names a class by its sorted coordinates.
+    A multiset with as many odd coordinates as e permutes onto e's parity, so
+    the laws read the states (s, q, odd) of _box_layers, one dimension per
+    (s, q), through the least dimension of each sum and the least dimension and
+    residues mod 4 of each (s, odd).  Law 2 reads the states of sum m0 other
+    than e's own, which no other multiset reaches: at a fixed sum only the
+    balanced multiset e has the least square-sum.  A failing state is named by
+    the least sorted multiset that reaches it.
 
     Raises for p < 2, t_max < 0 or box < 0, where the scan would be empty.
     """
     if p < 2 or t_max < 0 or box < 0:
         raise ValueError(f"need p >= 2, t_max >= 0 and box >= 0, got {p}, {t_max}, {box}")
     ncorr = _ncorr_table(p)
-    psq = p * p
-    by_sum = _multiset_stats(p, box, ncorr)
-    smax = (p - 1) * box
+    psq, smax, mask = p * p, (p - 1) * box, (1 << p) - 1
+    layers = _box_layers(p, box)
+    states: dict[int, list[tuple[int, int, list[int]]]] = {}  # s -> (q, dim, odd counts)
+    # s -> odd -> (least dimension, bitmask of the dimensions mod 4)
+    low: dict[int, dict[int, tuple[int, int]]] = {}
+    for s, bits in sorted(layers[0][p - 1].items()):
+        row, lo = states[s], low[s] = [], {}
+        for q in range(s & 1, bits.bit_length() // p + 1, 2):  # q, odd = s mod 2, as c^2 = c
+            chunk = bits >> q * p & mask
+            if chunk:
+                odds = [o for o in range(s & 1, p, 2) if chunk >> o & 1]
+                d = _dim_from_sums(p, s, q, ncorr)
+                row.append((q, d, odds))
+                for o in odds:
+                    least, seen = lo.get(o, (d, 0))
+                    lo[o] = (min(least, d), seen | 1 << d % 4)
+    low_sum = {s: min(least for least, _ in lo.values()) for s, lo in low.items()}
 
-    canonicals = []
-    for t in range(t_max + 1):
-        for b in range(1, p):
-            if 2 * ((p - 1) * t + b) <= psq:
-                canonicals.append(CanonicalClass(p, t, b))
+    def at(s, keep):
+        """The states (s, q, odd) of sum s, with their dimension, that keep(odd, dim) selects."""
+        return [((s, q, o), d) for q, d, odds in states.get(s, ()) for o in odds if keep(o, d)]
+
+    def witness(state):
+        s, q, odd = state
+        return next(_multisets(layers, p, box, 0, p - 1, s, q * p + odd))
 
     failures: dict[str, list] = {"sum-shift": [], "tie": [], "monotone": [], "quantized-gap": []}
-
-    for canon in canonicals:
-        e = canon.rel_class()
-        m0 = canon.boundary_value()
-        dim_e = _dim_from_sums(p, m0, sum(c * c for c in e.coeffs), ncorr)
-        e_multiset = tuple(sorted(e.coeffs))
-        odd_e = sum(c & 1 for c in e.coeffs)
+    for t, b in itertools.product(range(t_max + 1), range(1, p)):
+        m0 = (p - 1) * t + b  # at most p^2/2, so also e's folded boundary
+        if 2 * m0 > psq:
+            continue
+        e = CanonicalClass(p, t, b).rel_class().coeffs
+        own = (m0, sum(c * c for c in e), sum(c & 1 for c in e))
+        dim_e, odd_e = _dim_from_sums(p, m0, own[1], ncorr), own[2]
 
         for r in range(-((smax + m0) // psq), (smax - m0) // psq + 1):
-            if r in (0, -1):
-                continue
-            bad = [ms for d, _, ms in by_sum.get(m0 + r * psq, ()) if d <= dim_e]
-            if bad:
-                failures["sum-shift"].append(
-                    {"e": e.coeffs, "r": r, "dim_e": dim_e, "classes": bad[:3]}
-                )
+            if r not in (0, -1) and low_sum.get(m0 + r * psq, dim_e + 1) <= dim_e:
+                bad = [st for st, d in at(m0 + r * psq, lambda o, d: d <= dim_e)]
+                failures["sum-shift"].append({"e": e, "r": r, "dim_e": dim_e, "classes": bad[:3]})
 
-        for d, _, ms in by_sum.get(m0, ()):
-            if d <= dim_e and ms != e_multiset:
-                failures["tie"].append({"e": e.coeffs, "dim_e": dim_e, "class": ms, "dim": d})
+        for st, d in at(m0, lambda o, d: d <= dim_e):
+            if st != own:
+                failures["tie"].append({"e": e, "dim_e": dim_e, "class": st, "dim": d})
 
-        fold_e = min(m0 % psq, -m0 % psq)
-        for s, entries in by_sum.items():
+        for s, lo in low.items():
             fold = min(s % psq, -s % psq)
-            for d, odd, ms in entries:
-                if odd != odd_e:
-                    continue
-                if d <= dim_e and fold > fold_e:
-                    failures["monotone"].append(
-                        {"e": e.coeffs, "dim_e": dim_e, "class": ms, "dim": d, "fold": fold}
-                    )
-                if fold == fold_e and (d < dim_e or (d - dim_e) % 4):
-                    failures["quantized-gap"].append(
-                        {"e": e.coeffs, "dim_e": dim_e, "class": ms, "dim": d}
-                    )
+            least, seen = lo.get(odd_e, (dim_e + 1, 1 << dim_e % 4))  # unreached: no failure
+            if fold > m0 and least <= dim_e:
+                failures["monotone"] += [
+                    {"e": e, "dim_e": dim_e, "class": st, "dim": d, "fold": fold}
+                    for st, d in at(s, lambda o, d: o == odd_e and d <= dim_e)
+                ]
+            if fold == m0 and (least < dim_e or seen != 1 << dim_e % 4):
+                failures["quantized-gap"] += [
+                    {"e": e, "dim_e": dim_e, "class": st, "dim": d}
+                    for st, d in at(s, lambda o, d: o == odd_e and (d < dim_e or (d - dim_e) % 4))
+                ]
 
+    for fails in failures.values():
+        for ce in fails[:5]:  # name only the reported states
+            if "classes" in ce:
+                ce["classes"] = [witness(st) for st in ce["classes"]]
+            else:
+                ce["class"] = witness(ce["class"])
     params = {"t_max": t_max, "box": box}
     return [
         CheckReport(f"boundary-value {name}", not fails, p=p, parameters=params,

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +116,57 @@ def test_boundary_value_lemmas_small():
         assert all(not r.counterexamples for r in reports)
 
 
+def test_boundary_value_lemmas_sum_shift_box():
+    # At box 4 no class has a sum m0 + r p^2 with r not in {0, -1}, so test_03
+    # cannot fail law 1.  Box 5 at p = 2 and p + 2 above it reach r = 1 for some
+    # step class ((p-1)(p+1) = p^2 - 1 falls one short), and all four laws hold.
+    for p in range(2, 10):
+        box = 5 if p == 2 else p + 2
+        smax, psq = (p - 1) * box, p * p
+        shifted = [
+            m0 + r * psq
+            for t in range(3)
+            for m0 in ((p - 1) * t + b for b in range(1, p))
+            if 2 * m0 <= psq
+            for r in range(-box, box + 1)
+            if r not in (0, -1) and -smax <= m0 + r * psq <= smax
+        ]
+        assert shifted, p
+        reports = verify_boundary_value_lemmas(p, t_max=2, box=box)
+        assert [r.name for r in reports] == [f"boundary-value {law}" for law in LAWS]
+        for r in reports:
+            assert r.passed and not r.counterexamples, (p, box, r.name, r.counterexamples)
+            assert r.parameters == {"t_max": 2, "box": box}
+
+
+def test_step_class_alone_in_its_state():
+    # the tie law skips e's own (sum, square-sum, odd count) state: at a fixed
+    # sum the balanced multiset e is the only one of least square-sum
+    for p in range(2, 7):
+        box = 4
+        by_state = {}
+        for ms in itertools.combinations_with_replacement(range(-box, box + 1), p - 1):
+            by_state.setdefault((sum(ms), sum(c * c for c in ms)), []).append(ms)
+        for t in range(box):
+            for b in range(1, p):
+                e = _canon(p, t, b).coeffs
+                assert by_state[sum(e), sum(c * c for c in e)] == [e]
+                assert min(q for s, q in by_state if s == sum(e)) == sum(c * c for c in e)
+
+
+def test_ncorr_table_rejects_non_integral_correction(monkeypatch):
+    # an integrality assert would vanish under python -O and int() would truncate
+    moduli._ncorr_table.cache_clear()
+    try:
+        monkeypatch.setattr(moduli, "corr", lambda p, m: Fraction(1, 2 * p * p))
+        with pytest.raises(ValueError, match="not an integer"):
+            moduli._ncorr_table(3)
+        monkeypatch.undo()
+        assert moduli._ncorr_table(3)[0] == 9 * corr(3, 0)
+    finally:
+        moduli._ncorr_table.cache_clear()
+
+
 def test_boundary_value_lemmas_reject_empty_scans():
     for kwargs in ({"p": 1}, {"p": 3, "box": -1}, {"p": 3, "t_max": -1}):
         with pytest.raises(ValueError):
@@ -161,6 +213,35 @@ def _brute_force_verdicts(p, t_max, box):
     return [ok[law] for law in LAWS]
 
 
+def _check_named_classes(law, p, box, ce, dim, table, by_state):
+    """Every class that counterexample ce names, recomputed from its
+    coordinates, breaks `law` against ce["e"] and is the least sorted multiset
+    of its (sum, square-sum, odd count) state."""
+    psq, e, dim_e = p * p, ce["e"], ce["dim_e"]
+    m0 = sum(e)  # the boundary value of a step class, at most p^2/2
+    assert list(e) == sorted(e) and dim_e == dim(p, m0, sum(c * c for c in e), table)
+    named = ce.get("classes", [ce.get("class")])
+    assert named
+    for cls in named:
+        assert len(cls) == p - 1 and all(abs(c) <= box for c in cls)
+        state = (sum(cls), sum(c * c for c in cls), sum(c & 1 for c in cls))
+        s, q, odd = state
+        d, fold = dim(p, s, q, table), min(s % psq, -s % psq)
+        assert cls == min(by_state[state])
+        if "dim" in ce:
+            assert ce["dim"] == d
+        if law == "sum-shift":
+            assert ce["r"] not in (0, -1) and s == m0 + ce["r"] * psq and d <= dim_e
+        elif law == "tie":
+            assert s == m0 and d <= dim_e and cls != e
+        else:
+            assert odd == sum(c & 1 for c in e)
+            if law == "monotone":
+                assert d <= dim_e and fold > m0 and fold == ce["fold"]
+            else:
+                assert fold == m0 and (d < dim_e or (d - dim_e) % 4)
+
+
 def test_boundary_value_lemmas_match_brute_force_under_corruption(monkeypatch):
     # A correction entry shifted by a multiple of p^2 keeps every dimension
     # integral and moves the dimensions of one boundary value, which breaks
@@ -186,6 +267,10 @@ def test_boundary_value_lemmas_match_brute_force_under_corruption(monkeypatch):
     failed = dict.fromkeys(LAWS, 0)
     for p, box, t_max in grids + [(2, 5, 2), (2, 6, 2), (3, 5, 2)]:
         psq = p * p
+        by_state = {}
+        for ms in itertools.combinations_with_replacement(range(-box, box + 1), p - 1):
+            state = (sum(ms), sum(c * c for c in ms), sum(c & 1 for c in ms))
+            by_state.setdefault(state, []).append(ms)
         variants = [(true_table(p), dim) for dim in (true_dim, flipped, flat, sunk)]
         for m in range(0, psq, max(1, psq // 5)):
             for k in (1, -2):
@@ -203,6 +288,5 @@ def test_boundary_value_lemmas_match_brute_force_under_corruption(monkeypatch):
                 assert bool(r.counterexamples) == (not r.passed)
                 failed[law] += not r.passed
                 for ce in r.counterexamples:
-                    for cls in ce.get("classes", [ce.get("class")]):
-                        assert list(cls) == sorted(cls)
+                    _check_named_classes(law, p, box, ce, dim, table, by_state)
     assert all(failed.values()), failed
