@@ -30,11 +30,11 @@ _EXPORTS = {
     "exppoly": ("ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist"),
     "lattice": (
         "ChainConfig", "HClass", "IntersectionLattice", "QClass", "RelClass", "Residue",
-        "boundary", "is_characteristic", "pairing", "plumbing_matrix", "rel_pairing",
+        "boundary", "is_characteristic", "pairing", "rel_pairing",
     ),
     "moduli": (
         "CanonicalClass", "DimReport", "canonical_tb", "corr", "dim_moduli", "dim_report",
-        "e_square", "min_dim_search", "rho_half_closed_form", "verify_boundary_value_lemmas",
+        "e_square", "rho_half_closed_form", "verify_boundary_value_lemmas",
     ),
     "reporting": ("CheckReport", "SpecParseError"),
     "swinv": (

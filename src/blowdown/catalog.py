@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Optional, Union
 
 from .exppoly import ExpKernel, cosh_c, exact_div, one, sinh_c
-from .lattice import ChainConfig, HClass, IntersectionLattice, pairing, plumbing_matrix
+from .lattice import ChainConfig, HClass, IntersectionLattice, chain_plumbing, pairing
 from .reporting import CheckReport, Frozen, SpecParseError, set_field
 from .swinv import SWMap, sw_blowup, sw_en, sw_log_transform, sw_taut_blowdown
 from .transform import (
@@ -347,7 +347,7 @@ def _chains_ambient(chains: list[SurgeryStep]) -> IntersectionLattice:
     gram = [[0] * len(names) for _ in names]
     at = 1
     for step in chains:
-        for i, row in enumerate(plumbing_matrix(step.n)):
+        for i, row in enumerate(chain_plumbing(step.n).matrix()):
             gram[at + i][at : at + step.n - 1] = row
         end = at + step.n - 2
         gram[0][end] = gram[end][0] = 1
@@ -469,7 +469,7 @@ def _y_lattice(n: int) -> IntersectionLattice:
     gram = [[0] * p for _ in range(p)]
     gram[0][0] = n - 3
     gram[0][p - 1] = gram[p - 1][0] = n - 2
-    for i, row in enumerate(plumbing_matrix(p), start=1):
+    for i, row in enumerate(chain_plumbing(p).matrix(), start=1):
         gram[i][1:] = row
     return IntersectionLattice(names, gram)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .lattice import HClass, IntersectionLattice, integral_coords, pairing
 
@@ -129,10 +129,6 @@ class ExpKernel:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items())
-
-    def classes(self) -> Iterator[tuple[HClass, Fraction]]:
-        for key, coeff in self.sorted_terms():
-            yield HClass(self.lattice, key), coeff
 
     def __repr__(self) -> str:
         if not self.num:

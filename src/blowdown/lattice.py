@@ -27,7 +27,7 @@ on that column, and the same dots add into the squares den * c . c.
 `ChainConfig` and `IntersectionLattice.restricted` form G.v from the nonzero
 entries of v, so the p-1 spheres of a chain, each with two or three nonzero
 coordinates (the end sphere of an exceptional chain has p-1), cost O(p), not
-the ambient rank.  Classes carry their lattice, and arithmetic across
+the ambient rank.  Classes carry their lattice, and pairing classes of
 different lattices is an error, never a coercion.
 """
 
@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
 from operator import add, mod, mul, sub
-from typing import Collection, Mapping, Optional, Sequence, Union
+from typing import Collection, Optional, Sequence, Union
 
 from .reporting import Frozen, set_field
 
@@ -142,20 +142,9 @@ class IntersectionLattice:
         except KeyError:
             raise KeyError(f"no basis vector named {name!r}") from None
 
-    def zero(self) -> "HClass":
-        return HClass(self, (0,) * self.rank)
-
     def basis_class(self, name: str) -> "HClass":
         coeffs = [0] * self.rank
         coeffs[self.index(name)] = 1
-        return HClass(self, tuple(coeffs))
-
-    def combo(self, terms: Mapping[str, int]) -> "HClass":
-        coeffs = [0] * self.rank
-        for name, c in terms.items():
-            if int(c) != c:
-                raise ValueError(f"coordinate {name!r} has non-integral coefficient {c}")
-            coeffs[self.index(name)] = int(c)
         return HClass(self, tuple(coeffs))
 
 
@@ -196,11 +185,6 @@ def integral_coords(coords) -> tuple[int, ...]:
     return out
 
 
-def _check_same_lattice(a, b) -> None:
-    if a.lattice != b.lattice:
-        raise ValueError("lattice mismatch: classes live in different lattices")
-
-
 class HClass(Frozen):
     """Integral class: integer coordinates in the lattice basis."""
 
@@ -214,14 +198,6 @@ class HClass(Frozen):
         set_field(self, "lattice", lattice)
         set_field(self, "coeffs", coeffs)
 
-    def __add__(self, other: "HClass") -> "HClass":
-        _check_same_lattice(self, other)
-        return HClass(self.lattice, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "HClass") -> "HClass":
-        _check_same_lattice(self, other)
-        return HClass(self.lattice, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __neg__(self) -> "HClass":
         return HClass(self.lattice, tuple(-a for a in self.coeffs))
 
@@ -229,9 +205,6 @@ class HClass(Frozen):
         return HClass(self.lattice, tuple(k * a for a in self.coeffs))
 
     __rmul__ = __mul__
-
-    def square(self) -> Fraction:
-        return pairing(self, self)
 
 
 class QClass(Frozen):
@@ -251,7 +224,8 @@ def pairing(a: Union[HClass, QClass], b: Union[HClass, QClass]) -> Fraction:
     Gram entries, over den.  Integer coordinates sum in ints; Fraction
     coordinates (a QClass) run through the same loop and give the exact
     pairing."""
-    _check_same_lattice(a, b)
+    if a.lattice != b.lattice:
+        raise ValueError("lattice mismatch: classes live in different lattices")
     y = b.coeffs
     total = 0
     for i, xi in enumerate(a.coeffs):
@@ -315,7 +289,7 @@ def is_characteristic(lattice: IntersectionLattice, c: Union[HClass, QClass]) ->
 
 
 class Residue(Frozen):
-    """An element of Z_m that refuses arithmetic across different moduli."""
+    """An element of Z_m, stored as its least nonnegative representative."""
 
     __slots__ = ("value", "modulus")
 
@@ -324,23 +298,6 @@ class Residue(Frozen):
             raise ValueError("modulus must be positive")
         set_field(self, "value", value % modulus)
         set_field(self, "modulus", modulus)
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: Z_{self.modulus} vs Z_{other.modulus}"
-            )
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
 
     def reduced(self) -> int:
         """Fold onto {0, ..., floor(m/2)} by identifying r with m - r."""
@@ -410,16 +367,10 @@ def chain_plumbing(p: int) -> Plumbing:
     return Plumbing((2,) * (p - 2) + (p + 2,))
 
 
-def plumbing_matrix(p: int) -> list[list[int]]:
-    """Intersection matrix of the order-p chain: tridiagonal, diagonal
-    (-2, ..., -2, -(p+2)), off-diagonal 1.  Size (p-1) x (p-1)."""
-    return chain_plumbing(p).matrix()
-
-
 @lru_cache(maxsize=None)
 def scaled_plumbing_inverse(p: int) -> tuple[tuple[int, ...], ...]:
-    """p^2 times the inverse of plumbing_matrix(p), an integer matrix in
-    closed form: entry (i, j) = j (i (p+1) - p^2) for j <= i, symmetric."""
+    """p^2 times the inverse of the order-p chain's matrix, an integer matrix
+    in closed form: entry (i, j) = j (i (p+1) - p^2) for j <= i, symmetric."""
     if p < 2:
         raise ValueError("chain order p must be at least 2")
     return tuple(

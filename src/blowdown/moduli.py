@@ -25,8 +25,7 @@ e^2 = ((p+1) s^2 - p^2 q) / p^2.  verify_boundary_value_lemmas leans on that
 symmetry: one dynamic-programming pass over the box values reaches every
 (sum, square-sum, odd-count) state of a coordinate multiset and gives each state
 one dimension, so the check stays exhaustive without listing multisets, and it
-names a failing state by its least sorted multiset.  min_dim_search scans
-vectors, since it returns every minimizer in lexicographic order.
+names a failing state by its least sorted multiset.
 """
 
 from __future__ import annotations
@@ -172,49 +171,6 @@ def _dim_from_sums(p: int, s: int, q: int, ncorr: Sequence[int]) -> int:
     return d
 
 
-def min_dim_search(
-    p: int,
-    m: Union[int, Residue],
-    parity: RelClass,
-    box: int,
-) -> tuple[int, list[RelClass]]:
-    """Exhaustive minimum of dim over the box [-box, box]^(p-1).
-
-    Scans every class with coordinates congruent to `parity` mod 2 componentwise
-    and boundary m in Z_{p^2}; returns the minimal dimension and all minimizers
-    in lexicographic order.  Raises if the search set is empty.
-    """
-    if isinstance(m, Residue):
-        if m.modulus != p * p:
-            raise ValueError(f"residue modulus {m.modulus} does not match p^2={p * p}")
-        m = m.value
-    if parity.p != p:
-        raise ValueError("parity class has the wrong chain order")
-    m %= p * p
-    ncorr = _ncorr_table(p)
-    ranges = [
-        [v for v in range(-box, box + 1) if (v - c) % 2 == 0]
-        for c in parity.coeffs
-    ]
-    if any(not r for r in ranges):
-        raise ValueError("empty search set: box too small for the parity constraint")
-    best: Optional[int] = None
-    minimizers: list[tuple[int, ...]] = []
-    for coords in itertools.product(*ranges):
-        s = sum(coords)
-        if s % (p * p) != m:
-            continue
-        d = _dim_from_sums(p, s, sum(c * c for c in coords), ncorr)
-        if best is None or d < best:
-            best = d
-            minimizers = [coords]
-        elif d == best:
-            minimizers.append(coords)
-    if best is None:
-        raise ValueError("empty search set: no class in the box has the given boundary")
-    return best, [RelClass(p, c) for c in minimizers]
-
-
 def _box_layers(p: int, box: int) -> list[list[dict[int, int]]]:
     """Reachable states of coordinate multisets, one layer per box value.
 
@@ -305,10 +261,11 @@ def verify_boundary_value_lemmas(p: int, t_max: int = 2, box: int = 4) -> list[C
 
     failures: dict[str, list] = {"sum-shift": [], "tie": [], "monotone": [], "quantized-gap": []}
     for t, b in itertools.product(range(t_max + 1), range(1, p)):
-        m0 = (p - 1) * t + b  # at most p^2/2, so also e's folded boundary
+        step = CanonicalClass(p, t, b)
+        m0 = step.boundary_value()  # at most p^2/2, so also e's folded boundary
         if 2 * m0 > psq:
             continue
-        e = CanonicalClass(p, t, b).rel_class().coeffs
+        e = step.rel_class().coeffs
         own = (m0, sum(c * c for c in e), sum(c & 1 for c in e))
         dim_e, odd_e = _dim_from_sums(p, m0, own[1], ncorr), own[2]
 

@@ -95,19 +95,8 @@ class SWMap(Frozen):
     def b_plus(self) -> int:
         return b_plus_of(self.euler, self.signature)
 
-    def classes(self):
-        for key in sorted(self.values):
-            yield HClass(self.lattice, key), self.values[key]
-
     def basic_classes(self) -> list[HClass]:
-        return [cls for cls, _ in self.classes()]
-
-    def value(self, cls: KeyLike) -> int:
-        key = cls.coeffs if isinstance(cls, HClass) else tuple(cls)
-        return self.values.get(key, 0)
-
-    def __len__(self) -> int:
-        return len(self.kernel)
+        return [HClass(self.lattice, key) for key in sorted(self.values)]
 
 
 def sw_dim(m: SWMap, cls: KeyLike) -> Fraction:

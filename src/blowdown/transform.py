@@ -42,9 +42,9 @@ from .lattice import (
     IntersectionLattice,
     QClass,
     Residue,
+    chain_plumbing,
     characteristic_squares,
     pairing,
-    plumbing_matrix,
     scaled_plumbing_inverse,
 )
 from .linalg import hnf_rows, mat_vec, span_coords
@@ -531,7 +531,7 @@ def verify_nodal_matrix_identity(p: int) -> bool:
         raise ValueError("need p >= 2")
     n, p2 = p - 1, p * p
     a, s = _nodal_matrix(p), scaled_plumbing_inverse(p)
-    if plumbing_matrix(p) != [[-x for x in mat_vec(a, row)] for row in a]:
+    if chain_plumbing(p).matrix() != [[-x for x in mat_vec(a, row)] for row in a]:
         return False
     at = list(zip(*a))
     for j, col in enumerate(at):

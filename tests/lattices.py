@@ -4,7 +4,7 @@ Imported by the test modules as `from lattices import ...`; pytest puts this
 directory on sys.path because the tests are not a package.
 """
 
-from blowdown.lattice import IntersectionLattice, plumbing_matrix
+from blowdown.lattice import IntersectionLattice, chain_plumbing
 
 
 def diagonal_lattice(names, squares) -> IntersectionLattice:
@@ -16,4 +16,4 @@ def diagonal_lattice(names, squares) -> IntersectionLattice:
 def chain_lattice(p: int) -> IntersectionLattice:
     """The chain's own second homology in the sphere basis u_1, ..., u_{p-1}."""
     names = [f"u{i}" for i in range(1, p)]
-    return IntersectionLattice(names, plumbing_matrix(p))
+    return IntersectionLattice(names, chain_plumbing(p).matrix())

@@ -1,12 +1,18 @@
-"""Lint: every public function of the package has a caller inside the package.
+"""Lint: every public function and method of the package has a caller inside
+the package.
 
 Every public (no leading underscore) top-level function of every module of
 src/blowdown/ must be loaded in some module other than __init__.py, outside
 its own definition, unless it sits on ALLOWED; re-exporting a name from
 __init__.py does not count as a call.  A load counts only in the module that
 defines the name or in one that imports it, so a parameter that happens to
-share a function's name is not a caller.  Uses only the standard library's
-ast.
+share a function's name is not a caller.
+
+Every public method or property of a class of those modules must be read as
+an attribute (`x.name`) somewhere in them outside its own body.  The match is
+by name alone, as the package has no type information to resolve `x`; a
+method is an orphan when no attribute of its name is read at all.  Uses only
+the standard library's ast.
 """
 
 import ast
@@ -16,8 +22,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "blowdown"
 
 # Public functions that are kept without a caller in src/blowdown/.
 ALLOWED = {
-    # the vector-scan oracle for a faster boundary-value-law verifier
-    "min_dim_search",
     # the twist route for W(n), a third route for the routes cross-check
     "p2_blowdown",
     # traced by bench/tracing.py as the lattice layer's characteristic test
@@ -67,12 +71,42 @@ def orphans(modules: dict[str, str]) -> list[str]:
     return sorted(public - used)
 
 
+def method_orphans(modules: dict[str, str]) -> list[str]:
+    """Public methods and properties, as "Class.name", of the classes of
+    `modules` whose name no module of `modules` reads as an attribute outside
+    the method's own body."""
+    trees = [ast.parse(src) for src in modules.values()]
+    reads: dict[str, set[int]] = {}  # attribute name -> ids of the loading nodes
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, set()).add(id(node))
+    found = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    own = {id(node) for node in ast.walk(fn)}
+                    if not reads.get(fn.name, set()) - own:
+                        found.append(f"{cls.name}.{fn.name}")
+    return sorted(found)
+
+
+def _package() -> dict[str, str]:
+    return {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+
+
 def test_every_export_has_a_caller():
-    modules = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
-    found = orphans(modules)
-    assert len(ALLOWED) <= 4
+    found = orphans(_package())
+    assert len(ALLOWED) <= 3
     assert [name for name in found if name not in ALLOWED] == [], "public with no caller"
     assert sorted(ALLOWED - set(found)) == [], "allowed names that now have a caller"
+
+
+def test_every_method_has_a_caller():
+    assert method_orphans(_package()) == [], "public method or property with no caller"
 
 
 def test_guard_names_a_planted_orphan():
@@ -101,3 +135,20 @@ def test_guard_sees_modules_that_are_not_re_exported():
         "cli": "from .codec import encode\n\ndef main():\n    return encode(1)\n\nmain()\n",
     }
     assert orphans(modules) == ["decode"]
+
+
+def test_method_guard_names_a_planted_orphan():
+    modules = {
+        "geo": (
+            "class Shape:\n"
+            "    def __init__(self, r):\n        self.r = r\n\n"
+            "    @property\n    def radius(self):\n        return self.r\n\n"
+            "    def area(self):\n        return self.radius * self.radius\n\n"
+            "    def grow(self, k):\n        return Shape(self.r + k).grow(k - 1) if k else self\n\n"
+            "    def _helper(self):\n        return 0\n"
+        ),
+        "cli": "from .geo import Shape\n\ndef main(n):\n    return Shape(n).area()\n\nmain(1)\n",
+    }
+    assert method_orphans(modules) == ["Shape.grow"]
+    modules["cli"] += "\nShape(2).grow(1)\n"
+    assert method_orphans(modules) == []

@@ -16,7 +16,7 @@ from blowdown.exppoly import (
     twist,
     zero,
 )
-from blowdown.lattice import IntersectionLattice
+from blowdown.lattice import HClass, IntersectionLattice
 from lattices import diagonal_lattice
 
 LAT = IntersectionLattice(["f", "s"], [[0, 1], [1, -4]])
@@ -73,9 +73,9 @@ def test_mul_is_exponent_convolution():
 
 
 def test_hyperbolic_identity():
-    v = LAT.combo({"f": 1, "s": 2})
+    v = HClass(LAT, (1, 2))  # f + 2 s
     assert cosh_c(v) * cosh_c(v) - sinh_c(v) * sinh_c(v) == one(LAT)
-    assert sinh_c(LAT.zero()) == zero(LAT)
+    assert sinh_c(HClass(LAT, (0, 0))) == zero(LAT)
     assert sinh_c(-v) == -sinh_c(v)
     assert cosh_c(-v) == cosh_c(v)
 
@@ -122,12 +122,9 @@ def test_exact_div_roundtrip():
 
 def test_exact_div_multidirection_collinear():
     # divisor support must lie on one rank-1 direction of the full lattice
-    f = LAT.basis_class("f")
-    s = LAT.basis_class("s")
-    num = sinh_c(f * 2 + s * 4)
-    den = sinh_c(f + s * 2)
-    q = exact_div(num, den)
-    assert q == cosh_c(f + s * 2) * 2
+    v = HClass(LAT, (1, 2))  # f + 2 s
+    q = exact_div(sinh_c(v * 2), sinh_c(v))
+    assert q == cosh_c(v) * 2
 
 
 def test_exact_div_errors():

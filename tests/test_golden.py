@@ -53,6 +53,24 @@ def invocations() -> list[list[str]]:
         ["sw", "E(2;2,3;5,7;11,13)"],
         ["witten", "logt(W(1),2)"],
     ]
+    # verbs, structured forms and outer surgeries that no entry above reaches
+    out += [
+        ["logt", "E(3;2)", "3"],
+        ["logt", "E(3;2)", "3", "--format", "structured"],
+        ["audit", "H(6)"],
+        ["audit", "E(3;2,5)"],
+        ["audit", "Y(5)", "--format", "structured"],
+        ["sw", "Y(5)", "--format", "structured"],
+        ["witten", "W(2)", "--format", "structured"],
+        ["dim", "--p", "5", "--canonical", "1,2", "--format", "structured"],
+        ["verify", "lattice", "--p-max", "4", "--format", "structured"],
+        ["series", "blowup(E(3),2)"],
+        ["series", "logt(blowup(E(2),1),3)"],
+        ["series", "hpsum(E(2),3)"],
+        ["series", "blowup(W(2),1)", "--route", "pipeline"],
+        ["series", "E(2"],  # exit 2: the spec does not parse
+        ["series", "E(2;4,6)"],  # exit 3: the pair is not coprime
+    ]
     return out
 
 
@@ -84,6 +102,20 @@ def test_golden_corpus():
                 f"first differing invocation: {want['argv']} ({', '.join(fields)}): "
                 + "; ".join(f"{k}: want {want[k]!r}, got {got[k]!r}" for k in fields)
             )
+
+
+def test_golden_reaches_every_verb():
+    import argparse
+
+    from blowdown.cli import _build_parser
+
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    verbs = set(sub.choices)
+    golden = json.loads(GOLDEN.read_text())
+    assert verbs - {e["argv"][0] for e in golden} == set(), "verbs with no golden entry"
+    structured = {e["argv"][0] for e in golden if "structured" in e["argv"]}
+    assert verbs - structured == set(), "verbs with no structured golden entry"
+    assert any(e["exit"] == 2 for e in golden), "no golden entry exits 2"
 
 
 if __name__ == "__main__":

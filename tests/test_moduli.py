@@ -12,7 +12,6 @@ from blowdown.moduli import (
     dim_moduli,
     dim_report,
     e_square,
-    min_dim_search,
     rho_half_closed_form,
     verify_boundary_value_lemmas,
 )
@@ -96,17 +95,18 @@ def test_canonical_tb_roundtrip():
         assert canonical_tb(p, 0) is None
 
 
-def test_min_dim_search_finds_canonical():
+def test_canonical_class_attains_the_least_dimension_in_its_box():
+    # <1, 2; 1> at p = 3 has dimension 1, the least over the classes of
+    # [-4, 4]^2 with its coordinate parities and its boundary
     e = _canon(3, 1, 1)
-    best, minimizers = min_dim_search(3, boundary(e), e, box=4)
-    assert best == 1
-    assert any(m.coeffs == e.coeffs for m in minimizers)
-
-
-def test_min_dim_search_empty_raises():
-    parity = RelClass(2, (1,))
-    with pytest.raises(ValueError):
-        min_dim_search(2, 1, parity, box=0)
+    rivals = [
+        RelClass(3, c)
+        for c in itertools.product(range(-4, 5), repeat=2)
+        if all((x - y) % 2 == 0 for x, y in zip(c, e.coeffs))
+        and boundary(RelClass(3, c)) == boundary(e)
+    ]
+    assert e in rivals and dim_moduli(e) == 1
+    assert min(map(dim_moduli, rivals)) == 1
 
 
 def test_boundary_value_lemmas_small():

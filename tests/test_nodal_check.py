@@ -41,7 +41,7 @@ def _enumerated_check(m, p, s):
     config = ChainConfig(
         p, up, _exceptional_chain_spheres(up, up.basis_names[m.lattice.rank :], s_up)
     )
-    for kappa, _ in m.kernel.classes():
+    for kappa in m.basic_classes():
         base = kappa.coeffs + pad
         for eps in _sign_vectors(p - 1):
             total = sum(eps)

@@ -66,6 +66,6 @@ def test_sw_blowup_in_one_pass(k):
             step = sw_blowup(step)
         assert once == step
         assert (once.euler, once.signature) == (m.euler + k, m.signature - k)
-        assert len(once) == (2**k) * len(m)
+        assert len(once.values) == (2**k) * len(m.values)
         assert all(sw_dim(once, key) == 0 for key in once.values)
         assert once.lattice.basis_names[m.lattice.rank :] == _exceptional_names(k)

@@ -46,9 +46,9 @@ EXPORTS = [
     "render", "replay", "surgery_plan", "sw_closed_form", "sw_covered", "sw_replay",
     "ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist", "ChainConfig", "HClass",
     "IntersectionLattice", "QClass", "RelClass", "Residue", "boundary", "is_characteristic",
-    "pairing", "plumbing_matrix", "rel_pairing",
+    "pairing", "rel_pairing",
     "CanonicalClass", "DimReport", "canonical_tb", "corr", "dim_moduli", "dim_report",
-    "e_square", "min_dim_search", "rho_half_closed_form", "verify_boundary_value_lemmas",
+    "e_square", "rho_half_closed_form", "verify_boundary_value_lemmas",
     "CheckReport", "SWMap", "sw_blowup", "sw_dim", "sw_en", "sw_log_transform",
     "sw_taut_blowdown", "witten_check", "witten_exponent", "witten_kernel", "BlowdownResult",
     "ClassRecord", "ManifoldSeries", "RestrictedClass", "blowup", "connected_sum_hp",

@@ -40,7 +40,6 @@ STRUCTURED = [argv for argv in invocations() if argv[-2:] == STRUCT] + [
     ["sw", "blowup(E(3),3)", *STRUCT],
     ["witten", "E(3;2)", *STRUCT],
     ["witten", "blowup(E(4;2,3),2)", *STRUCT],
-    ["dim", "--p", "5", "--canonical", "1,2", *STRUCT],
     ["verify", "lemmas", "--p-max", "4", *STRUCT],
     ["blowdown", "E(4)", "--horikawa", "2", *STRUCT],
     ["logt", "E(4;2,3)", "5", *STRUCT],

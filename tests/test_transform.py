@@ -74,7 +74,7 @@ def test_series_and_fiber_checks_name_the_smallest_bad_class():
 def test_series_charnums():
     m = _en(3)
     assert (m.euler, m.signature, m.b_plus) == (36, -24, 5)
-    assert m.basic_classes() == [c for c, _ in m.kernel.classes()]
+    assert m.basic_classes() == [HClass(m.lattice, key) for key, _ in m.kernel.sorted_terms()]
 
 
 def test_blowup_multiplies_by_cosh():
