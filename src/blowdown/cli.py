@@ -4,9 +4,10 @@ Verbs: series, sw, witten, dim, verify, blowdown, logt, audit.  Exit codes:
 0 success, 1 a verification or comparison failed, 2 usage or spec parse
 error, 3 semantic error (well-formed input rejected by the mathematics), 141
 the reader closed stdout early (128 + SIGPIPE, as a shell reports for cat).
-Output is deterministic byte for byte for a given invocation and is written
-in one piece; --format structured emits the documented JSON encodings
-instead of text.  sw and witten
+Output is deterministic byte for byte for a given invocation; it is rendered
+line by line (or, under --format structured, JSON piece by piece, in the
+documented encodings) and written in chunks of about CHUNK bytes, so no verb
+holds its whole output in memory.  sw and witten
 name on stderr each class a chain blowdown drops for want of an extension.
 
 Importing this module loads no other part of the package; each cmd_*
@@ -22,7 +23,8 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:
     from .exppoly import ExpKernel
@@ -32,6 +34,8 @@ if TYPE_CHECKING:
 
 # ---------------------------------------------------------------------------
 # Text rendering
+
+CHUNK = 1 << 13  # bytes encoded before each write to stdout, io.DEFAULT_BUFFER_SIZE
 
 
 @lru_cache(maxsize=4096)
@@ -62,28 +66,26 @@ def _compact_kernel(k: ExpKernel) -> Optional[str]:
     return f"{lead}{fn}({_class_text(k.lattice, pos_key)})"
 
 
-def _lattice_lines(lat: IntersectionLattice) -> list[str]:
+def _lattice_lines(lat: IntersectionLattice) -> Iterator[str]:
     from .serialize import lattice_to_obj
 
-    gram = json.dumps(lattice_to_obj(lat)["gram"])
-    return [f"basis: {' '.join(lat.basis_names)}", f"gram: {gram}"]
+    yield f"basis: {' '.join(lat.basis_names)}"
+    yield f"gram: {json.dumps(lattice_to_obj(lat)['gram'])}"
 
 
-def _series_lines(m: ManifoldSeries) -> list[str]:
+def _series_lines(m: ManifoldSeries) -> Iterator[str]:
     from .serialize import ratio_str
 
-    lines = _lattice_lines(m.lattice)
+    yield from _lattice_lines(m.lattice)
     compact = _compact_kernel(m.kernel)
     if compact is not None:
-        lines.append(f"kernel: {compact}")
+        yield f"kernel: {compact}"
     else:
         num, den = m.kernel.num, m.kernel.den
-        lines.append(f"kernel ({len(num)} terms):")
-        lines += [
-            f"  {ratio_str(num[key], den)} * e^({_class_text(m.lattice, key)})"
-            for key in sorted(num)
-        ]
-    return lines + [f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}"]
+        yield f"kernel ({len(num)} terms):"
+        for key in sorted(num):
+            yield f"  {ratio_str(num[key], den)} * e^({_class_text(m.lattice, key)})"
+    yield f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}"
 
 
 def _print_drops(chains) -> None:
@@ -97,23 +99,37 @@ def _print_drops(chains) -> None:
 
 
 def _emit(args, obj, text) -> None:
-    """Write dumps(obj()) under --format structured, else the lines text()
-    returns, to stdout in one piece; the structured object is only built when
-    it is written."""
+    """Write the pieces of iterencode(obj()) under --format structured, else
+    the lines text() yields, to stdout in chunks of about CHUNK bytes, so that
+    no verb holds its whole output at once.  The structured object is only
+    built when it is written; obj and text only format values the verb has
+    already computed, so a verb that exits 2 or 3 raises before any write."""
     if args.format == "structured":
-        from .serialize import dumps
+        from .serialize import iterencode
 
-        data = dumps(obj()) + "\n"
+        pieces, end = chain(iterencode(obj()), ("\n",)), ""
     else:
-        data = "\n".join([*text(), ""])
+        pieces, end = text(), "\n"  # each piece is a line
     raw = getattr(sys.stdout, "buffer", None)
-    if raw is None:
-        sys.stdout.write(data)
+    if raw is None:  # a text-only stream, such as io.StringIO
+        sys.stdout.writelines(piece + end for piece in pieces)
         return
+    sys.stdout.flush()
+    encoding, chunk = sys.stdout.encoding, bytearray()
+    tail = end.encode(encoding)
+    for piece in pieces:
+        chunk += piece.encode(encoding)
+        chunk += tail
+        if len(chunk) >= CHUNK:
+            _write(raw, chunk)
+            chunk = bytearray()
+    _write(raw, chunk)
+
+
+def _write(raw, data: bytearray) -> None:
     # unbuffered (python -u), the binary layer may take only part of a write,
     # which the text layer would drop; the loop reaches a closed reader's EPIPE
-    sys.stdout.flush()
-    view = memoryview(data.encode(sys.stdout.encoding))
+    view = memoryview(data)
     while view:
         view = view[raw.write(view):]
 
@@ -130,7 +146,9 @@ def _series_output(args, spec, route: str) -> int:
     m = build(spec)
 
     def text():
-        return [f"spec: {render(spec)}", f"route: {route}", *_series_lines(m)]
+        yield f"spec: {render(spec)}"
+        yield f"route: {route}"
+        yield from _series_lines(m)
 
     _emit(args, lambda: {"spec": render(spec), "route": route, **series_to_obj(m)}, text)
     return 0
@@ -151,13 +169,12 @@ def cmd_sw(args) -> int:
     _print_drops(chains)
 
     def text():
-        return [
-            f"spec: {render(spec)}",
-            *_lattice_lines(m.lattice),
-            f"classes ({len(m.values)}):",
-            *(f"  {_class_text(m.lattice, key)}: {m.values[key]}" for key in sorted(m.values)),
-            f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}",
-        ]
+        yield f"spec: {render(spec)}"
+        yield from _lattice_lines(m.lattice)
+        yield f"classes ({len(m.values)}):"
+        for key in sorted(m.values):
+            yield f"  {_class_text(m.lattice, key)}: {m.values[key]}"
+        yield f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}"
 
     _emit(args, lambda: {"spec": render(spec), **swmap_to_obj(m)}, text)
     return 0
@@ -302,16 +319,16 @@ def cmd_blowdown(args) -> int:
         }
 
     def text():
-        lines = [f"spec: {render(spec)}"]
+        yield f"spec: {render(spec)}"
         for i, (step, pre, result) in enumerate(steps, start=1):
-            lines.append(f"step {i}: blow down order-{step.n} chain ending at {step.spheres[-1]}")
+            yield f"step {i}: blow down order-{step.n} chain ending at {step.spheres[-1]}"
             for rec in result.class_map:
                 src = _class_text(pre, rec.source)
                 line = f"  {src}: {rec.status} (boundary {rec.residue} mod {step.n**2})"
                 if rec.status == "kept":
                     line += f" -> {_class_text(result.result.lattice, rec.image)}"
-                lines.append(line)
-        return lines + _series_lines(final)
+                yield line
+        yield from _series_lines(final)
 
     _emit(args, obj, text)
     return 0

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .lattice import RelClass, Residue, boundary, rel_pairing
 from .reporting import CheckReport, Frozen, set_field
@@ -171,28 +171,31 @@ def _dim_from_sums(p: int, s: int, q: int, ncorr: Sequence[int]) -> int:
     return d
 
 
-def _box_layers(p: int, box: int) -> list[list[dict[int, int]]]:
-    """Reachable states of coordinate multisets, one layer per box value.
+def _box_layers(p: int, box: int) -> Iterator[list[dict[int, int]]]:
+    """Reachable states of coordinate multisets, one layer per box value, for
+    the values [v, box] as v runs from box + 1 (no value) down to -box.
 
-    layers[i][c] maps a coordinate sum s to a bitset whose bit q p + odd is set
-    when some multiset of c values from [i - box, box] has sum s, square-sum q
-    and odd odd coordinates; odd <= c < p, so a slot never carries into the next.
+    layer[c] maps a coordinate sum s to a bitset whose bit q p + odd is set
+    when some multiset of c values from [v, box] has sum s, square-sum q and
+    odd odd coordinates; odd <= c < p, so a slot never carries into the next.
+    Each layer is a new object, so a caller may keep only the last.
     """
-    layers = [[{0: 1}] + [{} for _ in range(p - 1)]]
+    layer = [{0: 1}] + [{} for _ in range(p - 1)]
+    yield layer
     for v in range(box, -box - 1, -1):
         shift = v * v * p + (v & 1)
-        layer = [dict(row) for row in layers[-1]]
+        layer = [dict(row) for row in layer]
         for c in range(1, p):  # ascending, so that v may repeat
             row = layer[c]
             for s, bits in layer[c - 1].items():
                 row[s + v] = row.get(s + v, 0) | bits << shift
-        layers.append(layer)
-    return layers[::-1]
+        yield layer
 
 
 def _multisets(layers, p: int, box: int, i: int, c: int, s: int, idx: int):
     """The sorted multisets of c values from [i - box, box] in state (s, idx) of
-    layers[i], in lexicographic order: more copies of the least value first."""
+    layers[i], in lexicographic order: more copies of the least value first;
+    layers lists _box_layers in reverse, so that layers[i] covers [i - box, box]."""
     if c == 0:
         yield ()
         return
@@ -234,11 +237,12 @@ def verify_boundary_value_lemmas(p: int, t_max: int = 2, box: int = 4) -> list[C
         raise ValueError(f"need p >= 2, t_max >= 0 and box >= 0, got {p}, {t_max}, {box}")
     ncorr = _ncorr_table(p)
     psq, smax, mask = p * p, (p - 1) * box, (1 << p) - 1
-    layers = _box_layers(p, box)
+    for top in _box_layers(p, box):  # keep only the last layer, for [-box, box]
+        pass
     states: dict[int, list[tuple[int, int, list[int]]]] = {}  # s -> (q, dim, odd counts)
     # s -> odd -> (least dimension, bitmask of the dimensions mod 4)
     low: dict[int, dict[int, tuple[int, int]]] = {}
-    for s, bits in sorted(layers[0][p - 1].items()):
+    for s, bits in sorted(top[p - 1].items()):
         row, lo = states[s], low[s] = [], {}
         for q in range(s & 1, bits.bit_length() // p + 1, 2):  # q, odd = s mod 2, as c^2 = c
             chunk = bits >> q * p & mask
@@ -292,6 +296,8 @@ def verify_boundary_value_lemmas(p: int, t_max: int = 2, box: int = 4) -> list[C
                     for st, d in at(s, lambda o, d: o == odd_e and (d < dim_e or (d - dim_e) % 4))
                 ]
 
+    # walking a witness back reads every layer: rebuild them only to name one
+    layers = list(_box_layers(p, box))[::-1] if any(failures.values()) else []
     for fails in failures.values():
         for ce in fails[:5]:  # name only the reported states
             if "classes" in ce:

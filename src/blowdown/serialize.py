@@ -3,9 +3,11 @@ prints them.
 
 Rationals encode as plain ints when integral and as "num/den" strings
 otherwise.  Term lists are sorted by exponent tuple so equal values always
-encode to identical text.  `dumps` is the one encoder: its text equals
-json.dumps(obj, indent=2, sort_keys=True), and it writes term lists straight
-from the kernel's integer numerators, with no object per term.  No verb reads
+encode to identical text.  `iterencode` is the one encoder: the pieces it
+yields join to json.dumps(obj, indent=2, sort_keys=True), and it writes term
+lists straight from the kernel's integer numerators, one piece per term and
+with no object per term, so that the CLI can print them in bounded chunks
+(`"".join(iterencode(obj))` is the whole text).  No verb reads
 these encodings back; the decoders that check the round trips live with the
 tests (tests/decode.py).
 """
@@ -16,7 +18,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any, Iterator, Union
 
 if TYPE_CHECKING:  # annotations only, so that dim formats numbers without the calculus
     from .exppoly import ExpKernel
@@ -37,33 +39,40 @@ def fraction_str(x: Union[Fraction, int]) -> str:
     return ratio_str(*Fraction(x).as_integer_ratio())
 
 
-def dumps(obj: Any, pad: str = "\n") -> str:
-    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, for dicts
-    with str keys, lists, tuples and scalars; a callable stands for the JSON
-    text it returns for the newline-and-indent pad of its line."""
-    inner = pad + "  "
+def iterencode(obj: Any, pad: str = "\n") -> Iterator[str]:
+    """The text json.dumps(obj, indent=2, sort_keys=True) writes, in pieces,
+    for dicts with str keys, lists, tuples and scalars; a callable stands for
+    the pieces it yields for the newline-and-indent pad of its line."""
+    inner, sep = pad + "  ", ""
     if isinstance(obj, dict):
-        items = [f"{inner}{json.dumps(k)}: {dumps(v, inner)}" for k, v in sorted(obj.items())]
-        return "{" + ",".join(items) + pad + "}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(inner + dumps(v, inner) for v in obj) + pad + "]" if obj else "[]"
-    return obj(pad) if callable(obj) else json.dumps(obj)
+        for k, v in sorted(obj.items()):
+            yield f"{sep or '{'}{inner}{json.dumps(k)}: "
+            yield from iterencode(v, inner)
+            sep = ","
+        yield pad + "}" if sep else "{}"
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield f"{sep or '['}{inner}"
+            yield from iterencode(v, inner)
+            sep = ","
+        yield pad + "]" if sep else "[]"
+    elif callable(obj):
+        yield from obj(pad)
+    else:
+        yield json.dumps(obj)
 
 
-def _terms_json(k: ExpKernel, field: str, quote: str, pad: str) -> str:
-    """dumps of [{"class": key, field: value}, ...] over k's terms in key
-    order: value is the coefficient, as a string when quote is '"'.  Keys
-    are never empty, as a lattice has rank >= 1."""
-    if not k.num:
-        return "[]"
+def _terms_json(k: ExpKernel, field: str, quote: str, pad: str) -> Iterator[str]:
+    """iterencode of [{"class": key, field: value}, ...] over k's terms in key
+    order, one term a piece: value is the coefficient, as a string when quote
+    is '"'.  Keys are never empty, as a lattice has rank >= 1."""
     p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
     head, sep, mid = f'{p1}{{{p2}"class": [{p3}', "," + p3, f'{p2}],{p2}"{field}": {quote}'
-    tail, num, den = quote + p1 + "}", k.num, k.den
-    body = ",".join(
-        f"{head}{sep.join(map(str, key))}{mid}{ratio_str(num[key], den)}{tail}"
-        for key in sorted(num)
-    )
-    return "[" + body + pad + "]"
+    tail, num, den, comma = quote + p1 + "}", k.num, k.den, "["
+    for key in sorted(num):
+        yield f"{comma}{head}{sep.join(map(str, key))}{mid}{ratio_str(num[key], den)}{tail}"
+        comma = ","
+    yield pad + "]" if num else "[]"
 
 
 def lattice_to_obj(lat: IntersectionLattice) -> dict:

@@ -3,23 +3,27 @@
 Structured output must be exactly what the standard library's indenting
 encoder writes for the same value; text output must match the per-term
 rendering (`old_class_text` and `fraction_str` over `sorted_terms()`) kept
-here as the oracle.
+here as the oracle.  Both are written in bounded chunks as they are rendered:
+the memory a verb spends on printing, the bytes across chunk boundaries and
+the exit codes of a closed or rejected run are checked here too.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from blowdown import cli
 from blowdown.catalog import donaldson_closed_form
 from blowdown.cli import main
 from blowdown.exppoly import ExpKernel
 from blowdown.lattice import IntersectionLattice
-from blowdown.serialize import dumps, fraction_str, kernel_to_obj, lattice_to_obj
+from blowdown.serialize import fraction_str, iterencode, kernel_to_obj, lattice_to_obj
 from test_golden import invocations
 
 STRUCT = ["--format", "structured"]
@@ -81,8 +85,8 @@ def test_hand_built_objects_match_the_stdlib_encoder():
     }
     written = dict(plain, kernels=[kernel_to_obj(k) for k in kernels])
     want = json.dumps(plain, indent=2, sort_keys=True)
-    assert dumps(written) == want
-    assert dumps(plain) == want
+    assert "".join(iterencode(written)) == want
+    assert "".join(iterencode(plain)) == want
 
 
 def old_class_text(names, coeffs) -> str:
@@ -141,10 +145,10 @@ def test_text_specs_have_big_and_fractional_coefficients():
 )
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_pipe_exits_141_in_either_format(argv, first, unbuffered):
-    # each output (1 MB structured, 100 kB text) is written in one piece and
-    # outgrows the pipe buffer; the reader closes its end after one line,
-    # while that write is under way.  Unbuffered (python -u), the binary
-    # layer takes part of the write and the text layer would drop the rest.
+    # each output (1 MB structured, 100 kB text) outgrows the pipe buffer, so
+    # its chunks are still being written when the reader closes its end after
+    # one line.  Unbuffered (python -u), the binary layer takes part of a
+    # write and the text layer would drop the rest.
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
@@ -161,3 +165,97 @@ def test_closed_pipe_exits_141_in_either_format(argv, first, unbuffered):
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == b""
+
+
+def cli_env(unbuffered: str) -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+
+
+def run_cli(argv, unbuffered: str = "") -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "blowdown.cli", *argv],
+        capture_output=True,
+        env=cli_env(unbuffered),
+    )
+
+
+class Discard:
+    """A stdout that counts the bytes written to its binary layer and keeps none."""
+
+    encoding = "utf-8"
+
+    def __init__(self):
+        self.buffer = self
+        self.written = 0
+
+    def write(self, data) -> int:
+        self.written += len(data)
+        return len(data)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "blowup(E(6),10)", *STRUCT],
+        ["series", "blowup(E(3),10)"],
+        ["witten", "blowup(E(4;2,3),6)", *STRUCT],
+    ],
+    ids=" ".join,
+)
+def test_rendering_holds_a_bounded_share_of_the_output(monkeypatch, argv):
+    # A listing walks its kernel's keys in sorted order: the sorted list holds
+    # one 8-byte pointer per term, and sorting it takes a merge buffer of up
+    # to half as many.  Besides these, what _emit allocates must stay under a
+    # quarter of what it writes; holding the whole output as text and as
+    # bytes, as a single write needs, takes three times it.
+    terms = len(donaldson_closed_form(argv[1]).kernel)
+    peaks = []
+
+    def traced_emit(*emit_args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        emit(*emit_args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    emit, sink = cli._emit, Discard()
+    monkeypatch.setattr(cli, "_emit", traced_emit)
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(peaks) == 1
+    assert sink.written > 10 * cli.CHUNK
+    assert peaks[0] - 12 * terms < sink.written / 4
+
+
+def test_unbuffered_output_spanning_many_chunks_is_byte_identical():
+    argv = ["series", "blowup(E(6),10)", *STRUCT]
+    buffered, unbuffered = run_cli(argv), run_cli(argv, "1")
+    assert buffered.returncode == unbuffered.returncode == 0
+    assert len(buffered.stdout) > 100 * cli.CHUNK
+    assert unbuffered.stdout == buffered.stdout
+    assert buffered.stdout.decode() == stdlib_text(buffered.stdout.decode())
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["series", "E(1)"], 3),
+        (["series", "E(1)", *STRUCT], 3),
+        (["series", "E(3"], 2),
+        (["sw", "blowup(E(3),"], 2),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_a_rejected_invocation_writes_nothing_on_stdout(argv, code):
+    proc = run_cli(argv)
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ")

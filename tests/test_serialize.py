@@ -8,8 +8,8 @@ from blowdown.exppoly import ExpKernel
 from blowdown.lattice import IntersectionLattice
 from blowdown.serialize import (
     blowdown_to_obj,
-    dumps,
     fraction_str,
+    iterencode,
     kernel_to_obj,
     lattice_to_obj,
     series_to_obj,
@@ -29,7 +29,7 @@ from decode import (
 def encoded(obj):
     """obj as the CLI writes it, read back: term lists are written straight
     from their kernels, so only the text is plain JSON."""
-    return json.loads(dumps(obj))
+    return json.loads("".join(iterencode(obj)))
 
 
 def test_fraction_strings():
