@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 from .exppoly import ExpKernel, cosh_c, exact_div, one, sinh_c
 from .lattice import ChainConfig, HClass, IntersectionLattice, chain_plumbing, pairing
-from .reporting import CheckReport, Frozen, SpecParseError, set_field
+from .reporting import CheckReport, Frozen, SpecParseError
 from .swinv import SWMap, sw_blowup, sw_en, sw_log_transform, sw_taut_blowdown
 from .transform import (
     ManifoldSeries,
@@ -55,8 +55,7 @@ class EllipticSpec(Frozen):
                 raise ValueError("fiber multiplicities must be >= 1")
             if gcd(p, q) != 1:
                 raise ValueError(f"fiber multiplicities {p} and {q} must be coprime")
-        set_field(self, "n", n)
-        set_field(self, "pairs", pairs)
+        super().__init__(n, pairs)
 
 
 class WSpec(Frozen):
@@ -67,7 +66,7 @@ class WSpec(Frozen):
             raise ValueError("W(n) needs n >= 1")
         if n > 8:
             raise ValueError(f"W({n}) rejected: simple connectivity is only guaranteed for n <= 8")
-        set_field(self, "n", n)
+        super().__init__(n)
 
 
 class YSpec(Frozen):
@@ -76,7 +75,7 @@ class YSpec(Frozen):
     def __init__(self, n: int):
         if n < 4:
             raise ValueError("Y(n) needs n >= 4 (chain order n-2 >= 2)")
-        set_field(self, "n", n)
+        super().__init__(n)
 
 
 class HSpec(Frozen):
@@ -85,7 +84,7 @@ class HSpec(Frozen):
     def __init__(self, n: int):
         if n < 4:
             raise ValueError("H(n) needs n >= 4 (chain order n-2 >= 2)")
-        set_field(self, "n", n)
+        super().__init__(n)
 
 
 class BlowupSpec(Frozen):
@@ -94,8 +93,7 @@ class BlowupSpec(Frozen):
     def __init__(self, base: "ManifoldSpec", k: int):
         if k < 1:
             raise ValueError("blowup count must be >= 1")
-        set_field(self, "base", base)
-        set_field(self, "k", k)
+        super().__init__(base, k)
 
 
 class LogSpec(Frozen):
@@ -104,8 +102,7 @@ class LogSpec(Frozen):
     def __init__(self, base: "ManifoldSpec", p: int):
         if p < 1:
             raise ValueError("log transform order must be >= 1")
-        set_field(self, "base", base)
-        set_field(self, "p", p)
+        super().__init__(base, p)
 
 
 class HpSumSpec(Frozen):
@@ -114,8 +111,7 @@ class HpSumSpec(Frozen):
     def __init__(self, base: "ManifoldSpec", p: int):
         if p < 1:
             raise ValueError("homology-ball sum order must be >= 1")
-        set_field(self, "base", base)
-        set_field(self, "p", p)
+        super().__init__(base, p)
 
 
 ManifoldSpec = Union[EllipticSpec, WSpec, YSpec, HSpec, BlowupSpec, LogSpec, HpSumSpec]
@@ -286,11 +282,7 @@ class SurgeryStep(Frozen):
         spheres: tuple[str, ...] = (),
         image: Optional[str] = None,
     ):
-        set_field(self, "op", op)
-        set_field(self, "n", n)
-        set_field(self, "fiber", fiber)
-        set_field(self, "spheres", spheres)
-        set_field(self, "image", image)
+        super().__init__(op, n, fiber, spheres, image)
 
     def config(self, lattice: IntersectionLattice) -> ChainConfig:
         return ChainConfig(self.n, lattice, [lattice.basis_class(nm) for nm in self.spheres])
@@ -311,22 +303,6 @@ class SurgeryPlan(Frozen):
     """
 
     __slots__ = ("family", "ambient", "seed", "steps", "family_steps", "sw_gap")
-
-    def __init__(
-        self,
-        family: ManifoldSpec,
-        ambient: IntersectionLattice,
-        seed: int,
-        steps: tuple[SurgeryStep, ...],
-        family_steps: int,
-        sw_gap: Optional[str],
-    ):
-        set_field(self, "family", family)
-        set_field(self, "ambient", ambient)
-        set_field(self, "seed", seed)
-        set_field(self, "steps", steps)
-        set_field(self, "family_steps", family_steps)
-        set_field(self, "sw_gap", sw_gap)
 
     def seed_series(self) -> ManifoldSeries:
         """The fiber power sinh^(seed-2)(f)."""

@@ -38,6 +38,8 @@ if TYPE_CHECKING:
 CHUNK = 1 << 13  # bytes encoded before each write to stdout, io.DEFAULT_BUFFER_SIZE
 
 
+# Serves the blowup listings, whose thousands of classes repeat a few (name, c)
+# pairs (sw blowup(E(6),8): 11,499 hits, 21 misses); rank-1 listings miss.
 @lru_cache(maxsize=4096)
 def _piece(name: str, c: int) -> str:
     """The signed summand c*name of a class sum, "" for c == 0."""

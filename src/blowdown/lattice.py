@@ -40,7 +40,7 @@ from math import gcd, lcm
 from operator import add, mod, mul, sub
 from typing import Collection, Optional, Sequence, Union
 
-from .reporting import Frozen, set_field
+from .reporting import Frozen
 
 Scalar = Union[int, Fraction]
 
@@ -195,8 +195,7 @@ class HClass(Frozen):
             raise ValueError("coordinate length does not match lattice rank")
         if not all(isinstance(c, int) for c in coeffs):
             raise TypeError("HClass coordinates must be ints")
-        set_field(self, "lattice", lattice)
-        set_field(self, "coeffs", coeffs)
+        super().__init__(lattice, coeffs)
 
     def __neg__(self) -> "HClass":
         return HClass(self.lattice, tuple(-a for a in self.coeffs))
@@ -215,8 +214,7 @@ class QClass(Frozen):
     def __init__(self, lattice: IntersectionLattice, coeffs: Sequence[Scalar]):
         if len(coeffs) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        set_field(self, "lattice", lattice)
-        set_field(self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
+        super().__init__(lattice, tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
 
 def pairing(a: Union[HClass, QClass], b: Union[HClass, QClass]) -> Fraction:
@@ -296,8 +294,7 @@ class Residue(Frozen):
     def __init__(self, value: int, modulus: int):
         if modulus <= 0:
             raise ValueError("modulus must be positive")
-        set_field(self, "value", value % modulus)
-        set_field(self, "modulus", modulus)
+        super().__init__(value % modulus, modulus)
 
     def reduced(self) -> int:
         """Fold onto {0, ..., floor(m/2)} by identifying r with m - r."""
@@ -331,9 +328,7 @@ class Plumbing(Frozen):
             head.append(a * head[-1] - head[-2])
         for a in reversed(weights[:-1]):
             tail.append(a * tail[-1] - tail[-2])
-        set_field(self, "weights", weights)
-        set_field(self, "head", tuple(head))
-        set_field(self, "tail", tuple(reversed(tail)))
+        super().__init__(weights, tuple(head), tuple(reversed(tail)))
 
     @property
     def det(self) -> int:
@@ -438,8 +433,7 @@ class RelClass(Frozen):
             raise ValueError("chain order p must be at least 2")
         if len(coeffs) != p - 1:
             raise ValueError(f"expected {p - 1} coordinates for p={p}")
-        set_field(self, "p", p)
-        set_field(self, "coeffs", integral_coords(coeffs))
+        super().__init__(p, integral_coords(coeffs))
 
 
 def rel_pairing(a: RelClass, b: RelClass) -> Fraction:

@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 from .lattice import RelClass, Residue, boundary, rel_pairing
-from .reporting import CheckReport, Frozen, set_field
+from .reporting import CheckReport, Frozen
 
 
 def e_square(p: int, t: int, b: int) -> Fraction:
@@ -63,9 +63,7 @@ class CanonicalClass(Frozen):
             raise ValueError("t must be nonnegative")
         if not 1 <= b <= p - 1:
             raise ValueError("b must satisfy 1 <= b <= p-1")
-        set_field(self, "p", p)
-        set_field(self, "t", t)
-        set_field(self, "b", b)
+        super().__init__(p, t, b)
 
     def rel_class(self) -> RelClass:
         coords = (self.t,) * (self.p - 1 - self.b) + (self.t + 1,) * self.b
@@ -130,15 +128,6 @@ def dim_moduli(e: RelClass) -> int:
 
 class DimReport(Frozen):
     __slots__ = ("e", "e_square", "boundary", "reduced_boundary", "dim")
-
-    def __init__(
-        self, e: RelClass, e_square: Fraction, boundary: Residue, reduced_boundary: int, dim: int
-    ):
-        set_field(self, "e", e)
-        set_field(self, "e_square", e_square)
-        set_field(self, "boundary", boundary)
-        set_field(self, "reduced_boundary", reduced_boundary)
-        set_field(self, "dim", dim)
 
 
 def dim_report(e: RelClass) -> DimReport:

@@ -36,10 +36,21 @@ set_field = object.__setattr__
 
 
 class Frozen(Record):
-    """A Record that refuses assignment and deletion once built; its __init__
-    sets each field with set_field.  Hashes by exact type and field values."""
+    """A Record that refuses assignment and deletion once built.  Frozen(*fields)
+    sets the fields in __slots__ order, so a subclass names its fields once,
+    in __slots__, and defines __init__ only to check, coerce or default them
+    before calling super().__init__.  Hashes by exact type and field values."""
 
     __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        names = self.__slots__
+        if len(fields) != len(names):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes {len(names)} fields, got {len(fields)}"
+            )
+        for name, value in zip(names, fields):
+            set_field(self, name, value)
 
     def __hash__(self) -> int:
         return hash((self.__class__, self._key(self)))

@@ -29,7 +29,7 @@ from .lattice import (
     characteristic_squares,
     integral_coords,
 )
-from .reporting import Frozen, set_field
+from .reporting import Frozen
 from .transform import (
     BlowdownResult,
     ManifoldSeries,
@@ -68,9 +68,7 @@ class SWMap(Frozen):
             key = min(k for k, c in kernel.num.items() if c % kernel.den)
             v = Fraction(kernel.num[key], kernel.den)
             raise ValueError(f"value for class {key} must be an integer, got {v}")
-        set_field(self, "kernel", kernel)
-        set_field(self, "euler", euler)
-        set_field(self, "signature", signature)
+        super().__init__(kernel, euler, signature)
         # dimension zero means den * key^2 == den * (3 sigma + 2 e)
         zero_dim = lattice.den * (3 * self.signature + 2 * self.euler)
         squares = characteristic_squares(lattice, kernel.num)

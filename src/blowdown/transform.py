@@ -41,14 +41,13 @@ from .lattice import (
     HClass,
     IntersectionLattice,
     QClass,
-    Residue,
     chain_plumbing,
     characteristic_squares,
     pairing,
     scaled_plumbing_inverse,
 )
 from .linalg import hnf_rows, mat_vec, span_coords
-from .reporting import Frozen, set_field
+from .reporting import Frozen
 
 
 def b_plus_of(euler: int, signature: int) -> int:
@@ -79,9 +78,7 @@ class ManifoldSeries(Frozen):
         if None in squares:
             bad = min(key for key, sq in zip(kernel.num, squares) if sq is None)
             raise ValueError(f"kernel class {bad} is not characteristic")
-        set_field(self, "kernel", kernel)
-        set_field(self, "euler", euler)
-        set_field(self, "signature", signature)
+        super().__init__(kernel, euler, signature)
 
     @property
     def lattice(self) -> IntersectionLattice:
@@ -109,12 +106,7 @@ class ClassRecord(Frozen):
         image: Optional[tuple[int, ...]] = None,
         reason: str = "",
     ):
-        set_field(self, "source", source)
-        set_field(self, "status", status)
-        set_field(self, "residue", residue)
-        set_field(self, "extension", extension)
-        set_field(self, "image", image)
-        set_field(self, "reason", reason)
+        super().__init__(source, status, residue, extension, image, reason)
 
 
 class BlowdownResult(Frozen):
@@ -122,24 +114,19 @@ class BlowdownResult(Frozen):
 
     # result is the blown-down ManifoldSeries or SWMap
     def __init__(self, result: object, class_map: tuple[ClassRecord, ...] = ()):
-        set_field(self, "result", result)
-        set_field(self, "class_map", class_map)
+        super().__init__(result, class_map)
 
 
-class RestrictedClass:
+class RestrictedClass(Frozen):
     """Result of pushing a class off a chain configuration.
 
-    extension: the ambient rational class kappa + sum x_i u_i orthogonal to
-        every sphere of the configuration.
-    boundary: the class of the relative restriction in Z_{p^2}; the extension
+    extension: the ambient rational class (a QClass) kappa + sum x_i u_i
+        orthogonal to every sphere of the configuration.
+    boundary: the class (a Residue) of the relative restriction in Z_{p^2}; the extension
         descends to the blowdown exactly when this lies in the index-p subgroup.
     """
 
     __slots__ = ("extension", "boundary")
-
-    def __init__(self, extension: QClass, boundary: Residue):
-        self.extension = extension
-        self.boundary = boundary
 
 
 def _fresh_names(lattice: IntersectionLattice, stem: str, count: int) -> list[str]:
@@ -407,15 +394,6 @@ class LogPlacement(Frozen):
 
     __slots__ = ("lattice", "index", "divisor", "step", "order")
 
-    def __init__(
-        self, lattice: IntersectionLattice, index: int, divisor: int, step: int, order: int
-    ):
-        set_field(self, "lattice", lattice)
-        set_field(self, "index", index)
-        set_field(self, "divisor", divisor)
-        set_field(self, "step", step)
-        set_field(self, "order", order)
-
     def image(self, key: tuple[int, ...], j: int) -> tuple[int, ...]:
         out = list(key)
         out[self.index] = out[self.index] * self.divisor + j * self.step
@@ -489,7 +467,7 @@ def formal_log_coefficients(p: int) -> list[tuple[int, Fraction]]:
     scratch = IntersectionLattice(["u"], [[0]])
     u = scratch.basis_class("u")
     q = exact_div(sinh_c(u * p), sinh_c(u))
-    return sorted(((key[0], c) for key, c in q.terms.items()), reverse=True)
+    return sorted(((key[0], Fraction(c, q.den)) for key, c in q.num.items()), reverse=True)
 
 
 def _exceptional_chain_spheres(

@@ -2,10 +2,12 @@
 frozen dataclasses and eager imports they replaced: equality by exact type,
 hashing, refused assignment, unshared defaults, reprs and export identity."""
 
+import ast
 import copy
 import pickle
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,10 +36,16 @@ from blowdown.lattice import (
     RelClass,
     Residue,
 )
-from blowdown.moduli import CanonicalClass, dim_report
+from blowdown.moduli import CanonicalClass, DimReport, dim_report
 from blowdown.reporting import CheckReport
 from blowdown.swinv import sw_en
-from blowdown.transform import BlowdownResult, ClassRecord, log_placement
+from blowdown.transform import (
+    BlowdownResult,
+    ClassRecord,
+    LogPlacement,
+    RestrictedClass,
+    log_placement,
+)
 
 # the names `import blowdown` offered when it imported every submodule eagerly
 EXPORTS = [
@@ -88,6 +96,7 @@ def frozen_records():
         (ClassRecord((0, 1), "dropped", 0), "status"),
         (BlowdownResult(None), "class_map"),
         (log_placement(f, [], HClass(f, (1,)), 2), "order"),
+        (RestrictedClass(QClass(lat, (Fraction(1, 2), 3)), Residue(7, 4)), "boundary"),
     ]
 
 
@@ -179,7 +188,37 @@ def test_every_frozen_class_is_covered():
     covered = {type(record) for record, _ in FROZEN}
     ours = {cls for cls in leaves(reporting.Frozen) if cls.__module__.startswith("blowdown.")}
     assert ours <= covered
-    assert len(covered) == 21
+    assert len(covered) == 22
+
+
+def test_only_reporting_calls_set_field():
+    package = Path(blowdown.__file__).parent
+    callers = set()
+    for path in package.glob("*.py"):
+        if path.name == "reporting.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and node.id == "set_field":
+                callers.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "set_field":
+                callers.add(path.name)
+            elif isinstance(node, ast.alias) and node.name == "set_field":
+                callers.add(path.name)
+    assert not callers, f"set_field used outside reporting.py in {sorted(callers)}"
+
+
+@pytest.mark.parametrize("cls", [SurgeryPlan, DimReport, LogPlacement, RestrictedClass])
+def test_pure_records_take_their_fields_in_slot_order(cls):
+    assert "__init__" not in vars(cls)
+    names = cls.__slots__
+    record = cls(*names)
+    assert [getattr(record, name) for name in names] == list(names)
+    with pytest.raises(TypeError, match=f"takes {len(names)} fields, got {len(names) - 1}"):
+        cls(*names[1:])
+    with pytest.raises(TypeError, match=f"takes {len(names)} fields, got {len(names) + 1}"):
+        cls(*names, None)
+    with pytest.raises(TypeError):
+        cls(*names[:-1], **{names[-1]: None})
 
 
 def test_check_reports_do_not_share_their_lists():
@@ -244,6 +283,11 @@ REPRS = [
     (
         "log_placement(_fiber_lattice(), [], HClass(_fiber_lattice(), (1,)), 2)",
         "LogPlacement(lattice=IntersectionLattice(['f_2']), index=0, divisor=2, step=1, order=2)",
+    ),
+    (
+        "RestrictedClass(QClass(IntersectionLattice(['f'], [[0]]), (Fraction(-1, 3),)), Residue(8, 9))",
+        "RestrictedClass(extension=QClass(lattice=IntersectionLattice(['f']), "
+        "coeffs=(Fraction(-1, 3),)), boundary=Residue(value=8, modulus=9))",
     ),
 ]
 
