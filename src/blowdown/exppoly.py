@@ -18,23 +18,22 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
-from .lattice import HClass, IntersectionLattice, integral_coords, pairing
+from .lattice import HClass, IntersectionLattice, Scalar, integral_coords, pairing
+from .reporting import Frozen
 
-Scalar = Union[int, Fraction]
 
-
-class ExpKernel:
+class ExpKernel(Frozen):
     """A kernel sum_s a_s e^{kappa_s}, built from a mapping or from
     (exponent, coefficient) pairs; pairs with the same exponent are summed.
 
     The coefficients are stored as integer numerators `num` (a read-only
     mapping, exponent tuple -> nonzero int) over one denominator `den` > 0,
     reduced so that gcd(den, *num.values()) == 1: equal kernels give equal
-    (num, den), and the ring operations run on ints.  `terms` is the cached
-    read-only Fraction view of the same coefficients.
+    (num, den), and the ring operations run on ints.  `terms` is a read-only
+    Fraction view of the same coefficients, built on each read.
     """
 
-    __slots__ = ("lattice", "num", "den", "_terms")
+    __slots__ = ("lattice", "num", "den")
 
     def __init__(self, lattice: IntersectionLattice, terms: Mapping = ()):
         if (
@@ -89,36 +88,19 @@ class ExpKernel:
         if g != 1:
             clean = {key: c // g for key, c in clean.items()}
             den //= g
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "num", MappingProxyType(clean))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_terms", None)
+        Frozen.__init__(self, lattice, MappingProxyType(clean), den)
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        if self._terms is None:
-            den = self.den
-            view = MappingProxyType({k: Fraction(c, den) for k, c in self.num.items()})
-            object.__setattr__(self, "_terms", view)
-        return self._terms
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpKernel is immutable")
+        den = self.den
+        return MappingProxyType({k: Fraction(c, den) for k, c in self.num.items()})
 
     def __reduce__(self):  # copy and pickle rebuild through the validating constructor
         return ExpKernel._from_ints, (self.lattice, dict(self.num), self.den)
 
     # -- basic protocol ----------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExpKernel)
-            and self.lattice == other.lattice
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self):
+    def __hash__(self):  # num is a mappingproxy, which does not hash
         return hash((self.lattice, self.den, frozenset(self.num.items())))
 
     def __bool__(self) -> bool:

@@ -45,17 +45,18 @@ from .reporting import Frozen
 Scalar = Union[int, Fraction]
 
 
-class IntersectionLattice:
+class IntersectionLattice(Frozen):
     """A free Z-module with named basis and a symmetric rational pairing.
 
     The pairing matrix is gram / den with gram integral; den defaults to 1.
     It is stored reduced, as integer numerators `num` over the least common
     denominator `den`, so equal pairings give equal (num, den).
-    `sparse_gram` is the cached sparse form of `num`, row by row, that the
-    characteristic test walks.
+    `sparse_gram` holds row i of `num` as its diagonal entry and its nonzero
+    entries (j, g) off the diagonal; a blown-up lattice G + (-I_k) has no
+    off-diagonal entry in its exceptional rows.
     """
 
-    __slots__ = ("basis_names", "num", "den", "_index", "_sparse")
+    __slots__ = ("basis_names", "num", "den", "sparse_gram")
 
     def __init__(
         self, basis_names: Sequence[str], gram: Sequence[Sequence[Scalar]], den: int = 1
@@ -82,27 +83,11 @@ class IntersectionLattice:
         num = tuple(tuple(row) for row in rows)
         if num != tuple(zip(*num)):
             raise ValueError("gram matrix must be symmetric")
-        object.__setattr__(self, "basis_names", names)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
-        object.__setattr__(self, "_sparse", None)
-
-    @property
-    def sparse_gram(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """Row i of `num` as its diagonal entry and its nonzero entries (j, g)
-        off the diagonal, computed once.  A blown-up lattice G + (-I_k) has
-        no off-diagonal entry in its exceptional rows."""
-        if self._sparse is None:
-            sparse = tuple(
-                (row[i], tuple((j, g) for j, g in enumerate(row) if g and j != i))
-                for i, row in enumerate(self.num)
-            )
-            object.__setattr__(self, "_sparse", sparse)
-        return self._sparse
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntersectionLattice is immutable")
+        sparse = tuple(
+            (row[i], tuple((j, g) for j, g in enumerate(row) if g and j != i))
+            for i, row in enumerate(num)
+        )
+        super().__init__(names, num, den, sparse)
 
     def __reduce__(self):  # copy and pickle rebuild through the validating constructor
         return IntersectionLattice, (self.basis_names, self.num, self.den)
@@ -122,24 +107,13 @@ class IntersectionLattice:
     def rank(self) -> int:
         return len(self.basis_names)
 
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, IntersectionLattice)
-            and self.basis_names == other.basis_names
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.basis_names, self.num, self.den))
-
     def __repr__(self) -> str:
         return f"IntersectionLattice({list(self.basis_names)})"
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]
-        except KeyError:
+            return self.basis_names.index(name)
+        except ValueError:
             raise KeyError(f"no basis vector named {name!r}") from None
 
     def basis_class(self, name: str) -> "HClass":
@@ -373,7 +347,7 @@ def scaled_plumbing_inverse(p: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class ChainConfig:
+class ChainConfig(Frozen):
     """An order-p chain embedded in an ambient lattice.
 
     spheres[0], ..., spheres[p-2] are the classes of u_1, ..., u_{p-1}; their
@@ -397,21 +371,13 @@ class ChainConfig:
         rows, gram = _gram_products(ambient, supports)
         if gram != [[w * ambient.den for w in want] for want in plumbing.matrix()]:
             raise ValueError("sphere pairings do not form the order-%d plumbing chain" % p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "plumbing", plumbing)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "spheres", tuple(spheres))
-        object.__setattr__(self, "supports", supports)
-        object.__setattr__(self, "row_supports", tuple(map(_support, rows)))
+        super().__init__(p, plumbing, ambient, tuple(spheres), supports, tuple(map(_support, rows)))
 
     def dots(self, c: HClass) -> list[int]:
         """The pairings c . u_j, as integers over ambient.den."""
         if c.lattice != self.ambient:
             raise ValueError("lattice mismatch: classes live in different lattices")
         return [sum(c.coeffs[i] * v for i, v in supp) for supp in self.row_supports]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainConfig is immutable")
 
     def __reduce__(self):  # copy and pickle rebuild through the validating constructor
         return ChainConfig, (self.p, self.ambient, self.spheres)

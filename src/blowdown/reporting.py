@@ -1,5 +1,5 @@
-"""Leaf types every layer shares: the slot-record bases, pass/fail check
-reports and the spec parse error.  This module imports no other part of the
+"""Leaf types every layer shares: the record base, pass/fail check reports
+and the spec parse error.  This module imports no other part of the
 package, so the CLI can load it before it knows which verb runs.
 """
 
@@ -9,10 +9,17 @@ from operator import attrgetter
 from typing import Any, Optional
 
 
-class Record:
-    """A record whose fields are its __slots__, in order: == compares the
-    exact type and the field values, and repr is Name(field=value, ...).  A
-    mutable Record is unhashable, as its fields may change."""
+set_field = object.__setattr__
+
+
+class Frozen:
+    """A record whose fields are its __slots__, in order, and that refuses
+    assignment and deletion once built.  == compares the exact type and the
+    field values (a record always equals itself), hash the same, and repr is
+    Name(field=value, ...); a record with an unhashable field is unhashable.
+    Frozen(*fields) sets the fields in __slots__ order, so a subclass names its
+    fields once, in __slots__, and defines __init__ only to check, coerce,
+    default or derive them before calling super().__init__."""
 
     __slots__ = ()
 
@@ -20,28 +27,6 @@ class Record:
         super().__init_subclass__()
         if cls.__slots__:
             cls._key = attrgetter(*cls.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            key = self._key
-            return key(self) == key(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-set_field = object.__setattr__
-
-
-class Frozen(Record):
-    """A Record that refuses assignment and deletion once built.  Frozen(*fields)
-    sets the fields in __slots__ order, so a subclass names its fields once,
-    in __slots__, and defines __init__ only to check, coerce or default them
-    before calling super().__init__.  Hashes by exact type and field values."""
-
-    __slots__ = ()
 
     def __init__(self, *fields) -> None:
         names = self.__slots__
@@ -52,8 +37,20 @@ class Frozen(Record):
         for name, value in zip(names, fields):
             set_field(self, name, value)
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
     def __hash__(self) -> int:
         return hash((self.__class__, self._key(self)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
     def __setstate__(self, state) -> None:  # copy and pickle restore the slots here
         for name, value in state[1].items():
@@ -74,7 +71,7 @@ class SpecParseError(ValueError):
         self.pos = pos
 
 
-class CheckReport(Record):
+class CheckReport(Frozen):
     __slots__ = ("name", "passed", "p", "parameters", "counterexamples")
 
     def __init__(
@@ -85,11 +82,13 @@ class CheckReport(Record):
         parameters: Optional[dict[str, Any]] = None,
         counterexamples: Optional[list[Any]] = None,
     ):
-        self.name = name
-        self.passed = passed
-        self.p = p
-        self.parameters = {} if parameters is None else parameters
-        self.counterexamples = [] if counterexamples is None else counterexamples
+        super().__init__(
+            name,
+            passed,
+            p,
+            {} if parameters is None else parameters,
+            [] if counterexamples is None else counterexamples,
+        )
 
     def to_obj(self) -> dict[str, Any]:
         return {

@@ -293,6 +293,9 @@ def test_hclass_operations():
     lat = diagonal_lattice(["a", "b"], [1, -1])
     a = lat.basis_class("a")
     b = lat.basis_class("b")
+    assert (lat.index("a"), lat.index("b")) == (0, 1)
+    with pytest.raises(KeyError, match="no basis vector named 'c'"):
+        lat.basis_class("c")
     assert pairing(a, a) == 1
     assert pairing(a, b) == 0
     assert (a * 3).coeffs == (3, 0) and (-b).coeffs == (0, -1)

@@ -1,6 +1,8 @@
 """The slot records and the lazy package exports keep the semantics of the
 frozen dataclasses and eager imports they replaced: equality by exact type,
-hashing, refused assignment, unshared defaults, reprs and export identity."""
+hashing, refused assignment, unshared defaults, reprs and export identity.
+Every value type, lattices, kernels, chain configurations and check reports
+among them, is a `Frozen` record, and only `reporting` writes to slots."""
 
 import ast
 import copy
@@ -74,6 +76,7 @@ def frozen_records():
     lat = IntersectionLattice(["f", "e"], [[0, 1], [1, -1]])
     f = _fiber_lattice()
     plan = surgery_plan("W(1)")
+    chain = IntersectionLattice(["u", "f"], [[-4, 0], [0, 0]])
     return [
         (EllipticSpec(3, ((2, 3),)), "n"),
         (WSpec(4), "n"),
@@ -97,6 +100,9 @@ def frozen_records():
         (BlowdownResult(None), "class_map"),
         (log_placement(f, [], HClass(f, (1,)), 2), "order"),
         (RestrictedClass(QClass(lat, (Fraction(1, 2), 3)), Residue(7, 4)), "boundary"),
+        (lat, "den"),
+        (ChainConfig(2, chain, [chain.basis_class("u")]), "p"),
+        (ExpKernel(lat, {(1, 0): Fraction(1, 2), (0, -1): 3}), "num"),
     ]
 
 
@@ -153,7 +159,7 @@ def test_lattices_and_kernels_copy_and_pickle():
     for obj in (lat, kernel, ExpKernel(lat, {(6, 6): Fraction(1, 4), (-6, -6): 3})):
         for clone in _clones(obj):
             assert clone == obj and type(clone) is type(obj) and hash(clone) == hash(obj)
-            with pytest.raises(AttributeError, match="is immutable"):
+            with pytest.raises(AttributeError, match="of a frozen record"):
                 clone.den = 5
     for clone in _clones(kernel):
         assert clone.num == kernel.num and clone.den == kernel.den
@@ -173,8 +179,19 @@ def test_chain_configs_copy_and_pickle():
         )
         assert clone.supports == config.supports
         assert clone.plumbing == config.plumbing
-        with pytest.raises(AttributeError, match="is immutable"):
+        with pytest.raises(AttributeError, match="of a frozen record"):
             clone.p = 3
+
+
+def test_chain_configs_from_equal_inputs_are_equal():
+    configs = []
+    for _ in range(2):
+        lat = IntersectionLattice(["u", "f"], [[-4, 0], [0, 0]])
+        configs.append(ChainConfig(2, lat, [lat.basis_class("u")]))
+    a, b = configs
+    assert a == b and a is not b and a.ambient is not b.ambient
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
 
 
 def test_every_frozen_class_is_covered():
@@ -185,26 +202,52 @@ def test_every_frozen_class_is_covered():
             yield sub
             yield from leaves(sub)
 
-    covered = {type(record) for record, _ in FROZEN}
+    # CheckReport is unhashable, so it has its own test below instead of FROZEN
+    covered = {type(record) for record, _ in FROZEN} | {CheckReport}
     ours = {cls for cls in leaves(reporting.Frozen) if cls.__module__.startswith("blowdown.")}
     assert ours <= covered
-    assert len(covered) == 22
+    assert len(covered) == 26
 
 
-def test_only_reporting_calls_set_field():
+def _modules_with(found) -> list[str]:
+    """The modules of src/blowdown other than reporting.py with an AST node
+    for which found(node) is true."""
     package = Path(blowdown.__file__).parent
-    callers = set()
+    names = set()
     for path in package.glob("*.py"):
         if path.name == "reporting.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and node.id == "set_field":
-                callers.add(path.name)
-            elif isinstance(node, ast.Attribute) and node.attr == "set_field":
-                callers.add(path.name)
-            elif isinstance(node, ast.alias) and node.name == "set_field":
-                callers.add(path.name)
-    assert not callers, f"set_field used outside reporting.py in {sorted(callers)}"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(map(found, ast.walk(tree))):
+            names.add(path.name)
+    return sorted(names)
+
+
+def test_only_reporting_calls_set_field():
+    def found(node):
+        return (
+            (isinstance(node, ast.Name) and node.id == "set_field")
+            or (isinstance(node, ast.Attribute) and node.attr == "set_field")
+            or (isinstance(node, ast.alias) and node.name == "set_field")
+        )
+
+    callers = _modules_with(found)
+    assert not callers, f"set_field used outside reporting.py in {callers}"
+
+
+def test_only_reporting_writes_slots_or_guards_assignment():
+    def found(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ) or (
+            isinstance(node, ast.FunctionDef) and node.name in ("__setattr__", "__delattr__")
+        )
+
+    owners = _modules_with(found)
+    assert not owners, f"object.__setattr__ or a __setattr__/__delattr__ in {owners}"
 
 
 @pytest.mark.parametrize("cls", [SurgeryPlan, DimReport, LogPlacement, RestrictedClass])
@@ -226,11 +269,31 @@ def test_check_reports_do_not_share_their_lists():
     a.parameters["q"] = 3
     a.counterexamples.append([1, 2])
     assert b.parameters == {} and b.counterexamples == []
-    a.passed = False  # check reports stay mutable, and so unhashable
-    assert a.line() == "FAIL a q=3  counterexample: [1, 2]"
+    with pytest.raises(AttributeError, match="of a frozen record"):
+        a.passed = False
+    assert a.line() == "PASS a q=3"
+    failed = CheckReport("a", False, parameters=a.parameters, counterexamples=a.counterexamples)
+    assert failed.line() == "FAIL a q=3  counterexample: [1, 2]"
     with pytest.raises(TypeError):
         hash(a)
     assert CheckReport("a", True) == CheckReport("a", True)
+
+
+def test_check_reports_are_frozen_and_unhashable():
+    report = CheckReport("y", False, p=3, parameters={"q": 3}, counterexamples=[[1, 2]])
+    before = repr(report)
+    with pytest.raises(AttributeError):
+        report.passed = True
+    with pytest.raises(AttributeError):
+        del report.counterexamples
+    with pytest.raises(AttributeError):
+        report.unknown_field = 1
+    assert repr(report) == before
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)  # its dict and list fields are unhashable
+    for clone in _clones(report):
+        assert clone == report and type(clone) is CheckReport
+        assert clone.line() == report.line()
 
 
 # (expression, its repr) as the frozen dataclasses printed them
