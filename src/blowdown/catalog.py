@@ -12,8 +12,8 @@ same split where the transfer theorems cover the family.
 A spec is walked once, into a surgery plan: an ambient model with a seed
 fiber power and an ordered list of surgery steps.  The pipeline, the
 basic-class map and the CLI's blowdown walkthrough all `replay` that plan
-with their calculus's rule table; the closed route keeps its own closed forms
-for the family leaf.
+with their calculus's rule table, the blowups deferred to one pass at the
+end; the closed route keeps its own closed forms for the family leaf.
 """
 
 from __future__ import annotations
@@ -419,17 +419,31 @@ SW_RULES = {
 }
 
 
-def replay(m, steps: tuple[SurgeryStep, ...], rules: dict) -> tuple[object, list[tuple]]:
+def replay(m, steps: tuple[SurgeryStep, ...], rules: dict) -> tuple[object, list[tuple], int]:
     """Apply the steps to m (a ManifoldSeries or SWMap) by one calculus's
-    rules.  Returns the final object and, per chain step, (step, lattice
-    before, BlowdownResult), whose class map says what dropped and why."""
-    chains = []
+    rules, with the blowups deferred: they only add their counts into k,
+    which is exact as the steps after them (blowup, logt, hpsum) commute
+    with blowup; a chain step there raises.  Returns the object before the
+    blowups, per chain step (step, lattice before, BlowdownResult), whose
+    class map says what dropped and why, and k; blown_up(m, k, rules) is
+    then literal step order's object, basis names included."""
+    chains, k = [], 0
     for step in steps:
+        if step.op == "chain" and k:
+            raise ValueError("a chain step cannot follow a deferred blowup")
+        if step.op == "blowup":
+            k += step.n
+            continue
         pre, m = m, rules[step.op](m, step)
         if step.op == "chain":
             chains.append((step, pre.lattice, m))
             m = m.result
-    return m, chains
+    return m, chains, k
+
+
+def blown_up(m, k: int, rules: dict):
+    """m after k blowups by the calculus's own one-pass rule (m for k = 0)."""
+    return rules["blowup"](m, SurgeryStep("blowup", k)) if k else m
 
 
 # ---------------------------------------------------------------------------
@@ -479,33 +493,36 @@ def _closed_family(spec: ManifoldSpec) -> ManifoldSeries:
     return ManifoldSeries(kernel, 10 * n + 6, -6 * n - 6)
 
 
-def donaldson_closed_form(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
+def donaldson_closed_form(spec: Union[str, ManifoldSpec], deferred: bool = False):
     """Series from the printed closed forms: exact division of sinh ladders
     for the elliptic family, explicit sinh/cosh forms for W, Y, and H, then
-    the plan's steps after the family leaf."""
+    the plan's steps after the family leaf; deferred as for sw_replay."""
     plan = surgery_plan(spec)
-    return replay(_closed_family(plan.family), plan.steps[plan.family_steps :], SERIES_RULES)[0]
+    m, chains, k = replay(_closed_family(plan.family), plan.steps[plan.family_steps :], SERIES_RULES)
+    return (m, chains, k) if deferred else blown_up(m, k, SERIES_RULES)
 
 
-def donaldson_pipeline(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
+def donaldson_pipeline(spec: Union[str, ManifoldSpec], deferred: bool = False):
     """Series rebuilt through the surgery pipeline: fiber powers seeded on the
-    ambient model, then log transforms and chain blowdowns step by step."""
+    ambient model, then every step of the plan; deferred as for sw_replay."""
     plan = surgery_plan(spec)
-    return replay(plan.seed_series(), plan.steps, SERIES_RULES)[0]
+    m, chains, k = replay(plan.seed_series(), plan.steps, SERIES_RULES)
+    return (m, chains, k) if deferred else blown_up(m, k, SERIES_RULES)
 
 
 # ---------------------------------------------------------------------------
 # Basic-class maps
 
 
-def sw_replay(spec: Union[str, ManifoldSpec]) -> tuple[SWMap, list[tuple]]:
-    """Basic-class map for specs inside the covered family: the elliptic map
-    transported through blowups, log transforms, and chain blowdowns, with
-    the chain records of replay."""
+def sw_replay(spec: Union[str, ManifoldSpec], deferred: bool = False) -> tuple:
+    """Basic-class map for specs inside the covered family, the elliptic map
+    transported through the plan, with the chain records of replay; deferred
+    returns replay's (map, chain records, k) before the k blowups instead."""
     plan = surgery_plan(spec)
     if plan.sw_gap is not None:
         raise ValueError(plan.sw_gap)
-    return replay(plan.seed_swmap(), plan.steps, SW_RULES)
+    m, chains, k = replay(plan.seed_swmap(), plan.steps, SW_RULES)
+    return (m, chains, k) if deferred else (blown_up(m, k, SW_RULES), chains)
 
 
 def sw_closed_form(spec: Union[str, ManifoldSpec]) -> SWMap:

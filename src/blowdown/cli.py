@@ -7,8 +7,9 @@ the reader closed stdout early (128 + SIGPIPE, as a shell reports for cat).
 Output is deterministic byte for byte for a given invocation; it is rendered
 line by line (or, under --format structured, JSON piece by piece, in the
 documented encodings) and written in chunks of about CHUNK bytes, so no verb
-holds its whole output in memory.  sw and witten
-name on stderr each class a chain blowdown drops for want of an extension.
+holds its whole output in memory; series and sw stream the 2^k classes of
+k blowups from the object before them.  sw and witten name on stderr each
+class a chain blowdown drops for want of an extension.
 
 Importing this module loads no other part of the package; each cmd_*
 imports the layers its verb runs.  Compiled from source (Python 3.11, 2
@@ -22,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -38,9 +38,6 @@ if TYPE_CHECKING:
 CHUNK = 1 << 13  # bytes encoded before each write to stdout, io.DEFAULT_BUFFER_SIZE
 
 
-# Serves the blowup listings, whose thousands of classes repeat a few (name, c)
-# pairs (sw blowup(E(6),8): 11,499 hits, 21 misses); rank-1 listings miss.
-@lru_cache(maxsize=4096)
 def _piece(name: str, c: int) -> str:
     """The signed summand c*name of a class sum, "" for c == 0."""
     if not c:
@@ -68,26 +65,34 @@ def _compact_kernel(k: ExpKernel) -> Optional[str]:
     return f"{lead}{fn}({_class_text(k.lattice, pos_key)})"
 
 
-def _lattice_lines(lat: IntersectionLattice) -> Iterator[str]:
-    from .serialize import lattice_to_obj
+def _blown_up_lines(m, k: int, title: str, keys, parts) -> Iterator[str]:
+    """m (a ManifoldSeries or SWMap) after k blowups: lattice, title, a line
+    pre + (L + tail) + post per class, (pre, post) = parts(L), in the classes'
+    order, and numbers.  Each key L and tail (see tail_texts) is rendered once."""
+    from .serialize import lattice_to_obj, tail_texts
 
-    yield f"basis: {' '.join(lat.basis_names)}"
-    yield f"gram: {json.dumps(lattice_to_obj(lat)['gram'])}"
+    lat = lattice_to_obj(m.lattice, k)
+    yield f"basis: {' '.join(lat['basis'])}"
+    yield f"gram: {json.dumps(lat['gram'])}"
+    yield title
+    tails = tail_texts([(_piece(e, -1), _piece(e, 1)) for e in lat["basis"][m.lattice.rank :]])
+    for key in sorted(keys):
+        head, (pre, post) = "".join(map(_piece, m.lattice.basis_names, key)), parts(key)
+        for t in tails():
+            yield f"{pre}{(head + t).removeprefix('+') or '0'}{post}"
+    yield f"e: {m.euler + k}  sigma: {m.signature - k}  b_plus: {m.b_plus}"
 
 
-def _series_lines(m: ManifoldSeries) -> Iterator[str]:
+def _series_lines(m: ManifoldSeries, k: int = 0) -> Iterator[str]:
+    from .catalog import SERIES_RULES, blown_up
     from .serialize import ratio_str
 
-    yield from _lattice_lines(m.lattice)
-    compact = _compact_kernel(m.kernel)
-    if compact is not None:
-        yield f"kernel: {compact}"
-    else:
-        num, den = m.kernel.num, m.kernel.den
-        yield f"kernel ({len(num)} terms):"
-        for key in sorted(num):
-            yield f"  {ratio_str(num[key], den)} * e^({_class_text(m.lattice, key)})"
-    yield f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}"
+    small = len(m.kernel) << k <= 2  # the compact forms read the expanded kernel
+    compact = _compact_kernel(blown_up(m, k, SERIES_RULES).kernel) if small else None
+    num, den = m.kernel.num, m.kernel.den << k
+    title = f"kernel: {compact}" if compact else f"kernel ({len(num) << k} terms):"
+    parts = lambda key: (f"  {ratio_str(num[key], den)} * e^(", ")")
+    yield from _blown_up_lines(m, k, title, () if compact else num, parts)
 
 
 def _print_drops(chains) -> None:
@@ -145,14 +150,14 @@ def _series_output(args, spec, route: str) -> int:
     from .serialize import series_to_obj
 
     build = donaldson_pipeline if route == "pipeline" else donaldson_closed_form
-    m = build(spec)
+    m, _, k = build(spec, deferred=True)
 
     def text():
         yield f"spec: {render(spec)}"
         yield f"route: {route}"
-        yield from _series_lines(m)
+        yield from _series_lines(m, k)
 
-    _emit(args, lambda: {"spec": render(spec), "route": route, **series_to_obj(m)}, text)
+    _emit(args, lambda: {"spec": render(spec), "route": route, **series_to_obj(m, k)}, text)
     return 0
 
 
@@ -167,40 +172,42 @@ def cmd_sw(args) -> int:
     from .serialize import swmap_to_obj
 
     spec = parse_spec(args.spec)
-    m, chains = sw_replay(spec)
+    m, chains, k = sw_replay(spec, deferred=True)
     _print_drops(chains)
 
     def text():
         yield f"spec: {render(spec)}"
-        yield from _lattice_lines(m.lattice)
-        yield f"classes ({len(m.values)}):"
-        for key in sorted(m.values):
-            yield f"  {_class_text(m.lattice, key)}: {m.values[key]}"
-        yield f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}"
+        title = f"classes ({len(m.values) << k}):"
+        yield from _blown_up_lines(m, k, title, m.values, lambda key: ("  ", f": {m.values[key]}"))
 
-    _emit(args, lambda: {"spec": render(spec), **swmap_to_obj(m)}, text)
+    _emit(args, lambda: {"spec": render(spec), **swmap_to_obj(m, k)}, text)
     return 0
 
 
 def cmd_witten(args) -> int:
-    from .catalog import donaldson_closed_form, parse_spec, render, sw_replay
+    """witten_check before the k blowups, then after one by each calculus's own
+    rule: k blowups are k orthogonal copies of that factor, shifting c by -k."""
+    from .catalog import SERIES_RULES, SW_RULES, blown_up, donaldson_closed_form, parse_spec
+    from .catalog import render, sw_replay
     from .serialize import series_to_obj, swmap_to_obj
     from .swinv import witten_check, witten_exponent
 
     spec = parse_spec(args.spec)
-    series = donaldson_closed_form(spec)
-    swmap, chains = sw_replay(spec)
+    series, _, k = donaldson_closed_form(spec, deferred=True)
+    swmap, chains, _ = sw_replay(spec, deferred=True)
     _print_drops(chains)
-    ok = witten_check(series, swmap)
-    c = witten_exponent(swmap.euler, swmap.signature)
+    ok = witten_check(series, swmap) and (
+        not k or witten_check(blown_up(series, 1, SERIES_RULES), blown_up(swmap, 1, SW_RULES))
+    )
+    c = witten_exponent(swmap.euler, swmap.signature) - k
 
     def obj():
         return {
             "spec": render(spec),
             "pass": ok,
             "exponent": c,
-            "series": series_to_obj(series),
-            "sw": swmap_to_obj(swmap),
+            "series": series_to_obj(series, k),
+            "sw": swmap_to_obj(swmap, k),
         }
 
     def text():
@@ -303,7 +310,7 @@ def cmd_blowdown(args) -> int:
         if n < 4:
             raise ValueError("Horikawa-type blowdowns need n >= 4 (chain order n-2 >= 2)")
         plan = surgery_plan(YSpec(n) if args.horikawa == 1 else HSpec(n))
-    final, steps = replay(plan.seed_series(), plan.steps, SERIES_RULES)
+    final, steps, _ = replay(plan.seed_series(), plan.steps, SERIES_RULES)
 
     def obj():
         return {

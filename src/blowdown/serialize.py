@@ -7,9 +7,10 @@ encode to identical text.  `iterencode` is the one encoder: the pieces it
 yields join to json.dumps(obj, indent=2, sort_keys=True), and it writes term
 lists straight from the kernel's integer numerators, one piece per term and
 with no object per term, so that the CLI can print them in bounded chunks
-(`"".join(iterencode(obj))` is the whole text).  No verb reads
-these encodings back; the decoders that check the round trips live with the
-tests (tests/decode.py).
+(`"".join(iterencode(obj))` is the whole text).  Given a count k of deferred
+blowups, the encoders write the 2^k-fold expansion from the unexpanded
+value.  No verb reads these encodings back; the decoders that check the
+round trips live with the tests (tests/decode.py).
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
 from math import gcd
-from typing import TYPE_CHECKING, Any, Iterator, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
 if TYPE_CHECKING:  # annotations only, so that dim formats numbers without the calculus
     from .exppoly import ExpKernel
@@ -62,21 +64,37 @@ def iterencode(obj: Any, pad: str = "\n") -> Iterator[str]:
         yield json.dumps(obj)
 
 
-def _terms_json(k: ExpKernel, field: str, quote: str, pad: str) -> Iterator[str]:
-    """iterencode of [{"class": key, field: value}, ...] over k's terms in key
-    order, one term a piece: value is the coefficient, as a string when quote
-    is '"'.  Keys are never empty, as a lattice has rank >= 1."""
+def tail_texts(pieces: Sequence[tuple[str, str]]) -> Callable[[], Iterator[str]]:
+    """A function giving, per call, the texts of product((-1, 1), repeat=k) in
+    order, entry i written pieces[i][0] for -1 and pieces[i][1] for +1; the
+    last 8 entries' 256 texts are joined once, the others' once per 256."""
+    low = ["".join(p) for p in product(*pieces[-8:])]
+    if len(pieces) <= 8:
+        return low.__iter__
+    return lambda: (h + t for h in map("".join, product(*pieces[:-8])) for t in low)
+
+
+def _terms_json(num, den: int, k: int, field: str, quote: str, pad: str) -> Iterator[str]:
+    """iterencode of [{"class": L + tail, field: num[L]/den}, ...], L over num's
+    sorted keys (never empty, as a lattice has rank >= 1) and tail over
+    tail_texts, one term a piece, value a string when quote is '"'."""
     p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
     head, sep, mid = f'{p1}{{{p2}"class": [{p3}', "," + p3, f'{p2}],{p2}"{field}": {quote}'
-    tail, num, den, comma = quote + p1 + "}", k.num, k.den, "["
+    tail, comma, tails = quote + p1 + "}", "[", tail_texts([(sep + "-1", sep + "1")] * k)
     for key in sorted(num):
-        yield f"{comma}{head}{sep.join(map(str, key))}{mid}{ratio_str(num[key], den)}{tail}"
-        comma = ","
+        start, end = head + sep.join(map(str, key)), f"{mid}{ratio_str(num[key], den)}{tail}"
+        for t in tails():
+            yield f"{comma}{start}{t}{end}"
+            comma = ","
     yield pad + "]" if num else "[]"
 
 
-def lattice_to_obj(lat: IntersectionLattice) -> dict:
-    """Gram entries as ints when integral, else as "num/den" strings."""
+def lattice_to_obj(lat: IntersectionLattice, k: int = 0) -> dict:
+    """Gram entries as ints when integral, else as "num/den" strings, of lat blown up k times."""
+    if k:
+        from .transform import blown_up_lattice
+
+        lat = blown_up_lattice(lat, k)
     den = lat.den
     return {
         "basis": list(lat.basis_names),
@@ -84,28 +102,25 @@ def lattice_to_obj(lat: IntersectionLattice) -> dict:
     }
 
 
-def kernel_to_obj(k: ExpKernel) -> dict:
-    return {"lattice": lattice_to_obj(k.lattice), "terms": partial(_terms_json, k, "coeff", '"')}
+def kernel_to_obj(kern: ExpKernel, k: int = 0) -> dict:
+    terms = partial(_terms_json, kern.num, kern.den << k, k, "coeff", '"')
+    return {"lattice": lattice_to_obj(kern.lattice, k), "terms": terms}
 
 
-def series_to_obj(m: ManifoldSeries) -> dict:
+def _numbers(m: Union[ManifoldSeries, SWMap], k: int) -> dict:
+    euler, signature = m.euler + k, m.signature - k  # blowups leave b_plus as it is
+    return {"euler": euler, "signature": signature, "b_plus": m.b_plus, "simple_type": True}
+
+
+def series_to_obj(m: ManifoldSeries, k: int = 0) -> dict:
+    return {"kernel": kernel_to_obj(m.kernel, k), **_numbers(m, k)}
+
+
+def swmap_to_obj(m: SWMap, k: int = 0) -> dict:
     return {
-        "kernel": kernel_to_obj(m.kernel),
-        "euler": m.euler,
-        "signature": m.signature,
-        "b_plus": m.b_plus,
-        "simple_type": True,
-    }
-
-
-def swmap_to_obj(m: SWMap) -> dict:
-    return {
-        "lattice": lattice_to_obj(m.lattice),
-        "classes": partial(_terms_json, m.kernel, "sw", ""),
-        "euler": m.euler,
-        "signature": m.signature,
-        "b_plus": m.b_plus,
-        "simple_type": True,
+        "lattice": lattice_to_obj(m.lattice, k),
+        "classes": partial(_terms_json, m.values, 1, k, "sw", ""),
+        **_numbers(m, k),
     }
 
 

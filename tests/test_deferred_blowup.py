@@ -1,0 +1,252 @@
+"""Blowups as a deferred orthogonal factor.
+
+`catalog.replay` applies every step but the blowups, whose counts it adds up
+into k; the library functions expand them last, in one pass, and the CLI
+streams the 2^k classes of a listing from the object before the blowups.
+Checked here:
+- deferred-then-expanded equals a literal step-order replay, written out
+  here, in both calculi and basis names included;
+- the full expansion stays the oracle of the streamed text and structured
+  output for k <= 8;
+- `witten` still runs each calculus's own blowup rule (rule mutants fail it);
+- a listing far too large to hold exits 141 under a 1 GiB address-space
+  limit when its reader closes early, and `witten` answers at once.
+"""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+import blowdown.catalog as catalog
+from blowdown.catalog import (
+    SERIES_RULES,
+    SW_RULES,
+    SurgeryStep,
+    donaldson_closed_form,
+    donaldson_pipeline,
+    replay,
+    surgery_plan,
+    sw_closed_form,
+    sw_replay,
+)
+from blowdown.cli import main
+from blowdown.exppoly import ExpKernel
+from blowdown.serialize import fraction_str, lattice_to_obj
+from blowdown.swinv import SWMap
+from blowdown.transform import ManifoldSeries
+from test_render import old_class_text
+
+STRUCT = ["--format", "structured"]
+
+COMMUTING = [
+    "logt(blowup(E(3;2,3),2),5)",
+    "hpsum(blowup(E(2),2),3)",
+    "blowup(logt(blowup(E(2),1),3),2)",
+    "blowup(W(2),2)",
+    "blowup(H(6),1)",
+]
+
+
+def literal_replay(m, steps, rules):
+    """Every step in plan order, blowups where they stand."""
+    for step in steps:
+        m = rules[step.op](m, step)
+        if step.op == "chain":
+            m = m.result
+    return m
+
+
+@pytest.mark.parametrize("spec", COMMUTING)
+def test_deferred_blowups_equal_literal_step_order(spec):
+    plan = surgery_plan(spec)
+    assert any(step.op == "blowup" for step in plan.steps)
+    leaf, after_leaf = donaldson_closed_form(plan.family), plan.steps[plan.family_steps :]
+    routes = [
+        (donaldson_closed_form(spec), literal_replay(leaf, after_leaf, SERIES_RULES)),
+        (donaldson_pipeline(spec), literal_replay(plan.seed_series(), plan.steps, SERIES_RULES)),
+    ]
+    if plan.sw_gap is None:
+        literal = literal_replay(plan.seed_swmap(), plan.steps, SW_RULES)
+        routes.append((sw_closed_form(spec), literal))
+    for deferred, literal in routes:
+        assert deferred == literal
+        assert deferred.lattice.basis_names == literal.lattice.basis_names
+    assert len(routes) == (2 if spec.startswith("hpsum") else 3)
+
+
+def test_replay_carries_the_blowup_count():
+    plan = surgery_plan("blowup(logt(blowup(E(2),1),3),2)")
+    base, chains, k = replay(plan.seed_series(), plan.steps, SERIES_RULES)
+    assert (k, chains) == (3, [])
+    assert base == donaldson_closed_form("logt(E(2),3)")
+    m, _, k = sw_replay("blowup(E(4;2,3),5)", deferred=True)
+    assert (k, m) == (5, sw_closed_form("E(4;2,3)"))
+
+
+def test_a_chain_step_after_a_blowup_raises():
+    plan = surgery_plan("W(1)")
+    steps = (SurgeryStep("blowup", 1),) + plan.steps
+    with pytest.raises(ValueError, match="chain step cannot follow a deferred blowup"):
+        replay(plan.seed_series(), steps, SERIES_RULES)
+
+
+# ---------------------------------------------------------------------------
+# The expanded objects as the oracle of the streamed listings
+
+
+def run(capsys, argv):
+    code = main(list(argv))
+    out, _ = capsys.readouterr()
+    return code, out
+
+
+def numbers(m) -> dict:
+    return {"euler": m.euler, "signature": m.signature, "b_plus": m.b_plus, "simple_type": True}
+
+
+def series_obj(m: ManifoldSeries) -> dict:
+    terms = [{"class": list(key), "coeff": fraction_str(c)} for key, c in m.kernel.sorted_terms()]
+    return {"kernel": {"lattice": lattice_to_obj(m.lattice), "terms": terms}, **numbers(m)}
+
+
+def swmap_obj(m: SWMap) -> dict:
+    classes = [{"class": list(key), "sw": v} for key, v in sorted(m.values.items())]
+    return {"lattice": lattice_to_obj(m.lattice), "classes": classes, **numbers(m)}
+
+
+def sw_text(spec: str, m: SWMap) -> list[str]:
+    names = m.lattice.basis_names
+    gram = json.dumps(lattice_to_obj(m.lattice)["gram"])
+    return (
+        [f"spec: {spec}", f"basis: {' '.join(names)}", f"gram: {gram}"]
+        + [f"classes ({len(m.values)}):"]
+        + [f"  {old_class_text(names, key)}: {v}" for key, v in sorted(m.values.items())]
+        + [f"e: {m.euler}  sigma: {m.signature}  b_plus: {m.b_plus}"]
+    )
+
+
+ORACLE_SPECS = [f"blowup(E({n}),{k})" for n, k in [(2, 2), (3, 1), (5, 4), (6, 8)]] + [
+    "blowup(E(4;2,3),3)",
+    "logt(blowup(E(3;2,3),2),5)",
+    "blowup(W(3),2)",
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_streamed_listings_equal_the_full_expansion(capsys, spec):
+    series, swmap = donaldson_closed_form(spec), sw_closed_form(spec)
+    assert len(series.kernel) > 2
+    code, out = run(capsys, ["series", spec, *STRUCT])
+    assert code == 0
+    assert json.loads(out) == {"spec": spec, "route": "closed", **series_obj(series)}
+    code, out = run(capsys, ["sw", spec])
+    assert code == 0
+    assert out.splitlines() == sw_text(spec, swmap)
+    code, out = run(capsys, ["sw", spec, *STRUCT])
+    assert code == 0
+    assert json.loads(out) == {"spec": spec, **swmap_obj(swmap)}
+    code, out = run(capsys, ["witten", spec, *STRUCT])
+    obj = json.loads(out)
+    assert code == 0 and obj["pass"] is True
+    assert (obj["series"], obj["sw"]) == (series_obj(series), swmap_obj(swmap))
+
+
+def test_pipeline_listing_streams_the_same_bytes(capsys):
+    closed = run(capsys, ["series", "blowup(H(6),3)"])[1]
+    piped = run(capsys, ["series", "blowup(H(6),3)", "--route", "pipeline"])[1]
+    assert "kernel (16 terms):" in closed.splitlines()
+    assert closed.replace("route: closed", "route: pipeline") == piped
+
+
+def test_two_expanded_terms_still_print_compactly(capsys):
+    out = run(capsys, ["series", "blowup(E(2),1)"])[1].splitlines()
+    assert out[4:] == ["kernel: cosh(e1)", "e: 25  sigma: -17  b_plus: 3"]
+    # E(3)'s kernel sinh(f) is compact before the blowup but not after it
+    out = run(capsys, ["series", "blowup(E(3),1)"])[1].splitlines()
+    assert out[4] == "kernel (4 terms):"
+
+
+# ---------------------------------------------------------------------------
+# witten compares each calculus's own exceptional factor
+
+
+def test_witten_runs_each_calculus_blowup_rule(monkeypatch, capsys):
+    argv = ["witten", "blowup(E(4;2,3),6)"]
+    assert run(capsys, argv) == (0, "PASS witten blowup(E(4;2,3),6) (exponent -8)\n")
+    real_blowup, real_sw_blowup = catalog.blowup, catalog.sw_blowup
+
+    def halved(m, k=1):
+        out = real_blowup(m, k)
+        kernel = ExpKernel._from_ints(out.lattice, dict(out.kernel.num), out.kernel.den * 2)
+        return ManifoldSeries(kernel, out.euler, out.signature)
+
+    def doubled(m, count=1):
+        out = real_sw_blowup(m, count=count)
+        values = {key: 2 * v for key, v in out.values.items()}
+        return SWMap(out.lattice, values, out.euler, out.signature)
+
+    for name, mutant in [("blowup", halved), ("sw_blowup", doubled)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog, name, mutant)
+            code, out = run(capsys, argv)
+        assert (code, out.split()[0]) == (1, "FAIL"), name
+    assert run(capsys, argv)[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# Listings far larger than memory
+
+
+def cli_env() -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def one_gib_address_space() -> None:  # runs in the child only, before exec
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("verb", ["series", "sw"])
+def test_an_oversized_blowup_listing_exits_141_when_its_reader_closes(verb):
+    # 2^24 classes: the expanded kernel alone would outgrow the 1 GiB limit
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blowdown.cli", verb, "blowup(E(2),24)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+        preexec_fn=one_gib_address_space,
+    )
+    try:
+        head = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        code = proc.wait(timeout=10)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert head[0] == b"spec: blowup(E(2),24)\n"
+    assert all(line.endswith(b"\n") for line in head)
+    assert code == 141
+    assert err == b""
+
+
+def test_witten_on_an_oversized_blowup_answers_at_once():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "blowdown.cli", "witten", "blowup(E(2),24)"],
+        capture_output=True,
+        env=cli_env(),
+        preexec_fn=one_gib_address_space,
+        timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0
+    assert proc.stdout == b"PASS witten blowup(E(2),24) (exponent -24)\n"

@@ -198,6 +198,30 @@ class Discard:
         pass
 
 
+def emit_peak(monkeypatch, argv) -> tuple[int, int]:
+    """The tracemalloc peak of _emit on argv, over what was traced before it,
+    and the bytes it wrote, to a stdout that keeps none."""
+    peaks, sink = [], Discard()
+
+    def traced_emit(*emit_args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        emit(*emit_args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    emit = cli._emit
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_emit", traced_emit)
+        patch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and len(peaks) == 1
+    return peaks[0], sink.written
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -214,25 +238,19 @@ def test_rendering_holds_a_bounded_share_of_the_output(monkeypatch, argv):
     # quarter of what it writes; holding the whole output as text and as
     # bytes, as a single write needs, takes three times it.
     terms = len(donaldson_closed_form(argv[1]).kernel)
-    peaks = []
+    peak, written = emit_peak(monkeypatch, argv)
+    assert written > 10 * cli.CHUNK
+    assert peak - 12 * terms < written / 4
 
-    def traced_emit(*emit_args):
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        emit(*emit_args)
-        peaks.append(tracemalloc.get_traced_memory()[1] - start)
 
-    emit, sink = cli._emit, Discard()
-    monkeypatch.setattr(cli, "_emit", traced_emit)
-    monkeypatch.setattr(sys, "stdout", sink)
-    tracemalloc.start()
-    try:
-        code = main(argv)
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and len(peaks) == 1
-    assert sink.written > 10 * cli.CHUNK
-    assert peaks[0] - 12 * terms < sink.written / 4
+@pytest.mark.parametrize(
+    "verb,fmt", [("series", []), ("series", STRUCT), ("sw", [])], ids=["series", "structured", "sw"]
+)
+def test_blowup_listing_memory_is_flat_in_k(monkeypatch, verb, fmt):
+    # 16 times the classes at k = 14 as at k = 10: the listing streams them
+    # from E(3)'s two classes, holding at most 256 tail texts at any k
+    small, large = (emit_peak(monkeypatch, [verb, f"blowup(E(3),{k})", *fmt])[0] for k in (10, 14))
+    assert abs(large - small) < 16 * 1024
 
 
 def test_unbuffered_output_spanning_many_chunks_is_byte_identical():
