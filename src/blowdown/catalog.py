@@ -12,8 +12,8 @@ same split where the transfer theorems cover the family.
 A spec is walked once, into a surgery plan: an ambient model with a seed
 fiber power and an ordered list of surgery steps.  The pipeline, the
 basic-class map and the CLI's blowdown walkthrough all `replay` that plan
-with their calculus's rule table, the blowups deferred to one pass at the
-end; the closed route keeps its own closed forms for the family leaf.
+with their calculus's rule table; the closed route keeps its own closed forms
+for the family leaf.  The CLI streams k blowups from `split_blowups`' base.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .transform import (
     blowup,
     connected_sum_hp,
     log_transform,
+    sign_vectors,
     taut_blowdown,
 )
 
@@ -419,31 +420,30 @@ SW_RULES = {
 }
 
 
-def replay(m, steps: tuple[SurgeryStep, ...], rules: dict) -> tuple[object, list[tuple], int]:
+def replay(m, steps: tuple[SurgeryStep, ...], rules: dict) -> tuple[object, list[tuple]]:
     """Apply the steps to m (a ManifoldSeries or SWMap) by one calculus's
-    rules, with the blowups deferred: they only add their counts into k,
-    which is exact as the steps after them (blowup, logt, hpsum) commute
-    with blowup; a chain step there raises.  Returns the object before the
-    blowups, per chain step (step, lattice before, BlowdownResult), whose
-    class map says what dropped and why, and k; blown_up(m, k, rules) is
-    then literal step order's object, basis names included."""
-    chains, k = [], 0
+    rules.  Returns the final object and, per chain step, (step, lattice
+    before, BlowdownResult), whose class map says what dropped and why."""
+    chains = []
     for step in steps:
-        if step.op == "chain" and k:
-            raise ValueError("a chain step cannot follow a deferred blowup")
-        if step.op == "blowup":
-            k += step.n
-            continue
         pre, m = m, rules[step.op](m, step)
         if step.op == "chain":
             chains.append((step, pre.lattice, m))
             m = m.result
-    return m, chains, k
+    return m, chains
 
 
-def blown_up(m, k: int, rules: dict):
-    """m after k blowups by the calculus's own one-pass rule (m for k = 0)."""
-    return rules["blowup"](m, SurgeryStep("blowup", k)) if k else m
+def split_blowups(spec: Union[str, ManifoldSpec]) -> tuple[ManifoldSpec, int]:
+    """The spec without its blowup nodes, and the sum of their counts k.
+    Blowups sit above the family leaf and commute with logt and hpsum, the
+    new directions appended last either way, so spec is base blown up k times."""
+    node = _as_spec(spec)
+    if not isinstance(node, (BlowupSpec, LogSpec, HpSumSpec)):
+        return node, 0
+    base, k = split_blowups(node.base)
+    if isinstance(node, BlowupSpec):
+        return base, k + node.k
+    return type(node)(base, node.p), k
 
 
 # ---------------------------------------------------------------------------
@@ -493,36 +493,32 @@ def _closed_family(spec: ManifoldSpec) -> ManifoldSeries:
     return ManifoldSeries(kernel, 10 * n + 6, -6 * n - 6)
 
 
-def donaldson_closed_form(spec: Union[str, ManifoldSpec], deferred: bool = False):
+def donaldson_closed_form(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
     """Series from the printed closed forms: exact division of sinh ladders
     for the elliptic family, explicit sinh/cosh forms for W, Y, and H, then
-    the plan's steps after the family leaf; deferred as for sw_replay."""
+    the plan's steps after the family leaf."""
     plan = surgery_plan(spec)
-    m, chains, k = replay(_closed_family(plan.family), plan.steps[plan.family_steps :], SERIES_RULES)
-    return (m, chains, k) if deferred else blown_up(m, k, SERIES_RULES)
+    return replay(_closed_family(plan.family), plan.steps[plan.family_steps :], SERIES_RULES)[0]
 
 
-def donaldson_pipeline(spec: Union[str, ManifoldSpec], deferred: bool = False):
+def donaldson_pipeline(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
     """Series rebuilt through the surgery pipeline: fiber powers seeded on the
-    ambient model, then every step of the plan; deferred as for sw_replay."""
+    ambient model, then every step of the plan."""
     plan = surgery_plan(spec)
-    m, chains, k = replay(plan.seed_series(), plan.steps, SERIES_RULES)
-    return (m, chains, k) if deferred else blown_up(m, k, SERIES_RULES)
+    return replay(plan.seed_series(), plan.steps, SERIES_RULES)[0]
 
 
 # ---------------------------------------------------------------------------
 # Basic-class maps
 
 
-def sw_replay(spec: Union[str, ManifoldSpec], deferred: bool = False) -> tuple:
-    """Basic-class map for specs inside the covered family, the elliptic map
-    transported through the plan, with the chain records of replay; deferred
-    returns replay's (map, chain records, k) before the k blowups instead."""
+def sw_replay(spec: Union[str, ManifoldSpec]) -> tuple[SWMap, list[tuple]]:
+    """Basic-class map for specs inside the covered family: the elliptic map
+    transported through the plan, with the chain records of replay."""
     plan = surgery_plan(spec)
     if plan.sw_gap is not None:
         raise ValueError(plan.sw_gap)
-    m, chains, k = replay(plan.seed_swmap(), plan.steps, SW_RULES)
-    return (m, chains, k) if deferred else (blown_up(m, k, SW_RULES), chains)
+    return replay(plan.seed_swmap(), plan.steps, SW_RULES)
 
 
 def sw_closed_form(spec: Union[str, ManifoldSpec]) -> SWMap:
@@ -547,16 +543,18 @@ def adjunction_audit(spec: Union[str, ManifoldSpec]) -> list[CheckReport]:
     """Characteristic-number consistency for a spec: every basic class must
     have square 3*signature + 2*euler (zero-dimensional moduli), the elliptic
     family must sit at canonical square zero, and the H and Y families must
-    land on their Noether / bisecting lines."""
+    land on their Noether / bisecting lines.  Squares are checked before the k
+    blowups, which lower both sides by k; only a failing class gets its 2^k tails."""
     node = _as_spec(spec)
-    series = donaldson_closed_form(node)
-    target = 3 * series.signature + 2 * series.euler
-    bad = [list(k.coeffs) for k in series.basic_classes() if pairing(k, k) != target]
+    base, k = split_blowups(node)
+    series = donaldson_closed_form(base)
+    target, c2 = 3 * series.signature + 2 * series.euler - k, series.euler + k
+    bad = [c.coeffs for c in series.basic_classes() if pairing(c, c) - k != target]
+    bad = [list(key + tail) for key in bad for tail in sign_vectors(k)]
     params = {"spec": render(node), "expected_square": target}
     reports = [
         CheckReport("basic-class-square", not bad, parameters=params, counterexamples=bad)
     ]
-    c2 = series.euler
     if isinstance(node, EllipticSpec):
         reports.append(
             CheckReport(

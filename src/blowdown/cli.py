@@ -8,8 +8,8 @@ Output is deterministic byte for byte for a given invocation; it is rendered
 line by line (or, under --format structured, JSON piece by piece, in the
 documented encodings) and written in chunks of about CHUNK bytes, so no verb
 holds its whole output in memory; series and sw stream the 2^k classes of
-k blowups from the object before them.  sw and witten name on stderr each
-class a chain blowdown drops for want of an extension.
+k blowups from the base of catalog.split_blowups.  sw and witten name on
+stderr each class a chain blowdown drops for want of an extension.
 
 Importing this module loads no other part of the package; each cmd_*
 imports the layers its verb runs.  Compiled from source (Python 3.11, 2
@@ -84,11 +84,11 @@ def _blown_up_lines(m, k: int, title: str, keys, parts) -> Iterator[str]:
 
 
 def _series_lines(m: ManifoldSeries, k: int = 0) -> Iterator[str]:
-    from .catalog import SERIES_RULES, blown_up
     from .serialize import ratio_str
+    from .transform import blowup
 
     small = len(m.kernel) << k <= 2  # the compact forms read the expanded kernel
-    compact = _compact_kernel(blown_up(m, k, SERIES_RULES).kernel) if small else None
+    compact = _compact_kernel((blowup(m, k) if k else m).kernel) if small else None
     num, den = m.kernel.num, m.kernel.den << k
     title = f"kernel: {compact}" if compact else f"kernel ({len(num) << k} terms):"
     parts = lambda key: (f"  {ratio_str(num[key], den)} * e^(", ")")
@@ -146,11 +146,12 @@ def _write(raw, data: bytearray) -> None:
 
 
 def _series_output(args, spec, route: str) -> int:
-    from .catalog import donaldson_closed_form, donaldson_pipeline, render
+    from .catalog import donaldson_closed_form, donaldson_pipeline, render, split_blowups
     from .serialize import series_to_obj
 
     build = donaldson_pipeline if route == "pipeline" else donaldson_closed_form
-    m, _, k = build(spec, deferred=True)
+    base, k = split_blowups(spec)
+    m = build(base)
 
     def text():
         yield f"spec: {render(spec)}"
@@ -168,11 +169,12 @@ def cmd_series(args) -> int:
 
 
 def cmd_sw(args) -> int:
-    from .catalog import parse_spec, render, sw_replay
+    from .catalog import parse_spec, render, split_blowups, sw_covered, sw_replay
     from .serialize import swmap_to_obj
 
     spec = parse_spec(args.spec)
-    m, chains, k = sw_replay(spec, deferred=True)
+    base, k = split_blowups(spec)
+    m, chains = sw_replay(base if sw_covered(spec) else spec)  # a gap is named as typed
     _print_drops(chains)
 
     def text():
@@ -185,20 +187,19 @@ def cmd_sw(args) -> int:
 
 
 def cmd_witten(args) -> int:
-    """witten_check before the k blowups, then after one by each calculus's own
-    rule: k blowups are k orthogonal copies of that factor, shifting c by -k."""
-    from .catalog import SERIES_RULES, SW_RULES, blown_up, donaldson_closed_form, parse_spec
-    from .catalog import render, sw_replay
+    """witten_check on the base of the k blowups, then after one by each calculus's
+    own rule: k blowups are k orthogonal copies of that factor, shifting c by -k."""
+    from .catalog import blowup, donaldson_closed_form, parse_spec, render, split_blowups
+    from .catalog import sw_blowup, sw_covered, sw_replay
     from .serialize import series_to_obj, swmap_to_obj
     from .swinv import witten_check, witten_exponent
 
     spec = parse_spec(args.spec)
-    series, _, k = donaldson_closed_form(spec, deferred=True)
-    swmap, chains, _ = sw_replay(spec, deferred=True)
+    base, k = split_blowups(spec)
+    series = donaldson_closed_form(base)
+    swmap, chains = sw_replay(base if sw_covered(spec) else spec)  # a gap is named as typed
     _print_drops(chains)
-    ok = witten_check(series, swmap) and (
-        not k or witten_check(blown_up(series, 1, SERIES_RULES), blown_up(swmap, 1, SW_RULES))
-    )
+    ok = witten_check(series, swmap) and (not k or witten_check(blowup(series), sw_blowup(swmap)))
     c = witten_exponent(swmap.euler, swmap.signature) - k
 
     def obj():
@@ -310,7 +311,7 @@ def cmd_blowdown(args) -> int:
         if n < 4:
             raise ValueError("Horikawa-type blowdowns need n >= 4 (chain order n-2 >= 2)")
         plan = surgery_plan(YSpec(n) if args.horikawa == 1 else HSpec(n))
-    final, steps, _ = replay(plan.seed_series(), plan.steps, SERIES_RULES)
+    final, steps = replay(plan.seed_series(), plan.steps, SERIES_RULES)
 
     def obj():
         return {

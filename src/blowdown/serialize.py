@@ -7,9 +7,9 @@ encode to identical text.  `iterencode` is the one encoder: the pieces it
 yields join to json.dumps(obj, indent=2, sort_keys=True), and it writes term
 lists straight from the kernel's integer numerators, one piece per term and
 with no object per term, so that the CLI can print them in bounded chunks
-(`"".join(iterencode(obj))` is the whole text).  Given a count k of deferred
-blowups, the encoders write the 2^k-fold expansion from the unexpanded
-value.  No verb reads these encodings back; the decoders that check the
+(`"".join(iterencode(obj))` is the whole text).  Given a blowup count k,
+the encoders write the 2^k-fold expansion of k blowups from the value before
+them.  No verb reads these encodings back; the decoders that check the
 round trips live with the tests (tests/decode.py).
 """
 

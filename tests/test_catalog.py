@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import blowdown.catalog as catalog
 from blowdown.catalog import (
     MAX_SPEC_DEPTH,
     SERIES_RULES,
@@ -24,9 +25,11 @@ from blowdown.catalog import (
     sw_covered,
     sw_replay,
 )
-from blowdown.exppoly import cosh_c, sinh_c
+from blowdown.exppoly import ExpKernel, cosh_c, sinh_c
 from blowdown.lattice import pairing
+from blowdown.reporting import CheckReport
 from blowdown.swinv import witten_check
+from blowdown.transform import ManifoldSeries, blowup
 
 
 def test_parse_render_roundtrip():
@@ -169,6 +172,26 @@ def test_adjunction_audit_reports():
     assert "elliptic-canonical-square-zero" in names
     assert {r.name for r in adjunction_audit("H(6)")} >= {"noether-line"}
     assert {r.name for r in adjunction_audit("Y(6)")} >= {"bisecting-line"}
+
+
+def test_audit_of_a_bad_base_class_equals_the_literal_expansion(monkeypatch):
+    # H(6)'s classes +-k have the target square 6; the mutant adds 0 and 2k
+    real = catalog.donaldson_closed_form
+
+    def corrupted(spec):
+        m = real(spec)
+        num = {**m.kernel.num, (0,): 1, (2,): 1}
+        return ManifoldSeries(ExpKernel._from_ints(m.lattice, num, m.kernel.den), m.euler, m.signature)
+
+    monkeypatch.setattr(catalog, "donaldson_closed_form", corrupted)
+    spec = "blowup(H(6),3)"
+    literal = blowup(corrupted("H(6)"), 3)
+    target = 3 * literal.signature + 2 * literal.euler
+    bad = [list(c.coeffs) for c in literal.basic_classes() if pairing(c, c) != target]
+    assert len(bad) == 16 and bad[0] == [0, -1, -1, -1] and bad[-1] == [2, 1, 1, 1]
+    params = {"spec": spec, "expected_square": target}
+    want = CheckReport("basic-class-square", False, parameters=params, counterexamples=bad)
+    assert adjunction_audit(spec) == [want]
 
 
 def test_render_canonicalizes_single_multiplicity():

@@ -1,11 +1,11 @@
-"""Blowups as a deferred orthogonal factor.
+"""Blowups split off the spec and expanded last.
 
-`catalog.replay` applies every step but the blowups, whose counts it adds up
-into k; the library functions expand them last, in one pass, and the CLI
-streams the 2^k classes of a listing from the object before the blowups.
+`catalog.split_blowups` drops a spec's blowup nodes and sums their counts
+into k; the library functions replay plans in literal step order, and the
+CLI streams the 2^k classes of a listing from the object of the base spec.
 Checked here:
-- deferred-then-expanded equals a literal step-order replay, written out
-  here, in both calculi and basis names included;
+- f(spec) and f(base) blown up k times both equal a literal step-order
+  replay, written out here, in both calculi and basis names included;
 - the full expansion stays the oracle of the streamed text and structured
   output for k <= 8;
 - `witten` still runs each calculus's own blowup rule (rule mutants fail it);
@@ -27,19 +27,23 @@ import blowdown.catalog as catalog
 from blowdown.catalog import (
     SERIES_RULES,
     SW_RULES,
+    EllipticSpec,
+    LogSpec,
     SurgeryStep,
     donaldson_closed_form,
     donaldson_pipeline,
+    parse_spec,
+    render,
     replay,
+    split_blowups,
     surgery_plan,
     sw_closed_form,
-    sw_replay,
 )
 from blowdown.cli import main
 from blowdown.exppoly import ExpKernel
 from blowdown.serialize import fraction_str, lattice_to_obj
-from blowdown.swinv import SWMap
-from blowdown.transform import ManifoldSeries
+from blowdown.swinv import SWMap, sw_blowup
+from blowdown.transform import ManifoldSeries, blowup
 from test_render import old_class_text
 
 STRUCT = ["--format", "structured"]
@@ -66,34 +70,40 @@ def literal_replay(m, steps, rules):
 def test_deferred_blowups_equal_literal_step_order(spec):
     plan = surgery_plan(spec)
     assert any(step.op == "blowup" for step in plan.steps)
+    base, k = split_blowups(spec)
     leaf, after_leaf = donaldson_closed_form(plan.family), plan.steps[plan.family_steps :]
     routes = [
-        (donaldson_closed_form(spec), literal_replay(leaf, after_leaf, SERIES_RULES)),
-        (donaldson_pipeline(spec), literal_replay(plan.seed_series(), plan.steps, SERIES_RULES)),
+        (donaldson_closed_form, blowup, literal_replay(leaf, after_leaf, SERIES_RULES)),
+        (donaldson_pipeline, blowup, literal_replay(plan.seed_series(), plan.steps, SERIES_RULES)),
     ]
     if plan.sw_gap is None:
         literal = literal_replay(plan.seed_swmap(), plan.steps, SW_RULES)
-        routes.append((sw_closed_form(spec), literal))
-    for deferred, literal in routes:
-        assert deferred == literal
-        assert deferred.lattice.basis_names == literal.lattice.basis_names
+        routes.append((sw_closed_form, sw_blowup, literal))
+    for f, blown_up, literal in routes:
+        for got in (f(spec), blown_up(f(base), k)):
+            assert got == literal
+            assert got.lattice.basis_names == literal.lattice.basis_names
     assert len(routes) == (2 if spec.startswith("hpsum") else 3)
 
 
-def test_replay_carries_the_blowup_count():
-    plan = surgery_plan("blowup(logt(blowup(E(2),1),3),2)")
-    base, chains, k = replay(plan.seed_series(), plan.steps, SERIES_RULES)
-    assert (k, chains) == (3, [])
-    assert base == donaldson_closed_form("logt(E(2),3)")
-    m, _, k = sw_replay("blowup(E(4;2,3),5)", deferred=True)
-    assert (k, m) == (5, sw_closed_form("E(4;2,3)"))
+def test_split_blowups_drops_every_blowup_node():
+    base, k = split_blowups("blowup(logt(blowup(E(2),1),3),2)")
+    assert (base, k) == (LogSpec(EllipticSpec(2), 3), 3)
+    assert render(base) == "logt(E(2),3)"
+    assert split_blowups("hpsum(blowup(H(6),4),3)") == (parse_spec("hpsum(H(6),3)"), 4)
+    for leaf in ["E(3;2,3)", "W(2)", "Y(5)", "H(6)"]:
+        assert split_blowups(leaf) == (parse_spec(leaf), 0)
 
 
-def test_a_chain_step_after_a_blowup_raises():
+def test_a_chain_step_after_a_blowup_replays_literally():
+    # no spec's plan puts a chain after a blowup, but replay takes any steps
     plan = surgery_plan("W(1)")
     steps = (SurgeryStep("blowup", 1),) + plan.steps
-    with pytest.raises(ValueError, match="chain step cannot follow a deferred blowup"):
-        replay(plan.seed_series(), steps, SERIES_RULES)
+    for seed, rules in [(plan.seed_series(), SERIES_RULES), (plan.seed_swmap(), SW_RULES)]:
+        m, chains = replay(seed, steps, rules)
+        assert m == literal_replay(seed, steps, rules)
+        assert [step for step, _, _ in chains] == list(plan.steps)
+        assert {"k", "e1"} <= set(m.lattice.basis_names)
 
 
 # ---------------------------------------------------------------------------

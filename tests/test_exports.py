@@ -26,8 +26,6 @@ ALLOWED = {
     "p2_blowdown",
     # traced by bench/tracing.py as the lattice layer's characteristic test
     "is_characteristic",
-    # documented in the README as the test for the SW-covered family
-    "sw_covered",
 }
 
 
@@ -100,7 +98,7 @@ def _package() -> dict[str, str]:
 
 def test_every_export_has_a_caller():
     found = orphans(_package())
-    assert len(ALLOWED) <= 3
+    assert len(ALLOWED) <= 2
     assert [name for name in found if name not in ALLOWED] == [], "public with no caller"
     assert sorted(ALLOWED - set(found)) == [], "allowed names that now have a caller"
 

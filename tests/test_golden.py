@@ -71,6 +71,16 @@ def invocations() -> list[list[str]]:
         ["series", "E(2"],  # exit 2: the spec does not parse
         ["series", "E(2;4,6)"],  # exit 3: the pair is not coprime
     ]
+    # the basic-class verbs and the audit on blowups, and gaps under a blowup
+    # (exit 3, the error naming the subtree as typed)
+    out += [
+        ["sw", "blowup(E(3;2),2)"],
+        ["witten", "logt(blowup(E(3;2,3),2),5)", "--format", "structured"],
+        ["audit", "blowup(E(4),3)"],
+        ["audit", "blowup(E(4),3)", "--format", "structured"],
+        ["sw", "hpsum(blowup(E(2),1),3)"],
+        ["witten", "logt(blowup(E(2;2),1),2)"],
+    ]
     return out
 
 
