@@ -39,7 +39,7 @@ _EXPORTS = {
     "reporting": ("CheckReport", "SpecParseError"),
     "swinv": (
         "SWMap", "sw_blowup", "sw_dim", "sw_en", "sw_log_transform", "sw_taut_blowdown",
-        "witten_check", "witten_exponent", "witten_kernel",
+        "witten_check", "witten_exponent",
     ),
     "transform": (
         "BlowdownResult", "ClassRecord", "ManifoldSeries", "RestrictedClass", "blowup",

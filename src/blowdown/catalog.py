@@ -314,7 +314,7 @@ class SurgeryPlan(Frozen):
         """The elliptic map of E(seed), padded with zeros off the fiber."""
         pad = (0,) * (self.ambient.rank - 1)
         values = {(c,) + pad: v for (c,), v in sw_en(self.seed).values.items()}
-        return SWMap(self.ambient, values, 12 * self.seed, -8 * self.seed)
+        return SWMap._from_ints(self.ambient, values, 12 * self.seed, -8 * self.seed)
 
 
 def _chains_ambient(chains: list[SurgeryStep]) -> IntersectionLattice:

@@ -192,7 +192,7 @@ def cmd_witten(args) -> int:
     from .catalog import blowup, donaldson_closed_form, parse_spec, render, split_blowups
     from .catalog import sw_blowup, sw_covered, sw_replay
     from .serialize import series_to_obj, swmap_to_obj
-    from .swinv import witten_check, witten_exponent
+    from .swinv import witten_check, witten_diff, witten_exponent
 
     spec = parse_spec(args.spec)
     base, k = split_blowups(spec)
@@ -201,6 +201,9 @@ def cmd_witten(args) -> int:
     _print_drops(chains)
     ok = witten_check(series, swmap) and (not k or witten_check(blowup(series), sw_blowup(swmap)))
     c = witten_exponent(swmap.euler, swmap.signature) - k
+    if not ok:
+        key, a, b = witten_diff(series, swmap) or witten_diff(blowup(series), sw_blowup(swmap))
+        print(f"first differing class {key}: series {a}, predicted {b}", file=sys.stderr)
 
     def obj():
         return {

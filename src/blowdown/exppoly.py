@@ -41,7 +41,7 @@ class ExpKernel(Frozen):
             and set(map(type, terms)) <= {tuple}
             and set(map(type, terms.values())) <= {int}
         ):
-            self._store(lattice, terms, 1)
+            self._store(lattice, dict(terms), 1)  # the one copy: never alias the caller's
             return
         acc: dict[tuple, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -61,12 +61,14 @@ class ExpKernel(Frozen):
     @classmethod
     def _from_ints(cls, lattice: IntersectionLattice, num: dict, den: int) -> "ExpKernel":
         """The kernel sum num[key]/den e^key, for int numerators and a
-        positive int denominator; exponents are validated as in __init__."""
+        positive int denominator; exponents are validated as in __init__.  It
+        takes ownership of `num`, a dict its caller has just built, and keeps a
+        clean one (int tuple keys of the rank, no zero, content 1) as it is."""
         k = object.__new__(cls)
         k._store(lattice, num, den)
         return k
 
-    def _store(self, lattice: IntersectionLattice, num: Mapping, den: int) -> None:
+    def _store(self, lattice: IntersectionLattice, num: dict, den: int) -> None:
         rank = lattice.rank
         keys = num.keys()
         # tuples of exact ints of the right length, checked a column at a time
@@ -75,20 +77,22 @@ class ExpKernel(Frozen):
             and set(map(len, keys)) <= {rank}
             and all(set(map(type, col)) <= {int} for col in zip(*keys))
         ):
-            clean = {key: c for key, c in num.items() if c}
+            if 0 in num.values():
+                num = {key: c for key, c in num.items() if c}
         else:
-            clean = {}
-            for key, c in num.items():
+            items, num = num.items(), {}
+            for key, c in items:
                 key = integral_coords(key)
                 if len(key) != rank:
                     raise ValueError("exponent length does not match lattice rank")
                 if c:
-                    clean[key] = c
-        g = gcd(den, *clean.values())
+                    num[key] = c
+        g = gcd(den, *num.values())
         if g != 1:
-            clean = {key: c // g for key, c in clean.items()}
+            for key, c in num.items():  # same keys: updated in place
+                num[key] = c // g
             den //= g
-        Frozen.__init__(self, lattice, MappingProxyType(clean), den)
+        Frozen.__init__(self, lattice, MappingProxyType(num), den)
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
@@ -231,7 +235,10 @@ def exact_div(a: ExpKernel, b: ExpKernel) -> ExpKernel:
     quotient by a primitive integer polynomial has integer coefficients, so a
     step whose leading coefficient does not divide proves the division
     inexact.  The quotient of A by B / g is then scaled by b.den / (a.den g).
-    Raises unless the quotient comes out exact (zero remainder).
+    Raises unless the quotient comes out exact (zero remainder).  The division
+    runs in place in the dense list of A's coefficients, each quotient entry
+    taking the remainder slot it clears, and the quotient is built over the
+    reduced denominator a.den g / h, h = gcd(b.den, a.den g).
     """
     a._check(b)
     if not b.num:
@@ -254,23 +261,25 @@ def exact_div(a: ExpKernel, b: ExpKernel) -> ExpKernel:
     lead = pb[hi_b] // g
     tail = [(e - hi_b, c // g) for e, c in pb.items() if e != hi_b]
     rem = [pa.get(lo_a + i, 0) for i in range(da + 1)]
-    quot = [0] * (da - db + 1)
     for i in range(da, db - 1, -1):
         c, r = divmod(rem[i], lead)
         if r:
             raise ValueError("inexact division: nonzero remainder")
+        rem[i] = c  # the tail offsets are negative: slot i is never read again
         if c:
-            quot[i - db] = c
             for off, t in tail:
                 rem[i + off] -= c * t
     if any(rem[:db]):
         raise ValueError("inexact division: nonzero remainder")
+    del rem[:db]  # the quotient, lowest power first
+    h = gcd(b.den, a.den * g)
+    top = b.den // h
     shift = lo_a - lo_b
     out = {}
-    for i, c in enumerate(quot):
+    for i, c in enumerate(rem):
         if c:
-            out[tuple((i + shift) * x for x in d)] = c * b.den
-    return ExpKernel._from_ints(a.lattice, out, a.den * g)
+            out[tuple((i + shift) * x for x in d)] = c * top if top > 1 else c  # c * 1 would copy c
+    return ExpKernel._from_ints(a.lattice, out, a.den * g // h)
 
 
 def refined_lattice(

@@ -11,8 +11,8 @@ each class's value to its 2^k sign patterns, the log transform fans each class
 into p translates along the refined fiber, and the chain blowdown keeps
 exactly the classes meeting the end sphere fully, with values unchanged (no
 power-of-two factor on this side), recording why each other class drops.
-witten_kernel scales a map's kernel by a power of two fixed by the
-characteristic numbers, for exact comparison against the series calculus.
+Witten's relation predicts each series coefficient as 2^c value(L), c fixed
+by the characteristic numbers; witten_diff compares the calculi class by class.
 """
 
 from __future__ import annotations
@@ -63,15 +63,26 @@ class SWMap(Frozen):
         signature: int,
     ):
         b_plus_of(euler, signature)
-        kernel = ExpKernel(lattice, values)
+        self._store(ExpKernel(lattice, values), euler, signature)
+
+    @classmethod
+    def _from_ints(cls, lattice: IntersectionLattice, values: dict, euler: int, signature: int):
+        """As __init__, taking ownership of a dict of int values that its
+        caller has just built (see ExpKernel._from_ints)."""
+        b_plus_of(euler, signature)
+        m = object.__new__(cls)
+        m._store(ExpKernel._from_ints(lattice, values, 1), euler, signature)
+        return m
+
+    def _store(self, kernel: ExpKernel, euler: int, signature: int) -> None:
         if kernel.den != 1:
             key = min(k for k, c in kernel.num.items() if c % kernel.den)
             v = Fraction(kernel.num[key], kernel.den)
             raise ValueError(f"value for class {key} must be an integer, got {v}")
-        super().__init__(kernel, euler, signature)
+        Frozen.__init__(self, kernel, euler, signature)
         # dimension zero means den * key^2 == den * (3 sigma + 2 e)
-        zero_dim = lattice.den * (3 * self.signature + 2 * self.euler)
-        squares = characteristic_squares(lattice, kernel.num)
+        zero_dim = kernel.lattice.den * (3 * self.signature + 2 * self.euler)
+        squares = characteristic_squares(kernel.lattice, kernel.num)
         if squares.count(zero_dim) != len(squares):
             key, sq = next((k, sq) for k, sq in zip(kernel.num, squares) if sq != zero_dim)
             if sq is None:
@@ -117,7 +128,7 @@ def sw_en(n: int) -> SWMap:
         raise ValueError("n >= 2 required (b+ >= 3)")
     lat = IntersectionLattice(["f"], [[0]])
     values = {(n - 2 - 2 * r,): (-1) ** r * comb(n - 2, r) for r in range(n - 1)}
-    return SWMap(lat, values, 12 * n, -8 * n)
+    return SWMap._from_ints(lat, values, 12 * n, -8 * n)
 
 
 def sw_blowup(m: SWMap, count: int = 1) -> SWMap:
@@ -128,7 +139,7 @@ def sw_blowup(m: SWMap, count: int = 1) -> SWMap:
     lat = blown_up_lattice(m.lattice, count)
     tails = sign_vectors(count)
     values = {key + tail: v for key, v in m.values.items() for tail in tails}
-    return SWMap(lat, values, m.euler + count, m.signature - count)
+    return SWMap._from_ints(lat, values, m.euler + count, m.signature - count)
 
 
 def sw_log_transform(m: SWMap, s: HClass, p: int) -> SWMap:
@@ -144,7 +155,7 @@ def sw_log_transform(m: SWMap, s: HClass, p: int) -> SWMap:
     fanned = {nk: v for key, v in sorted(values.items()) for nk in place.ladder(key)}
     if len(fanned) != p * len(values):
         raise ValueError("log transform target collision: distinct classes map to the same class")
-    return SWMap(place.lattice, fanned, m.euler, m.signature)
+    return SWMap._from_ints(place.lattice, fanned, m.euler, m.signature)
 
 
 def sw_taut_blowdown(
@@ -168,7 +179,7 @@ def sw_taut_blowdown(
         if rec.image in values:
             raise ValueError("blowdown target collision: distinct classes map to the same class")
         values[rec.image] = m.values[rec.source]
-    out = SWMap(lat, values, m.euler - (c.p - 1), m.signature + (c.p - 1))
+    out = SWMap._from_ints(lat, values, m.euler - (c.p - 1), m.signature + (c.p - 1))
     return BlowdownResult(out, tuple(records))
 
 
@@ -183,18 +194,25 @@ def witten_exponent(euler: int, signature: int) -> int:
     return 2 + num // 4
 
 
-def witten_kernel(m: SWMap) -> ExpKernel:
-    """The exponential-sum kernel 2^c sum_L value(L) e^L predicted to equal
-    the series kernel, with c = witten_exponent(euler, signature)."""
-    return m.kernel.scale(Fraction(2) ** witten_exponent(m.euler, m.signature))
-
-
-def witten_check(series: ManifoldSeries, m: SWMap) -> bool:
-    """Exact equality of the series kernel with the predicted kernel of the
-    basic-class map, support included."""
+def witten_diff(series: ManifoldSeries, m: SWMap) -> Optional[tuple[tuple, Fraction, Fraction]]:
+    """(L, series coefficient, 2^c value(L)) for the first class L in sorted
+    order where the two differ, c = witten_exponent(euler, signature), a class
+    missing on one side counting as 0; None when they agree."""
     if series.lattice != m.lattice:
         raise ValueError("lattice mismatch between the series and the basic-class map")
     if (series.euler, series.signature) != (m.euler, m.signature):
         raise ValueError("characteristic numbers differ between the series and the map")
-    predicted = witten_kernel(m)
-    return predicted == series.kernel
+    two_c = Fraction(2) ** witten_exponent(m.euler, m.signature)
+    num, den, values = series.kernel.num, series.kernel.den, m.values
+    lhs, rhs = two_c.denominator, two_c.numerator * den  # num/den == value * 2^c
+    if num.keys() == values.keys() and all(num[L] * lhs == v * rhs for L, v in values.items()):
+        return None
+    for L in sorted(num.keys() | values.keys()):  # the keys differ or some value does
+        a, b = Fraction(num.get(L, 0), den), values.get(L, 0) * two_c
+        if a != b:
+            return L, a, b
+
+
+def witten_check(series: ManifoldSeries, m: SWMap) -> bool:
+    """Exact agreement of the two calculi: witten_diff finds no class."""
+    return witten_diff(series, m) is None

@@ -133,6 +133,29 @@ def test_witten_verb(capsys):
     assert out.startswith("PASS witten E(3;2)")
 
 
+def test_witten_fail_names_the_first_differing_class(capsys, monkeypatch):
+    import blowdown.catalog as catalog
+    from blowdown.swinv import SWMap
+
+    assert run(capsys, "witten", "E(4)") == (0, "PASS witten E(4) (exponent -2)\n", "")
+    real = catalog.sw_en
+
+    def tripled(n):  # the seed mutant: three times its value on the class 0
+        m = real(n)
+        values = {k: 3 * v if k == (0,) else v for k, v in m.values.items()}
+        return SWMap(m.lattice, values, m.euler, m.signature)
+
+    monkeypatch.setattr(catalog, "sw_en", tripled)
+    code, out, err = run(capsys, "witten", "E(4)")
+    assert code == 1 and out == "FAIL witten E(4) (exponent -2)\n"
+    # E(4)'s series is sinh^2(f), -1/2 on the class 0; 2^-2 * 3 * (-2) = -3/2
+    assert err == "first differing class (0,): series -1/2, predicted -3/2\n"
+    # with blowups the objects before them are compared first
+    code, out, err = run(capsys, "witten", "blowup(E(4),3)")
+    assert code == 1 and out == "FAIL witten blowup(E(4),3) (exponent -5)\n"
+    assert err == "first differing class (0,): series -1/2, predicted -3/2\n"
+
+
 def test_verify_suites(capsys):
     for suite, extra in (
         ("lattice", ["--p-max", "5"]),

@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blowdown.catalog import donaldson_closed_form
 from blowdown.exppoly import (
     ExpKernel,
     cosh_c,
@@ -17,6 +21,7 @@ from blowdown.exppoly import (
     zero,
 )
 from blowdown.lattice import HClass, IntersectionLattice
+from blowdown.transform import blowup, log_transform
 from lattices import diagonal_lattice
 
 LAT = IntersectionLattice(["f", "s"], [[0, 1], [1, -4]])
@@ -331,3 +336,31 @@ def test_refined_lattice_gram_scaling():
     # f = 2 f_2 so f_2^2 = 4/4 = 1 and f_2.s = 2/2 = 1
     assert new.den == 1
     assert new.num == ((1, 1), (1, -4))
+
+
+def _storage(k: ExpKernel) -> dict:
+    """The dict behind a kernel's read-only `num`."""
+    (store,) = gc.get_referents(k.num)
+    return store
+
+
+def test_kernels_never_share_their_dicts():
+    # the public constructor copies the caller's mapping, on its int fast path too
+    for d in ({(1, 0): 2, (0, 0): 3}, {(1, 0): Fraction(2), (0, 0): Fraction(3, 2)}):
+        k = ExpKernel(LAT, d)
+        before = dict(k.num)
+        d[(1, 0)] = 7
+        d[(5, 5)] = 1
+        assert dict(k.num) == before and _storage(k) is not d
+    # each operation builds its own dict, never its input's
+    k = ExpKernel(LAT, {(1, 0): 2, (0, 0): 3})
+    assert _storage(k.scale(1)) is not _storage(k)
+    assert _storage(k.scale(Fraction(1, 2))) is not _storage(k)
+    series = donaldson_closed_form("E(3)")
+    f = series.lattice.basis_class("f")
+    for out in (blowup(series), blowup(series, 3), log_transform(series, f, 3)):
+        assert _storage(out.kernel) is not _storage(series.kernel)
+    # a copy or a pickle round trip is equal to the original and independent of it
+    for twin in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+        assert twin == k and twin.num == k.num
+        assert _storage(twin) is not _storage(k)

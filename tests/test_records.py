@@ -60,7 +60,7 @@ EXPORTS = [
     "CanonicalClass", "DimReport", "canonical_tb", "corr", "dim_moduli", "dim_report",
     "e_square", "rho_half_closed_form", "verify_boundary_value_lemmas",
     "CheckReport", "SWMap", "sw_blowup", "sw_dim", "sw_en", "sw_log_transform",
-    "sw_taut_blowdown", "witten_check", "witten_exponent", "witten_kernel", "BlowdownResult",
+    "sw_taut_blowdown", "witten_check", "witten_exponent", "BlowdownResult",
     "ClassRecord", "ManifoldSeries", "RestrictedClass", "blowup", "connected_sum_hp",
     "formal_log_coefficients", "log_transform", "nodal_log_pipeline", "p2_blowdown",
     "restrict_class", "taut_blowdown", "verify_nodal_matrix_identity",

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from math import comb
 
@@ -14,8 +15,8 @@ from blowdown.swinv import (
     sw_log_transform,
     sw_taut_blowdown,
     witten_check,
+    witten_diff,
     witten_exponent,
-    witten_kernel,
 )
 from blowdown.transform import ManifoldSeries
 from lattices import diagonal_lattice
@@ -67,11 +68,12 @@ def test_swmap_checks_each_class_once(monkeypatch):
     with pytest.raises(ValueError, match=r"^simple type requires a zero-dimensional moduli space, "
                        r"but class \(2,\) has dimension 3/2$"):
         SWMap(lat, {(2,): 1}, 46, -30)
-    # the catalog's blowup step builds one map for all of its blowups
+    # the catalog's blowup step builds one map for all of its blowups; every
+    # map, public or handed its dict by a rule, is validated by _store
     built = []
-    real_init = SWMap.__init__
+    real_store = SWMap._store
     monkeypatch.setattr(
-        SWMap, "__init__", lambda self, *a, **kw: built.append(a[0]) or real_init(self, *a, **kw)
+        SWMap, "_store", lambda self, k, *a: built.append(k.lattice) or real_store(self, k, *a)
     )
     assert [step.op for step in surgery_plan("blowup(E(6),8)").steps] == ["blowup"]
     assert len(sw_closed_form("blowup(E(6),8)").values) == 5 * 2**8
@@ -253,11 +255,12 @@ def test_witten_exponent():
 
 
 def test_witten_kernel_and_check():
+    # the predicted kernel 2^c sum_L value(L) e^L is checked through witten_check
     m3 = sw_en(3)
     f = m3.lattice.basis_class("f")
-    assert witten_kernel(m3) == sinh_c(f)
     series = ManifoldSeries(sinh_c(f), 36, -24)
     assert witten_check(series, m3)
+    assert not witten_check(ManifoldSeries(sinh_c(f).scale(2), 36, -24), m3)
     # corrupt one value: same support, wrong kernel
     bad = SWMap(m3.lattice, {(1,): 2, (-1,): -1}, 36, -24)
     assert not witten_check(series, bad)
@@ -266,8 +269,54 @@ def test_witten_kernel_and_check():
     for spec in ("E(4)", "E(2;2,3)", "W(2)", "blowup(E(3),2)"):
         m = sw_closed_form(spec)
         c = witten_exponent(m.euler, m.signature)
-        assert witten_kernel(m) == m.kernel.scale(Fraction(2) ** c)
+        exact = ManifoldSeries(m.kernel.scale(Fraction(2) ** c), m.euler, m.signature)
+        off = ManifoldSeries(m.kernel.scale(Fraction(2) ** (c + 1)), m.euler, m.signature)
+        assert witten_check(exact, m) and not witten_check(off, m)
     g_lat = diagonal_lattice(["g"], [0])
     other = ManifoldSeries(sinh_c(g_lat.basis_class("g")), 36, -24)
     with pytest.raises(ValueError):
         witten_check(other, m3)  # lattice mismatch
+
+
+def test_witten_diff_names_the_first_differing_class():
+    m3 = sw_en(3)
+    f = m3.lattice.basis_class("f")
+    series = ManifoldSeries(sinh_c(f), 36, -24)
+    assert witten_diff(series, m3) is None
+    # 2^c = 1/2: (-1,) is predicted at -1/2 and (1,) at 1 instead of 1/2
+    bad = SWMap(m3.lattice, {(1,): 2, (-1,): -1}, 36, -24)
+    assert witten_diff(series, bad) == ((1,), Fraction(1, 2), Fraction(1))
+    # a class on one side only counts as 0 on the other, in sorted order
+    extra = SWMap(m3.lattice, {(3,): 1, (1,): 1, (-1,): -1}, 36, -24)
+    assert witten_diff(series, extra) == ((3,), Fraction(0), Fraction(1, 2))
+    short = SWMap(m3.lattice, {(1,): 1}, 36, -24)
+    assert witten_diff(series, short) == ((-1,), Fraction(-1, 2), Fraction(0))
+    # E(4) has c = -2: one value off by one moves its prediction by 1/4
+    m = sw_closed_form("E(4)")
+    c = witten_exponent(m.euler, m.signature)
+    key = min(m.values)
+    wrong = dict(m.values)
+    wrong[key] += 1
+    off = SWMap(m.lattice, wrong, m.euler, m.signature)
+    series = ManifoldSeries(m.kernel.scale(Fraction(2) ** c), m.euler, m.signature)
+    assert witten_diff(series, off) == (
+        key,
+        Fraction(m.values[key]) * Fraction(2) ** c,
+        Fraction(wrong[key]) * Fraction(2) ** c,
+    )
+
+
+def test_swmaps_never_share_their_dicts():
+    def storage(m):
+        (store,) = gc.get_referents(m.values)
+        return store
+
+    d = {(1,): 1, (-1,): -1}
+    m = SWMap(F, d, 36, -24)
+    d[(1,)] = 5
+    d[(3,)] = 1
+    assert dict(m.values) == {(1,): 1, (-1,): -1} and storage(m) is not d
+    m = sw_en(5)
+    f = m.lattice.basis_class("f")
+    for out in (sw_blowup(m), sw_blowup(m, 3), sw_log_transform(m, f, 3)):
+        assert storage(out) is not storage(m)
