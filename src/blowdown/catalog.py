@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-from .exppoly import ExpKernel, cosh_c, exact_div, one, sinh_c
+from .exppoly import cosh_c, exact_div, one, power, sinh_c
 from .lattice import ChainConfig, HClass, IntersectionLattice, chain_plumbing, pairing
 from .reporting import CheckReport, Frozen, SpecParseError
 from .swinv import SWMap, sw_blowup, sw_en, sw_log_transform, sw_taut_blowdown
@@ -257,13 +257,6 @@ def _as_spec(spec: Union[str, ManifoldSpec]) -> ManifoldSpec:
 # Surgery plans
 
 
-def _kernel_pow(k: ExpKernel, n: int) -> ExpKernel:
-    out = one(k.lattice)
-    for _ in range(n):
-        out = out * k
-    return out
-
-
 class SurgeryStep(Frozen):
     """One surgery of a plan.
 
@@ -296,40 +289,39 @@ class SurgeryStep(Frozen):
 class SurgeryPlan(Frozen):
     """A spec as an ordered list of surgeries on a seed.
 
-    The seed is the elliptic surface E(seed) placed on the ambient lattice,
-    whose first basis direction is the fiber.  The first family_steps steps
-    build the family leaf `family` (E, W, Y or H); the closed route replaces
-    them by that leaf's closed form.  sw_gap says why the basic-class
-    calculus cannot follow the plan, or is None when it can.
+    The seed is E(seed) on the ambient lattice of the fiber f and the chain
+    steps `chains` (both chains for Y, which blows down one).  The first
+    family_steps steps build the family leaf `family` (E, W, Y or H); the
+    closed route replaces them by that leaf's closed form.  sw_gap says why
+    the basic-class calculus cannot follow the plan, or is None when it can.
     """
 
-    __slots__ = ("family", "ambient", "seed", "steps", "family_steps", "sw_gap")
+    __slots__ = ("family", "chains", "seed", "steps", "family_steps", "sw_gap")
+
+    def ambient(self) -> IntersectionLattice:
+        """A new lattice of f and the chains, each meeting f once in its end sphere."""
+        names = ["f"] + [nm for step in self.chains for nm in step.spheres]
+        gram = [[0] * len(names) for _ in names]
+        at = 1
+        for step in self.chains:
+            for i, row in enumerate(chain_plumbing(step.n).matrix()):
+                gram[at + i][at : at + step.n - 1] = row
+            end = at + step.n - 2
+            gram[0][end] = gram[end][0] = 1
+            at += step.n - 1
+        return IntersectionLattice(names, gram)
 
     def seed_series(self) -> ManifoldSeries:
         """The fiber power sinh^(seed-2)(f)."""
-        f = self.ambient.basis_class(self.ambient.basis_names[0])
-        return ManifoldSeries(_kernel_pow(sinh_c(f), self.seed - 2), 12 * self.seed, -8 * self.seed)
+        f = self.ambient().basis_class("f")
+        return ManifoldSeries(power(sinh_c(f), self.seed - 2), 12 * self.seed, -8 * self.seed)
 
     def seed_swmap(self) -> SWMap:
         """The elliptic map of E(seed), padded with zeros off the fiber."""
-        pad = (0,) * (self.ambient.rank - 1)
+        ambient = self.ambient()
+        pad = (0,) * (ambient.rank - 1)
         values = {(c,) + pad: v for (c,), v in sw_en(self.seed).values.items()}
-        return SWMap._from_ints(self.ambient, values, 12 * self.seed, -8 * self.seed)
-
-
-def _chains_ambient(chains: list[SurgeryStep]) -> IntersectionLattice:
-    """Fiber direction f plus the disjoint plumbing chains of the given chain
-    steps, each meeting the fiber once in its end sphere."""
-    names = ["f"] + [nm for step in chains for nm in step.spheres]
-    gram = [[0] * len(names) for _ in names]
-    at = 1
-    for step in chains:
-        for i, row in enumerate(chain_plumbing(step.n).matrix()):
-            gram[at + i][at : at + step.n - 1] = row
-        end = at + step.n - 2
-        gram[0][end] = gram[end][0] = 1
-        at += step.n - 1
-    return IntersectionLattice(names, gram)
+        return SWMap._from_ints(ambient, values, 12 * self.seed, -8 * self.seed)
 
 
 def _outside(node: ManifoldSpec, why: str) -> str:
@@ -366,7 +358,7 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
         fiber = (idx, mult * (p // gcd(mult, p)))
 
     if isinstance(node, EllipticSpec):
-        ambient, seed, fiber = IntersectionLattice(["f"], [[0]]), node.n, (0, 1)
+        chains, seed, fiber = (), node.n, (0, 1)
         if len(node.pairs) == 3:
             gap = _outside(node, "three-pair transforms collide")
         for pair in node.pairs:
@@ -375,18 +367,18 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
     elif isinstance(node, WSpec):
         # n disjoint square -4 sections on E(4), each an order-2 chain
         steps += [SurgeryStep("chain", 2, spheres=(f"s{i}",), image="k") for i in range(1, node.n + 1)]
-        ambient, seed = _chains_ambient(steps), 4
+        chains, seed = tuple(steps), 4
     elif isinstance(node, (YSpec, HSpec)):
         # two disjoint order n-2 chains on E(n), each ending on a section of
         # square -n; Y blows down the first, H both
         p = node.n - 2
-        chains = [
+        chains = tuple(
             SurgeryStep(
                 "chain", p, spheres=tuple(f"{x}{i}" for i in range(1, p - 1)) + (end,), image=image
             )
             for x, end, image in (("a", "s", "lam"), ("b", "t", "k"))
-        ]
-        ambient, seed = _chains_ambient(chains), node.n
+        )
+        seed = node.n
         steps += chains if isinstance(node, HSpec) else chains[:1]
     else:
         raise TypeError(f"not a manifold spec: {node!r}")
@@ -400,7 +392,7 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
             if gap is None:
                 gap = _outside(node_out, "no value-transfer rule for homology-ball sums")
             steps.append(SurgeryStep("hpsum", node_out.p))
-    return SurgeryPlan(node, ambient, seed, tuple(steps), family_steps, gap)
+    return SurgeryPlan(node, chains, seed, tuple(steps), family_steps, gap)
 
 
 # One rule per step op, called as rule(m, step); a chain rule returns a
@@ -472,7 +464,7 @@ def _closed_family(spec: ManifoldSpec) -> ManifoldSeries:
         name = "f" if n_total == 1 else f"f_{n_total}"
         lat = IntersectionLattice([name], [[0]])
         u = lat.basis_class(name)
-        num = _kernel_pow(sinh_c(u * n_total), spec.n - 2 + len(orders))
+        num = power(sinh_c(u * n_total), spec.n - 2 + len(orders))
         den = one(lat)
         for o in orders:
             den = den * sinh_c(u * (n_total // o))

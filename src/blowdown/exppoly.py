@@ -3,9 +3,9 @@
 A series kernel is sum_s a_s e^{kappa_s} with rational a_s and kappa_s integral
 classes in a fixed lattice; the gaussian prefactor exp(Q/2) of a full series is
 implicit and never stored.  Multiplication convolves exponents
-(e^kappa e^lambda = e^{kappa+lambda}); division is supported exactly when all
-exponents involved sit on one rank-1 direction, which is the only case the
-surgery formulas need (fiber-direction factors like sinh(pu)/sinh(u)).
+(e^kappa e^lambda = e^{kappa+lambda}); powers and division are supported when
+all exponents involved sit on one rank-1 direction, as integer Laurent
+polynomials: the only case the surgery formulas need (sinh^n(f), sinh(pu)/sinh(u)).
 Coefficients are kept as integer numerators over one common denominator, so
 the ring operations and the division run in integer arithmetic.
 """
@@ -13,6 +13,7 @@ the ring operations and the division run in integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
@@ -71,11 +72,11 @@ class ExpKernel(Frozen):
     def _store(self, lattice: IntersectionLattice, num: dict, den: int) -> None:
         rank = lattice.rank
         keys = num.keys()
-        # tuples of exact ints of the right length, checked a column at a time
+        # tuples of exact ints of the right length, every coordinate in one pass
         if (
             set(map(type, keys)) <= {tuple}
             and set(map(len, keys)) <= {rank}
-            and all(set(map(type, col)) <= {int} for col in zip(*keys))
+            and set(map(type, chain.from_iterable(keys))) <= {int}
         ):
             if 0 in num.values():
                 num = {key: c for key, c in num.items() if c}
@@ -87,7 +88,11 @@ class ExpKernel(Frozen):
                     raise ValueError("exponent length does not match lattice rank")
                 if c:
                     num[key] = c
-        g = gcd(den, *num.values())
+        g = den
+        for c in num.values():  # stops at 1, with no tuple of every value
+            if g == 1:
+                break
+            g = gcd(g, c)
         if g != 1:
             for key, c in num.items():  # same keys: updated in place
                 num[key] = c // g
@@ -210,8 +215,11 @@ def twist(k: ExpKernel, c: HClass) -> ExpKernel:
 
 
 def _collinear_multiples(direction_pool: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], dict]:
-    """Primitive common direction d and the multiple of d each vector equals."""
+    """Primitive common direction d and the multiple of d each vector equals;
+    d is the zero vector when every vector is zero."""
     nonzero = [v for v in direction_pool if any(v)]
+    if not nonzero:
+        return direction_pool[0], dict.fromkeys(direction_pool, 0)
     first = min(nonzero)
     g = gcd(*[abs(x) for x in first])
     d = tuple(x // g for x in first)
@@ -225,6 +233,41 @@ def _collinear_multiples(direction_pool: Sequence[tuple[int, ...]]) -> tuple[tup
     return d, mult
 
 
+def _laurent(*kernels: ExpKernel) -> tuple[tuple[int, ...], list[dict]]:
+    """d of _collinear_multiples and each (nonzero) kernel as {multiple: numerator}."""
+    d, mult = _collinear_multiples([key for k in kernels for key in k.num])
+    return d, [{mult[key]: c for key, c in k.num.items()} for k in kernels]
+
+
+def _from_laurent(lattice, d: tuple, coeffs: list, lo: int, step: int, den: int) -> ExpKernel:
+    """The kernel sum_i coeffs[i] x^(lo + i step) / den, x = e^d."""
+    out = {tuple((lo + i * step) * x for x in d): c for i, c in enumerate(coeffs) if c}
+    return ExpKernel._from_ints(lattice, out, den)
+
+
+def power(k: ExpKernel, n: int) -> ExpKernel:
+    """The n-fold product k * ... * k (one at n = 0) of a kernel on one rank-1
+    direction, such as the fiber power sinh^n(f): n products of integer Laurent
+    polynomials on the stride of its exponents, turned into tuples once."""
+    if n < 0:
+        raise ValueError("kernel powers need n >= 0")
+    if n == 0 or not k.num:
+        return one(k.lattice) if n == 0 else zero(k.lattice)
+    d, (p,) = _laurent(k)
+    lo = min(p)
+    step = gcd(*(e - lo for e in p)) or 1
+    factor = [((e - lo) // step, c) for e, c in p.items()]
+    deg = (max(p) - lo) // step
+    out = [1]
+    for _ in range(n):
+        nxt = [0] * (len(out) + deg)
+        for off, c in factor:
+            for i, x in enumerate(out, off):
+                nxt[i] += c * x
+        out = nxt
+    return _from_laurent(k.lattice, d, out, n * lo, step, k.den**n)
+
+
 def exact_div(a: ExpKernel, b: ExpKernel) -> ExpKernel:
     """Exact quotient a / b for kernels supported on one rank-1 direction.
 
@@ -236,31 +279,27 @@ def exact_div(a: ExpKernel, b: ExpKernel) -> ExpKernel:
     step whose leading coefficient does not divide proves the division
     inexact.  The quotient of A by B / g is then scaled by b.den / (a.den g).
     Raises unless the quotient comes out exact (zero remainder).  The division
-    runs in place in the dense list of A's coefficients, each quotient entry
-    taking the remainder slot it clears, and the quotient is built over the
-    reduced denominator a.den g / h, h = gcd(b.den, a.den g).
+    runs in place in the dense list of A's coefficients, on the common stride
+    of A's and B's exponent offsets, each quotient entry taking the remainder
+    slot it clears, and the quotient is built over the reduced denominator
+    a.den g / h, h = gcd(b.den, a.den g).
     """
     a._check(b)
     if not b.num:
         raise ZeroDivisionError("division by the zero kernel")
     if not a.num:
         return zero(a.lattice)
-    pool = list(a.num) + list(b.num)
-    if not any(any(v) for v in pool):
-        (bc,) = b.num.values()
-        return a.scale(Fraction(b.den, bc))
-    d, mult = _collinear_multiples(pool)
-    pa = {mult[k]: c for k, c in a.num.items()}
-    pb = {mult[k]: c for k, c in b.num.items()}
+    d, (pa, pb) = _laurent(a, b)
     lo_a, hi_a = min(pa), max(pa)
     lo_b, hi_b = min(pb), max(pb)
-    da, db = hi_a - lo_a, hi_b - lo_b
-    if da < db:
+    if hi_a - lo_a < hi_b - lo_b:
         raise ValueError("inexact division: numerator support is too narrow")
+    step = gcd(*(e - lo_a for e in pa), *(e - lo_b for e in pb)) or 1
+    da, db = (hi_a - lo_a) // step, (hi_b - lo_b) // step
     g = gcd(*pb.values())
     lead = pb[hi_b] // g
-    tail = [(e - hi_b, c // g) for e, c in pb.items() if e != hi_b]
-    rem = [pa.get(lo_a + i, 0) for i in range(da + 1)]
+    tail = [((e - hi_b) // step, c // g) for e, c in pb.items() if e != hi_b]
+    rem = [pa.get(lo_a + i * step, 0) for i in range(da + 1)]
     for i in range(da, db - 1, -1):
         c, r = divmod(rem[i], lead)
         if r:
@@ -274,12 +313,10 @@ def exact_div(a: ExpKernel, b: ExpKernel) -> ExpKernel:
     del rem[:db]  # the quotient, lowest power first
     h = gcd(b.den, a.den * g)
     top = b.den // h
-    shift = lo_a - lo_b
-    out = {}
-    for i, c in enumerate(rem):
-        if c:
-            out[tuple((i + shift) * x for x in d)] = c * top if top > 1 else c  # c * 1 would copy c
-    return ExpKernel._from_ints(a.lattice, out, a.den * g // h)
+    if top > 1:  # c * 1 would copy each c
+        for i, c in enumerate(rem):
+            rem[i] = c * top
+    return _from_laurent(a.lattice, d, rem, lo_a - lo_b, step, a.den * g // h)
 
 
 def refined_lattice(

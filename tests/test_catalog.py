@@ -249,3 +249,43 @@ def test_replay_rules_look_transforms_up_when_called(monkeypatch):
     catalog.donaldson_pipeline("H(5)")
     catalog.sw_closed_form("H(5)")
     assert calls == ["taut_blowdown"] * 2 + ["sw_taut_blowdown"] * 2
+
+
+def _count_lattice_builds(monkeypatch) -> list[int]:
+    """The rank of every IntersectionLattice built from here on."""
+    from blowdown.lattice import IntersectionLattice
+
+    ranks = []
+    real = IntersectionLattice.__init__
+
+    def counting(self, basis_names, *args, **kwargs):
+        ranks.append(len(basis_names))
+        real(self, basis_names, *args, **kwargs)
+
+    monkeypatch.setattr(IntersectionLattice, "__init__", counting)
+    return ranks
+
+
+def test_a_plan_builds_its_ambient_lattice_only_when_seeded(monkeypatch, capsys):
+    from blowdown.cli import main
+
+    ranks = _count_lattice_builds(monkeypatch)
+    plan = surgery_plan("H(40)")
+    assert [step.n for step in plan.chains] == [38, 38] and ranks == []
+    assert plan.ambient().rank == 75 and ranks == [75]
+    ranks.clear()
+    # the coverage test and the closed route never seed on the ambient model
+    assert sw_covered("H(40)")
+    assert donaldson_closed_form("H(40)").lattice.rank == 1
+    assert 75 not in ranks
+    # witten seeds one plan: its rank-75 ambient is built once, not once per plan
+    ranks.clear()
+    assert main(["witten", "H(40)"]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+    assert ranks.count(75) == 1
+    # Y keeps both chains for its ambient model and blows down only the first
+    plan = surgery_plan("Y(6)")
+    assert [step.image for step in plan.chains] == ["lam", "k"]
+    assert plan.steps == plan.chains[:1] and plan.ambient().rank == 7
+    assert surgery_plan("E(3;2,5)").chains == ()
+    assert surgery_plan("E(3;2,5)").ambient().basis_names == ("f",)

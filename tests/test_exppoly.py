@@ -15,6 +15,7 @@ from blowdown.exppoly import (
     cosh_c,
     exact_div,
     one,
+    power,
     refined_lattice,
     sinh_c,
     twist,
@@ -189,13 +190,27 @@ _SPECIAL = [
 ]
 _DIVISORS = st.one_of(st.sampled_from(_SPECIAL), _LAURENT)
 _DIRECTIONS = st.sampled_from([(1, 0), (0, 1), (1, 2), (-2, 3)])
+# exponents on a common stride with an offset, e * stride + offset: exact_div
+# divides on the stride of all exponent offsets, the dense oracle on every slot
+_STRIDES = st.sampled_from([1, 2, 3])
+_OFFSETS = st.integers(-3, 3)
+
+
+def _stretch(poly: dict, stride: int, offset: int) -> dict:
+    return {e * stride + offset: c for e, c in poly.items()}
 
 
 @settings(max_examples=80, deadline=None)
-@given(q=_LAURENT, b=_DIVISORS, d=_DIRECTIONS)
-@example(q={0: Fraction(1, 3), 1: Fraction(1, 3)}, b={0: Fraction(3), 1: Fraction(3)}, d=(1, 0))
-@example(q={0: Fraction(1, 2)}, b={2: Fraction(3), -2: Fraction(-3)}, d=(1, 2))
-def test_exact_div_matches_dense_oracle(q, b, d):
+@given(q=_LAURENT, b=_DIVISORS, d=_DIRECTIONS, stride=_STRIDES, oq=_OFFSETS, ob=_OFFSETS)
+@example(
+    q={0: Fraction(1, 3), 1: Fraction(1, 3)}, b={0: Fraction(3), 1: Fraction(3)}, d=(1, 0),
+    stride=1, oq=0, ob=0,
+)
+@example(q={0: Fraction(1, 2)}, b={2: Fraction(3), -2: Fraction(-3)}, d=(1, 2), stride=1, oq=0, ob=0)
+# E(n;p,q)'s divisor sinh(qu) sinh(pu) has only even offsets
+@example(q={0: Fraction(1), 1: Fraction(-2)}, b=_SPECIAL[3], d=(0, 1), stride=2, oq=1, ob=0)
+def test_exact_div_matches_dense_oracle(q, b, d, stride, oq, ob):
+    q, b = _stretch(q, stride, oq), _stretch(b, stride, ob)
     prod = _poly_mul(q, b)
     assert _on(d, q) * _on(d, b) == _on(d, prod)
     assert exact_div(_on(d, prod), _on(d, b)) == _on(d, q)
@@ -207,13 +222,20 @@ def test_exact_div_matches_dense_oracle(q, b, d):
     q=_LAURENT,
     b=_DIVISORS.filter(lambda b: len(b) >= 2),
     d=_DIRECTIONS,
+    stride=_STRIDES,
+    oq=_OFFSETS,
+    ob=_OFFSETS,
     pos=st.integers(-14, 14),
     delta=_COEFFS,
 )
 # the leading coefficient 2 of the divisor fails to divide 3 at the top step,
 # while the low remainder happens to vanish
-@example(q={1: Fraction(1)}, b={2: Fraction(2), 1: Fraction(3)}, d=(1, 0), pos=3, delta=Fraction(1))
-def test_exact_div_perturbed_product_raises(q, b, d, pos, delta):
+@example(
+    q={1: Fraction(1)}, b={2: Fraction(2), 1: Fraction(3)}, d=(1, 0), stride=1, oq=0, ob=0,
+    pos=3, delta=Fraction(1),
+)
+def test_exact_div_perturbed_product_raises(q, b, d, stride, oq, ob, pos, delta):
+    q, b = _stretch(q, stride, oq), _stretch(b, stride, ob)
     prod = _poly_mul(q, b)
     prod[pos] = prod.get(pos, 0) + delta
     prod = {e: c for e, c in prod.items() if c}
@@ -223,6 +245,88 @@ def test_exact_div_perturbed_product_raises(q, b, d, pos, delta):
         exact_div(_on(d, prod), _on(d, b))
     with pytest.raises(ValueError, match="^inexact division"):
         _dense_div(prod, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=_LAURENT,
+    b=_DIVISORS.filter(lambda b: len(b) >= 2),
+    d=_DIRECTIONS,
+    stride=st.sampled_from([2, 3]),
+    oq=_OFFSETS,
+    ob=_OFFSETS,
+    at=st.integers(0, 100),
+)
+def test_exact_div_raises_on_a_term_moved_off_the_stride(q, b, d, stride, oq, ob, at):
+    q, b = _stretch(q, stride, oq), _stretch(b, stride, ob)
+    prod = _poly_mul(q, b)
+    e = sorted(prod)[at % len(prod)]
+    prod[e + 1] = prod.pop(e)  # e + 1 is off the stride, so no term is there yet
+    # the product changed by c x^e (x - 1), which no divisor whose exponents
+    # are two or more apart divides
+    with pytest.raises(ValueError, match="^inexact division"):
+        exact_div(_on(d, prod), _on(d, b))
+    with pytest.raises(ValueError, match="^inexact division"):
+        _dense_div(prod, b)
+
+
+def _power_oracle(k: ExpKernel, n: int) -> ExpKernel:
+    out = one(k.lattice)
+    for _ in range(n):
+        out = out * k
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rank=st.integers(1, 6), n=st.integers(0, 8))
+def test_power_matches_repeated_products(data, rank, n):
+    lat = diagonal_lattice([f"x{i}" for i in range(rank)], [0] * rank)
+    coords = st.integers(-3, 3)
+    # non-primitive and negative directions: the kernel sits on multiples of d
+    d = data.draw(st.tuples(*[coords] * rank).filter(any), label="direction")
+    poly = data.draw(_LAURENT, label="poly")
+    k = ExpKernel(lat, {tuple(e * x for x in d): c for e, c in poly.items()})
+    assert power(k, n) == _power_oracle(k, n)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_power_of_seeded_kernels(n):
+    rng = random.Random(29 + n)
+    for rank in range(1, 7):
+        lat = diagonal_lattice([f"x{i}" for i in range(rank)], [0] * rank)
+        d = tuple(rng.randint(-4, 4) for _ in range(rank))
+        if not any(d):
+            d = (2,) + d[1:]
+        terms = [(rng.randint(-4, 4), Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(4)]
+        k = ExpKernel(lat, [(tuple(e * x for x in d), c) for e, c in terms])
+        assert power(k, n) == _power_oracle(k, n), (rank, d, k)
+        fiber = sinh_c(HClass(lat, d))  # den 2, two terms 2|d| apart
+        assert power(fiber, n) == _power_oracle(fiber, n)
+        assert power(fiber, n).den == 2**n
+
+
+def test_power_edge_cases():
+    lat = diagonal_lattice(["x", "y"], [0, -1])
+    c = one(lat).scale(Fraction(-2, 3))
+    for n in range(5):
+        assert power(c, n) == one(lat).scale(Fraction(-2, 3) ** n)  # stays a constant
+        assert power(zero(lat), n) == (one(lat) if n == 0 else zero(lat))
+    assert power(sinh_c(HClass(lat, (1, 2))), 0) == one(lat)
+    skew = ExpKernel(lat, {(1, 0): 1, (0, 1): 1})
+    assert power(skew, 0) == one(lat)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="^exponents are not collinear"):
+            power(skew, n)
+    with pytest.raises(ValueError, match="n >= 0"):
+        power(one(lat), -1)
+
+
+def test_power_owns_its_dict():
+    lat = diagonal_lattice(["x"], [0])
+    k = sinh_c(lat.basis_class("x")) + one(lat)
+    for n in (0, 1, 3):
+        assert _storage(power(k, n)) is not _storage(k)
+    assert _storage(power(one(lat), 1)) is not _storage(one(lat))
 
 
 def test_exact_div_error_messages():

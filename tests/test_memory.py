@@ -51,3 +51,17 @@ def test_witten_peaks_near_the_two_objects_it_compares():
         _, peak, code = _traced(lambda: main(["witten", spec]))
     assert code == 0 and out.getvalue().startswith("PASS")
     assert peak < 1.4 * held, (held, peak)
+
+
+def test_from_ints_validates_long_rank_1_kernels_in_place():
+    # one iterator type-checks every coordinate and the content search stops
+    # at 1 without a tuple of all values; a transpose with zip(*keys) made one
+    # tuple per key (8.2 MiB here), so the bound is absolute: nothing is copied
+    from blowdown.exppoly import ExpKernel
+    from blowdown.lattice import IntersectionLattice
+
+    lat = IntersectionLattice(["f"], [[0]])
+    num = {(e,): 2 * e + 1 for e in range(-60_000, 60_000)}
+    _, peak, kernel = _traced(lambda: ExpKernel._from_ints(lat, num, 2))
+    assert len(kernel) == 120_000 and kernel.num[(3,)] == 7
+    assert peak < 2**20, peak

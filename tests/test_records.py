@@ -170,7 +170,7 @@ def test_lattices_and_kernels_copy_and_pickle():
 
 def test_chain_configs_copy_and_pickle():
     plan = surgery_plan("W(2)")
-    lat = plan.ambient
+    lat = plan.ambient()
     config = ChainConfig(2, lat, [lat.basis_class(plan.steps[0].spheres[0])])
     for clone in _clones(config):
         assert type(clone) is ChainConfig
@@ -310,7 +310,8 @@ REPRS = [
     ),
     (
         'surgery_plan("W(1)")',
-        "SurgeryPlan(family=WSpec(n=1), ambient=IntersectionLattice(['f', 's1']), seed=4, "
+        "SurgeryPlan(family=WSpec(n=1), "
+        "chains=(SurgeryStep(op='chain', n=2, fiber=None, spheres=('s1',), image='k'),), seed=4, "
         "steps=(SurgeryStep(op='chain', n=2, fiber=None, spheres=('s1',), image='k'),), "
         "family_steps=1, sw_gap=None)",
     ),
