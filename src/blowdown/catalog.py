@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-from .exppoly import cosh_c, exact_div, one, power, sinh_c
+from .exppoly import ExpKernel, cosh_c, exact_div, one, power, sinh_c
 from .lattice import ChainConfig, HClass, IntersectionLattice, chain_plumbing, pairing
 from .reporting import CheckReport, Frozen, SpecParseError
 from .swinv import SWMap, sw_blowup, sw_en, sw_log_transform, sw_taut_blowdown
@@ -321,7 +321,7 @@ class SurgeryPlan(Frozen):
         ambient = self.ambient()
         pad = (0,) * (ambient.rank - 1)
         values = {(c,) + pad: v for (c,), v in sw_en(self.seed).values.items()}
-        return SWMap._from_ints(ambient, values, 12 * self.seed, -8 * self.seed)
+        return SWMap(ExpKernel._from_ints(ambient, values, 1), 12 * self.seed, -8 * self.seed)
 
 
 def _outside(node: ManifoldSpec, why: str) -> str:

@@ -25,7 +25,8 @@ from .reporting import Frozen
 
 class ExpKernel(Frozen):
     """A kernel sum_s a_s e^{kappa_s}, built from a mapping or from
-    (exponent, coefficient) pairs; pairs with the same exponent are summed.
+    (exponent, coefficient) pairs; pairs with the same exponent are summed
+    into a dict of the kernel's own, which never aliases the caller's.
 
     The coefficients are stored as integer numerators `num` (a read-only
     mapping, exponent tuple -> nonzero int) over one denominator `den` > 0,
@@ -37,13 +38,6 @@ class ExpKernel(Frozen):
     __slots__ = ("lattice", "num", "den")
 
     def __init__(self, lattice: IntersectionLattice, terms: Mapping = ()):
-        if (
-            isinstance(terms, Mapping)
-            and set(map(type, terms)) <= {tuple}
-            and set(map(type, terms.values())) <= {int}
-        ):
-            self._store(lattice, dict(terms), 1)  # the one copy: never alias the caller's
-            return
         acc: dict[tuple, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for key, coeff in items:

@@ -136,10 +136,14 @@ def witten_specs() -> list[str]:
 
 def suite_witten() -> list[CheckReport]:
     from .catalog import donaldson_closed_form, sw_closed_form
-    from .swinv import witten_check
+    from .swinv import witten_check, witten_diff
 
     out = []
     for s in witten_specs():
-        ok = witten_check(donaldson_closed_form(s), sw_closed_form(s))
-        out.append(CheckReport("witten", ok, parameters={"spec": s}))
+        series, swmap = donaldson_closed_form(s), sw_closed_form(s)
+        ok, why = witten_check(series, swmap), []
+        if not ok:  # the first class where the calculi differ, with both coefficients
+            key, a, b = witten_diff(series, swmap)
+            why = [{"class": list(key), "series": str(a), "predicted": str(b)}]
+        out.append(CheckReport("witten", ok, parameters={"spec": s}, counterexamples=why))
     return out

@@ -2,7 +2,8 @@
 
 An SWMap is the finite support of an integer-valued function on characteristic
 classes, stored as an exponential-sum kernel with integer coefficients and
-carried together with the characteristic numbers of the underlying series.
+carried together with the characteristic numbers of the underlying series;
+each transform hands ExpKernel._from_ints the dict of values it has built.
 Every map is of simple type (each basic class has a zero-dimensional moduli
 space).  The transforms move classes through the surgery geometry of
 .transform (blown_up_lattice, sign_vectors, log_placement, chain_pushoff) but
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .exppoly import ExpKernel
 from .lattice import (
@@ -44,7 +45,8 @@ KeyLike = Union[HClass, tuple]
 
 
 class SWMap(Frozen):
-    """Finite support of a basic-class function, with characteristic numbers.
+    """Finite support of a basic-class function, with characteristic numbers,
+    built as SWMap(kernel, euler, signature) like a ManifoldSeries.
 
     The values are held as an integer ExpKernel (den == 1): `values` is its
     read-only `num`, mapping exponent coordinate tuples to nonzero integers,
@@ -55,33 +57,15 @@ class SWMap(Frozen):
 
     __slots__ = ("kernel", "euler", "signature")
 
-    def __init__(
-        self,
-        lattice: IntersectionLattice,
-        values: Union[Mapping[KeyLike, int], Iterable[tuple[KeyLike, int]]],
-        euler: int,
-        signature: int,
-    ):
+    def __init__(self, kernel: ExpKernel, euler: int, signature: int):
         b_plus_of(euler, signature)
-        self._store(ExpKernel(lattice, values), euler, signature)
-
-    @classmethod
-    def _from_ints(cls, lattice: IntersectionLattice, values: dict, euler: int, signature: int):
-        """As __init__, taking ownership of a dict of int values that its
-        caller has just built (see ExpKernel._from_ints)."""
-        b_plus_of(euler, signature)
-        m = object.__new__(cls)
-        m._store(ExpKernel._from_ints(lattice, values, 1), euler, signature)
-        return m
-
-    def _store(self, kernel: ExpKernel, euler: int, signature: int) -> None:
         if kernel.den != 1:
             key = min(k for k, c in kernel.num.items() if c % kernel.den)
             v = Fraction(kernel.num[key], kernel.den)
             raise ValueError(f"value for class {key} must be an integer, got {v}")
-        Frozen.__init__(self, kernel, euler, signature)
+        super().__init__(kernel, euler, signature)
         # dimension zero means den * key^2 == den * (3 sigma + 2 e)
-        zero_dim = kernel.lattice.den * (3 * self.signature + 2 * self.euler)
+        zero_dim = kernel.lattice.den * (3 * signature + 2 * euler)
         squares = characteristic_squares(kernel.lattice, kernel.num)
         if squares.count(zero_dim) != len(squares):
             key, sq = next((k, sq) for k, sq in zip(kernel.num, squares) if sq != zero_dim)
@@ -92,20 +76,14 @@ class SWMap(Frozen):
                 f"but class {key} has dimension {sw_dim(self, key)}"
             )
 
-    @property
-    def lattice(self) -> IntersectionLattice:
-        return self.kernel.lattice
+    # read off (kernel, euler, signature) as for a series
+    lattice = ManifoldSeries.lattice
+    b_plus = ManifoldSeries.b_plus
+    basic_classes = ManifoldSeries.basic_classes
 
     @property
     def values(self) -> Mapping[tuple[int, ...], int]:
         return self.kernel.num
-
-    @property
-    def b_plus(self) -> int:
-        return b_plus_of(self.euler, self.signature)
-
-    def basic_classes(self) -> list[HClass]:
-        return [HClass(self.lattice, key) for key in sorted(self.values)]
 
 
 def sw_dim(m: SWMap, cls: KeyLike) -> Fraction:
@@ -128,7 +106,7 @@ def sw_en(n: int) -> SWMap:
         raise ValueError("n >= 2 required (b+ >= 3)")
     lat = IntersectionLattice(["f"], [[0]])
     values = {(n - 2 - 2 * r,): (-1) ** r * comb(n - 2, r) for r in range(n - 1)}
-    return SWMap._from_ints(lat, values, 12 * n, -8 * n)
+    return SWMap(ExpKernel._from_ints(lat, values, 1), 12 * n, -8 * n)
 
 
 def sw_blowup(m: SWMap, count: int = 1) -> SWMap:
@@ -139,7 +117,7 @@ def sw_blowup(m: SWMap, count: int = 1) -> SWMap:
     lat = blown_up_lattice(m.lattice, count)
     tails = sign_vectors(count)
     values = {key + tail: v for key, v in m.values.items() for tail in tails}
-    return SWMap._from_ints(lat, values, m.euler + count, m.signature - count)
+    return SWMap(ExpKernel._from_ints(lat, values, 1), m.euler + count, m.signature - count)
 
 
 def sw_log_transform(m: SWMap, s: HClass, p: int) -> SWMap:
@@ -155,7 +133,7 @@ def sw_log_transform(m: SWMap, s: HClass, p: int) -> SWMap:
     fanned = {nk: v for key, v in sorted(values.items()) for nk in place.ladder(key)}
     if len(fanned) != p * len(values):
         raise ValueError("log transform target collision: distinct classes map to the same class")
-    return SWMap._from_ints(place.lattice, fanned, m.euler, m.signature)
+    return SWMap(ExpKernel._from_ints(place.lattice, fanned, 1), m.euler, m.signature)
 
 
 def sw_taut_blowdown(
@@ -179,7 +157,7 @@ def sw_taut_blowdown(
         if rec.image in values:
             raise ValueError("blowdown target collision: distinct classes map to the same class")
         values[rec.image] = m.values[rec.source]
-    out = SWMap._from_ints(lat, values, m.euler - (c.p - 1), m.signature + (c.p - 1))
+    out = SWMap(ExpKernel._from_ints(lat, values, 1), m.euler - c.p + 1, m.signature + c.p - 1)
     return BlowdownResult(out, tuple(records))
 
 

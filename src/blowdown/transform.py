@@ -93,28 +93,16 @@ class ManifoldSeries(Frozen):
 
 
 class ClassRecord(Frozen):
-    """Audit entry for one input class under a blowdown."""
+    """Audit entry for one input class under a blowdown; status is "kept" or
+    "dropped", and a dropped class has no extension or image (None)."""
 
     __slots__ = ("source", "status", "residue", "extension", "image", "reason")
 
-    def __init__(
-        self,
-        source: tuple[int, ...],
-        status: str,  # "kept" or "dropped"
-        residue: int,
-        extension: Optional[tuple[Fraction, ...]] = None,
-        image: Optional[tuple[int, ...]] = None,
-        reason: str = "",
-    ):
-        super().__init__(source, status, residue, extension, image, reason)
-
 
 class BlowdownResult(Frozen):
-    __slots__ = ("result", "class_map")
+    """result is the blown-down ManifoldSeries or SWMap."""
 
-    # result is the blown-down ManifoldSeries or SWMap
-    def __init__(self, result: object, class_map: tuple[ClassRecord, ...] = ()):
-        super().__init__(result, class_map)
+    __slots__ = ("result", "class_map")
 
 
 class RestrictedClass(Frozen):
@@ -306,7 +294,7 @@ def chain_pushoff(
             kept = keep[i]
             reason = "coefficient survives the twist" if kept else "coefficient cancels under the twist"
         if not kept:
-            records.append(ClassRecord(kappa.coeffs, "dropped", residue.value, reason=reason))
+            records.append(ClassRecord(kappa.coeffs, "dropped", residue.value, None, None, reason))
             continue
         if not residue.in_subgroup(p):
             raise ValueError(
@@ -319,7 +307,7 @@ def chain_pushoff(
             raise RuntimeError("extension square does not shift by p-1 on a taut survivor")
         extensions.append(ext)
         qext = tuple(Fraction(a, p2) for a in ext)
-        records.append(ClassRecord(kappa.coeffs, "kept", residue.value, qext, reason=reason))
+        records.append(ClassRecord(kappa.coeffs, "kept", residue.value, qext, None, reason))
     lat, basis = _blown_down_lattice(c, extensions, image_names)
     kept = iter(extensions)
     records = [

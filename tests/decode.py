@@ -47,4 +47,4 @@ def swmap_from_obj(obj: dict) -> SWMap:
         raise ValueError("only simple-type basic-class maps are supported")
     lat = lattice_from_obj(obj["lattice"])
     values = {tuple(c["class"]): c["sw"] for c in obj["classes"]}
-    return SWMap(lat, values, obj["euler"], obj["signature"])
+    return SWMap(ExpKernel(lat, values), obj["euler"], obj["signature"])

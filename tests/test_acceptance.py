@@ -287,7 +287,7 @@ def test_11_negative_controls():
     for key in swmap.values:
         vals = dict(swmap.values)
         vals[key] += 1
-        bad = SWMap(swmap.lattice, vals, swmap.euler, swmap.signature)
+        bad = SWMap(ExpKernel(swmap.lattice, vals), swmap.euler, swmap.signature)
         assert not witten_check(series, bad), key
     # corrupting any single series coefficient breaks pipeline equality
     closed = donaldson_closed_form("W(3)")

@@ -135,6 +135,7 @@ def test_witten_verb(capsys):
 
 def test_witten_fail_names_the_first_differing_class(capsys, monkeypatch):
     import blowdown.catalog as catalog
+    from blowdown.exppoly import ExpKernel
     from blowdown.swinv import SWMap
 
     assert run(capsys, "witten", "E(4)") == (0, "PASS witten E(4) (exponent -2)\n", "")
@@ -143,7 +144,7 @@ def test_witten_fail_names_the_first_differing_class(capsys, monkeypatch):
     def tripled(n):  # the seed mutant: three times its value on the class 0
         m = real(n)
         values = {k: 3 * v if k == (0,) else v for k, v in m.values.items()}
-        return SWMap(m.lattice, values, m.euler, m.signature)
+        return SWMap(ExpKernel(m.lattice, values), m.euler, m.signature)
 
     monkeypatch.setattr(catalog, "sw_en", tripled)
     code, out, err = run(capsys, "witten", "E(4)")
@@ -154,6 +155,32 @@ def test_witten_fail_names_the_first_differing_class(capsys, monkeypatch):
     code, out, err = run(capsys, "witten", "blowup(E(4),3)")
     assert code == 1 and out == "FAIL witten blowup(E(4),3) (exponent -5)\n"
     assert err == "first differing class (0,): series -1/2, predicted -3/2\n"
+
+
+def test_verify_witten_names_the_first_differing_class(capsys, monkeypatch):
+    import blowdown.catalog as catalog
+    from blowdown.exppoly import ExpKernel
+    from blowdown.suites import suite_witten
+    from blowdown.swinv import SWMap
+
+    real = catalog.sw_en
+
+    def tripled(n):  # the seed mutant of the witten verb's test above
+        m = real(n)
+        values = {k: 3 * v if k == (0,) else v for k, v in m.values.items()}
+        return SWMap(ExpKernel(m.lattice, values), m.euler, m.signature)
+
+    monkeypatch.setattr(catalog, "sw_en", tripled)
+    (report,) = [r for r in suite_witten() if r.parameters == {"spec": "E(4)"}]
+    # the numbers the witten verb prints for E(4) under the same mutant
+    assert not report.passed
+    assert report.counterexamples == [{"class": [0], "series": "-1/2", "predicted": "-3/2"}]
+    code, out, _ = run(capsys, "verify", "witten")
+    assert code == 1
+    assert (
+        "FAIL witten spec=E(4)  counterexample: "
+        "{'class': [0], 'series': '-1/2', 'predicted': '-3/2'}"
+    ) in out.splitlines()
 
 
 def test_verify_suites(capsys):

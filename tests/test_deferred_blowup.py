@@ -199,7 +199,7 @@ def test_witten_runs_each_calculus_blowup_rule(monkeypatch, capsys):
     def doubled(m, count=1):
         out = real_sw_blowup(m, count=count)
         values = {key: 2 * v for key, v in out.values.items()}
-        return SWMap(out.lattice, values, out.euler, out.signature)
+        return SWMap(ExpKernel(out.lattice, values), out.euler, out.signature)
 
     for name, mutant in [("blowup", halved), ("sw_blowup", doubled)]:
         with monkeypatch.context() as patch:

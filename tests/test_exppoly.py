@@ -449,7 +449,7 @@ def _storage(k: ExpKernel) -> dict:
 
 
 def test_kernels_never_share_their_dicts():
-    # the public constructor copies the caller's mapping, on its int fast path too
+    # the public constructor copies the caller's mapping, int-valued or not
     for d in ({(1, 0): 2, (0, 0): 3}, {(1, 0): Fraction(2), (0, 0): Fraction(3, 2)}):
         k = ExpKernel(LAT, d)
         before = dict(k.num)

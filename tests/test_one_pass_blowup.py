@@ -54,7 +54,7 @@ def _gram_den_map():
     # (6u, 6v), and (6, 6) squares to 24 = 3 sigma + 2 e at (e, sigma) = (0, 8)
     lat = IntersectionLattice(["a", "b"], [[2, Fraction(1, 3)], [Fraction(1, 3), -2]])
     assert lat.den == 3
-    return SWMap(lat, {(6, 6): 1, (-6, -6): -2}, 0, 8)
+    return SWMap(ExpKernel(lat, {(6, 6): 1, (-6, -6): -2}), 0, 8)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -96,8 +96,8 @@ def frozen_records():
         (dim_report(RelClass(3, (1, 2))), "dim"),
         (sw_en(3), "euler"),
         (donaldson_closed_form("E(3)"), "euler"),
-        (ClassRecord((0, 1), "dropped", 0), "status"),
-        (BlowdownResult(None), "class_map"),
+        (ClassRecord((0, 1), "dropped", 0, None, None, ""), "status"),
+        (BlowdownResult(None, ()), "class_map"),
         (log_placement(f, [], HClass(f, (1,)), 2), "order"),
         (RestrictedClass(QClass(lat, (Fraction(1, 2), 3)), Residue(7, 4)), "boundary"),
         (lat, "den"),
@@ -331,7 +331,7 @@ REPRS = [
         "ClassRecord(source=(1, 0), status='kept', residue=3, "
         "extension=(Fraction(1, 2), Fraction(-1, 4)), image=(2, 1), reason='r')",
     ),
-    ("BlowdownResult(None)", "BlowdownResult(result=None, class_map=())"),
+    ("BlowdownResult(None, ())", "BlowdownResult(result=None, class_map=())"),
     (
         "QClass(IntersectionLattice(['f', 'e'], [[0, 1], [1, -1]]), (Fraction(1, 2), 3))",
         "QClass(lattice=IntersectionLattice(['f', 'e']), coeffs=(Fraction(1, 2), Fraction(3, 1)))",

@@ -104,7 +104,7 @@ def test_non_integral_characteristic_numbers_are_rejected():
         obj["euler"], obj["signature"] = 48.5, -32.5
     for build in (
         lambda: ManifoldSeries(series.kernel, 48.5, -32.5),
-        lambda: SWMap(swmap.lattice, swmap.values, 48.5, -32.5),
+        lambda: SWMap(ExpKernel(swmap.lattice, swmap.values), 48.5, -32.5),
         lambda: series_from_obj(objs[0]),
         lambda: swmap_from_obj(objs[1]),
     ):
