@@ -6,9 +6,9 @@ Fraction or an int:
   * lattice / moduli: the linear plumbing of a blowdown chain, its relative
     homology with boundary residues, and the closed-form dimensions of the
     reducible loci that obstruct gluing arguments.
-  * exppoly / transform: finite exponential sums over an intersection
-    lattice, the series calculus they support, and the surgery moves
-    (blowup, log transform, chain blowdown) acting on them.
+  * exppoly / transform / chain_surgery: finite exponential sums over an
+    intersection lattice, the series calculus they support, and the surgery
+    moves (blowup, log transform, chain blowdown) acting on them.
   * swinv / catalog / suites / cli: basic-class maps with the same surgery
     moves, a catalog of named families walked into surgery plans and built
     along two independent routes, the verification suites, and a
@@ -41,10 +41,11 @@ _EXPORTS = {
         "SWMap", "sw_blowup", "sw_dim", "sw_en", "sw_log_transform", "sw_taut_blowdown",
         "witten_check", "witten_exponent",
     ),
-    "transform": (
-        "BlowdownResult", "ClassRecord", "ManifoldSeries", "RestrictedClass", "blowup",
-        "connected_sum_hp", "formal_log_coefficients", "log_transform", "nodal_log_pipeline",
-        "p2_blowdown", "restrict_class", "taut_blowdown", "verify_nodal_matrix_identity",
+    "transform": ("ManifoldSeries", "blowup", "log_transform"),
+    "chain_surgery": (
+        "BlowdownResult", "ClassRecord", "RestrictedClass", "connected_sum_hp",
+        "formal_log_coefficients", "nodal_log_pipeline", "p2_blowdown", "restrict_class",
+        "taut_blowdown", "verify_nodal_matrix_identity",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,20 +21,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .exppoly import ExpKernel, cosh_c, exact_div, one, power, sinh_c
 from .lattice import ChainConfig, HClass, IntersectionLattice, chain_plumbing, pairing
 from .reporting import CheckReport, Frozen, SpecParseError
-from .swinv import SWMap, sw_blowup, sw_en, sw_log_transform, sw_taut_blowdown
-from .transform import (
-    ManifoldSeries,
-    blowup,
-    connected_sum_hp,
-    log_transform,
-    sign_vectors,
-    taut_blowdown,
-)
+from .transform import ManifoldSeries, blowup, log_transform, sign_vectors
+
+if TYPE_CHECKING:  # the basic-class calculus loads only when a map is built
+    from .swinv import SWMap
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +313,8 @@ class SurgeryPlan(Frozen):
 
     def seed_swmap(self) -> SWMap:
         """The elliptic map of E(seed), padded with zeros off the fiber."""
+        from .swinv import SWMap, sw_en
+
         ambient = self.ambient()
         pad = (0,) * (ambient.rank - 1)
         values = {(c,) + pad: v for (c,), v in sw_en(self.seed).values.items()}
@@ -396,20 +393,47 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
 
 
 # One rule per step op, called as rule(m, step); a chain rule returns a
-# BlowdownResult.  The lambdas look the transforms up when called, so a
-# wrapper later installed on a module attribute still sees every call.
+# BlowdownResult.  The rules look the transforms up when called, so a
+# wrapper later installed on a module attribute still sees every call, and
+# import .chain_surgery and .swinv then, so a plan loads only what it runs.
+def _chain(m, step):
+    from .chain_surgery import taut_blowdown
+
+    return taut_blowdown(m, step.config(m.lattice), [step.image])
+
+
+def _hpsum(m, step):
+    from .chain_surgery import connected_sum_hp
+
+    return connected_sum_hp(m, step.n)
+
+
+def _sw_chain(m, step):
+    from .swinv import sw_taut_blowdown
+
+    return sw_taut_blowdown(m, step.config(m.lattice), [step.image])
+
+
+def _sw_logt(m, step):
+    from .swinv import sw_log_transform
+
+    return sw_log_transform(m, step.fiber_class(m.lattice), step.n)
+
+
+def _sw_blowup(m, step):
+    from .swinv import sw_blowup
+
+    return sw_blowup(m, count=step.n)
+
+
 SERIES_RULES = {
-    "chain": lambda m, step: taut_blowdown(m, step.config(m.lattice), [step.image]),
+    "chain": _chain,
     "logt": lambda m, step: log_transform(m, step.fiber_class(m.lattice), step.n),
     "blowup": lambda m, step: blowup(m, step.n),
-    "hpsum": lambda m, step: connected_sum_hp(m, step.n),
+    "hpsum": _hpsum,
 }
 # no "hpsum": a plan with an hpsum step has an sw_gap
-SW_RULES = {
-    "chain": lambda m, step: sw_taut_blowdown(m, step.config(m.lattice), [step.image]),
-    "logt": lambda m, step: sw_log_transform(m, step.fiber_class(m.lattice), step.n),
-    "blowup": lambda m, step: sw_blowup(m, count=step.n),
-}
+SW_RULES = {"chain": _sw_chain, "logt": _sw_logt, "blowup": _sw_blowup}
 
 
 def replay(m, steps: tuple[SurgeryStep, ...], rules: dict) -> tuple[object, list[tuple]]:

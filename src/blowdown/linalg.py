@@ -1,10 +1,10 @@
-"""Exact integer linear algebra on small dense matrices.
+"""Exact integer linear algebra on dense matrices.
 
 Everything in this package is exact: matrices are lists of lists of ints,
-never floats.  Sizes are tiny (rank at most a few dozen).  Three routines
-serve the package: the integer matrix-vector product of the checks, and the
-Hermite forms and Z-span coordinates that the blowdown runs on, numerators
-over one common denominator.
+never floats.  Ranks are the chain models', about 2n for H(n): `witten
+H(800)` runs hnf_rows at rank about 1,600.  Three routines serve the package:
+the integer matrix-vector product of the checks, and the Hermite forms and
+Z-span coordinates the chain blowdown runs on, numerators over one denominator.
 """
 
 from __future__ import annotations

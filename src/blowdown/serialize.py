@@ -7,15 +7,14 @@ encode to identical text.  `iterencode` is the one encoder: the pieces it
 yields join to json.dumps(obj, indent=2, sort_keys=True), and it writes term
 lists straight from the kernel's integer numerators, one piece per term and
 with no object per term, so that the CLI can print them in bounded chunks
-(`"".join(iterencode(obj))` is the whole text).  Given a blowup count k,
-the encoders write the 2^k-fold expansion of k blowups from the value before
-them.  No verb reads these encodings back; the decoders that check the
-round trips live with the tests (tests/decode.py).
+(`"".join(iterencode(obj))` is the whole text); only it imports json, so
+text output never loads it.  Given a blowup count k, the encoders write the
+2^k-fold expansion of k blowups from the value before them.  No verb reads
+these encodings back; the decoders live with the tests (tests/decode.py).
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -23,10 +22,11 @@ from math import gcd
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
 if TYPE_CHECKING:  # annotations only, so that dim formats numbers without the calculus
+    from .chain_surgery import BlowdownResult, ClassRecord
     from .exppoly import ExpKernel
     from .lattice import IntersectionLattice
     from .swinv import SWMap
-    from .transform import BlowdownResult, ClassRecord, ManifoldSeries
+    from .transform import ManifoldSeries
 
 
 @lru_cache(maxsize=4096)
@@ -45,6 +45,8 @@ def iterencode(obj: Any, pad: str = "\n") -> Iterator[str]:
     """The text json.dumps(obj, indent=2, sort_keys=True) writes, in pieces,
     for dicts with str keys, lists, tuples and scalars; a callable stands for
     the pieces it yields for the newline-and-indent pad of its line."""
+    import json
+
     inner, sep = pad + "  ", ""
     if isinstance(obj, dict):
         for k, v in sorted(obj.items()):

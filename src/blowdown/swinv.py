@@ -6,7 +6,8 @@ carried together with the characteristic numbers of the underlying series;
 each transform hands ExpKernel._from_ints the dict of values it has built.
 Every map is of simple type (each basic class has a zero-dimensional moduli
 space).  The transforms move classes through the surgery geometry of
-.transform (blown_up_lattice, sign_vectors, log_placement, chain_pushoff) but
+.transform (blown_up_lattice, sign_vectors, log_placement) and, for a chain,
+.chain_surgery's chain_pushoff, which loads only when a chain step runs; they
 carry plain integer values and never read a series coefficient: blowup copies
 each class's value to its 2^k sign patterns, the log transform fans each class
 into p translates along the refined fiber, and the chain blowdown keeps
@@ -20,26 +21,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exppoly import ExpKernel
-from .lattice import (
-    ChainConfig,
-    HClass,
-    IntersectionLattice,
-    characteristic_squares,
-    integral_coords,
-)
+from .lattice import ChainConfig, HClass, IntersectionLattice, characteristic_squares
+from .lattice import integral_coords
 from .reporting import Frozen
-from .transform import (
-    BlowdownResult,
-    ManifoldSeries,
-    b_plus_of,
-    blown_up_lattice,
-    chain_pushoff,
-    log_placement,
-    sign_vectors,
-)
+from .transform import ManifoldSeries, b_plus_of, blown_up_lattice, log_placement, sign_vectors
+
+if TYPE_CHECKING:  # a map reaches the chain surgery only through a chain step
+    from .chain_surgery import BlowdownResult
 
 KeyLike = Union[HClass, tuple]
 
@@ -76,10 +67,12 @@ class SWMap(Frozen):
                 f"but class {key} has dimension {sw_dim(self, key)}"
             )
 
-    # read off (kernel, euler, signature) as for a series
+    # read off (kernel, euler, signature), and rebuilt by copy and pickle through
+    # the constructor, as for a series
     lattice = ManifoldSeries.lattice
     b_plus = ManifoldSeries.b_plus
     basic_classes = ManifoldSeries.basic_classes
+    __reduce__ = ManifoldSeries.__reduce__
 
     @property
     def values(self) -> Mapping[tuple[int, ...], int]:
@@ -149,6 +142,8 @@ def sw_taut_blowdown(
     all, so no value transfer is available for them in either direction; they
     drop too.  The class map records each drop with its reason.
     """
+    from .chain_surgery import BlowdownResult, chain_pushoff
+
     if c.ambient != m.lattice:
         raise ValueError("configuration does not live in the map's lattice")
     lat, records = chain_pushoff(c, m.basic_classes(), None, image_names)

@@ -34,18 +34,16 @@ from blowdown.moduli import (
 )
 from blowdown.suites import witten_specs
 from blowdown.swinv import sw_dim, sw_en, sw_log_transform, sw_taut_blowdown, witten_check, witten_exponent
-from blowdown.transform import (
-    ManifoldSeries,
+from blowdown.chain_surgery import (
     _exceptional_chain_spheres,
-    blowup,
     connected_sum_hp,
     formal_log_coefficients,
-    log_transform,
     p2_blowdown,
     restrict_class,
     taut_blowdown,
     verify_nodal_matrix_identity,
 )
+from blowdown.transform import ManifoldSeries, blowup, log_transform
 from lattices import diagonal_lattice
 
 F = diagonal_lattice(["f"], [0])

@@ -238,13 +238,14 @@ def test_series_and_sw_replays_give_equal_chain_class_maps():
 
 
 def test_replay_rules_look_transforms_up_when_called(monkeypatch):
-    import blowdown.catalog as catalog
+    import blowdown.chain_surgery as chain_surgery
+    import blowdown.swinv as swinv
 
     calls = []
-    for name in ("taut_blowdown", "sw_taut_blowdown"):
-        real = getattr(catalog, name)
+    for module, name in ((chain_surgery, "taut_blowdown"), (swinv, "sw_taut_blowdown")):
+        real = getattr(module, name)
         monkeypatch.setattr(
-            catalog, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
         )
     catalog.donaldson_pipeline("H(5)")
     catalog.sw_closed_form("H(5)")

@@ -134,19 +134,19 @@ def test_witten_verb(capsys):
 
 
 def test_witten_fail_names_the_first_differing_class(capsys, monkeypatch):
-    import blowdown.catalog as catalog
+    import blowdown.swinv as swinv
     from blowdown.exppoly import ExpKernel
     from blowdown.swinv import SWMap
 
     assert run(capsys, "witten", "E(4)") == (0, "PASS witten E(4) (exponent -2)\n", "")
-    real = catalog.sw_en
+    real = swinv.sw_en
 
     def tripled(n):  # the seed mutant: three times its value on the class 0
         m = real(n)
         values = {k: 3 * v if k == (0,) else v for k, v in m.values.items()}
         return SWMap(ExpKernel(m.lattice, values), m.euler, m.signature)
 
-    monkeypatch.setattr(catalog, "sw_en", tripled)
+    monkeypatch.setattr(swinv, "sw_en", tripled)
     code, out, err = run(capsys, "witten", "E(4)")
     assert code == 1 and out == "FAIL witten E(4) (exponent -2)\n"
     # E(4)'s series is sinh^2(f), -1/2 on the class 0; 2^-2 * 3 * (-2) = -3/2
@@ -158,19 +158,19 @@ def test_witten_fail_names_the_first_differing_class(capsys, monkeypatch):
 
 
 def test_verify_witten_names_the_first_differing_class(capsys, monkeypatch):
-    import blowdown.catalog as catalog
+    import blowdown.swinv as swinv
     from blowdown.exppoly import ExpKernel
     from blowdown.suites import suite_witten
     from blowdown.swinv import SWMap
 
-    real = catalog.sw_en
+    real = swinv.sw_en
 
     def tripled(n):  # the seed mutant of the witten verb's test above
         m = real(n)
         values = {k: 3 * v if k == (0,) else v for k, v in m.values.items()}
         return SWMap(ExpKernel(m.lattice, values), m.euler, m.signature)
 
-    monkeypatch.setattr(catalog, "sw_en", tripled)
+    monkeypatch.setattr(swinv, "sw_en", tripled)
     (report,) = [r for r in suite_witten() if r.parameters == {"spec": "E(4)"}]
     # the numbers the witten verb prints for E(4) under the same mutant
     assert not report.passed
@@ -255,9 +255,9 @@ def test_verify_lattice_fails_a_wrong_chain_weight(capsys, monkeypatch):
 
 
 def test_verify_identities_fails_a_wrong_nodal_matrix(capsys, monkeypatch):
-    import blowdown.transform as transform
+    import blowdown.chain_surgery as chain_surgery
 
-    real = transform._nodal_matrix
+    real = chain_surgery._nodal_matrix
 
     def corrupted(p):
         a = real(p)
@@ -265,8 +265,8 @@ def test_verify_identities_fails_a_wrong_nodal_matrix(capsys, monkeypatch):
             a[2][2] = 3  # makes A singular, so A^t has no inverse
         return a
 
-    monkeypatch.setattr(transform, "_nodal_matrix", corrupted)
-    assert transform.verify_nodal_matrix_identity(4) is False
+    monkeypatch.setattr(chain_surgery, "_nodal_matrix", corrupted)
+    assert chain_surgery.verify_nodal_matrix_identity(4) is False
     code, out, _ = run(capsys, "verify", "identities")
     assert code == 1
     # the exceptional chain of the log pipeline is built from the same rows

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import blowdown.catalog as catalog
+import blowdown.swinv as swinv
 from blowdown.catalog import (
     SERIES_RULES,
     SW_RULES,
@@ -189,7 +190,7 @@ def test_two_expanded_terms_still_print_compactly(capsys):
 def test_witten_runs_each_calculus_blowup_rule(monkeypatch, capsys):
     argv = ["witten", "blowup(E(4;2,3),6)"]
     assert run(capsys, argv) == (0, "PASS witten blowup(E(4;2,3),6) (exponent -8)\n")
-    real_blowup, real_sw_blowup = catalog.blowup, catalog.sw_blowup
+    real_blowup, real_sw_blowup = catalog.blowup, swinv.sw_blowup
 
     def halved(m, k=1):
         out = real_blowup(m, k)
@@ -201,9 +202,9 @@ def test_witten_runs_each_calculus_blowup_rule(monkeypatch, capsys):
         values = {key: 2 * v for key, v in out.values.items()}
         return SWMap(ExpKernel(out.lattice, values), out.euler, out.signature)
 
-    for name, mutant in [("blowup", halved), ("sw_blowup", doubled)]:
+    for module, name, mutant in [(catalog, "blowup", halved), (swinv, "sw_blowup", doubled)]:
         with monkeypatch.context() as patch:
-            patch.setattr(catalog, name, mutant)
+            patch.setattr(module, name, mutant)
             code, out = run(capsys, argv)
         assert (code, out.split()[0]) == (1, "FAIL"), name
     assert run(capsys, argv)[0] == 0

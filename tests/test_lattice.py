@@ -27,7 +27,8 @@ from blowdown.lattice import (
     scaled_plumbing_inverse,
 )
 from blowdown.linalg import hnf_rows, span_coords
-from blowdown.transform import _blown_down_lattice, _exceptional_chain_spheres, blown_up_lattice
+from blowdown.chain_surgery import _blown_down_lattice, _exceptional_chain_spheres
+from blowdown.transform import blown_up_lattice
 from lattices import chain_lattice, diagonal_lattice
 
 

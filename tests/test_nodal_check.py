@@ -1,6 +1,6 @@
 """The affine nodal push-off check against the full sign-vector enumeration.
 
-`transform._check_nodal_chain` restricts each basic class and each of the p-1
+`chain_surgery._check_nodal_chain` restricts each basic class and each of the p-1
 exceptional directions once.  `_enumerated_check` below is the enumeration
 it replaced: it pushes every blown-up class kappa + eps, over all 2^(p-1)
 sign vectors eps, off the exceptional chain.  Kept here as an oracle for
@@ -11,18 +11,17 @@ from fractions import Fraction
 
 import pytest
 
-from blowdown import transform
+from blowdown import chain_surgery
 from blowdown.catalog import donaldson_closed_form, donaldson_pipeline
-from blowdown.lattice import ChainConfig, HClass, QClass
-from blowdown.transform import (
+from blowdown.chain_surgery import (
     _check_nodal_chain,
     _exceptional_chain_spheres,
-    blown_up_lattice,
     connected_sum_hp,
-    log_transform,
     nodal_log_pipeline,
     restrict_class,
 )
+from blowdown.lattice import ChainConfig, HClass, QClass
+from blowdown.transform import blown_up_lattice, log_transform
 
 MODELS = ("E(2)", "E(3)", "blowup(E(3),1)")
 
@@ -72,13 +71,13 @@ def test_perturbed_exceptional_direction_fails_both(monkeypatch):
     that direction alone extends to the wrong class: both checks must raise.
     The shift is kappa's last coordinate over p, so p times it on the
     integer numerators over p^2."""
-    original = transform._extension
+    original = chain_surgery._extension
 
     def perturbed(c, kappa, g):
         ext = original(c, kappa, g)
         return ext[:-1] + (ext[-1] + kappa.coeffs[-1] * c.p,)
 
-    monkeypatch.setattr(transform, "_extension", perturbed)
+    monkeypatch.setattr(chain_surgery, "_extension", perturbed)
     for spec, m, s, p in _cases():
         with pytest.raises(RuntimeError):
             _enumerated_check(m, p, s)
@@ -93,7 +92,7 @@ def test_nodal_surgeries_restrict_each_direction_once(monkeypatch):
         calls.append(kappa)
         return restrict_class(c, kappa)
 
-    monkeypatch.setattr(transform, "restrict_class", counting)
+    monkeypatch.setattr(chain_surgery, "restrict_class", counting)
     p = 8
     m = donaldson_closed_form("blowup(E(3),1)")
     f = m.lattice.basis_class("f")

@@ -39,15 +39,10 @@ from blowdown.lattice import (
     Residue,
 )
 from blowdown.moduli import CanonicalClass, DimReport, dim_report
-from blowdown.reporting import CheckReport
+from blowdown.reporting import CheckReport, set_field
+from blowdown.chain_surgery import BlowdownResult, ClassRecord, RestrictedClass
 from blowdown.swinv import sw_en
-from blowdown.transform import (
-    BlowdownResult,
-    ClassRecord,
-    LogPlacement,
-    RestrictedClass,
-    log_placement,
-)
+from blowdown.transform import LogPlacement, log_placement
 
 # the names `import blowdown` offered when it imported every submodule eagerly
 EXPORTS = [
@@ -181,6 +176,31 @@ def test_chain_configs_copy_and_pickle():
         assert clone.plumbing == config.plumbing
         with pytest.raises(AttributeError, match="of a frozen record"):
             clone.p = 3
+
+
+def test_series_and_maps_copy_and_pickle_through_their_constructors():
+    for obj in (donaldson_closed_form("E(4;2,3)"), sw_en(4)):
+        for clone in _clones(obj):
+            assert clone == obj and type(clone) is type(obj) and hash(clone) == hash(obj)
+            assert clone.kernel.num == obj.kernel.num and clone.kernel.den == obj.kernel.den
+            with pytest.raises(AttributeError, match="of a frozen record"):
+                clone.euler = 47
+
+
+@pytest.mark.parametrize("make", [sw_en, lambda n: donaldson_closed_form(f"E({n})")],
+                         ids=["SWMap", "ManifoldSeries"])
+def test_a_tampered_series_or_map_is_rejected_on_load(make):
+    # a pickle is outside input: the state of E(4)'s value, its euler number
+    # changed to 47, reaches the constructor on every restore and is rejected
+    good = make(4)
+    bad = object.__new__(type(good))
+    for name, value in zip(good.__slots__, (good.kernel, 47, good.signature)):
+        set_field(bad, name, value)
+    data = pickle.dumps(bad)
+    for restore in (lambda: pickle.loads(data), lambda: copy.copy(bad), lambda: copy.deepcopy(bad)):
+        with pytest.raises(ValueError, match=r"^euler \+ signature must be even"):
+            restore()
+    assert pickle.loads(pickle.dumps(good)) == good
 
 
 def test_chain_configs_from_equal_inputs_are_equal():

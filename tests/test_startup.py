@@ -6,17 +6,35 @@ sys.modules and could not see a verb load a module it does not need.  The
 verbs of a group run one after another in their child, so what the group
 loads is the union of what its verbs load: a module no verb of the group may
 load is checked once for all of them.
+
+The chain blowdown (`chain_surgery`, with `linalg`) loads only for a plan
+with a chain or hpsum step, the basic-class calculus (`swinv`) only for a
+map, and `json` only for structured output.
 """
 
-import json
+import ast
+import functools
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 CALCULUS = {"catalog", "transform", "swinv", "exppoly"}
+CHAIN = {"chain_surgery", "linalg"}
+
+
+def _smoke_text(*workloads: str) -> list[list[str]]:
+    """The benchmark's smoke invocations of the workloads, in text mode."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    runs = [args for w in workloads for args in module.invocations(w, True)]
+    return [[a for a in args if a not in module.STRUCT] for args in runs]
+
 
 # group -> the argv of each verb it runs, or a module to import
 GROUPS = {
@@ -43,14 +61,33 @@ GROUPS = {
         ["audit", "E(3)"],
         ["verify", "identities", "--p-max", "2"],
     ],
+    # no chain or hpsum step: neither surgery loads the chain blowdown
+    "blowup and closed smoke, text": _smoke_text("blowup", "closed"),
+    "series only": [
+        ["series", "E(3;2)", "--format", "structured"],
+        ["series", "logt(E(3),2)", "--route", "pipeline"],
+        ["series", "hpsum(E(2),3)"],
+        ["series", "H(5)", "--route", "pipeline"],
+        ["logt", "E(3)", "2"],
+    ],
+    "text verbs": [
+        ["dim", "--p", "3", "--canonical", "1,1"],
+        ["dim", "--p", "3", "--delta", "1,2"],
+        ["verify", "lattice", "--p-max", "3"],
+        ["blowdown", "E(4)", "--horikawa", "2"],
+        ["witten", "H(4)"],
+        ["sw", "W(2)"],
+        ["audit", "E(3)"],
+    ],
 }
 
 # Per group, in a forked child with stdout on /dev/null: the exit codes and
-# the loaded modules that are blowdown's own, dataclasses or inspect.
+# the loaded modules that are blowdown's own, dataclasses, inspect or json.
+# The probe passes its data as Python literals, so that it loads no json.
 PROBE = """
-import json, os, sys
+import ast, os, sys
 out = {}
-for name, work in json.loads(sys.argv[1]).items():
+for name, work in ast.literal_eval(sys.argv[1]).items():
     read, write = os.pipe()
     if os.fork() == 0:
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
@@ -62,28 +99,30 @@ for name, work in json.loads(sys.argv[1]).items():
             from blowdown.cli import main
             codes = [main(argv) for argv in work]
         mods = sorted(m for m in sys.modules
-                      if m.split(".")[0] in ("blowdown", "dataclasses", "inspect"))
-        os.write(write, json.dumps([codes, mods]).encode())
+                      if m.split(".")[0] in ("blowdown", "dataclasses", "inspect", "json"))
+        os.write(write, repr([codes, mods]).encode())
         os._exit(0)
     os.close(write)
     with os.fdopen(read) as fh:
-        out[name] = json.loads(fh.read())
+        out[name] = ast.literal_eval(fh.read())
     os.wait()
-print(json.dumps(out))
+print(repr(out))
 """
 
 
-def _loaded() -> dict[str, tuple[list[int], set[str]]]:
+@functools.lru_cache(maxsize=1)
+def _loaded() -> dict[str, tuple[list[int], frozenset[str]]]:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(GROUPS)],
+        [sys.executable, "-c", PROBE, repr(GROUPS)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    return {name: (codes, set(mods)) for name, (codes, mods) in json.loads(proc.stdout).items()}
+    out = ast.literal_eval(proc.stdout)
+    return {name: (codes, frozenset(mods)) for name, (codes, mods) in out.items()}
 
 
 def _layers(mods: set[str]) -> set[str]:
@@ -102,5 +141,18 @@ def test_each_verb_loads_only_its_layers():
     series = _layers(loaded["series, sw, witten"][1])
     assert not series & {"moduli", "suites"}
     # the probe sees the layers a verb does load
-    assert CALCULUS | {"serialize"} <= series
+    assert CALCULUS | CHAIN | {"serialize"} <= series
+    assert "json" in loaded["series, sw, witten"][1]
     assert {"suites", "moduli"} <= _layers(loaded["blowdown, logt, audit, verify identities"][1])
+
+
+def test_a_verb_loads_no_surgery_its_plan_does_not_run():
+    loaded = _loaded()
+    blowup_closed = loaded["blowup and closed smoke, text"]
+    assert len(blowup_closed[0]) == 6 and not _layers(blowup_closed[1]) & CHAIN
+    assert {"swinv", "transform"} <= _layers(blowup_closed[1])
+    series = _layers(loaded["series only"][1])
+    assert "swinv" not in series and CHAIN <= series
+    for name in ("blowup and closed smoke, text", "text verbs"):
+        assert loaded[name][0] == [0] * len(loaded[name][0]), name
+        assert "json" not in loaded[name][1], name

@@ -12,21 +12,18 @@ from blowdown.lattice import (
     pairing,
     scaled_plumbing_inverse,
 )
-from blowdown.transform import (
+from blowdown.chain_surgery import (
     _exceptional_chain_spheres,
     _extension,
-    blown_up_lattice,
-    ManifoldSeries,
-    blowup,
     connected_sum_hp,
     formal_log_coefficients,
-    log_transform,
     nodal_log_pipeline,
     p2_blowdown,
     restrict_class,
     taut_blowdown,
     verify_nodal_matrix_identity,
 )
+from blowdown.transform import ManifoldSeries, blowup, blown_up_lattice, log_transform
 from lattices import chain_lattice, diagonal_lattice
 
 FS = IntersectionLattice(["f", "s"], [[0, 1], [1, -4]])
