@@ -19,7 +19,6 @@ for the family leaf.  The CLI streams k blowups from `split_blowups`' base.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -497,7 +496,7 @@ def _closed_family(spec: ManifoldSpec) -> ManifoldSeries:
     n = spec.n
     if isinstance(spec, WSpec):
         lat = IntersectionLattice(["k"], [[n]])
-        kernel = cosh_c(lat.basis_class("k")).scale(Fraction(2) ** (n - 1))
+        kernel = cosh_c(lat.basis_class("k")).scale(2 ** (n - 1))
         return ManifoldSeries(kernel, 48 - n, -32 + n)
     wave = cosh_c if n % 2 == 0 else sinh_c
     if isinstance(spec, YSpec):
@@ -505,7 +504,7 @@ def _closed_family(spec: ManifoldSpec) -> ManifoldSeries:
         kernel = wave(lat.basis_class("lam"))
         return ManifoldSeries(kernel, 11 * n + 3, -7 * n - 3)
     lat = IntersectionLattice(["k"], [[2 * n - 6]])
-    kernel = wave(lat.basis_class("k")).scale(Fraction(2) ** (n - 3))
+    kernel = wave(lat.basis_class("k")).scale(2 ** (n - 3))
     return ManifoldSeries(kernel, 10 * n + 6, -6 * n - 6)
 
 

@@ -14,8 +14,8 @@ stderr each class a chain blowdown drops for want of an extension.
 Importing this module loads no other part of the package; each cmd_*
 imports the layers its verb runs (the chain blowdown only for a chain or
 hpsum step, json only for structured output).  Compiled from source (Python
-3.11, 2 vCPUs, median of 21 fresh processes), `import blowdown.cli` takes
-14 ms, not the 73 ms of every layer, and all of `dim` 40 ms.
+3.11, 2 vCPUs, median of 21 fresh processes, timed in-process), importing
+this module takes 8 ms, not the 43 ms of every layer, and all of `dim` 25 ms.
 """
 
 from __future__ import annotations

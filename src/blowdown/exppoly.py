@@ -12,15 +12,17 @@ the ring operations and the division run in integer arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
-from .lattice import HClass, IntersectionLattice, Scalar, integral_coords, pairing
+from .lattice import HClass, IntersectionLattice, integral_coords, pairing
 from .reporting import Frozen
+
+if TYPE_CHECKING:  # coefficients are ints; Fractions are built only on request
+    from fractions import Fraction
 
 
 class ExpKernel(Frozen):
@@ -38,7 +40,7 @@ class ExpKernel(Frozen):
     __slots__ = ("lattice", "num", "den")
 
     def __init__(self, lattice: IntersectionLattice, terms: Mapping = ()):
-        acc: dict[tuple, Scalar] = {}
+        acc: dict[tuple, Union[int, Fraction]] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for key, coeff in items:
             if isinstance(key, HClass):
@@ -47,8 +49,11 @@ class ExpKernel(Frozen):
                 key = key.coeffs
             else:
                 key = tuple(key)
-            c = coeff if type(coeff) is int else Fraction(coeff)
-            acc[key] = acc.get(key, 0) + c
+            if type(coeff) is not int:
+                from fractions import Fraction
+
+                coeff = Fraction(coeff)
+            acc[key] = acc.get(key, 0) + coeff
         den = lcm(*(c.denominator for c in acc.values()))
         num = {key: c.numerator * (den // c.denominator) for key, c in acc.items()}
         self._store(lattice, num, den)
@@ -95,6 +100,8 @@ class ExpKernel(Frozen):
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        from fractions import Fraction
+
         den = self.den
         return MappingProxyType({k: Fraction(c, den) for k, c in self.num.items()})
 
@@ -156,19 +163,20 @@ class ExpKernel(Frozen):
     def __rmul__(self, other) -> "ExpKernel":
         return self.scale(other)
 
-    def scale(self, k: Scalar) -> "ExpKernel":
-        k = Fraction(k)
+    def scale(self, k: Union[int, Fraction]) -> "ExpKernel":
         top = k.numerator
         out = {key: top * c for key, c in self.num.items()}
         return ExpKernel._from_ints(self.lattice, out, self.den * k.denominator)
 
     def coeff(self, cls: Union[HClass, tuple]) -> Fraction:
+        from fractions import Fraction
+
         key = cls.coeffs if isinstance(cls, HClass) else tuple(cls)
         return Fraction(self.num.get(key, 0), self.den)
 
 
 def one(lattice: IntersectionLattice) -> ExpKernel:
-    return ExpKernel(lattice, {(0,) * lattice.rank: Fraction(1)})
+    return ExpKernel._from_ints(lattice, {(0,) * lattice.rank: 1}, 1)
 
 
 def zero(lattice: IntersectionLattice) -> ExpKernel:
@@ -177,17 +185,16 @@ def zero(lattice: IntersectionLattice) -> ExpKernel:
 
 def sinh_c(kappa: HClass) -> ExpKernel:
     """(e^kappa - e^{-kappa}) / 2; the zero class gives the zero kernel."""
-    return ExpKernel(
-        kappa.lattice,
-        [(kappa.coeffs, Fraction(1, 2)), ((-kappa).coeffs, Fraction(-1, 2))],
-    )
+    if not any(kappa.coeffs):
+        return zero(kappa.lattice)
+    return ExpKernel._from_ints(kappa.lattice, {kappa.coeffs: 1, (-kappa).coeffs: -1}, 2)
 
 
 def cosh_c(kappa: HClass) -> ExpKernel:
-    return ExpKernel(
-        kappa.lattice,
-        [(kappa.coeffs, Fraction(1, 2)), ((-kappa).coeffs, Fraction(1, 2))],
-    )
+    """(e^kappa + e^{-kappa}) / 2; the zero class gives one."""
+    if not any(kappa.coeffs):
+        return one(kappa.lattice)
+    return ExpKernel._from_ints(kappa.lattice, {kappa.coeffs: 1, (-kappa).coeffs: 1}, 2)
 
 
 def twist(k: ExpKernel, c: HClass) -> ExpKernel:

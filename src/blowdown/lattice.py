@@ -33,16 +33,18 @@ different lattices is an error, never a coercion.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
-from operator import add, mod, mul, sub
-from typing import Collection, Optional, Sequence, Union
+from operator import add, itemgetter, mod, mul, sub
+from typing import TYPE_CHECKING, Collection, Optional, Sequence, Union
 
 from .reporting import Frozen
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:  # Fractions are built only where a rational value is asked for
+    from fractions import Fraction
+
+    Scalar = Union[int, Fraction]
 
 
 class IntersectionLattice(Frozen):
@@ -72,6 +74,8 @@ class IntersectionLattice(Frozen):
         if len(rows) != len(names) or any(len(row) != len(names) for row in rows):
             raise ValueError("gram matrix shape does not match basis")
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            from fractions import Fraction
+
             rows = [[Fraction(x) for x in row] for row in rows]
             scale = lcm(*(x.denominator for row in rows for x in row))
             rows = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
@@ -188,6 +192,8 @@ class QClass(Frozen):
     def __init__(self, lattice: IntersectionLattice, coeffs: Sequence[Scalar]):
         if len(coeffs) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
+        from fractions import Fraction
+
         super().__init__(lattice, tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
 
@@ -196,6 +202,8 @@ def pairing(a: Union[HClass, QClass], b: Union[HClass, QClass]) -> Fraction:
     Gram entries, over den.  Integer coordinates sum in ints; Fraction
     coordinates (a QClass) run through the same loop and give the exact
     pairing."""
+    from fractions import Fraction
+
     if a.lattice != b.lattice:
         raise ValueError("lattice mismatch: classes live in different lattices")
     y = b.coeffs
@@ -219,21 +227,22 @@ def characteristic_squares(
     The keys are read as columns, one per lattice coordinate i: the nonzero
     entries of Gram row i give the column dots = den * (c . x_i) of every
     class, the parity test reads it, and coordinate i times dots adds into
-    every square.  A zero Gram row pairs every class to 0 = x_i . x_i and
-    adds 0 to the square, so its coordinate is skipped.
+    every square.  A zero row pairs every class to 0 = x_i . x_i and adds 0
+    to the square, so only the columns of nonzero rows, all that a nonzero
+    entry reads, are read from the keys: a fiber lattice [[0]] reads none.
     """
     n = len(keys)
     lden = lattice.den
     rows = lattice.sparse_gram
     if not n or (lden > 1 and any(s % lden for s, _ in rows)):
         return [None] * n  # no classes, or some x . x is not an integer
-    cols = list(zip(*keys))
+    # one tuple per column read, not one zip iterator per key
+    cols = {i: tuple(map(itemgetter(i), keys)) for i, (s, off) in enumerate(rows) if s or off}
     modulus = 2 * lden
     squares = [0] * n
     bad: set[int] = set()
-    for col, (s, off) in zip(cols, rows):
-        if not (s or off):
-            continue
+    for i, col in cols.items():
+        s, off = rows[i]
         dots = list(map(mul, col, repeat(s)))
         for j, g in off:
             dots = list(map(add, dots, map(mul, cols[j], repeat(g))))
@@ -409,6 +418,8 @@ def rel_pairing(a: RelClass, b: RelClass) -> Fraction:
     -(p^2 - p - 1)/p^2 and off-diagonal (p+1)/p^2; equivalently the gamma
     basis pairs by the inverse plumbing matrix.
     """
+    from fractions import Fraction
+
     if a.p != b.p:
         raise ValueError(f"chain order mismatch: p={a.p} vs p={b.p}")
     x, y = a.coeffs, b.coeffs

@@ -15,13 +15,14 @@ these encodings back; the decoders live with the tests (tests/decode.py).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
 if TYPE_CHECKING:  # annotations only, so that dim formats numbers without the calculus
+    from fractions import Fraction
+
     from .chain_surgery import BlowdownResult, ClassRecord
     from .exppoly import ExpKernel
     from .lattice import IntersectionLattice
@@ -38,7 +39,7 @@ def ratio_str(n: int, den: int) -> str:
 
 
 def fraction_str(x: Union[Fraction, int]) -> str:
-    return ratio_str(*Fraction(x).as_integer_ratio())
+    return ratio_str(*x.as_integer_ratio())
 
 
 def iterencode(obj: Any, pad: str = "\n") -> Iterator[str]:

@@ -11,12 +11,13 @@ from fractions import Fraction
 from math import gcd
 
 from .lattice import RelClass, boundary, chain_plumbing, rel_pairing, scaled_plumbing_inverse
-from .linalg import mat_vec
 from .moduli import canonical_tb, corr, rho_half_closed_form, verify_boundary_value_lemmas
 from .reporting import CheckReport
 
 
 def suite_lattice(p_max: int) -> list[CheckReport]:
+    from .linalg import mat_vec  # only this suite multiplies matrices
+
     out = []
     for p in range(2, p_max + 1):
         # det = p^2, P S = p^2 I and solve(e_j) = -S e_j, S = p^2 P^-1 in closed form

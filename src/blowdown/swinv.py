@@ -19,7 +19,6 @@ by the characteristic numbers; witten_diff compares the calculi class by class.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
@@ -30,6 +29,8 @@ from .reporting import Frozen
 from .transform import ManifoldSeries, b_plus_of, blown_up_lattice, log_placement, sign_vectors
 
 if TYPE_CHECKING:  # a map reaches the chain surgery only through a chain step
+    from fractions import Fraction
+
     from .chain_surgery import BlowdownResult
 
 KeyLike = Union[HClass, tuple]
@@ -51,6 +52,8 @@ class SWMap(Frozen):
     def __init__(self, kernel: ExpKernel, euler: int, signature: int):
         b_plus_of(euler, signature)
         if kernel.den != 1:
+            from fractions import Fraction
+
             key = min(k for k, c in kernel.num.items() if c % kernel.den)
             v = Fraction(kernel.num[key], kernel.den)
             raise ValueError(f"value for class {key} must be an integer, got {v}")
@@ -81,6 +84,8 @@ class SWMap(Frozen):
 
 def sw_dim(m: SWMap, cls: KeyLike) -> Fraction:
     """Expected moduli dimension (cls^2 - (3*signature + 2*euler)) / 4."""
+    from fractions import Fraction
+
     if not isinstance(cls, HClass):
         cls = HClass(m.lattice, integral_coords(cls))
     if cls.lattice != m.lattice:
@@ -175,15 +180,17 @@ def witten_diff(series: ManifoldSeries, m: SWMap) -> Optional[tuple[tuple, Fract
         raise ValueError("lattice mismatch between the series and the basic-class map")
     if (series.euler, series.signature) != (m.euler, m.signature):
         raise ValueError("characteristic numbers differ between the series and the map")
-    two_c = Fraction(2) ** witten_exponent(m.euler, m.signature)
+    c = witten_exponent(m.euler, m.signature)
     num, den, values = series.kernel.num, series.kernel.den, m.values
-    lhs, rhs = two_c.denominator, two_c.numerator * den  # num/den == value * 2^c
+    lhs, rhs = 1 << max(-c, 0), den << max(c, 0)  # num/den == value * 2^c
     if num.keys() == values.keys() and all(num[L] * lhs == v * rhs for L, v in values.items()):
         return None
+    from fractions import Fraction
+
     for L in sorted(num.keys() | values.keys()):  # the keys differ or some value does
-        a, b = Fraction(num.get(L, 0), den), values.get(L, 0) * two_c
+        a, b = num.get(L, 0) * lhs, values.get(L, 0) * rhs
         if a != b:
-            return L, a, b
+            return L, Fraction(a, den * lhs), Fraction(b, den * lhs)
 
 
 def witten_check(series: ManifoldSeries, m: SWMap) -> bool:

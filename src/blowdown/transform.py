@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from itertools import compress, product, repeat
 from math import gcd
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Collection
 
 from .exppoly import ExpKernel, refined_lattice
@@ -167,14 +167,13 @@ def log_placement(
     if len(nonzero) != 1 or nonzero[0][1] < 1:
         raise ValueError("fiber class must be a positive multiple of one basis direction")
     idx, mult = nonzero[0]
-    row = lattice.num[idx]
-    if row[idx] != 0:
+    square, off = lattice.sparse_gram[idx]
+    if square:
         raise ValueError("fiber direction must have square zero")
-    # den * key . s / mult for every key at once, one Gram entry at a time
+    # den * key . s / mult for every key at once, over the fiber row's nonzero entries
     dots = [0] * len(keys)
-    for col, g in zip(zip(*keys), row):
-        if g:
-            dots = list(map(add, dots, map(mul, col, repeat(g))))
+    for j, g in off:
+        dots = list(map(add, dots, map(mul, map(itemgetter(j), keys), repeat(g))))
     if any(dots):
         raise ValueError(f"class {min(compress(keys, dots))} is not orthogonal to the fiber")
     d = p // gcd(mult, p)

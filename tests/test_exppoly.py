@@ -82,6 +82,7 @@ def test_hyperbolic_identity():
     v = HClass(LAT, (1, 2))  # f + 2 s
     assert cosh_c(v) * cosh_c(v) - sinh_c(v) * sinh_c(v) == one(LAT)
     assert sinh_c(HClass(LAT, (0, 0))) == zero(LAT)
+    assert cosh_c(HClass(LAT, (0, 0))) == one(LAT)
     assert sinh_c(-v) == -sinh_c(v)
     assert cosh_c(-v) == cosh_c(v)
 

@@ -9,7 +9,10 @@ load is checked once for all of them.
 
 The chain blowdown (`chain_surgery`, with `linalg`) loads only for a plan
 with a chain or hpsum step, the basic-class calculus (`swinv`) only for a
-map, and `json` only for structured output.
+map, and `json` only for structured output.  Off the chain path the calculus
+runs in ints, so `fractions` (which loads `decimal`) loads only for a verb
+that works with rationals: the chain blowdown, `audit`, `dim` and the verify
+suites.
 """
 
 import ast
@@ -63,6 +66,17 @@ GROUPS = {
     ],
     # no chain or hpsum step: neither surgery loads the chain blowdown
     "blowup and closed smoke, text": _smoke_text("blowup", "closed"),
+    # the E, W and H leaves by their closed forms, and a log transform compared
+    # by witten
+    "closed route": [
+        ["series", "E(4;2,3)"],
+        ["series", "W(3)"],
+        ["series", "H(6)"],
+        ["witten", "logt(E(4;2,3),5)"],
+    ],
+    "witten H(4)": [["witten", "H(4)"]],
+    "dim": [["dim", "--p", "3", "--canonical", "1,1"]],
+    "verify lemmas": [["verify", "lemmas", "--p-max", "3", "--box", "1"]],
     "series only": [
         ["series", "E(3;2)", "--format", "structured"],
         ["series", "logt(E(3),2)", "--route", "pipeline"],
@@ -82,7 +96,8 @@ GROUPS = {
 }
 
 # Per group, in a forked child with stdout on /dev/null: the exit codes and
-# the loaded modules that are blowdown's own, dataclasses, inspect or json.
+# the loaded modules that are blowdown's own, dataclasses, inspect, json,
+# fractions or decimal.
 # The probe passes its data as Python literals, so that it loads no json.
 PROBE = """
 import ast, os, sys
@@ -99,7 +114,8 @@ for name, work in ast.literal_eval(sys.argv[1]).items():
             from blowdown.cli import main
             codes = [main(argv) for argv in work]
         mods = sorted(m for m in sys.modules
-                      if m.split(".")[0] in ("blowdown", "dataclasses", "inspect", "json"))
+                      if m.split(".")[0] in ("blowdown", "dataclasses", "inspect", "json",
+                                             "fractions", "decimal"))
         os.write(write, repr([codes, mods]).encode())
         os._exit(0)
     os.close(write)
@@ -156,3 +172,20 @@ def test_a_verb_loads_no_surgery_its_plan_does_not_run():
     for name in ("blowup and closed smoke, text", "text verbs"):
         assert loaded[name][0] == [0] * len(loaded[name][0]), name
         assert "json" not in loaded[name][1], name
+
+
+def test_the_closed_route_calculus_runs_without_fractions():
+    loaded = _loaded()
+    for name in ("blowup and closed smoke, text", "closed route"):
+        codes, mods = loaded[name]
+        assert codes == [0] * len(codes) and len(codes) >= 4, name
+        assert not mods & {"fractions", "decimal"}, name
+    # the probe sees fractions where a verb does load it
+    for name in ("witten H(4)", "dim"):
+        assert loaded[name][0] == [0] and "fractions" in loaded[name][1], name
+
+
+def test_verify_lemmas_loads_no_linear_algebra():
+    codes, mods = _loaded()["verify lemmas"]
+    assert codes == [0]
+    assert "moduli" in _layers(mods) and "linalg" not in _layers(mods)
