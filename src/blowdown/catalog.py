@@ -10,10 +10,10 @@ the main cross-check this package exists to run.  Basic-class maps follow the
 same split where the transfer theorems cover the family.
 
 A spec is walked once, into a surgery plan: an ambient model with a seed
-fiber power and an ordered list of surgery steps.  The pipeline, the
-basic-class map and the CLI's blowdown walkthrough all `replay` that plan
-with their calculus's rule table; the closed route keeps its own closed forms
-for the family leaf.  The CLI streams k blowups from `split_blowups`' base.
+fiber power, an ordered list of surgery steps and a blowup count.  The
+pipeline, the basic-class map and the CLI's blowdown walkthrough all `replay`
+the steps with their calculus's rule table, then blow up; the closed route
+keeps its own closed forms for the family leaf.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Union
 
 from .exppoly import ExpKernel, cosh_c, exact_div, one, power, sinh_c
-from .lattice import ChainConfig, HClass, IntersectionLattice, chain_plumbing, pairing
+from .lattice import ChainConfig, HClass, IntersectionLattice, chain_plumbing
+from .lattice import characteristic_squares
 from .reporting import CheckReport, Frozen, SpecParseError
 from .transform import ManifoldSeries, blowup, log_transform, sign_vectors
 
@@ -256,8 +257,8 @@ class SurgeryStep(Frozen):
 
     op is "chain" (blow down the order-n chain of the named spheres, naming
     the new direction image), "logt" (order-n log transform along the fiber
-    class fiber = (index, multiple), i.e. multiple * basis[index]), "blowup"
-    (n blowups) or "hpsum" (sum with the order-n homology ball).
+    class fiber = (index, multiple), i.e. multiple * basis[index]) or "hpsum"
+    (sum with the order-n homology ball); a plan counts its blowups apart.
     """
 
     __slots__ = ("op", "n", "fiber", "spheres", "image")
@@ -286,11 +287,13 @@ class SurgeryPlan(Frozen):
     The seed is E(seed) on the ambient lattice of the fiber f and the chain
     steps `chains` (both chains for Y, which blows down one).  The first
     family_steps steps build the family leaf `family` (E, W, Y or H); the
-    closed route replaces them by that leaf's closed form.  sw_gap says why
-    the basic-class calculus cannot follow the plan, or is None when it can.
+    closed route replaces them by that leaf's closed form.  blowups sums the
+    spec's blowup counts, which commute with every step and come after them,
+    and base is the spec without its blowup nodes.  sw_gap says why the
+    basic-class calculus cannot follow the plan, or is None when it can.
     """
 
-    __slots__ = ("family", "chains", "seed", "steps", "family_steps", "sw_gap")
+    __slots__ = ("family", "chains", "seed", "steps", "family_steps", "blowups", "base", "sw_gap")
 
     def ambient(self) -> IntersectionLattice:
         """A new lattice of f and the chains, each meeting f once in its end sphere."""
@@ -378,17 +381,19 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
         steps += chains if isinstance(node, HSpec) else chains[:1]
     else:
         raise TypeError(f"not a manifold spec: {node!r}")
-    family_steps = len(steps)
+    family_steps, blowups, base = len(steps), 0, node
     for node_out in reversed(outer):
         if isinstance(node_out, BlowupSpec):
-            steps.append(SurgeryStep("blowup", node_out.k))
-        elif isinstance(node_out, LogSpec):
+            blowups += node_out.k
+            continue
+        if isinstance(node_out, LogSpec):
             logt(node_out, node_out.p)
         else:
             if gap is None:
                 gap = _outside(node_out, "no value-transfer rule for homology-ball sums")
             steps.append(SurgeryStep("hpsum", node_out.p))
-    return SurgeryPlan(node, chains, seed, tuple(steps), family_steps, gap)
+        base = type(node_out)(base, node_out.p)
+    return SurgeryPlan(node, chains, seed, tuple(steps), family_steps, blowups, base, gap)
 
 
 # One rule per step op, called as rule(m, step); a chain rule returns a
@@ -419,20 +424,13 @@ def _sw_logt(m, step):
     return sw_log_transform(m, step.fiber_class(m.lattice), step.n)
 
 
-def _sw_blowup(m, step):
-    from .swinv import sw_blowup
-
-    return sw_blowup(m, count=step.n)
-
-
 SERIES_RULES = {
     "chain": _chain,
     "logt": lambda m, step: log_transform(m, step.fiber_class(m.lattice), step.n),
-    "blowup": lambda m, step: blowup(m, step.n),
     "hpsum": _hpsum,
 }
 # no "hpsum": a plan with an hpsum step has an sw_gap
-SW_RULES = {"chain": _sw_chain, "logt": _sw_logt, "blowup": _sw_blowup}
+SW_RULES = {"chain": _sw_chain, "logt": _sw_logt}
 
 
 def replay(m, steps: tuple[SurgeryStep, ...], rules: dict) -> tuple[object, list[tuple]]:
@@ -446,19 +444,6 @@ def replay(m, steps: tuple[SurgeryStep, ...], rules: dict) -> tuple[object, list
             chains.append((step, pre.lattice, m))
             m = m.result
     return m, chains
-
-
-def split_blowups(spec: Union[str, ManifoldSpec]) -> tuple[ManifoldSpec, int]:
-    """The spec without its blowup nodes, and the sum of their counts k.
-    Blowups sit above the family leaf and commute with logt and hpsum, the
-    new directions appended last either way, so spec is base blown up k times."""
-    node = _as_spec(spec)
-    if not isinstance(node, (BlowupSpec, LogSpec, HpSumSpec)):
-        return node, 0
-    base, k = split_blowups(node.base)
-    if isinstance(node, BlowupSpec):
-        return base, k + node.k
-    return type(node)(base, node.p), k
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +496,18 @@ def _closed_family(spec: ManifoldSpec) -> ManifoldSeries:
 def donaldson_closed_form(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
     """Series from the printed closed forms: exact division of sinh ladders
     for the elliptic family, explicit sinh/cosh forms for W, Y, and H, then
-    the plan's steps after the family leaf."""
+    the plan's steps after the family leaf and its blowups."""
     plan = surgery_plan(spec)
-    return replay(_closed_family(plan.family), plan.steps[plan.family_steps :], SERIES_RULES)[0]
+    m = replay(_closed_family(plan.family), plan.steps[plan.family_steps :], SERIES_RULES)[0]
+    return blowup(m, plan.blowups) if plan.blowups else m
 
 
 def donaldson_pipeline(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
     """Series rebuilt through the surgery pipeline: fiber powers seeded on the
-    ambient model, then every step of the plan."""
+    ambient model, then every step of the plan and its blowups."""
     plan = surgery_plan(spec)
-    return replay(plan.seed_series(), plan.steps, SERIES_RULES)[0]
+    m = replay(plan.seed_series(), plan.steps, SERIES_RULES)[0]
+    return blowup(m, plan.blowups) if plan.blowups else m
 
 
 # ---------------------------------------------------------------------------
@@ -529,25 +516,19 @@ def donaldson_pipeline(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
 
 def sw_replay(spec: Union[str, ManifoldSpec]) -> tuple[SWMap, list[tuple]]:
     """Basic-class map for specs inside the covered family: the elliptic map
-    transported through the plan, with the chain records of replay."""
+    transported through the plan and blown up, with the chain records of replay."""
+    from .swinv import sw_blowup
+
     plan = surgery_plan(spec)
     if plan.sw_gap is not None:
         raise ValueError(plan.sw_gap)
-    return replay(plan.seed_swmap(), plan.steps, SW_RULES)
+    m, chains = replay(plan.seed_swmap(), plan.steps, SW_RULES)
+    return (sw_blowup(m, plan.blowups) if plan.blowups else m), chains
 
 
 def sw_closed_form(spec: Union[str, ManifoldSpec]) -> SWMap:
     """The basic-class map of sw_replay."""
     return sw_replay(spec)[0]
-
-
-def sw_covered(spec: Union[str, ManifoldSpec]) -> bool:
-    """True exactly when sw_closed_form is defined for the spec."""
-    node = _as_spec(spec)
-    try:
-        return surgery_plan(node).sw_gap is None
-    except ValueError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +542,12 @@ def adjunction_audit(spec: Union[str, ManifoldSpec]) -> list[CheckReport]:
     land on their Noether / bisecting lines.  Squares are checked before the k
     blowups, which lower both sides by k; only a failing class gets its 2^k tails."""
     node = _as_spec(spec)
-    base, k = split_blowups(node)
-    series = donaldson_closed_form(base)
+    plan = surgery_plan(node)
+    k, series = plan.blowups, donaldson_closed_form(plan.base)
     target, c2 = 3 * series.signature + 2 * series.euler - k, series.euler + k
-    bad = [c.coeffs for c in series.basic_classes() if pairing(c, c) - k != target]
+    want = series.lattice.den * (target + k)  # den * c.c of a class that passes
+    squares = characteristic_squares(series.lattice, series.kernel.num)
+    bad = sorted(key for key, sq in zip(series.kernel.num, squares) if sq != want)
     bad = [list(key + tail) for key in bad for tail in sign_vectors(k)]
     params = {"spec": render(node), "expected_square": target}
     reports = [

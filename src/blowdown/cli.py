@@ -8,7 +8,7 @@ Output is deterministic byte for byte for a given invocation; it is rendered
 line by line (or, under --format structured, JSON piece by piece, in the
 documented encodings) and written in chunks of about CHUNK bytes, so no verb
 holds its whole output in memory; series and sw stream the 2^k classes of
-k blowups from the base of catalog.split_blowups.  sw and witten name on
+a plan's k blowups from the object of its base spec.  sw and witten name on
 stderr each class a chain blowdown drops for want of an extension.
 
 Importing this module loads no other part of the package; each cmd_*
@@ -148,12 +148,12 @@ def _write(raw, data: bytearray) -> None:
 
 
 def _series_output(args, spec, route: str) -> int:
-    from .catalog import donaldson_closed_form, donaldson_pipeline, render, split_blowups
+    from .catalog import donaldson_closed_form, donaldson_pipeline, render, surgery_plan
     from .serialize import series_to_obj
 
     build = donaldson_pipeline if route == "pipeline" else donaldson_closed_form
-    base, k = split_blowups(spec)
-    m = build(base)
+    plan = surgery_plan(spec)
+    m, k = build(plan.base), plan.blowups
 
     def text():
         yield f"spec: {render(spec)}"
@@ -171,13 +171,16 @@ def cmd_series(args) -> int:
 
 
 def cmd_sw(args) -> int:
-    from .catalog import parse_spec, render, split_blowups, sw_covered, sw_replay
+    from .catalog import parse_spec, render, surgery_plan, sw_replay
     from .serialize import swmap_to_obj
 
     spec = parse_spec(args.spec)
-    base, k = split_blowups(spec)
-    m, chains = sw_replay(base if sw_covered(spec) else spec)  # a gap is named as typed
+    plan = surgery_plan(spec)
+    if plan.sw_gap is not None:  # named as typed, before any work
+        raise ValueError(plan.sw_gap)
+    m, chains = sw_replay(plan.base)
     _print_drops(chains)
+    k = plan.blowups
 
     def text():
         yield f"spec: {render(spec)}"
@@ -191,15 +194,17 @@ def cmd_sw(args) -> int:
 def cmd_witten(args) -> int:
     """witten_check on the base of the k blowups, then after one by each calculus's
     own rule: k blowups are k orthogonal copies of that factor, shifting c by -k."""
-    from .catalog import blowup, donaldson_closed_form, parse_spec, render, split_blowups
-    from .catalog import sw_covered, sw_replay
+    from .catalog import blowup, donaldson_closed_form, parse_spec, render, surgery_plan
+    from .catalog import sw_replay
     from .swinv import sw_blowup, witten_check, witten_diff, witten_exponent
 
     spec = parse_spec(args.spec)
-    base, k = split_blowups(spec)
-    series = donaldson_closed_form(base)
-    swmap, chains = sw_replay(base if sw_covered(spec) else spec)  # a gap is named as typed
+    plan = surgery_plan(spec)
+    if plan.sw_gap is not None:  # named as typed, before any work
+        raise ValueError(plan.sw_gap)
+    swmap, chains = sw_replay(plan.base)
     _print_drops(chains)
+    series, k = donaldson_closed_form(plan.base), plan.blowups
     ok = witten_check(series, swmap) and (not k or witten_check(blowup(series), sw_blowup(swmap)))
     c = witten_exponent(swmap.euler, swmap.signature) - k
     if not ok:

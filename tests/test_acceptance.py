@@ -12,8 +12,8 @@ from math import comb
 from blowdown.catalog import (
     donaldson_closed_form,
     donaldson_pipeline,
+    surgery_plan,
     sw_closed_form,
-    sw_covered,
 )
 from blowdown.exppoly import ExpKernel, cosh_c, one, sinh_c, zero
 from blowdown.lattice import (
@@ -258,7 +258,7 @@ def test_10_witten_comparison():
     specs = witten_specs()
     assert len(specs) == 47
     for s in specs:
-        assert sw_covered(s), s
+        assert surgery_plan(s).sw_gap is None, s
         assert witten_check(donaldson_closed_form(s), sw_closed_form(s)), s
     _report(10, "two-calculi comparison green on 47 catalog specs, exponent 2+(7e+11s)/4")
 

@@ -22,7 +22,6 @@ from blowdown.catalog import (
     replay,
     surgery_plan,
     sw_closed_form,
-    sw_covered,
     sw_replay,
 )
 from blowdown.exppoly import ExpKernel, cosh_c, sinh_c
@@ -148,11 +147,16 @@ def test_characteristic_line_identities():
 
 
 def test_sw_covered_family():
-    assert sw_covered("E(3;2,5)")
-    assert sw_covered("W(4)")
-    assert sw_covered("blowup(E(2),2)")
-    assert not sw_covered("E(2;2,3;2,5;3,4)")
-    assert not sw_covered("hpsum(E(2),3)")
+    for s in ("E(3;2,5)", "W(4)", "blowup(E(2),2)"):
+        assert surgery_plan(s).sw_gap is None, s
+    assert surgery_plan("E(2;2,3;2,5;3,4)").sw_gap == (
+        "E(2;2,3;2,5;3,4) is outside the basic-class covered family (three-pair transforms collide)"
+    )
+    # the gap names the node as typed, blowups included
+    assert surgery_plan("hpsum(blowup(E(2),1),3)").sw_gap == (
+        "hpsum(blowup(E(2),1),3) is outside the basic-class covered family "
+        "(no value-transfer rule for homology-ball sums)"
+    )
     with pytest.raises(ValueError):
         sw_closed_form("E(2;2,3;2,5;3,4)")
     with pytest.raises(ValueError):
@@ -219,7 +223,11 @@ def test_sw_covered_matches_sw_closed_form():
             defined = True
         except ValueError:
             defined = False
-        assert sw_covered(s) == defined, s
+        try:
+            covered = surgery_plan(s).sw_gap is None
+        except ValueError:  # the spec does not plan
+            covered = False
+        assert covered == defined, s
 
 
 def test_series_and_sw_replays_give_equal_chain_class_maps():
@@ -276,7 +284,7 @@ def test_a_plan_builds_its_ambient_lattice_only_when_seeded(monkeypatch, capsys)
     assert plan.ambient().rank == 75 and ranks == [75]
     ranks.clear()
     # the coverage test and the closed route never seed on the ambient model
-    assert sw_covered("H(40)")
+    assert surgery_plan("H(40)").sw_gap is None
     assert donaldson_closed_form("H(40)").lattice.rank == 1
     assert 75 not in ranks
     # witten seeds one plan: its rank-75 ambient is built once, not once per plan

@@ -1,11 +1,15 @@
-"""Blowups split off the spec and expanded last.
+"""Blowups counted by the plan and expanded last.
 
-`catalog.split_blowups` drops a spec's blowup nodes and sums their counts
-into k; the library functions replay plans in literal step order, and the
-CLI streams the 2^k classes of a listing from the object of the base spec.
+`catalog.surgery_plan` sums a spec's blowup counts into `plan.blowups` and
+keeps the spec without its blowup nodes as `plan.base`; the library
+functions replay the plan's steps and then blow up once, and the CLI streams
+the 2^k classes of a listing from the object of the base spec.
 Checked here:
-- f(spec) and f(base) blown up k times both equal a literal step-order
-  replay, written out here, in both calculi and basis names included;
+- no plan has a blowup step, and its blowups and base agree with a walk of
+  the spec written out here, on every golden spec that plans;
+- f(spec) and f(base) blown up k times both equal a replay that blows up at
+  each blowup node where it stands, written out here, in both calculi and
+  basis names included;
 - the full expansion stays the oracle of the streamed text and structured
   output for k <= 8;
 - `witten` still runs each calculus's own blowup rule (rule mutants fail it);
@@ -28,15 +32,14 @@ import blowdown.swinv as swinv
 from blowdown.catalog import (
     SERIES_RULES,
     SW_RULES,
+    BlowupSpec,
     EllipticSpec,
+    HpSumSpec,
     LogSpec,
-    SurgeryStep,
     donaldson_closed_form,
     donaldson_pipeline,
     parse_spec,
     render,
-    replay,
-    split_blowups,
     surgery_plan,
     sw_closed_form,
 )
@@ -58,53 +61,99 @@ COMMUTING = [
 ]
 
 
-def literal_replay(m, steps, rules):
-    """Every step in plan order, blowups where they stand."""
-    for step in steps:
-        m = rules[step.op](m, step)
-        if step.op == "chain":
-            m = m.result
+def literal_replay(spec, m, steps, rules, blow_up):
+    """The steps applied to m, with the spec's blowups where they stand.
+
+    The spec's combinator nodes are walked from the family leaf out, after
+    the leaf's own steps: a blowup node of count k blows m up k times, one
+    exceptional direction at a time, and a logt or hpsum node applies the
+    next of the remaining steps, which must be of its kind and order."""
+    outer, node = [], parse_spec(spec)
+    while isinstance(node, (BlowupSpec, LogSpec, HpSumSpec)):
+        outer.append(node)
+        node = node.base
+    at = len(steps) - sum(not isinstance(n, BlowupSpec) for n in outer)
+    applied = list(steps[:at])  # the family leaf's steps
+    for n in reversed(outer):
+        if isinstance(n, BlowupSpec):
+            applied += [None] * n.k
+        else:
+            step, at = steps[at], at + 1
+            assert (step.op, step.n) == ("logt" if isinstance(n, LogSpec) else "hpsum", n.p)
+            applied.append(step)
+    assert at == len(steps)
+    for step in applied:
+        if step is None:
+            m = blow_up(m)
+        else:
+            m = rules[step.op](m, step)
+            m = m.result if step.op == "chain" else m
     return m
+
+
+def without_blowups(node):
+    """The spec's text with every blowup node dropped, and the sum of their counts."""
+    if isinstance(node, BlowupSpec):
+        text, k = without_blowups(node.base)
+        return text, k + node.k
+    if isinstance(node, (LogSpec, HpSumSpec)):
+        text, k = without_blowups(node.base)
+        return f"{'logt' if isinstance(node, LogSpec) else 'hpsum'}({text},{node.p})", k
+    return render(node), 0
+
+
+def golden_specs() -> list[str]:
+    golden = json.loads((Path(__file__).resolve().parent / "golden.json").read_text())
+    specs = [e["argv"][1] for e in golden if e["argv"][0] in ("series", "sw", "witten", "audit")]
+    return list(dict.fromkeys(specs))
+
+
+def test_a_plan_counts_its_blowups_and_keeps_its_base():
+    planned = 0
+    for spec in dict.fromkeys(COMMUTING + ORACLE_SPECS + golden_specs()):
+        try:
+            plan = surgery_plan(spec)
+        except ValueError:  # no parse (SpecParseError is one), or no fiber to transform
+            continue
+        planned += 1
+        assert all(step.op != "blowup" for step in plan.steps), spec
+        text, k = without_blowups(parse_spec(spec))
+        assert (render(plan.base), plan.blowups) == (text, k), spec
+    assert planned >= 60
 
 
 @pytest.mark.parametrize("spec", COMMUTING)
 def test_deferred_blowups_equal_literal_step_order(spec):
     plan = surgery_plan(spec)
-    assert any(step.op == "blowup" for step in plan.steps)
-    base, k = split_blowups(spec)
+    assert plan.blowups > 0
     leaf, after_leaf = donaldson_closed_form(plan.family), plan.steps[plan.family_steps :]
     routes = [
-        (donaldson_closed_form, blowup, literal_replay(leaf, after_leaf, SERIES_RULES)),
-        (donaldson_pipeline, blowup, literal_replay(plan.seed_series(), plan.steps, SERIES_RULES)),
+        (donaldson_closed_form, blowup, literal_replay(spec, leaf, after_leaf, SERIES_RULES, blowup)),
+        (
+            donaldson_pipeline,
+            blowup,
+            literal_replay(spec, plan.seed_series(), plan.steps, SERIES_RULES, blowup),
+        ),
     ]
     if plan.sw_gap is None:
-        literal = literal_replay(plan.seed_swmap(), plan.steps, SW_RULES)
+        literal = literal_replay(spec, plan.seed_swmap(), plan.steps, SW_RULES, sw_blowup)
         routes.append((sw_closed_form, sw_blowup, literal))
     for f, blown_up, literal in routes:
-        for got in (f(spec), blown_up(f(base), k)):
+        for got in (f(spec), blown_up(f(plan.base), plan.blowups)):
             assert got == literal
             assert got.lattice.basis_names == literal.lattice.basis_names
     assert len(routes) == (2 if spec.startswith("hpsum") else 3)
 
 
-def test_split_blowups_drops_every_blowup_node():
-    base, k = split_blowups("blowup(logt(blowup(E(2),1),3),2)")
-    assert (base, k) == (LogSpec(EllipticSpec(2), 3), 3)
-    assert render(base) == "logt(E(2),3)"
-    assert split_blowups("hpsum(blowup(H(6),4),3)") == (parse_spec("hpsum(H(6),3)"), 4)
+def test_a_plan_sums_the_counts_of_nested_blowups():
+    plan = surgery_plan("blowup(logt(blowup(E(2),1),3),2)")
+    assert (plan.base, plan.blowups) == (LogSpec(EllipticSpec(2), 3), 3)
+    assert render(plan.base) == "logt(E(2),3)"
+    plan = surgery_plan("hpsum(blowup(H(6),4),3)")
+    assert (plan.base, plan.blowups) == (parse_spec("hpsum(H(6),3)"), 4)
     for leaf in ["E(3;2,3)", "W(2)", "Y(5)", "H(6)"]:
-        assert split_blowups(leaf) == (parse_spec(leaf), 0)
-
-
-def test_a_chain_step_after_a_blowup_replays_literally():
-    # no spec's plan puts a chain after a blowup, but replay takes any steps
-    plan = surgery_plan("W(1)")
-    steps = (SurgeryStep("blowup", 1),) + plan.steps
-    for seed, rules in [(plan.seed_series(), SERIES_RULES), (plan.seed_swmap(), SW_RULES)]:
-        m, chains = replay(seed, steps, rules)
-        assert m == literal_replay(seed, steps, rules)
-        assert [step for step, _, _ in chains] == list(plan.steps)
-        assert {"k", "e1"} <= set(m.lattice.basis_names)
+        plan = surgery_plan(leaf)
+        assert (plan.base, plan.blowups) == (parse_spec(leaf), 0)
 
 
 # ---------------------------------------------------------------------------

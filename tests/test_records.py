@@ -48,7 +48,7 @@ from blowdown.transform import LogPlacement, log_placement
 EXPORTS = [
     "BlowupSpec", "EllipticSpec", "HpSumSpec", "HSpec", "LogSpec", "SpecParseError", "WSpec",
     "YSpec", "adjunction_audit", "donaldson_closed_form", "donaldson_pipeline", "parse_spec",
-    "render", "replay", "surgery_plan", "sw_closed_form", "sw_covered", "sw_replay",
+    "render", "replay", "surgery_plan", "sw_closed_form", "sw_replay",
     "ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist", "ChainConfig", "HClass",
     "IntersectionLattice", "QClass", "RelClass", "Residue", "boundary", "is_characteristic",
     "pairing", "rel_pairing",
@@ -333,7 +333,7 @@ REPRS = [
         "SurgeryPlan(family=WSpec(n=1), "
         "chains=(SurgeryStep(op='chain', n=2, fiber=None, spheres=('s1',), image='k'),), seed=4, "
         "steps=(SurgeryStep(op='chain', n=2, fiber=None, spheres=('s1',), image='k'),), "
-        "family_steps=1, sw_gap=None)",
+        "family_steps=1, blowups=0, base=WSpec(n=1), sw_gap=None)",
     ),
     ("Residue(7, 4)", "Residue(value=3, modulus=4)"),
     ("CanonicalClass(5, 1, 2)", "CanonicalClass(p=5, t=1, b=2)"),

@@ -11,8 +11,7 @@ The chain blowdown (`chain_surgery`, with `linalg`) loads only for a plan
 with a chain or hpsum step, the basic-class calculus (`swinv`) only for a
 map, and `json` only for structured output.  Off the chain path the calculus
 runs in ints, so `fractions` (which loads `decimal`) loads only for a verb
-that works with rationals: the chain blowdown, `audit`, `dim` and the verify
-suites.
+that works with rationals: the chain blowdown, `dim` and the verify suites.
 """
 
 import ast
@@ -66,13 +65,15 @@ GROUPS = {
     ],
     # no chain or hpsum step: neither surgery loads the chain blowdown
     "blowup and closed smoke, text": _smoke_text("blowup", "closed"),
-    # the E, W and H leaves by their closed forms, and a log transform compared
-    # by witten
+    # the E, W and H leaves by their closed forms, a log transform compared
+    # by witten, and the audit's class squares before and after blowups
     "closed route": [
         ["series", "E(4;2,3)"],
         ["series", "W(3)"],
         ["series", "H(6)"],
         ["witten", "logt(E(4;2,3),5)"],
+        ["audit", "E(3)"],
+        ["audit", "blowup(E(4),3)"],
     ],
     "witten H(4)": [["witten", "H(4)"]],
     "dim": [["dim", "--p", "3", "--canonical", "1,1"]],

@@ -68,16 +68,17 @@ def test_swmap_checks_each_class_once(monkeypatch):
     with pytest.raises(ValueError, match=r"^simple type requires a zero-dimensional moduli space, "
                        r"but class \(2,\) has dimension 3/2$"):
         SWMap(ExpKernel(lat, {(2,): 1}), 46, -30)
-    # the catalog's blowup step builds one map for all of its blowups; every
-    # map, the rules' included, is validated by its one constructor
+    # sw_replay blows up once for all of a plan's blowups; every map, the
+    # rules' included, is validated by its one constructor
     built = []
     real_init = SWMap.__init__
     monkeypatch.setattr(
         SWMap, "__init__", lambda self, k, *a: built.append(k.lattice) or real_init(self, k, *a)
     )
-    assert [step.op for step in surgery_plan("blowup(E(6),8)").steps] == ["blowup"]
+    plan = surgery_plan("blowup(E(6),8)")
+    assert (plan.steps, plan.blowups) == ((), 8)
     assert len(sw_closed_form("blowup(E(6),8)").values) == 5 * 2**8
-    # sw_en(6) and the seed map on the ambient lattice, then one for the blowup step
+    # sw_en(6) and the seed map on the ambient lattice, then one for the blowups
     assert [lat.rank for lat in built] == [1, 1, 9]
 
 
