@@ -11,19 +11,20 @@ holds its whole output in memory; series and sw stream the 2^k classes of
 a plan's k blowups from the object of its base spec.  sw and witten name on
 stderr each class a chain blowdown drops for want of an extension.
 
-Importing this module loads no other part of the package; each cmd_*
-imports the layers its verb runs (the chain blowdown only for a chain or
-hpsum step, json only for structured output).  Compiled from source (Python
-3.11, 2 vCPUs, median of 21 fresh processes, timed in-process), importing
-this module takes 8 ms, not the 43 ms of every layer, and all of `dim` 25 ms.
+Importing this module loads no other part of the package, nor argparse,
+gettext or locale; each cmd_* imports the layers its verb runs (the chain
+blowdown only for a chain or hpsum step, json only for structured output).
+Compiled from source (Python 3.11, 2 vCPUs, median of 41 fresh processes,
+timed in-process), importing this module and parsing `dim` take 7 ms (9 ms
+through argparse), not the 36 ms of every layer, and all of `dim` 19 ms.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:
@@ -101,10 +102,10 @@ def _print_drops(chains) -> None:
         return
     from .chain_surgery import ORTHOGONAL
 
-    for _, _, result in chains:
+    for _, pre, result in chains:
         for rec in result.class_map:
             if rec.status == "dropped" and rec.reason != ORTHOGONAL:
-                print(f"dropping class {rec.source}: {rec.reason}", file=sys.stderr)
+                sys.stderr.write(f"dropping class {_class_text(pre, rec.source)}: {rec.reason}\n")
 
 
 def _emit(args, obj, text) -> None:
@@ -267,9 +268,6 @@ def cmd_dim(args) -> int:
     return 0
 
 
-_SUITES = ("lattice", "lemmas", "identities", "witten", "all")
-
-
 def cmd_verify(args) -> int:
     from .suites import suite_identities, suite_lattice, suite_lemmas, suite_witten
 
@@ -385,96 +383,138 @@ def cmd_audit(args) -> int:
 def _canonical_pair(text: str) -> tuple[int, int]:
     try:
         t, b = (int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("expected t,b") from exc
+    except ValueError:
+        raise ValueError("expected t,b") from None
     return t, b
 
 
 def _int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list") from exc
+    except ValueError:
+        raise ValueError("expected a comma-separated integer list") from None
 
 
 def _int_at_least(low: int):
-    # argparse names the type function in its "invalid ... value" message
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise ValueError(f"must be at least {low}, got {value}")
         return value
 
     return integer
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="blowdown",
-        description="Exact series kernels, basic-class maps, and chain-blowdown checks.",
-    )
-    sub = top.add_subparsers(dest="verb", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "structured"), default="text")
+_FORMAT = {"--format": (str, ("text", "structured"), "text")}
+_SPEC = {**_FORMAT, "spec": (str, "spec", None)}
 
-    p = sub.add_parser("series", parents=[common], help="series kernel of a catalog spec")
-    p.add_argument("spec")
-    p.add_argument("--route", choices=("closed", "pipeline"), default="closed")
-    p.set_defaults(func=cmd_series)
+# verb -> (handler, help line, arguments, required groups).  An argument maps
+# to (convert, choices or metavar, default); a name without "--" is a
+# positional, which must be given, and of each group's options exactly one.
+VERBS = {
+    "series": (cmd_series, "series kernel of a catalog spec",
+               {**_SPEC, "--route": (str, ("closed", "pipeline"), "closed")}, ()),
+    "sw": (cmd_sw, "basic-class map of a covered spec", _SPEC, ()),
+    "witten": (cmd_witten, "compare the two calculi on a spec", _SPEC, ()),
+    "dim": (cmd_dim, "moduli dimension of a relative class",
+            {**_FORMAT, "--p": (int, "P", None), "--canonical": (_canonical_pair, "T,B", None),
+             "--delta": (_int_list, "C1,C2,...", None)}, (("--p",), ("--canonical", "--delta"))),
+    "verify": (cmd_verify, "run a verification suite",
+               {"suite": (str, ("lattice", "lemmas", "identities", "witten", "all"), None),
+                "--p-max": (_int_at_least(2), "P_MAX", None), "--box": (_int_at_least(0), "BOX", 4),
+                "--t-max": (_int_at_least(0), "T_MAX", 2), **_FORMAT}, ()),
+    "blowdown": (cmd_blowdown, "replay chain blowdowns with their class maps",
+                 {**_SPEC, "--sections": (int, "N", None), "--horikawa": (int, (1, 2), None)},
+                 (("--sections", "--horikawa"),)),
+    "logt": (cmd_logt, "log transform of a catalog spec", {**_SPEC, "p": (int, "p", None)}, ()),
+    "audit": (cmd_audit, "characteristic-number audit", _SPEC, ()),
+}
 
-    p = sub.add_parser("sw", parents=[common], help="basic-class map of a covered spec")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_sw)
 
-    p = sub.add_parser("witten", parents=[common], help="compare the two calculi on a spec")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_witten)
+def _usage(verb: Optional[str]) -> str:
+    if verb is None:
+        return f"usage: blowdown [-h] {{{','.join(VERBS)}}} ..."
+    _, _, arguments, groups = VERBS[verb]
 
-    p = sub.add_parser("dim", parents=[common], help="moduli dimension of a relative class")
-    p.add_argument("--p", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--canonical", type=_canonical_pair, metavar="T,B")
-    group.add_argument("--delta", type=_int_list, metavar="C1,C2,...")
-    p.set_defaults(func=cmd_dim)
+    def show(name: str) -> str:
+        meta = arguments[name][1]
+        meta = f"{{{','.join(map(str, meta))}}}" if isinstance(meta, tuple) else meta
+        return f"{name} {meta}" if name[:2] == "--" else meta
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p.add_argument("suite", choices=_SUITES)
-    p.add_argument("--p-max", dest="p_max", type=_int_at_least(2), default=None)
-    p.add_argument("--box", type=_int_at_least(0), default=4)
-    p.add_argument("--t-max", dest="t_max", type=_int_at_least(0), default=2)
-    p.set_defaults(func=cmd_verify)
+    grouped = [name for group in groups for name in group]
+    words = [f"[{show(n)}]" if n[:2] == "--" else show(n) for n in arguments if n not in grouped]
+    words += [" | ".join(map(show, g)).join("()") if len(g) > 1 else show(*g) for g in groups]
+    return f"usage: blowdown {verb} [-h] {' '.join(words)}"
 
-    p = sub.add_parser(
-        "blowdown", parents=[common], help="replay chain blowdowns with their class maps"
-    )
-    p.add_argument("spec")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sections", type=int, metavar="N")
-    group.add_argument("--horikawa", type=int, choices=(1, 2))
-    p.set_defaults(func=cmd_blowdown)
 
-    p = sub.add_parser("logt", parents=[common], help="log transform of a catalog spec")
-    p.add_argument("spec")
-    p.add_argument("p", type=int)
-    p.set_defaults(func=cmd_logt)
+def _help(verb: Optional[str]) -> int:
+    about = [f"  {v:<10}{VERBS[v][1]}" for v in VERBS] if verb is None else [VERBS[verb][1]]
+    print(_usage(verb), "", *about, sep="\n")
+    return 0
 
-    p = sub.add_parser("audit", parents=[common], help="characteristic-number audit")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_audit)
-    return top
+
+def _fail(error: tuple[Optional[str], str]) -> int:
+    verb, message = error
+    prog = f"blowdown {verb}" if verb else "blowdown"
+    print(_usage(verb), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    return 2
+
+
+def _parse(argv: list[str]):
+    """The function to run for argv and its argument: a verb's handler and its
+    arguments, _help or _fail.  Options go anywhere, as --opt value, --opt=value
+    or a unique prefix, and values may be negative, as argparse reads them."""
+    top = argv[0] if argv else ""
+    if top == "-h" or len(top) > 2 and "--help".startswith(top):
+        return _help, None
+    if top not in VERBS:
+        why = f"argument verb: invalid choice: {top!r}" if argv else "argument verb is required"
+        return _fail, (None, why)
+    handler, _, arguments, groups = VERBS[top]
+    options = ["--help", *(n for n in arguments if n[:2] == "--")]
+    given, free, rest = {}, [], iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        found = [o for o in options if o == name] or [o for o in options if o.startswith(name)]
+        if arg[:2] != "--" and arg != "-h":
+            free.append(arg)
+        elif arg == "-h" or found == ["--help"]:
+            return _help, top
+        elif len(found) != 1:
+            return _fail, (top, f"ambiguous option: {name} could match {', '.join(found)}"
+                           if found else f"unrecognized arguments: {arg}")
+        elif not eq and (value := next(rest, None)) is None:
+            return _fail, (top, f"argument {found[0]}: expected one argument")
+        else:
+            given[found[0]] = value
+    names = [n for n in arguments if n[:2] != "--"]
+    if len(free) > len(names):
+        return _fail, (top, f"unrecognized arguments: {' '.join(free[len(names):])}")
+    given.update(zip(names, free))
+    for group in [(n,) for n in names] + list(groups):
+        present = [n for n in given if n in group]
+        if len(present) != 1:
+            return _fail, (top, f"argument {present[1]}: not allowed with argument {present[0]}"
+                           if present else f"argument {' | '.join(group)} is required")
+    values = {}
+    for name, (convert, meta, default) in arguments.items():
+        try:
+            value = convert(given[name]) if name in given else default
+        except ValueError as exc:
+            return _fail, (top, f"argument {name}: {exc}")
+        if name in given and isinstance(meta, tuple) and value not in meta:
+            why = f"invalid choice: {value!r} (choose from {', '.join(map(repr, meta))})"
+            return _fail, (top, f"argument {name}: {why}")
+        values[name.lstrip("-").replace("-", "_")] = value
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     from .reporting import SpecParseError
 
-    parser = _build_parser()
+    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
-    try:
-        return args.func(args)
+        return handler(args)
     except BrokenPipeError:
         # point fd 1 at devnull so that the exit flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

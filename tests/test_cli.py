@@ -61,8 +61,9 @@ def test_structured_sw_roundtrip(capsys):
 
 
 def test_sw_names_each_drop_on_every_call(capsys):
+    # a dropped class is named by its nonzero coordinates, as the blowdown verb names it
     why = "with the end sphere admits no extension across the blowdown"
-    want = [f"dropping class ({e}, 0, 0, 0, 0): pairing {e} {why}" for e in (-1, 1)]
+    want = [f"dropping class {c}: pairing {e} {why}" for c, e in (("-f", -1), ("f", 1))]
     for _ in range(2):
         code, _, err = run(capsys, "sw", "Y(5)")
         assert code == 0 and err.splitlines() == want
@@ -125,6 +126,98 @@ def test_dim_rejects_a_malformed_canonical_pair(capsys):
         assert code == 2 and out == "", text
         assert "argument --canonical: expected t,b" in err, text
         assert "_canonical_pair" not in err, text
+
+
+# The parser's contract: argv -> the line after the usage line on stderr.  A
+# usage error exits 2, writes nothing on stdout, and writes the verb's usage
+# line and then "blowdown VERB: error: ..." on stderr.
+USAGE_ERRORS = {
+    (): "blowdown: error: argument verb is required",
+    ("nonsense",): "blowdown: error: argument verb: invalid choice: 'nonsense'",
+    ("series", "E(2)", "extra"): "blowdown series: error: unrecognized arguments: extra",
+    ("series",): "blowdown series: error: argument spec is required",
+    ("series", "E(2)", "--bogus"): "blowdown series: error: unrecognized arguments: --bogus",
+    ("blowdown", "E(4)", "--h", "1"): (
+        "blowdown blowdown: error: ambiguous option: --h could match --help, --horikawa"
+    ),
+    ("series", "E(2)", "--route"): "blowdown series: error: argument --route: expected one argument",
+    ("series", "--rou=x", "E(2)"): (
+        "blowdown series: error: argument --route: invalid choice: 'x' "
+        "(choose from 'closed', 'pipeline')"
+    ),
+    ("dim", "--p", "3"): "blowdown dim: error: argument --canonical | --delta is required",
+    ("dim", "--canonical", "1,1"): "blowdown dim: error: argument --p is required",
+    ("dim", "--p", "3", "--delta", "1", "--canonical", "1,1"): (
+        "blowdown dim: error: argument --canonical: not allowed with argument --delta"
+    ),
+    ("dim", "--p", "3", "--canonical", "a,b"): (
+        "blowdown dim: error: argument --canonical: expected t,b"
+    ),
+    ("verify", "lemmas", "--box", "-1"): (
+        "blowdown verify: error: argument --box: must be at least 0, got -1"
+    ),
+    ("blowdown", "E(4)", "--horikawa", "3"): (
+        "blowdown blowdown: error: argument --horikawa: invalid choice: 3 (choose from 1, 2)"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_usage_error_exits_2_with_usage_and_reason_on_stderr(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    usage, reason = err.splitlines()
+    verb = argv[0] if argv and argv[0] != "nonsense" else ""
+    assert usage.startswith(f"usage: blowdown {verb}".rstrip() + " [-h] ")
+    assert reason == USAGE_ERRORS[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "E(2;3)", "--route=pipeline"),
+        ("series", "E(2;3)", "--rou", "pipeline"),
+        ("series", "--rou=pipeline", "E(2;3)"),
+        ("series", "--format", "text", "--route", "pipeline", "E(2;3)"),
+    ],
+    ids=" ".join,
+)
+def test_options_take_an_equals_sign_or_a_unique_prefix_anywhere(capsys, argv):
+    want = run(capsys, "series", "E(2;3)", "--route", "pipeline")
+    assert want[0] == 0 and "route: pipeline" in want[1]
+    assert run(capsys, *argv) == want
+
+
+def test_every_option_form_reaches_its_converter(capsys):
+    code, out, _ = run(capsys, "dim", "--delta=1,2", "--f", "structured", "--p=3")
+    assert code == 0 and json.loads(out)["delta"] == [1, 2]
+    assert run(capsys, "dim", "--p", "3", "--can", "1,1")[:2] == run(
+        capsys, "dim", "--canonical=1,1", "--p", "3"
+    )[:2]
+
+
+def test_a_negative_positional_reaches_the_mathematics(capsys):
+    # logt "E(2)" -3 is a value, not an option: the log transform rejects it
+    code, out, err = run(capsys, "logt", "E(2)", "-3")
+    assert code == 3 and out == "" and err.startswith("error: ")
+
+
+HELP = {
+    ("--help",): "usage: blowdown [-h] {series,sw,witten,dim,verify,blowdown,logt,audit} ...\n",
+    ("-h",): "usage: blowdown [-h] {series,",
+    ("--he",): "usage: blowdown [-h] {series,",
+    ("series", "--help"): "usage: blowdown series [-h] [--format {text,structured}] spec",
+    ("dim", "-h"): "usage: blowdown dim [-h]",
+    ("blowdown", "E(4)", "--hel"): "usage: blowdown blowdown [-h]",
+}
+
+
+@pytest.mark.parametrize("argv", HELP, ids=" ".join)
+def test_help_prints_usage_on_stdout_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.startswith(HELP[argv])
+    if argv[0].startswith("-"):  # the top-level help names every verb
+        assert all(f"\n  {verb} " in out for verb in ("series", "witten", "blowdown", "audit"))
 
 
 def test_witten_verb(capsys):

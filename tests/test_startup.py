@@ -7,6 +7,10 @@ verbs of a group run one after another in their child, so what the group
 loads is the union of what its verbs load: a module no verb of the group may
 load is checked once for all of them.
 
+No process loads `argparse`, `gettext` or `locale`: the CLI reads its
+arguments from its own verb table, and a help request or a usage error loads
+none of them either.
+
 The chain blowdown (`chain_surgery`, with `linalg`) loads only for a plan
 with a chain or hpsum step, the basic-class calculus (`swinv`) only for a
 map, and `json` only for structured output.  Off the chain path the calculus
@@ -27,6 +31,7 @@ SRC = ROOT / "src"
 
 CALCULUS = {"catalog", "transform", "swinv", "exppoly"}
 CHAIN = {"chain_surgery", "linalg"}
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def _smoke_text(*workloads: str) -> list[list[str]]:
@@ -76,6 +81,13 @@ GROUPS = {
         ["audit", "blowup(E(4),3)"],
     ],
     "witten H(4)": [["witten", "H(4)"]],
+    # help (exit 0) and usage errors (exit 2): the paths that print usage
+    "help and usage errors": [
+        ["--help"],
+        ["series", "--help"],
+        ["dim", "--p", "3", "--canonical", "a,b"],
+        ["nonsense"],
+    ],
     "dim": [["dim", "--p", "3", "--canonical", "1,1"]],
     "verify lemmas": [["verify", "lemmas", "--p-max", "3", "--box", "1"]],
     "series only": [
@@ -98,7 +110,7 @@ GROUPS = {
 
 # Per group, in a forked child with stdout on /dev/null: the exit codes and
 # the loaded modules that are blowdown's own, dataclasses, inspect, json,
-# fractions or decimal.
+# fractions, decimal, argparse, gettext or locale.
 # The probe passes its data as Python literals, so that it loads no json.
 PROBE = """
 import ast, os, sys
@@ -116,7 +128,8 @@ for name, work in ast.literal_eval(sys.argv[1]).items():
             codes = [main(argv) for argv in work]
         mods = sorted(m for m in sys.modules
                       if m.split(".")[0] in ("blowdown", "dataclasses", "inspect", "json",
-                                             "fractions", "decimal"))
+                                             "fractions", "decimal", "argparse", "gettext",
+                                             "locale"))
         os.write(write, repr([codes, mods]).encode())
         os._exit(0)
     os.close(write)
@@ -152,7 +165,7 @@ def test_each_verb_loads_only_its_layers():
     assert loaded["import blowdown"] == ([], {"blowdown"})
     assert loaded["import blowdown.cli"] == ([], {"blowdown", "blowdown.cli"})
     for name, (codes, mods) in loaded.items():
-        assert codes == [0] * len(codes), name
+        assert codes == ([0, 0, 2, 2] if name == "help and usage errors" else [0] * len(codes)), name
         assert not mods & {"dataclasses", "inspect"}, name
     assert not _layers(loaded["dim and verify lemmas, lattice"][1]) & CALCULUS
     series = _layers(loaded["series, sw, witten"][1])
@@ -184,6 +197,13 @@ def test_the_closed_route_calculus_runs_without_fractions():
     # the probe sees fractions where a verb does load it
     for name in ("witten H(4)", "dim"):
         assert loaded[name][0] == [0] and "fractions" in loaded[name][1], name
+
+
+def test_no_invocation_loads_argparse_gettext_or_locale():
+    loaded = _loaded()
+    assert loaded["help and usage errors"][0] == [0, 0, 2, 2]
+    for name, (_, mods) in loaded.items():
+        assert not mods & ARGPARSE, name
 
 
 def test_verify_lemmas_loads_no_linear_algebra():
