@@ -25,7 +25,7 @@ _EXPORTS = {
     "catalog": (
         "BlowupSpec", "EllipticSpec", "HpSumSpec", "HSpec", "LogSpec", "WSpec", "YSpec",
         "adjunction_audit", "donaldson_closed_form", "donaldson_pipeline", "parse_spec",
-        "render", "replay", "surgery_plan", "sw_closed_form", "sw_replay",
+        "render", "surgery_plan", "sw_closed_form",
     ),
     "exppoly": ("ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist"),
     "lattice": (

@@ -10,10 +10,10 @@ the main cross-check this package exists to run.  Basic-class maps follow the
 same split where the transfer theorems cover the family.
 
 A spec is walked once, into a surgery plan: an ambient model with a seed
-fiber power, an ordered list of surgery steps and a blowup count.  The
-pipeline, the basic-class map and the CLI's blowdown walkthrough all `replay`
-the steps with their calculus's rule table, then blow up; the closed route
-keeps its own closed forms for the family leaf.
+fiber power, an ordered list of surgery steps and a blowup count.  Each
+route (closed, pipeline, sw) is a row of ROUTES: its seed, its calculus's
+rule table and its blowup rule.  `run`, the one driver, seeds a plan and
+`walk`s its steps; the closed route seeds the family leaf's closed form.
 """
 
 from __future__ import annotations
@@ -288,12 +288,12 @@ class SurgeryPlan(Frozen):
     steps `chains` (both chains for Y, which blows down one).  The first
     family_steps steps build the family leaf `family` (E, W, Y or H); the
     closed route replaces them by that leaf's closed form.  blowups sums the
-    spec's blowup counts, which commute with every step and come after them,
-    and base is the spec without its blowup nodes.  sw_gap says why the
-    basic-class calculus cannot follow the plan, or is None when it can.
+    spec's blowup counts, which commute with every step and come after them.
+    sw_gap says why the basic-class calculus cannot follow the plan, or is
+    None when it can.
     """
 
-    __slots__ = ("family", "chains", "seed", "steps", "family_steps", "blowups", "base", "sw_gap")
+    __slots__ = ("family", "chains", "seed", "steps", "family_steps", "blowups", "sw_gap")
 
     def ambient(self) -> IntersectionLattice:
         """A new lattice of f and the chains, each meeting f once in its end sphere."""
@@ -314,7 +314,10 @@ class SurgeryPlan(Frozen):
         return ManifoldSeries(power(sinh_c(f), self.seed - 2), 12 * self.seed, -8 * self.seed)
 
     def seed_swmap(self) -> SWMap:
-        """The elliptic map of E(seed), padded with zeros off the fiber."""
+        """The elliptic map of E(seed), padded with zeros off the fiber; the
+        plan's sw_gap, named as typed, raises here before any work."""
+        if self.sw_gap is not None:
+            raise ValueError(self.sw_gap)
         from .swinv import SWMap, sw_en
 
         ambient = self.ambient()
@@ -381,7 +384,7 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
         steps += chains if isinstance(node, HSpec) else chains[:1]
     else:
         raise TypeError(f"not a manifold spec: {node!r}")
-    family_steps, blowups, base = len(steps), 0, node
+    family_steps, blowups = len(steps), 0
     for node_out in reversed(outer):
         if isinstance(node_out, BlowupSpec):
             blowups += node_out.k
@@ -392,8 +395,7 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
             if gap is None:
                 gap = _outside(node_out, "no value-transfer rule for homology-ball sums")
             steps.append(SurgeryStep("hpsum", node_out.p))
-        base = type(node_out)(base, node_out.p)
-    return SurgeryPlan(node, chains, seed, tuple(steps), family_steps, blowups, base, gap)
+    return SurgeryPlan(node, chains, seed, tuple(steps), family_steps, blowups, gap)
 
 
 # One rule per step op, called as rule(m, step); a chain rule returns a
@@ -433,21 +435,54 @@ SERIES_RULES = {
 SW_RULES = {"chain": _sw_chain, "logt": _sw_logt}
 
 
-def replay(m, steps: tuple[SurgeryStep, ...], rules: dict) -> tuple[object, list[tuple]]:
+def walk(m, steps: tuple[SurgeryStep, ...], rules: dict):
     """Apply the steps to m (a ManifoldSeries or SWMap) by one calculus's
-    rules.  Returns the final object and, per chain step, (step, lattice
-    before, BlowdownResult), whose class map says what dropped and why."""
-    chains = []
+    rules, yielding (step, value, chain record or None) for m itself (step
+    None) and after each step.  A chain step's record is (step, lattice
+    before, BlowdownResult), whose class map says what dropped and why; only
+    the current value is kept from one step to the next."""
+    yield None, m, None
     for step in steps:
-        pre, m = m, rules[step.op](m, step)
+        lattice, m, record = m.lattice, rules[step.op](m, step), None
         if step.op == "chain":
-            chains.append((step, pre.lattice, m))
-            m = m.result
+            record, m = (step, lattice, m), m.result
+        yield step, m, record
+
+
+def _blowup(m, k):
+    return blowup(m, k)
+
+
+def _sw_blowup(m, k):
+    from .swinv import sw_blowup
+
+    return sw_blowup(m, k)
+
+
+# route -> (plan -> (seed, index of its first step), rule table, blowup
+# rule); like the rules, the rows look their transforms up when called
+ROUTES = {
+    "closed": (lambda plan: (_closed_family(plan.family), plan.family_steps),
+               SERIES_RULES, _blowup),
+    "pipeline": (lambda plan: (plan.seed_series(), 0), SERIES_RULES, _blowup),
+    "sw": (lambda plan: (plan.seed_swmap(), 0), SW_RULES, _sw_blowup),
+}
+
+
+def run(plan: SurgeryPlan, route: str) -> tuple[object, list[tuple]]:
+    """The route's value of the plan before its blowups, and the chain
+    records of its walk.  The sw route raises the plan's sw_gap."""
+    seed, rules, _ = ROUTES[route]
+    m, first = seed(plan)
+    chains = []
+    for _, m, record in walk(m, plan.steps[first:], rules):
+        if record is not None:
+            chains.append(record)
     return m, chains
 
 
 # ---------------------------------------------------------------------------
-# Donaldson series, closed form and pipeline
+# Closed forms of the family leaves
 
 
 def _y_lattice(n: int) -> IntersectionLattice:
@@ -493,42 +528,26 @@ def _closed_family(spec: ManifoldSpec) -> ManifoldSeries:
     return ManifoldSeries(kernel, 10 * n + 6, -6 * n - 6)
 
 
-def donaldson_closed_form(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
-    """Series from the printed closed forms: exact division of sinh ladders
-    for the elliptic family, explicit sinh/cosh forms for W, Y, and H, then
-    the plan's steps after the family leaf and its blowups."""
+def _blown_up(spec: Union[str, ManifoldSpec], route: str):
+    """The route's value of spec, blown up by the route's own rule."""
     plan = surgery_plan(spec)
-    m = replay(_closed_family(plan.family), plan.steps[plan.family_steps :], SERIES_RULES)[0]
-    return blowup(m, plan.blowups) if plan.blowups else m
+    m = run(plan, route)[0]
+    return ROUTES[route][2](m, plan.blowups) if plan.blowups else m
+
+
+def donaldson_closed_form(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
+    """Series from the family leaf's closed form, then the later steps and blowups."""
+    return _blown_up(spec, "closed")
 
 
 def donaldson_pipeline(spec: Union[str, ManifoldSpec]) -> ManifoldSeries:
-    """Series rebuilt through the surgery pipeline: fiber powers seeded on the
-    ambient model, then every step of the plan and its blowups."""
-    plan = surgery_plan(spec)
-    m = replay(plan.seed_series(), plan.steps, SERIES_RULES)[0]
-    return blowup(m, plan.blowups) if plan.blowups else m
-
-
-# ---------------------------------------------------------------------------
-# Basic-class maps
-
-
-def sw_replay(spec: Union[str, ManifoldSpec]) -> tuple[SWMap, list[tuple]]:
-    """Basic-class map for specs inside the covered family: the elliptic map
-    transported through the plan and blown up, with the chain records of replay."""
-    from .swinv import sw_blowup
-
-    plan = surgery_plan(spec)
-    if plan.sw_gap is not None:
-        raise ValueError(plan.sw_gap)
-    m, chains = replay(plan.seed_swmap(), plan.steps, SW_RULES)
-    return (sw_blowup(m, plan.blowups) if plan.blowups else m), chains
+    """Series from the fiber power on the ambient model, then every step and blowup."""
+    return _blown_up(spec, "pipeline")
 
 
 def sw_closed_form(spec: Union[str, ManifoldSpec]) -> SWMap:
-    """The basic-class map of sw_replay."""
-    return sw_replay(spec)[0]
+    """Basic-class map of a covered spec: the elliptic map through every step and blowup."""
+    return _blown_up(spec, "sw")
 
 
 # ---------------------------------------------------------------------------
@@ -543,38 +562,19 @@ def adjunction_audit(spec: Union[str, ManifoldSpec]) -> list[CheckReport]:
     blowups, which lower both sides by k; only a failing class gets its 2^k tails."""
     node = _as_spec(spec)
     plan = surgery_plan(node)
-    k, series = plan.blowups, donaldson_closed_form(plan.base)
+    k, series = plan.blowups, run(plan, "closed")[0]
     target, c2 = 3 * series.signature + 2 * series.euler - k, series.euler + k
     want = series.lattice.den * (target + k)  # den * c.c of a class that passes
     squares = characteristic_squares(series.lattice, series.kernel.num)
     bad = sorted(key for key, sq in zip(series.kernel.num, squares) if sq != want)
     bad = [list(key + tail) for key in bad for tail in sign_vectors(k)]
     params = {"spec": render(node), "expected_square": target}
-    reports = [
-        CheckReport("basic-class-square", not bad, parameters=params, counterexamples=bad)
-    ]
+    reports = [CheckReport("basic-class-square", not bad, parameters=params, counterexamples=bad)]
+    c1 = {"spec": render(node), "c1_sq": target}
     if isinstance(node, EllipticSpec):
-        reports.append(
-            CheckReport(
-                "elliptic-canonical-square-zero",
-                target == 0,
-                parameters={"spec": render(node), "c1_sq": target},
-            )
-        )
-    if isinstance(node, HSpec):
-        reports.append(
-            CheckReport(
-                "noether-line",
-                5 * target - c2 + 36 == 0,
-                parameters={"spec": render(node), "c1_sq": target, "c2": c2},
-            )
-        )
-    if isinstance(node, YSpec):
-        reports.append(
-            CheckReport(
-                "bisecting-line",
-                11 * target - c2 + 36 == 0,
-                parameters={"spec": render(node), "c1_sq": target, "c2": c2},
-            )
-        )
+        reports.append(CheckReport("elliptic-canonical-square-zero", target == 0, parameters=c1))
+    elif isinstance(node, (HSpec, YSpec)):  # the Noether line 5x - c2 + 36, the bisecting 11x
+        slope, name = (5, "noether-line") if isinstance(node, HSpec) else (11, "bisecting-line")
+        ok = slope * target - c2 + 36 == 0
+        reports.append(CheckReport(name, ok, parameters={**c1, "c2": c2}))
     return reports

@@ -8,7 +8,7 @@ Output is deterministic byte for byte for a given invocation; it is rendered
 line by line (or, under --format structured, JSON piece by piece, in the
 documented encodings) and written in chunks of about CHUNK bytes, so no verb
 holds its whole output in memory; series and sw stream the 2^k classes of
-a plan's k blowups from the object of its base spec.  sw and witten name on
+a plan's k blowups from the route's value before them.  sw and witten name on
 stderr each class a chain blowdown drops for want of an extension.
 
 Importing this module loads no other part of the package, nor argparse,
@@ -149,12 +149,11 @@ def _write(raw, data: bytearray) -> None:
 
 
 def _series_output(args, spec, route: str) -> int:
-    from .catalog import donaldson_closed_form, donaldson_pipeline, render, surgery_plan
+    from .catalog import render, run, surgery_plan
     from .serialize import series_to_obj
 
-    build = donaldson_pipeline if route == "pipeline" else donaldson_closed_form
     plan = surgery_plan(spec)
-    m, k = build(plan.base), plan.blowups
+    m, k = run(plan, route)[0], plan.blowups
 
     def text():
         yield f"spec: {render(spec)}"
@@ -172,14 +171,12 @@ def cmd_series(args) -> int:
 
 
 def cmd_sw(args) -> int:
-    from .catalog import parse_spec, render, surgery_plan, sw_replay
+    from .catalog import parse_spec, render, run, surgery_plan
     from .serialize import swmap_to_obj
 
     spec = parse_spec(args.spec)
     plan = surgery_plan(spec)
-    if plan.sw_gap is not None:  # named as typed, before any work
-        raise ValueError(plan.sw_gap)
-    m, chains = sw_replay(plan.base)
+    m, chains = run(plan, "sw")  # a plan's sw_gap raises before any work
     _print_drops(chains)
     k = plan.blowups
 
@@ -193,19 +190,16 @@ def cmd_sw(args) -> int:
 
 
 def cmd_witten(args) -> int:
-    """witten_check on the base of the k blowups, then after one by each calculus's
+    """witten_check before the plan's k blowups, then after one by each calculus's
     own rule: k blowups are k orthogonal copies of that factor, shifting c by -k."""
-    from .catalog import blowup, donaldson_closed_form, parse_spec, render, surgery_plan
-    from .catalog import sw_replay
+    from .catalog import blowup, parse_spec, render, run, surgery_plan
     from .swinv import sw_blowup, witten_check, witten_diff, witten_exponent
 
     spec = parse_spec(args.spec)
     plan = surgery_plan(spec)
-    if plan.sw_gap is not None:  # named as typed, before any work
-        raise ValueError(plan.sw_gap)
-    swmap, chains = sw_replay(plan.base)
+    swmap, chains = run(plan, "sw")  # a plan's sw_gap raises before any work
     _print_drops(chains)
-    series, k = donaldson_closed_form(plan.base), plan.blowups
+    series, k = run(plan, "closed")[0], plan.blowups
     ok = witten_check(series, swmap) and (not k or witten_check(blowup(series), sw_blowup(swmap)))
     c = witten_exponent(swmap.euler, swmap.signature) - k
     if not ok:
@@ -301,8 +295,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_blowdown(args) -> int:
-    from .catalog import SERIES_RULES, EllipticSpec, HSpec, WSpec, YSpec, parse_spec, render
-    from .catalog import replay, surgery_plan
+    from .catalog import EllipticSpec, HSpec, WSpec, YSpec, parse_spec, render, run, surgery_plan
     from .serialize import blowdown_to_obj, series_to_obj
 
     spec = parse_spec(args.spec)
@@ -320,7 +313,7 @@ def cmd_blowdown(args) -> int:
         if n < 4:
             raise ValueError("Horikawa-type blowdowns need n >= 4 (chain order n-2 >= 2)")
         plan = surgery_plan(YSpec(n) if args.horikawa == 1 else HSpec(n))
-    final, steps = replay(plan.seed_series(), plan.steps, SERIES_RULES)
+    final, steps = run(plan, "pipeline")
 
     def obj():
         return {

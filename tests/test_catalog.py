@@ -5,7 +5,7 @@ import pytest
 import blowdown.catalog as catalog
 from blowdown.catalog import (
     MAX_SPEC_DEPTH,
-    SERIES_RULES,
+    ROUTES,
     BlowupSpec,
     EllipticSpec,
     HpSumSpec,
@@ -19,15 +19,15 @@ from blowdown.catalog import (
     donaldson_pipeline,
     parse_spec,
     render,
-    replay,
+    run,
     surgery_plan,
     sw_closed_form,
-    sw_replay,
+    walk,
 )
 from blowdown.exppoly import ExpKernel, cosh_c, sinh_c
 from blowdown.lattice import pairing
 from blowdown.reporting import CheckReport
-from blowdown.swinv import witten_check
+from blowdown.swinv import witten_check, witten_diff
 from blowdown.transform import ManifoldSeries, blowup
 
 
@@ -180,16 +180,19 @@ def test_adjunction_audit_reports():
 
 def test_audit_of_a_bad_base_class_equals_the_literal_expansion(monkeypatch):
     # H(6)'s classes +-k have the target square 6; the mutant adds 0 and 2k
-    real = catalog.donaldson_closed_form
+    real = catalog.run
 
-    def corrupted(spec):
-        m = real(spec)
+    def corrupt(m):
         num = {**m.kernel.num, (0,): 1, (2,): 1}
         return ManifoldSeries(ExpKernel._from_ints(m.lattice, num, m.kernel.den), m.euler, m.signature)
 
-    monkeypatch.setattr(catalog, "donaldson_closed_form", corrupted)
+    def corrupted(plan, route):
+        m, chains = real(plan, route)
+        return corrupt(m), chains
+
+    monkeypatch.setattr(catalog, "run", corrupted)
     spec = "blowup(H(6),3)"
-    literal = blowup(corrupted("H(6)"), 3)
+    literal = blowup(corrupt(donaldson_closed_form("H(6)")), 3)
     target = 3 * literal.signature + 2 * literal.euler
     bad = [list(c.coeffs) for c in literal.basic_classes() if pairing(c, c) != target]
     assert len(bad) == 16 and bad[0] == [0, -1, -1, -1] and bad[-1] == [2, 1, 1, 1]
@@ -236,8 +239,7 @@ def test_series_and_sw_replays_give_equal_chain_class_maps():
     compared = 0
     for s in specs + ["blowup(H(6),2)"]:
         plan = surgery_plan(s)
-        series = replay(plan.seed_series(), plan.steps, SERIES_RULES)[1]
-        sw = sw_replay(s)[1]
+        series, sw = run(plan, "pipeline")[1], run(plan, "sw")[1]
         assert [(st, pre, res.class_map) for st, pre, res in series] == [
             (st, pre, res.class_map) for st, pre, res in sw
         ], s
@@ -298,3 +300,97 @@ def test_a_plan_builds_its_ambient_lattice_only_when_seeded(monkeypatch, capsys)
     assert plan.steps == plan.chains[:1] and plan.ambient().rank == 7
     assert surgery_plan("E(3;2,5)").chains == ()
     assert surgery_plan("E(3;2,5)").ambient().basis_names == ("f",)
+
+
+def route_walk(plan, route):
+    """The walk of a plan on one route, from the route's own seed."""
+    seed, rules, _ = ROUTES[route]
+    m, first = seed(plan)
+    return walk(m, plan.steps[first:], rules)
+
+
+def stepwise_failures(specs):
+    """(spec, step) of the first point where the pipeline series and the
+    basic-class map differ, per spec, and the number of points compared."""
+    failed, compared = [], 0
+    for s in specs:
+        plan = surgery_plan(s)
+        walks = zip(route_walk(plan, "pipeline"), route_walk(plan, "sw"), strict=True)
+        for (step, series, _), (sw_step, swmap, _) in walks:
+            assert step is sw_step
+            compared += 1
+            if witten_diff(series, swmap) is not None:
+                failed.append((s, step))
+                break
+    return failed, compared
+
+
+def test_the_two_calculi_agree_after_every_step():
+    from blowdown.suites import witten_specs
+
+    assert stepwise_failures(witten_specs()) == ([], 146)
+
+
+def test_stepwise_comparison_sees_a_seed_the_end_result_hides(monkeypatch, capsys):
+    # the mutant triples the elliptic map's value on the fiber class 0; W(n)
+    # seeds E(4), whose class 0 its chain steps drop, so witten passes it
+    import blowdown.swinv as swinv
+    from blowdown.cli import main
+    from blowdown.suites import witten_specs
+
+    real = swinv.sw_en
+
+    def tripled(n):
+        m = real(n)
+        values = {key: 3 * v if key == (0,) else v for key, v in m.values.items()}
+        return swinv.SWMap(ExpKernel._from_ints(m.lattice, values, 1), m.euler, m.signature)
+
+    monkeypatch.setattr(swinv, "sw_en", tripled)
+    failed, _ = stepwise_failures(witten_specs())
+    assert len(failed) == 29 and all(step is None for _, step in failed)
+    assert {f"W({n})" for n in range(1, 9)} <= {s for s, _ in failed}
+    assert main(["witten", "W(3)"]) == 0 and capsys.readouterr().out.startswith("PASS")
+
+
+@pytest.mark.parametrize("verb", ["sw", "witten"])
+@pytest.mark.parametrize(
+    "spec, why",
+    [
+        ("hpsum(E(3),2)", "no value-transfer rule for homology-ball sums"),
+        ("E(2;2,3;5,7;11,13)", "three-pair transforms collide"),
+    ],
+)
+def test_the_gap_check_raises_before_any_lattice_is_built(monkeypatch, capsys, verb, spec, why):
+    from blowdown.cli import main
+
+    main([verb, "E(3;2)"])  # warm up: load the verb's layers
+    capsys.readouterr()
+    ranks = _count_lattice_builds(monkeypatch)
+    assert main([verb, spec]) == 3
+    error = f"error: {spec} is outside the basic-class covered family ({why})\n"
+    assert capsys.readouterr() == ("", error)
+    assert ranks == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "blowup(logt(E(3;2),3),2)"],
+        ["series", "blowup(H(6),1)", "--route", "pipeline"],
+        ["logt", "blowup(E(3;2),1)", "3"],
+        ["sw", "blowup(W(2),1)"],
+        ["witten", "blowup(Y(5),2)"],
+        ["audit", "blowup(H(6),1)"],
+        ["blowdown", "E(6)", "--horikawa", "2"],
+        ["blowdown", "E(4)", "--sections", "3"],
+    ],
+)
+def test_each_invocation_plans_its_spec_once(monkeypatch, capsys, argv):
+    from blowdown.cli import main
+
+    planned = []
+    real = catalog.surgery_plan
+    monkeypatch.setattr(catalog, "surgery_plan", lambda spec: planned.append(spec) or real(spec))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(planned) == 1

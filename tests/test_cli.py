@@ -276,6 +276,26 @@ def test_verify_witten_names_the_first_differing_class(capsys, monkeypatch):
     ) in out.splitlines()
 
 
+def test_verify_witten_also_compares_the_pipeline_series(monkeypatch):
+    import blowdown.catalog as catalog
+    from blowdown.exppoly import ExpKernel
+    from blowdown.suites import suite_witten
+    from blowdown.transform import ManifoldSeries
+
+    real = catalog.donaldson_pipeline
+
+    def doubled(spec):  # a pipeline that the closed route does not share
+        m = real(spec)
+        num = {k: 2 * c for k, c in m.kernel.num.items()}
+        return ManifoldSeries(ExpKernel._from_ints(m.lattice, num, m.kernel.den), m.euler, m.signature)
+
+    monkeypatch.setattr(catalog, "donaldson_pipeline", doubled)
+    reports = suite_witten()
+    assert len(reports) == 47 and not any(r.passed for r in reports)
+    (e4,) = [r for r in reports if r.parameters == {"spec": "E(4)"}]
+    assert e4.counterexamples == [{"class": [-2], "series": "1/2", "predicted": "1/4"}]
+
+
 def test_verify_suites(capsys):
     for suite, extra in (
         ("lattice", ["--p-max", "5"]),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowdown.catalog import SERIES_RULES, replay, surgery_plan
+from blowdown.catalog import run, surgery_plan
 from blowdown.exppoly import refined_lattice
 from blowdown.lattice import (
     ChainConfig,
@@ -547,7 +547,7 @@ def test_restricted_gram_matches_naive_product(case, den, data):
 @pytest.mark.parametrize("spec", ["H(8)", "W(2)"])
 def test_blown_down_gram_matches_naive_definition(spec):
     plan = surgery_plan(spec)
-    _, chains = replay(plan.seed_series(), plan.steps, SERIES_RULES)
+    _, chains = run(plan, "pipeline")
     assert len(chains) == len(plan.steps) >= 2
     for step, pre, res in chains:
         config = step.config(pre)

@@ -16,7 +16,7 @@ import io
 import tracemalloc
 from contextlib import redirect_stdout
 
-from blowdown.catalog import _closed_family, donaldson_closed_form, parse_spec, sw_replay
+from blowdown.catalog import _closed_family, donaldson_closed_form, parse_spec, sw_closed_form
 from blowdown.cli import main
 
 
@@ -44,7 +44,7 @@ def test_witten_peaks_near_the_two_objects_it_compares():
     spec = "logt(E(20;7,9),11)"
     with redirect_stdout(io.StringIO()):
         assert main(["witten", "E(3;2)"]) == 0  # warm up
-    held, _, pair = _traced(lambda: (donaldson_closed_form(spec), sw_replay(spec)[0]))
+    held, _, pair = _traced(lambda: (donaldson_closed_form(spec), sw_closed_form(spec)))
     assert len(pair[0].kernel) == len(pair[1].values) == 13_167
     del pair
     out = io.StringIO()

@@ -3,7 +3,9 @@
 Every `$ blowdown ...` line in a fenced block of README.md is run through
 `cli.main` in-process, and the lines shown under it must equal its stdout
 exactly, except that a line `...` (at any indentation) stands for any run of
-lines.  An example that ends in `> /dev/null` shows stderr instead.
+lines.  An example that ends in `> /dev/null` shows stderr instead.  Every
+```python block is run with exec, each in a fresh namespace, so a library
+name the README shows cannot be removed or renamed unnoticed.
 """
 
 import shlex
@@ -49,6 +51,23 @@ def _matches(shown: list[str], actual: list[str]) -> bool:
 EXAMPLES = [ex for ex in _examples(README.read_text()) if ex[0].startswith("blowdown ")]
 
 
+def _python_blocks(text: str) -> list[str]:
+    """The source of each ```python fenced block."""
+    blocks, lines = [], None
+    for line in text.splitlines():
+        if lines is None and line == "```python":
+            lines = []
+        elif lines is not None and line.startswith("```"):
+            blocks.append("\n".join(lines))
+            lines = None
+        elif lines is not None:
+            lines.append(line)
+    return blocks
+
+
+BLOCKS = _python_blocks(README.read_text())
+
+
 def test_readme_has_examples():
     assert len(EXAMPLES) >= 6
 
@@ -63,6 +82,20 @@ def test_readme_example(capsys, command, shown):
     out, err = capsys.readouterr()
     actual = (err if to_null else out).splitlines()
     assert _matches(shown, actual), "\n".join(["shown:", *shown, "actual:", *actual])
+
+
+def test_readme_has_python_blocks():
+    assert len(BLOCKS) >= 3
+
+
+@pytest.mark.parametrize("source", BLOCKS, ids=[f"python-{i}" for i in range(len(BLOCKS))])
+def test_readme_python_block_runs(source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_python_blocks_are_read_whole():
+    text = "a\n```python\nx = 1\n\ny = 2\n```\n```\n$ z\n```\n```python\npass\n```\n"
+    assert _python_blocks(text) == ["x = 1\n\ny = 2", "pass"]
 
 
 def test_matcher_reads_ellipsis_as_any_run():

@@ -44,11 +44,12 @@ from blowdown.chain_surgery import BlowdownResult, ClassRecord, RestrictedClass
 from blowdown.swinv import sw_en
 from blowdown.transform import LogPlacement, log_placement
 
-# the names `import blowdown` offered when it imported every submodule eagerly
+# the names `import blowdown` offered when it imported every submodule
+# eagerly, less replay and sw_replay, whose work catalog.run now does
 EXPORTS = [
     "BlowupSpec", "EllipticSpec", "HpSumSpec", "HSpec", "LogSpec", "SpecParseError", "WSpec",
     "YSpec", "adjunction_audit", "donaldson_closed_form", "donaldson_pipeline", "parse_spec",
-    "render", "replay", "surgery_plan", "sw_closed_form", "sw_replay",
+    "render", "surgery_plan", "sw_closed_form",
     "ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist", "ChainConfig", "HClass",
     "IntersectionLattice", "QClass", "RelClass", "Residue", "boundary", "is_characteristic",
     "pairing", "rel_pairing",
@@ -333,7 +334,7 @@ REPRS = [
         "SurgeryPlan(family=WSpec(n=1), "
         "chains=(SurgeryStep(op='chain', n=2, fiber=None, spheres=('s1',), image='k'),), seed=4, "
         "steps=(SurgeryStep(op='chain', n=2, fiber=None, spheres=('s1',), image='k'),), "
-        "family_steps=1, blowups=0, base=WSpec(n=1), sw_gap=None)",
+        "family_steps=1, blowups=0, sw_gap=None)",
     ),
     ("Residue(7, 4)", "Residue(value=3, modulus=4)"),
     ("CanonicalClass(5, 1, 2)", "CanonicalClass(p=5, t=1, b=2)"),

@@ -113,10 +113,10 @@ def test_non_integral_characteristic_numbers_are_rejected():
 
 
 def test_blowdown_obj_shape():
-    from blowdown.catalog import SERIES_RULES, replay, surgery_plan
+    from blowdown.catalog import run, surgery_plan
 
     plan = surgery_plan("W(1)")
-    [(_, _, res)] = replay(plan.seed_series(), plan.steps, SERIES_RULES)[1]
+    [(_, _, res)] = run(plan, "pipeline")[1]
     obj = encoded(blowdown_to_obj(res))
     assert set(obj) == {"series", "class_map"}
     statuses = {rec["status"] for rec in obj["class_map"]}

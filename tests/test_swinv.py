@@ -68,7 +68,7 @@ def test_swmap_checks_each_class_once(monkeypatch):
     with pytest.raises(ValueError, match=r"^simple type requires a zero-dimensional moduli space, "
                        r"but class \(2,\) has dimension 3/2$"):
         SWMap(ExpKernel(lat, {(2,): 1}), 46, -30)
-    # sw_replay blows up once for all of a plan's blowups; every map, the
+    # the sw route blows up once for all of a plan's blowups; every map, the
     # rules' included, is validated by its one constructor
     built = []
     real_init = SWMap.__init__
