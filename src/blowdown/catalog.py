@@ -22,11 +22,12 @@ import re
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Union
 
+from . import transform
 from .exppoly import ExpKernel, cosh_c, exact_div, one, power, sinh_c
 from .lattice import ChainConfig, HClass, IntersectionLattice, chain_plumbing
 from .lattice import characteristic_squares
 from .reporting import CheckReport, Frozen, SpecParseError
-from .transform import ManifoldSeries, blowup, log_transform, sign_vectors
+from .transform import ManifoldSeries, sign_vectors
 
 if TYPE_CHECKING:  # the basic-class calculus loads only when a map is built
     from .swinv import SWMap
@@ -399,9 +400,10 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
 
 
 # One rule per step op, called as rule(m, step); a chain rule returns a
-# BlowdownResult.  The rules look the transforms up when called, so a
-# wrapper later installed on a module attribute still sees every call, and
-# import .chain_surgery and .swinv then, so a plan loads only what it runs.
+# BlowdownResult.  The rules look each transform up on its home module
+# (transform, chain_surgery or swinv) when called, so a wrapper later
+# installed there still sees every call, and import .chain_surgery and
+# .swinv then, so a plan loads only what it runs.
 def _chain(m, step):
     from .chain_surgery import taut_blowdown
 
@@ -428,7 +430,7 @@ def _sw_logt(m, step):
 
 SERIES_RULES = {
     "chain": _chain,
-    "logt": lambda m, step: log_transform(m, step.fiber_class(m.lattice), step.n),
+    "logt": lambda m, step: transform.log_transform(m, step.fiber_class(m.lattice), step.n),
     "hpsum": _hpsum,
 }
 # no "hpsum": a plan with an hpsum step has an sw_gap
@@ -450,7 +452,7 @@ def walk(m, steps: tuple[SurgeryStep, ...], rules: dict):
 
 
 def _blowup(m, k):
-    return blowup(m, k)
+    return transform.blowup(m, k)
 
 
 def _sw_blowup(m, k):

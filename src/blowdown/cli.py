@@ -192,18 +192,19 @@ def cmd_sw(args) -> int:
 def cmd_witten(args) -> int:
     """witten_check before the plan's k blowups, then after one by each calculus's
     own rule: k blowups are k orthogonal copies of that factor, shifting c by -k."""
-    from .catalog import blowup, parse_spec, render, run, surgery_plan
-    from .swinv import sw_blowup, witten_check, witten_diff, witten_exponent
+    from .catalog import ROUTES, parse_spec, render, run, surgery_plan
+    from .swinv import witten_check, witten_diff, witten_exponent
 
     spec = parse_spec(args.spec)
     plan = surgery_plan(spec)
     swmap, chains = run(plan, "sw")  # a plan's sw_gap raises before any work
     _print_drops(chains)
     series, k = run(plan, "closed")[0], plan.blowups
-    ok = witten_check(series, swmap) and (not k or witten_check(blowup(series), sw_blowup(swmap)))
+    blown = lambda: (ROUTES["closed"][2](series, 1), ROUTES["sw"][2](swmap, 1))
+    ok = witten_check(series, swmap) and (not k or witten_check(*blown()))
     c = witten_exponent(swmap.euler, swmap.signature) - k
     if not ok:
-        key, a, b = witten_diff(series, swmap) or witten_diff(blowup(series), sw_blowup(swmap))
+        key, a, b = witten_diff(series, swmap) or witten_diff(*blown())
         print(f"first differing class {key}: series {a}, predicted {b}", file=sys.stderr)
 
     def obj():
@@ -262,32 +263,29 @@ def cmd_dim(args) -> int:
     return 0
 
 
+def _verdict(args, head: dict, reports: list[CheckReport], *extra: str) -> int:
+    """Write a line per report and then the extra lines, or under --format
+    structured the head with the reports as "checks" and the verdict as
+    "pass"; exit 1 unless every report passed."""
+    passed = all(r.passed for r in reports)
+    obj = lambda: {**head, "checks": [r.to_obj() for r in reports], "pass": passed}
+    _emit(args, obj, lambda: chain((r.line() for r in reports), extra))
+    return 0 if passed else 1
+
+
 def cmd_verify(args) -> int:
     from .suites import suite_identities, suite_lattice, suite_lemmas, suite_witten
 
-    reports: list[CheckReport] = []
-    suite = args.suite
-    if suite in ("lattice", "all"):
-        reports += suite_lattice(args.p_max if args.p_max is not None else 12)
-    if suite in ("lemmas", "all"):
-        reports += suite_lemmas(
-            args.p_max if args.p_max is not None else 6, args.t_max, args.box
-        )
-    if suite in ("identities", "all"):
-        reports += suite_identities(args.p_max if args.p_max is not None else 7)
-    if suite in ("witten", "all"):
-        reports += suite_witten()
-    passed = all(r.passed for r in reports)
-
-    def obj():
-        return {"suite": suite, "checks": [r.to_obj() for r in reports], "pass": passed}
-
-    def text():
-        passes = sum(1 for r in reports if r.passed)
-        return [r.line() for r in reports] + [f"{passes}/{len(reports)} checks passed"]
-
-    _emit(args, obj, text)
-    return 0 if passed else 1
+    p_max = lambda default: args.p_max or default  # a given --p-max is at least 2
+    suites = {  # in the order `all` runs them
+        "lattice": lambda: suite_lattice(p_max(12)),
+        "lemmas": lambda: suite_lemmas(p_max(6), args.t_max, args.box),
+        "identities": lambda: suite_identities(p_max(7)),
+        "witten": suite_witten,
+    }
+    reports = [r for name, run in suites.items() if args.suite in (name, "all") for r in run()]
+    tally = f"{sum(r.passed for r in reports)}/{len(reports)} checks passed"
+    return _verdict(args, {"suite": args.suite}, reports, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +354,7 @@ def cmd_audit(args) -> int:
     from .catalog import adjunction_audit, parse_spec, render
 
     spec = parse_spec(args.spec)
-    reports = adjunction_audit(spec)
-    passed = all(r.passed for r in reports)
-
-    def obj():
-        return {"spec": render(spec), "checks": [r.to_obj() for r in reports], "pass": passed}
-
-    def text():
-        return [r.line() for r in reports]
-
-    _emit(args, obj, text)
-    return 0 if passed else 1
+    return _verdict(args, {"spec": render(spec)}, adjunction_audit(spec))
 
 
 # ---------------------------------------------------------------------------

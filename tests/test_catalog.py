@@ -6,6 +6,8 @@ import blowdown.catalog as catalog
 from blowdown.catalog import (
     MAX_SPEC_DEPTH,
     ROUTES,
+    SERIES_RULES,
+    SW_RULES,
     BlowupSpec,
     EllipticSpec,
     HpSumSpec,
@@ -247,19 +249,40 @@ def test_series_and_sw_replays_give_equal_chain_class_maps():
     assert compared == 53
 
 
-def test_replay_rules_look_transforms_up_when_called(monkeypatch):
-    import blowdown.chain_surgery as chain_surgery
-    import blowdown.swinv as swinv
+# (calculus, rule, home module, function, spec, calls): each step rule of
+# SERIES_RULES and SW_RULES, run by `run`, and each blowup rule of ROUTES,
+# run by the witten verb once per calculus
+RULE_HOMES = [
+    ("series", "chain", "chain_surgery", "taut_blowdown", "H(5)", 2),
+    ("series", "logt", "transform", "log_transform", "E(3;2,3)", 2),
+    ("series", "hpsum", "chain_surgery", "connected_sum_hp", "hpsum(E(2),3)", 1),
+    ("sw", "chain", "swinv", "sw_taut_blowdown", "H(5)", 2),
+    ("sw", "logt", "swinv", "sw_log_transform", "E(3;2,3)", 2),
+    ("series", "blowup", "transform", "blowup", "blowup(E(4),3)", 1),
+    ("sw", "blowup", "swinv", "sw_blowup", "blowup(E(4),3)", 1),
+]
 
-    calls = []
-    for module, name in ((chain_surgery, "taut_blowdown"), (swinv, "sw_taut_blowdown")):
+
+def test_replay_rules_look_transforms_up_when_called(monkeypatch, capsys):
+    import importlib
+
+    from blowdown.cli import main
+
+    rules = {"series": [*SERIES_RULES, "blowup"], "sw": [*SW_RULES, "blowup"]}
+    assert sorted(case[:2] for case in RULE_HOMES) == sorted(
+        (calculus, op) for calculus, ops in rules.items() for op in ops
+    )
+    for calculus, op, home, name, spec, calls in RULE_HOMES:
+        module, seen = importlib.import_module(f"blowdown.{home}"), []
         real = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
-        )
-    catalog.donaldson_pipeline("H(5)")
-    catalog.sw_closed_form("H(5)")
-    assert calls == ["taut_blowdown"] * 2 + ["sw_taut_blowdown"] * 2
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, lambda *a, **kw: seen.append(a) or real(*a, **kw))
+            if op == "blowup":
+                assert main(["witten", spec]) == 0
+            else:
+                run(surgery_plan(spec), "pipeline" if calculus == "series" else "sw")
+        assert len(seen) == calls, (calculus, op)
+    capsys.readouterr()
 
 
 def _count_lattice_builds(monkeypatch) -> list[int]:

@@ -445,6 +445,50 @@ def test_audit_verb(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def _break_verify(monkeypatch) -> list[str]:
+    import blowdown.suites as suites
+
+    real = suites.corr  # off by one at a single boundary value
+    monkeypatch.setattr(suites, "corr", lambda p, m: real(p, m) + (p == 5 and m == 7))
+    return ["verify", "lattice", "--p-max", "5"]
+
+
+def _break_audit(monkeypatch) -> list[str]:
+    import blowdown.catalog as catalog
+    from blowdown.exppoly import ExpKernel
+    from blowdown.transform import ManifoldSeries
+
+    real = catalog.run
+
+    def corrupted(plan, route):  # adds the class 0, off H(6)'s target square 6
+        m, chains = real(plan, route)
+        kernel = ExpKernel._from_ints(m.lattice, {**m.kernel.num, (0,): 1}, m.kernel.den)
+        return ManifoldSeries(kernel, m.euler, m.signature), chains
+
+    monkeypatch.setattr(catalog, "run", corrupted)
+    return ["audit", "H(6)"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("verb", ["verify", "audit"])
+def test_a_failing_check_fails_verify_and_audit_alike(capsys, monkeypatch, verb, fmt):
+    argv = {"verify": _break_verify, "audit": _break_audit}[verb](monkeypatch)
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 1
+    if fmt == "structured":
+        obj = json.loads(out)
+        assert obj["pass"] is False and [c["pass"] for c in obj["checks"]].count(False) == 1
+        return
+    # a line per check, one of them FAIL; only verify then tallies them, 4
+    # per order p from 2 to 5
+    lines = out.splitlines()
+    tally = ["15/16 checks passed"] if verb == "verify" else []
+    checks = lines[: len(lines) - len(tally)]
+    assert lines[len(checks) :] == tally
+    assert [line[:5] for line in checks].count("FAIL ") == 1
+    assert all(line[:5] in ("PASS ", "FAIL ") for line in checks)
+
+
 def test_verify_rejects_empty_ranges(capsys):
     for argv in (
         ("verify", "lattice", "--p-max", "1"),

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import pytest
 
-import blowdown.catalog as catalog
 import blowdown.swinv as swinv
+import blowdown.transform as transform
 from blowdown.catalog import (
     SERIES_RULES,
     SW_RULES,
@@ -247,7 +247,7 @@ def test_two_expanded_terms_still_print_compactly(capsys):
 def test_witten_runs_each_calculus_blowup_rule(monkeypatch, capsys):
     argv = ["witten", "blowup(E(4;2,3),6)"]
     assert run(capsys, argv) == (0, "PASS witten blowup(E(4;2,3),6) (exponent -8)\n")
-    real_blowup, real_sw_blowup = catalog.blowup, swinv.sw_blowup
+    real_blowup, real_sw_blowup = transform.blowup, swinv.sw_blowup
 
     def halved(m, k=1):
         out = real_blowup(m, k)
@@ -259,7 +259,7 @@ def test_witten_runs_each_calculus_blowup_rule(monkeypatch, capsys):
         values = {key: 2 * v for key, v in out.values.items()}
         return SWMap(ExpKernel(out.lattice, values), out.euler, out.signature)
 
-    for module, name, mutant in [(catalog, "blowup", halved), (swinv, "sw_blowup", doubled)]:
+    for module, name, mutant in [(transform, "blowup", halved), (swinv, "sw_blowup", doubled)]:
         with monkeypatch.context() as patch:
             patch.setattr(module, name, mutant)
             code, out = run(capsys, argv)

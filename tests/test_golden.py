@@ -81,6 +81,13 @@ def invocations() -> list[list[str]]:
         ["sw", "hpsum(blowup(E(2),1),3)"],
         ["witten", "logt(blowup(E(2;2),1),2)"],
     ]
+    # the verdict path of verify: every suite in order, and single suites
+    # in the structured and the text form
+    out += [
+        ["verify", "all", "--format", "structured"],
+        ["verify", "witten", "--format", "structured"],
+        ["verify", "identities", "--p-max", "3"],
+    ]
     return out
 
 
