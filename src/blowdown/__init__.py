@@ -29,8 +29,8 @@ _EXPORTS = {
     ),
     "exppoly": ("ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist"),
     "lattice": (
-        "ChainConfig", "HClass", "IntersectionLattice", "QClass", "RelClass", "Residue",
-        "boundary", "is_characteristic", "pairing", "rel_pairing",
+        "HClass", "IntersectionLattice", "QClass", "RelClass", "Residue", "boundary",
+        "is_characteristic", "pairing", "rel_pairing",
     ),
     "moduli": (
         "CanonicalClass", "DimReport", "canonical_tb", "corr", "dim_moduli", "dim_report",
@@ -43,7 +43,7 @@ _EXPORTS = {
     ),
     "transform": ("ManifoldSeries", "blowup", "log_transform"),
     "chain_surgery": (
-        "BlowdownResult", "ClassRecord", "RestrictedClass", "connected_sum_hp",
+        "BlowdownResult", "ChainConfig", "ClassRecord", "RestrictedClass", "connected_sum_hp",
         "formal_log_coefficients", "nodal_log_pipeline", "p2_blowdown", "restrict_class",
         "taut_blowdown", "verify_nodal_matrix_identity",
     ),

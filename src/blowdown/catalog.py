@@ -24,12 +24,12 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from . import transform
 from .exppoly import ExpKernel, cosh_c, exact_div, one, power, sinh_c
-from .lattice import ChainConfig, HClass, IntersectionLattice, chain_plumbing
-from .lattice import characteristic_squares
+from .lattice import HClass, IntersectionLattice, chain_plumbing, characteristic_squares
 from .reporting import CheckReport, Frozen, SpecParseError
 from .transform import ManifoldSeries, sign_vectors
 
-if TYPE_CHECKING:  # the basic-class calculus loads only when a map is built
+if TYPE_CHECKING:  # the chain surgery and the basic-class calculus load only when they run
+    from .chain_surgery import ChainConfig
     from .swinv import SWMap
 
 
@@ -275,7 +275,10 @@ class SurgeryStep(Frozen):
         super().__init__(op, n, fiber, spheres, image)
 
     def config(self, lattice: IntersectionLattice) -> ChainConfig:
-        return ChainConfig(self.n, lattice, [lattice.basis_class(nm) for nm in self.spheres])
+        from .chain_surgery import ChainConfig
+
+        at = {nm: i for i, nm in enumerate(lattice.basis_names)}
+        return ChainConfig(self.n, lattice, [((at[nm], 1),) for nm in self.spheres])
 
     def fiber_class(self, lattice: IntersectionLattice) -> HClass:
         idx, mult = self.fiber
@@ -299,14 +302,11 @@ class SurgeryPlan(Frozen):
     def ambient(self) -> IntersectionLattice:
         """A new lattice of f and the chains, each meeting f once in its end sphere."""
         names = ["f"] + [nm for step in self.chains for nm in step.spheres]
-        gram = [[0] * len(names) for _ in names]
-        at = 1
+        gram, at = {}, 1
         for step in self.chains:
-            for i, row in enumerate(chain_plumbing(step.n).matrix()):
-                gram[at + i][at : at + step.n - 1] = row
-            end = at + step.n - 2
-            gram[0][end] = gram[end][0] = 1
+            gram |= chain_plumbing(step.n).entries(at)
             at += step.n - 1
+            gram[0, at - 1] = gram[at - 1, 0] = 1
         return IntersectionLattice(names, gram)
 
     def seed_series(self) -> ManifoldSeries:
@@ -493,11 +493,9 @@ def _y_lattice(n: int) -> IntersectionLattice:
     second chain (the order n-2 plumbing on b1, ..., t)."""
     p = n - 2
     names = ["lam"] + [f"b{i}" for i in range(1, p - 1)] + ["t"]
-    gram = [[0] * p for _ in range(p)]
-    gram[0][0] = n - 3
-    gram[0][p - 1] = gram[p - 1][0] = n - 2
-    for i, row in enumerate(chain_plumbing(p).matrix(), start=1):
-        gram[i][1:] = row
+    gram = chain_plumbing(p).entries(1)
+    gram[0, 0] = n - 3
+    gram[0, p - 1] = gram[p - 1, 0] = n - 2
     return IntersectionLattice(names, gram)
 
 

@@ -3,11 +3,11 @@ on it.  chain_pushoff moves the classes of both calculi across a blowdown
 (e -= p-1, sigma += p-1).  Only a plan with a chain or hpsum step and `verify
 identities` load this module, and with it .linalg.
 
-A chain of order p has |det P| = p^2, so chain_pushoff runs on integer
-numerators over p^2, from the continuant solve of the chain's Plumbing
-through the Hermite basis of the blown-down lattice to the images'
-coordinates.  Fractions are built only where a value leaves: a
-RestrictedClass and the extension a ClassRecord prints.
+A chain of order p is sparse data (ChainConfig) with |det P| = p^2, so
+chain_pushoff runs on integer numerators over p^2 and builds no Fraction,
+from the continuant solve of the chain's Plumbing through the Hermite basis
+of the blown-down lattice, taken in blocks on the chain's own coordinates,
+to the images' coordinates: a chain step is linear in the rank, not rank^2.
 
 The nodal models push each basic class and each exceptional direction off
 their chain once (_check_nodal_chain); restriction is affine, so that covers
@@ -16,21 +16,103 @@ all 2^(p-1) sign patterns, whose enumeration tests/test_nodal_check.py keeps.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import add
-from typing import Optional, Sequence
+from itertools import chain, compress, count
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exppoly import ExpKernel, exact_div, sinh_c, twist
-from .lattice import ChainConfig, HClass, IntersectionLattice, QClass, chain_plumbing, pairing
-from .lattice import scaled_plumbing_inverse
+from .lattice import HClass, IntersectionLattice, chain_plumbing, scaled_plumbing_inverse
 from .linalg import hnf_rows, mat_vec, span_coords
 from .reporting import Frozen
 from .transform import ManifoldSeries, blown_up_lattice, log_placement
 
+if TYPE_CHECKING:  # only the nodal models' ladder coefficients are rational
+    from fractions import Fraction
+
+
+def _support(v: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple(zip(compress(range(len(v)), v), filter(None, v)))
+
+
+def _gram_products(lattice: IntersectionLattice, supports: Sequence) -> tuple[list, dict]:
+    """The rows num . v and the Gram matrix {(a, b): x} over `num` of vectors
+    v, all by their nonzero entries (`_support`), summed over those alone."""
+    sparse, rows, cols, gram = lattice.sparse_gram, [], {}, {}
+    for b, supp in enumerate(supports):
+        w: dict[int, int] = {}
+        for k, a in supp:
+            if not 0 <= k < len(sparse):
+                raise ValueError(f"coordinate {k} outside the lattice rank")
+            s, off = sparse[k]
+            for j, g in ((k, s), *off):
+                w[j] = w.get(j, 0) + a * g
+        rows.append(tuple((j, x) for j, x in sorted(w.items()) if x))
+        for j, x in rows[-1]:
+            cols.setdefault(j, []).append((b, x))
+    for a, supp in enumerate(supports):
+        for k, x in supp:
+            for b, y in cols.get(k, ()):
+                gram[a, b] = gram.get((a, b), 0) + x * y
+    return rows, {key: x for key, x in gram.items() if x}
+
+
+def restricted(
+    lattice: IntersectionLattice, basis_names: Sequence[str], rows: Sequence, den: int
+) -> IntersectionLattice:
+    """The lattice whose basis vectors are rows / den in lattice's basis, each
+    row given by its nonzero integer entries (i, v), with the pairing
+    restricted to them: its Gram B G B^t, formed over those entries alone."""
+    gram = _gram_products(lattice, rows)[1]
+    return IntersectionLattice(basis_names, gram, lattice.den * den * den)
+
+
+class ChainConfig(Frozen):
+    """An order-p chain embedded in an ambient lattice.
+
+    The spheres u_1, ..., u_{p-1} are given as classes or by their nonzero
+    entries ((i, v), ...), kept as `supports`; their mutual pairings must
+    reproduce `plumbing` = chain_plumbing(p) exactly.  `row_supports` holds
+    the nonzero (i, v) of each row G.u_j over ambient.den, and index[i] the
+    (j, v) of the rows holding coordinate i: a class pairs with the spheres
+    through its own nonzero coordinates (`dots`), and direction i is
+    orthogonal to the chain when index[i] is empty.
+    """
+
+    __slots__ = ("p", "plumbing", "ambient", "supports", "row_supports", "index")
+
+    def __init__(self, p: int, ambient: IntersectionLattice, spheres: Sequence):
+        plumbing = chain_plumbing(p)
+        if len(spheres) != p - 1:
+            raise ValueError(f"order-{p} chain needs {p - 1} sphere classes")
+        if any(isinstance(s, HClass) and s.lattice != ambient for s in spheres):
+            raise ValueError("lattice mismatch: sphere class not in the ambient lattice")
+        supports = tuple(_support(s.coeffs) if isinstance(s, HClass) else tuple(s) for s in spheres)
+        rows, gram = _gram_products(ambient, supports)
+        if gram != {key: x * ambient.den for key, x in plumbing.entries().items()}:
+            raise ValueError("sphere pairings do not form the order-%d plumbing chain" % p)
+        index: list[list] = [[] for _ in range(ambient.rank)]
+        for j, row in enumerate(rows):
+            for i, v in row:
+                index[i].append((j, v))
+        super().__init__(p, plumbing, ambient, supports, tuple(rows), tuple(map(tuple, index)))
+
+    def dots(self, c: HClass) -> list[int]:
+        """The pairings c . u_j, as integers over ambient.den."""
+        if c.lattice != self.ambient:
+            raise ValueError("lattice mismatch: classes live in different lattices")
+        out, coeffs = [0] * (self.p - 1), c.coeffs
+        for i in compress(range(len(coeffs)), coeffs):
+            for j, v in self.index[i]:
+                out[j] += coeffs[i] * v
+        return out
+
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return ChainConfig, (self.p, self.ambient, self.supports)
+
 
 class ClassRecord(Frozen):
     """Audit entry for one input class under a blowdown; status is "kept" or
-    "dropped", and a dropped class has no extension or image (None)."""
+    "dropped", and a dropped class has no extension (numerators over p^2) or
+    image (None)."""
 
     __slots__ = ("source", "status", "residue", "extension", "image", "reason")
 
@@ -44,8 +126,8 @@ class BlowdownResult(Frozen):
 class RestrictedClass(Frozen):
     """Result of pushing a class off a chain configuration.
 
-    extension: the ambient rational class (a QClass) kappa + sum x_i u_i
-        orthogonal to every sphere of the configuration.
+    extension: the ambient rational class kappa + sum x_i u_i orthogonal to every
+        sphere of the configuration, as integer numerators over det = p^2.
     boundary: the class (a Residue) of the relative restriction in Z_{p^2}; the extension
         descends to the blowdown exactly when this lies in the index-p subgroup.
     """
@@ -59,11 +141,13 @@ def _is_taut(g: Sequence[int], bound: int) -> bool:
     return not any(g[:-1]) and abs(g[-1]) <= bound
 
 
-def _chain_pairings(c: ChainConfig, kappa: HClass) -> tuple[int, ...]:
-    g = [divmod(x, c.ambient.den) for x in c.dots(kappa)]
-    if any(r for _, r in g):
-        raise ValueError("class pairs non-integrally with the configuration")
-    return tuple(q for q, _ in g)
+def _chain_pairings(c: ChainConfig, kappa: HClass) -> list[int]:
+    g, den = c.dots(kappa), c.ambient.den
+    if den > 1:
+        if any(x % den for x in g):
+            raise ValueError("class pairs non-integrally with the configuration")
+        g = [x // den for x in g]
+    return g
 
 
 def _extension(c: ChainConfig, kappa: HClass, g: Sequence[int]) -> tuple[int, ...]:
@@ -79,66 +163,65 @@ def _extension(c: ChainConfig, kappa: HClass, g: Sequence[int]) -> tuple[int, ..
     return tuple(ext)
 
 
+def _square(lattice: IntersectionLattice, v: Sequence[int]) -> int:
+    """den * v . v, summed in ints over v's nonzero coordinates."""
+    rows = lattice.sparse_gram
+    return sum(
+        v[i] * (rows[i][0] * v[i] + sum(g * v[j] for j, g in rows[i][1]))
+        for i in compress(range(len(v)), v)
+    )
+
+
 def restrict_class(c: ChainConfig, kappa: HClass) -> RestrictedClass:
     """Solve (kappa + sum x_i u_i) . u_j = 0 and report the orthogonal
-    extension and the boundary class of the relative restriction."""
+    extension, as integer numerators over det, and the boundary class of the
+    relative restriction."""
     if kappa.lattice != c.ambient:
         raise ValueError("class does not live in the configuration's ambient lattice")
     g = _chain_pairings(c, kappa)
-    det = c.plumbing.det
-    ext = QClass(c.ambient, tuple(Fraction(a, det) for a in _extension(c, kappa, g)))
-    return RestrictedClass(ext, c.plumbing.boundary(g))
+    return RestrictedClass(_extension(c, kappa, g), c.plumbing.boundary(g))
 
 
 def _blown_down_lattice(
     c: ChainConfig,
     extensions: Sequence[tuple[int, ...]],
     image_names: Optional[Sequence[str]],
-) -> tuple[IntersectionLattice, list[list[int]]]:
+) -> tuple[IntersectionLattice, list[tuple[tuple[int, int], ...]]]:
     """Canonical basis for the group generated by the surviving extensions and
     the ambient unit directions orthogonal to the configuration.
 
-    Every row is an integer numerator over p^2, as _extension gives them.
-    Returns the new lattice and its basis rows.  Rows equal to p^2 e_i keep
-    e_i's name; the others are named from image_names (in row order), with
-    k1, k2, ... as the fallback.
+    Rows are integer numerators over p^2, as _extension gives them, returned
+    as their nonzero entries (i, v), pivot first.  The group holds p^2 e_i
+    for each i off the chain (in no row G.u_j), so the extensions reduce mod
+    p^2 there, and hnf_rows runs on the chain's coordinates and those a
+    reduced extension still touches, with their p^2 e_i.  Every other p^2 e_i
+    is a row of its own: disjoint blocks, so merged by pivot column they are
+    the one Hermite basis.  Rows p^2 e_i keep e_i's name; the others are
+    named from image_names (in row order), with k1, k2, ... as the fallback.
     """
     amb = c.ambient
     p2 = c.p * c.p
-    gens = [ext for ext in extensions if any(ext)]
-    chain = {i for supp in c.row_supports for i, _ in supp}
-    for i in range(amb.rank):
-        if i not in chain:
-            gens.append(tuple(p2 if j == i else 0 for j in range(amb.rank)))
-    if not gens:
+    off = [not held for held in c.index]
+    reduced = [[a % p2 if o else a for a, o in zip(ext, off)] for ext in extensions]
+    touched = {i for ext in reduced for i in compress(range(amb.rank), ext) if off[i]}
+    cols = [i for i, o in enumerate(off) if not o or i in touched]
+    block = [[ext[i] for i in cols] for ext in reduced]
+    block += [[p2 if j == i else 0 for j in cols] for i in sorted(touched)]
+    basis = [tuple(zip(compress(cols, row), filter(None, row))) for row in hnf_rows(block)]
+    basis += [((i, p2),) for i, o in enumerate(off) if o and i not in touched]
+    if not basis:
         raise ValueError(
             "blown-down lattice model is empty; the ambient model needs a direction "
             "disjoint from the configuration"
         )
-    basis = hnf_rows(gens)
-    names: list[str] = []
-    fresh = list(image_names) if image_names is not None else []
-    auto = 0
-    for row in basis:
-        ones = [j for j, v in enumerate(row) if v]
-        if len(ones) == 1 and row[ones[0]] == p2:
-            names.append(amb.basis_names[ones[0]])
-            continue
-        if fresh:
-            names.append(fresh.pop(0))
-        else:
-            auto += 1
-            names.append(f"k{auto}")
+    basis.sort(key=lambda row: row[0][0])
+    fresh, auto = iter(image_names or ()), count(1)
+    unit = [len(row) == 1 and row[0][1] == p2 for row in basis]
+    names = [amb.basis_names[row[0][0]] if u else next(fresh, None) for row, u in zip(basis, unit)]
+    names = [f"k{next(auto)}" if name is None else name for name in names]
     if len(set(names)) != len(names):
         raise ValueError(f"image names collide with surviving ambient names: {names}")
-    return amb.restricted(names, basis, p2), basis
-
-
-def _rebase(ext: tuple[int, ...], basis: list[list[int]]) -> tuple[int, ...]:
-    coords = span_coords(basis, ext)
-    if coords is None:
-        raise RuntimeError("extension class is not integral on the blown-down lattice")
-    return tuple(coords)
+    return restricted(amb, names, basis, p2), basis
 
 
 # ClassRecord.reason of a class that a taut blowdown drops because it misses
@@ -162,11 +245,13 @@ def chain_pushoff(
     extension must descend: its boundary residue lies in the index-p subgroup.
 
     Returns the blown-down lattice and one record per class, in input order,
-    with its residue and reason.  Only kept classes get an extension and an
-    image, so a dropped class costs its pairings alone.
+    with its residue and reason.  Only kept classes get an extension (integer
+    numerators over p^2) and an image, so a dropped class costs its pairings
+    alone.
     """
     p = c.p
-    p2 = p * p
+    amb, p4 = c.ambient, p**4
+    shift = (p - 1) * amb.den  # den times the shift p-1 of a survivor's square
     pairings = [_chain_pairings(c, kappa) for kappa in classes]
     if keep is None and not all(_is_taut(g, p) for g in pairings):
         raise ValueError("configuration is not tautly embedded for these classes")
@@ -195,20 +280,19 @@ def chain_pushoff(
                 f"(boundary {residue.value} mod {p * p})"
             )
         ext = _extension(c, kappa, g)
-        e = HClass(c.ambient, ext)
-        if keep is None and pairing(e, e) != (pairing(kappa, kappa) + p - 1) * p2 * p2:
+        if keep is None and _square(amb, ext) != (_square(amb, kappa.coeffs) + shift) * p4:
             raise RuntimeError("extension square does not shift by p-1 on a taut survivor")
         extensions.append(ext)
-        qext = tuple(Fraction(a, p2) for a in ext)
-        records.append(ClassRecord(kappa.coeffs, "kept", residue.value, qext, None, reason))
+        records.append(ClassRecord(kappa.coeffs, "kept", residue.value, ext, None, reason))
     lat, basis = _blown_down_lattice(c, extensions, image_names)
-    kept = iter(extensions)
-    records = [
-        ClassRecord(r.source, r.status, r.residue, r.extension, _rebase(next(kept), basis), r.reason)
-        if r.extension
-        else r
-        for r in records
-    ]
+    for k, r in enumerate(records):
+        if r.extension is not None:
+            image = span_coords(basis, r.extension)
+            if image is None:
+                raise RuntimeError("extension class is not integral on the blown-down lattice")
+            records[k] = ClassRecord(
+                r.source, r.status, r.residue, r.extension, tuple(image), r.reason
+            )
     return lat, records
 
 
@@ -225,8 +309,10 @@ def taut_blowdown(
         raise ValueError("configuration does not live in the series lattice")
     p = c.p
     lat, records = chain_pushoff(c, m.basic_classes(), None, image_names)
-    terms = [(r.image, m.kernel.num[r.source]) for r in records if r.status == "kept"]
-    kernel = ExpKernel(lat, terms).scale(Fraction(2 ** (p - 1), m.kernel.den))
+    num: dict[tuple[int, ...], int] = {}  # 2^(p-1) times each survivor's numerator
+    for r in (r for r in records if r.status == "kept"):
+        num[r.image] = num.get(r.image, 0) + (m.kernel.num[r.source] << (p - 1))
+    kernel = ExpKernel._from_ints(lat, num, m.kernel.den)
     series = ManifoldSeries(kernel, m.euler - (p - 1), m.signature + (p - 1))
     return BlowdownResult(series, tuple(records))
 
@@ -242,14 +328,14 @@ def p2_blowdown(
     """
     if sigma.lattice != m.lattice:
         raise ValueError("lattice mismatch: sphere class not in the series lattice")
-    if pairing(sigma, sigma) != -4:
+    if _square(m.lattice, sigma.coeffs) != -4 * m.lattice.den:
         raise ValueError("the sphere class must have square -4")
     k2 = m.kernel - twist(m.kernel, sigma)
     classes = m.basic_classes()
     keep = [bool(k2.coeff(kappa)) for kappa in classes]
     lat, records = chain_pushoff(ChainConfig(2, m.lattice, [sigma]), classes, keep, image_names)
     terms = [(r.image, k2.num[r.source]) for r in records if r.status == "kept"]
-    kernel = ExpKernel(lat, terms).scale(Fraction(1, k2.den))
+    kernel = ExpKernel._from_ints(lat, dict(ExpKernel(lat, terms).num), k2.den)  # sum, then / den
     series = ManifoldSeries(kernel, m.euler - 1, m.signature + 1)
     return BlowdownResult(series, tuple(records))
 
@@ -258,6 +344,8 @@ def formal_log_coefficients(p: int) -> list[tuple[int, Fraction]]:
     """Coefficients of sinh(p*u)/sinh(u) as (exponent, coefficient) pairs,
     exponent descending.  Computed by exact Laurent division on a scratch
     rank-1 lattice, not written down: the all-ones answer is a theorem here."""
+    from fractions import Fraction
+
     if p < 1:
         raise ValueError("order must be >= 1")
     scratch = IntersectionLattice(["u"], [[0]])
@@ -268,30 +356,25 @@ def formal_log_coefficients(p: int) -> list[tuple[int, Fraction]]:
 
 def _exceptional_chain_spheres(
     lat: IntersectionLattice, exc_names: Sequence[str], s_coeffs: tuple[int, ...]
-) -> list[HClass]:
-    """The chain of length p-1 carried by p-1 exceptional directions: sphere i
-    has row i of _nodal_matrix(p) as its coordinates along them, and the end
-    sphere also carries the fiber class s_coeffs (zero for no fiber)."""
-    at = [lat.index(n) for n in exc_names]
-    spheres = []
-    for row in _nodal_matrix(len(exc_names) + 1):
-        coeffs = [0] * lat.rank
-        for k, a in zip(at, row):
-            coeffs[k] = a
-        spheres.append(coeffs)
-    spheres[-1] = list(map(add, spheres[-1], s_coeffs))
-    return [HClass(lat, tuple(c)) for c in spheres]
+) -> list[tuple[tuple[int, int], ...]]:
+    """The nonzero entries of the chain of length p-1 carried by p-1
+    exceptional directions: sphere i has row i of _nodal_rows(p) as its
+    coordinates along them, and the end sphere also carries the fiber class
+    s_coeffs (zero for no fiber)."""
+    where = {name: i for i, name in enumerate(lat.basis_names)}
+    at = [where[name] for name in exc_names]
+    spheres = [{at[k]: a for k, a in row} for row in _nodal_rows(len(exc_names) + 1)]
+    for i, a in _support(s_coeffs):
+        spheres[-1][i] = spheres[-1].get(i, 0) + a
+    return [tuple(sorted((i, a) for i, a in sphere.items() if a)) for sphere in spheres]
 
 
-def _nodal_matrix(p: int) -> list[list[int]]:
-    """A: row i holds the coordinates of the i-th sphere of the exceptional
-    chain (no fiber) in the exceptional directions e_1, ..., e_{p-1}."""
-    n = p - 1
-    a = [[0] * n for _ in range(n)]
-    for i in range(1, p - 1):
-        a[i - 1][p - i - 2], a[i - 1][p - i - 1] = 1, -1
-    a[n - 1] = [-2] + [-1] * (n - 1)
-    return a
+def _nodal_rows(p: int) -> list[tuple[tuple[int, int], ...]]:
+    """A by its rows' nonzero entries (k, a): row i holds the coordinates of
+    the i-th sphere of the exceptional chain (no fiber) in the exceptional
+    directions e_1, ..., e_{p-1}, counted from 0."""
+    rows = [((p - i - 2, 1), (p - i - 1, -1)) for i in range(1, p - 1)]
+    return rows + [((0, -2),) + tuple((k, -1) for k in range(1, p - 1))]
 
 
 def verify_nodal_matrix_identity(p: int) -> bool:
@@ -304,7 +387,8 @@ def verify_nodal_matrix_identity(p: int) -> bool:
     if p < 2:
         raise ValueError("need p >= 2")
     n, p2 = p - 1, p * p
-    a, s = _nodal_matrix(p), scaled_plumbing_inverse(p)
+    a = [[dict(row).get(k, 0) for k in range(n)] for row in _nodal_rows(p)]
+    s = scaled_plumbing_inverse(p)
     if chain_plumbing(p).matrix() != [[-x for x in mat_vec(a, row)] for row in a]:
         return False
     at = list(zip(*a))
@@ -321,21 +405,21 @@ def _check_nodal_chain(m: ManifoldSeries, p: int, s: Optional[HClass]) -> None:
     boundary p * sum(eps) mod p^2.  Restriction is affine in the class, so
     it is enough that each basic class extends to itself with boundary 0
     and each exceptional direction to s/p (0 without a fiber) with boundary
-    p.  Raises RuntimeError on a mismatch."""
+    p, compared as integer numerators over det = p^2.  Raises RuntimeError
+    on a mismatch."""
     up = blown_up_lattice(m.lattice, p - 1)
-    pad = (0,) * (p - 1)
+    pad, det = (0,) * (p - 1), p * p
     s_up = (s.coeffs if s is not None else (0,) * m.lattice.rank) + pad
     exc_names = up.basis_names[m.lattice.rank :]
     config = ChainConfig(p, up, _exceptional_chain_spheres(up, exc_names, s_up))
-    step = QClass(up, [Fraction(a, p) for a in s_up])
-    checks = [(HClass(up, key + pad), QClass(up, key + pad), 0) for key in m.kernel.num]
-    checks += [(up.basis_class(name), step, p) for name in exc_names]
-    for kappa, want, b in checks:
+    step = tuple(p * a for a in s_up)  # det * s / p
+    checks = [(HClass(up, key + pad), tuple(det * a for a in key + pad), 0) for key in m.kernel.num]
+    for kappa, want, b in chain(checks, ((up.basis_class(nm), step, p) for nm in exc_names)):
         r = restrict_class(config, kappa)
         if r.extension != want or r.boundary.value != b:
             raise RuntimeError(
-                f"nodal push-off of {kappa.coeffs}: got extension {r.extension.coeffs} "
-                f"with boundary {r.boundary.value}, expected {want.coeffs} with boundary {b}"
+                f"nodal push-off of {kappa.coeffs}: got extension {r.extension}/{det} with "
+                f"boundary {r.boundary.value}, expected {want}/{det} with boundary {b}"
             )
 
 
@@ -344,6 +428,8 @@ def nodal_log_pipeline(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
     the push-offs off the exceptional chain ending on the fiber
     (_check_nodal_chain), and reassemble with the division-derived ladder
     coefficients.  Must agree with log_transform exactly."""
+    from fractions import Fraction
+
     if p < 2:
         raise ValueError("need p >= 2")
     place = log_placement(m.lattice, m.kernel.num, s, p)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import chain
+from itertools import chain, compress
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -46,8 +46,8 @@ def _piece(name: str, c: int) -> str:
     return ("-" if c < 0 else "+") + (name if abs(c) == 1 else f"{abs(c)}*{name}")
 
 
-def _class_text(lattice: IntersectionLattice, coeffs) -> str:
-    return "".join(map(_piece, lattice.basis_names, coeffs)).removeprefix("+") or "0"
+def _class_text(lat: IntersectionLattice, c) -> str:  # a zero coordinate writes nothing
+    return "".join(map(_piece, compress(lat.basis_names, c), filter(None, c))).removeprefix("+") or "0"
 
 
 def _compact_kernel(k: ExpKernel) -> Optional[str]:
@@ -321,7 +321,7 @@ def cmd_blowdown(args) -> int:
                     "order": step.n,
                     "chain": list(step.spheres),
                     "basis": list(pre.basis_names),
-                    **blowdown_to_obj(result),
+                    **blowdown_to_obj(result, step.n**2),
                 }
                 for step, pre, result in steps
             ],

@@ -344,5 +344,5 @@ def refined_lattice(
     # s = divisor off nu and 1 on nu, so nu's own square keeps its numerator
     s = [divisor] * lattice.rank
     s[idx] = 1
-    num = [[x * a * b for x, b in zip(row, s)] for row, a in zip(lattice.num, s)]
-    return IntersectionLattice(names, num, lattice.den * divisor * divisor)
+    gram = {(i, j): x * s[i] * s[j] for (i, j), x in lattice.entries.items()}
+    return IntersectionLattice(names, gram, lattice.den * divisor * divisor)

@@ -16,25 +16,24 @@ carries the integral bookkeeping for that surgery:
 * the boundary map onto Z_{p^2} and its fold onto {0, ..., floor(p^2/2)},
 * characteristic-ness tests used throughout the series calculus.
 
-A lattice stores its Gram matrix as an integer matrix `num` over one common
-denominator `den` (1 for every lattice except the refined fiber lattices),
-and its nonzero entries row by row as `sparse_gram`.  Every product here
-walks those entries, and `pairing` returns one exact `Fraction`, the total
-over `den`.  `characteristic_squares` is the one characteristic test, and it
-reads a batch of classes as columns, one per lattice coordinate: the nonzero
-entries of Gram row i give the column of every c . x_i, the parity test runs
-on that column, and the same dots add into the squares den * c . c.
-`ChainConfig` and `IntersectionLattice.restricted` form G.v from the nonzero
-entries of v, so the p-1 spheres of a chain, each with two or three nonzero
-coordinates (the end sphere of an exceptional chain has p-1), cost O(p), not
-the ambient rank.  Classes carry their lattice, and pairing classes of
-different lattices is an error, never a coercion.
+A lattice stores its Gram matrix as its nonzero integer numerators, row by
+row (`sparse_gram`), over one common denominator `den` (1 for every lattice
+except the refined fiber lattices); the dense matrix is formed only to be
+printed.  Every product here walks those entries, and `pairing` returns one
+exact `Fraction`, the total over `den`.  `characteristic_squares` is the one
+characteristic test, and it reads a batch of classes as columns, one per
+lattice coordinate: the nonzero entries of Gram row i give the column of
+every c . x_i, the parity test runs on that column, and the same dots add
+into the squares den * c . c.  A chain embedded in a lattice, and the
+lattice it blows down to, live in .chain_surgery.  Classes carry their
+lattice, and pairing classes of different lattices is an error, never a
+coercion.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mod, mul, sub
 from typing import TYPE_CHECKING, Collection, Optional, Sequence, Union
@@ -50,62 +49,63 @@ if TYPE_CHECKING:  # Fractions are built only where a rational value is asked fo
 class IntersectionLattice(Frozen):
     """A free Z-module with named basis and a symmetric rational pairing.
 
-    The pairing matrix is gram / den with gram integral; den defaults to 1.
-    It is stored reduced, as integer numerators `num` over the least common
-    denominator `den`, so equal pairings give equal (num, den).
-    `sparse_gram` holds row i of `num` as its diagonal entry and its nonzero
-    entries (j, g) off the diagonal; a blown-up lattice G + (-I_k) has no
-    off-diagonal entry in its exceptional rows.
+    The pairing matrix is gram / den, gram given dense or by its nonzero
+    entries {(i, j): x}; den defaults to 1.  It is stored reduced, over the
+    least common denominator `den`, as `sparse_gram`: row i of the numerators
+    as its diagonal entry and its nonzero entries (j, g) off the diagonal, so
+    equal pairings give equal (den, sparse_gram).  `entries` and the dense
+    `num` are formed on each read.
     """
 
-    __slots__ = ("basis_names", "num", "den", "sparse_gram")
+    __slots__ = ("basis_names", "den", "sparse_gram")
 
-    def __init__(
-        self, basis_names: Sequence[str], gram: Sequence[Sequence[Scalar]], den: int = 1
-    ):
+    def __init__(self, basis_names: Sequence[str], gram: Union[dict, Sequence], den: int = 1):
         names = tuple(basis_names)
-        if len(names) < 1:
+        n = len(names)
+        if n < 1:
             raise ValueError("lattice rank must be at least 1")
-        if len(set(names)) != len(names):
+        if len(set(names)) != n:
             raise ValueError("basis names must be distinct")
         if not isinstance(den, int) or den < 1:
             raise ValueError("gram denominator must be a positive integer")
-        rows = [list(row) for row in gram]
-        if len(rows) != len(names) or any(len(row) != len(names) for row in rows):
+        if isinstance(gram, dict):
+            entries = {(i, j): x for (i, j), x in gram.items() if x}
+            shaped = all(0 <= i < n and 0 <= j < n for i, j in entries)
+        else:
+            rows = [list(row) for row in gram]
+            shaped = len(rows) == n and all(len(row) == n for row in rows)
+            entries = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+        if not shaped:
             raise ValueError("gram matrix shape does not match basis")
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        if not set(map(type, entries.values())) <= {int}:
             from fractions import Fraction
 
-            rows = [[Fraction(x) for x in row] for row in rows]
-            scale = lcm(*(x.denominator for row in rows for x in row))
-            rows = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+            entries = {k: Fraction(x) for k, x in entries.items()}
+            scale = lcm(*(x.denominator for x in entries.values()))
+            entries = {k: x.numerator * (scale // x.denominator) for k, x in entries.items()}
             den *= scale
-        common = gcd(den, *(x for row in rows for x in row))
-        if common > 1:
-            rows = [[x // common for x in row] for row in rows]
-            den //= common
-        num = tuple(tuple(row) for row in rows)
-        if num != tuple(zip(*num)):
+        common = gcd(den, *entries.values())
+        if any(entries.get((j, i)) != x for (i, j), x in entries.items()):
             raise ValueError("gram matrix must be symmetric")
-        sparse = tuple(
-            (row[i], tuple((j, g) for j, g in enumerate(row) if g and j != i))
-            for i, row in enumerate(num)
-        )
-        super().__init__(names, num, den, sparse)
+        rows = [(entries.pop((i, i), 0) // common, []) for i in range(n)]
+        for (i, j), x in sorted(entries.items()):
+            rows[i][1].append((j, x // common))
+        super().__init__(names, den // common, tuple((s, tuple(off)) for s, off in rows))
 
     def __reduce__(self):  # copy and pickle rebuild through the validating constructor
-        return IntersectionLattice, (self.basis_names, self.num, self.den)
+        return IntersectionLattice, (self.basis_names, self.entries, self.den)
 
-    def restricted(
-        self, basis_names: Sequence[str], rows: Sequence[Sequence[int]], den: int
-    ) -> "IntersectionLattice":
-        """The lattice whose basis vectors are rows / den in this basis (integer
-        rows over one denominator), with the pairing restricted to them: its
-        Gram is B G B^t, formed over the rows' nonzero entries alone."""
-        if any(len(row) != self.rank for row in rows):
-            raise ValueError("row length does not match lattice rank")
-        _, gram = _gram_products(self, [_support(v) for v in rows])
-        return IntersectionLattice(basis_names, gram, self.den * den * den)
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """The nonzero Gram numerators {(i, j): x}, the constructor's sparse form."""
+        rows = enumerate(self.sparse_gram)
+        return {(i, j): x for i, (s, off) in rows for j, x in ((i, s), *off) if x}
+
+    @property
+    def num(self) -> tuple[tuple[int, ...], ...]:
+        """The dense Gram numerators, for printing."""
+        e, r = self.entries, range(self.rank)
+        return tuple(tuple(e.get((i, j), 0) for j in r) for i in r)
 
     @property
     def rank(self) -> int:
@@ -126,33 +126,6 @@ class IntersectionLattice(Frozen):
         return HClass(self, tuple(coeffs))
 
 
-def _support(v: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple((i, a) for i, a in enumerate(v) if a)
-
-
-def _gram_products(lattice: IntersectionLattice, supports: Sequence) -> tuple[list, list]:
-    """The rows num . v and the Gram matrix over `num` of vectors v given by
-    their nonzero entries (`_support`), summed over nonzero entries alone."""
-    sparse = lattice.sparse_gram
-    gv = []
-    for supp in supports:
-        w = [0] * lattice.rank
-        for k, a in supp:
-            s, off = sparse[k]
-            w[k] += a * s
-            for j, g in off:
-                w[j] += a * g
-        gv.append(w)
-    cols = list(zip(*gv))
-    gram = []
-    for supp in supports:
-        row = [0] * len(supports)
-        for k, a in supp:
-            row = list(map(add, row, map(mul, cols[k], repeat(a))))
-        gram.append(row)
-    return gv, gram
-
-
 def integral_coords(coords) -> tuple[int, ...]:
     """coords as a tuple of ints; raises ValueError naming them when a
     coordinate x has int(x) != x, instead of truncating it."""
@@ -171,7 +144,7 @@ class HClass(Frozen):
     def __init__(self, lattice: IntersectionLattice, coeffs: tuple[int, ...]):
         if len(coeffs) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        if not all(isinstance(c, int) for c in coeffs):
+        if not set(map(type, coeffs)) <= {int}:
             raise TypeError("HClass coordinates must be ints")
         super().__init__(lattice, coeffs)
 
@@ -230,6 +203,7 @@ def characteristic_squares(
     every square.  A zero row pairs every class to 0 = x_i . x_i and adds 0
     to the square, so only the columns of nonzero rows, all that a nonzero
     entry reads, are read from the keys: a fiber lattice [[0]] reads none.
+    A row that reads only zero columns is one parity test for every class.
     """
     n = len(keys)
     lden = lattice.den
@@ -241,8 +215,13 @@ def characteristic_squares(
     modulus = 2 * lden
     squares = [0] * n
     bad: set[int] = set()
+    zero = {i for i, col in cols.items() if not any(col)}
     for i, col in cols.items():
         s, off = rows[i]
+        if i in zero and all(j in zero for j, _ in off):
+            if s % modulus:
+                bad.update(range(n))
+            continue
         dots = list(map(mul, col, repeat(s)))
         for j, g in off:
             dots = list(map(add, dots, map(mul, cols[j], repeat(g))))
@@ -317,10 +296,20 @@ class Plumbing(Frozen):
     def det(self) -> int:
         return self.head[-1]
 
+    def entries(self, at: int = 0) -> dict[tuple[int, int], int]:
+        """The nonzero entries {(i, j): x} of the intersection matrix, -a_i on
+        the diagonal and 1 beside it, with rows and columns shifted by at."""
+        out = {}
+        for i, a in enumerate(self.weights, start=at):
+            out[i, i] = -a
+            if i > at:
+                out[i, i - 1] = out[i - 1, i] = 1
+        return out
+
     def matrix(self) -> list[list[int]]:
-        """The intersection matrix: -a_i on the diagonal, 1 beside it."""
-        w, r = self.weights, range(len(self.weights))
-        return [[-w[i] if j == i else int(abs(j - i) == 1) for j in r] for i in r]
+        """The intersection matrix, dense."""
+        r, e = range(len(self.weights)), self.entries()
+        return [[e.get((i, j), 0) for j in r] for i in r]
 
     def solve(self, g: Sequence[int]) -> list[int]:
         """det x for the x with P x = -g: det x_i = tail[i] sum_{j <= i}
@@ -354,42 +343,6 @@ def scaled_plumbing_inverse(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(min(i, j) * (max(i, j) * (p + 1) - p * p) for j in range(1, p)) for i in range(1, p)
     )
-
-
-class ChainConfig(Frozen):
-    """An order-p chain embedded in an ambient lattice.
-
-    spheres[0], ..., spheres[p-2] are the classes of u_1, ..., u_{p-1}; their
-    mutual pairings must reproduce `plumbing` = chain_plumbing(p) exactly.
-    `supports` and `row_supports` are the nonzero (i, v) of each sphere u_j
-    and of its row G.u_j over ambient.den.  A class pairs with u_j in one dot
-    over row_supports[j] (`dots`); direction i is orthogonal to the chain when
-    no row support holds it.
-    """
-
-    __slots__ = ("p", "plumbing", "ambient", "spheres", "supports", "row_supports")
-
-    def __init__(self, p: int, ambient: IntersectionLattice, spheres: Sequence[HClass]):
-        plumbing = chain_plumbing(p)
-        if len(spheres) != p - 1:
-            raise ValueError(f"order-{p} chain needs {p - 1} sphere classes")
-        for s in spheres:
-            if s.lattice != ambient:
-                raise ValueError("lattice mismatch: sphere class not in the ambient lattice")
-        supports = tuple(_support(s.coeffs) for s in spheres)
-        rows, gram = _gram_products(ambient, supports)
-        if gram != [[w * ambient.den for w in want] for want in plumbing.matrix()]:
-            raise ValueError("sphere pairings do not form the order-%d plumbing chain" % p)
-        super().__init__(p, plumbing, ambient, tuple(spheres), supports, tuple(map(_support, rows)))
-
-    def dots(self, c: HClass) -> list[int]:
-        """The pairings c . u_j, as integers over ambient.den."""
-        if c.lattice != self.ambient:
-            raise ValueError("lattice mismatch: classes live in different lattices")
-        return [sum(c.coeffs[i] * v for i, v in supp) for supp in self.row_supports]
-
-    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
-        return ChainConfig, (self.p, self.ambient, self.spheres)
 
 
 # ---------------------------------------------------------------------------

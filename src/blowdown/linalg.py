@@ -1,10 +1,11 @@
-"""Exact integer linear algebra on dense matrices.
+"""Exact integer linear algebra.
 
-Everything in this package is exact: matrices are lists of lists of ints,
-never floats.  Ranks are the chain models', about 2n for H(n): `witten
-H(800)` runs hnf_rows at rank about 1,600.  Three routines serve the package:
-the integer matrix-vector product of the checks, and the Hermite forms and
-Z-span coordinates the chain blowdown runs on, numerators over one denominator.
+Everything in this package is exact: vectors are lists of ints, never
+floats.  Three routines serve the package: the integer matrix-vector product
+of the checks, the Hermite form of dense rows, and Z-span coordinates in a
+Hermite basis given by its rows' nonzero entries.  The chain blowdown takes
+its Hermite form in blocks, so hnf_rows sees about p coordinates for an
+order-p chain, whatever the ambient rank (1,595 for `witten H(800)`).
 """
 
 from __future__ import annotations
@@ -56,19 +57,21 @@ def hnf_rows(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     return basis
 
 
-def span_coords(basis: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list[int]]:
+def span_coords(basis: Sequence[Sequence[tuple]], v: Sequence[int]) -> Optional[list[int]]:
     """Integer coordinates of v in an echelon (by leading column) integer
-    basis, or None when v is not in its Z-span (a pivot leaves a remainder)."""
+    basis whose rows are given by their nonzero entries (j, x), pivot first,
+    or None when v is not in its Z-span (a pivot leaves a remainder)."""
     residual = list(v)
     coords: list[int] = []
     for row in basis:
-        lead = next(j for j, x in enumerate(row) if x)
-        c, r = divmod(residual[lead], row[lead])
+        lead, x = row[0]
+        c, r = divmod(residual[lead], x)
         if r:
             return None
         coords.append(c)
         if c:
-            residual = [a - c * x for a, x in zip(residual, row)]
+            for j, y in row:
+                residual[j] -= c * y
     if any(residual):
         return None
     return coords

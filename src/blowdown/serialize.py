@@ -127,17 +127,17 @@ def swmap_to_obj(m: SWMap, k: int = 0) -> dict:
     }
 
 
-def _record_to_obj(rec: ClassRecord) -> dict:
+def _record_to_obj(rec: ClassRecord, det: int) -> dict:
     obj = {"source": list(rec.source), "status": rec.status, "residue": rec.residue}
     if rec.extension is not None:
-        obj["extension"] = [fraction_str(x) for x in rec.extension]
+        obj["extension"] = [ratio_str(a, det) for a in rec.extension]
     if rec.image is not None:
         obj["image"] = list(rec.image)
     return obj
 
 
-def blowdown_to_obj(result: BlowdownResult) -> dict:
+def blowdown_to_obj(result: BlowdownResult, det: int) -> dict:
     return {
         "series": series_to_obj(result.result),
-        "class_map": [_record_to_obj(rec) for rec in result.class_map],
+        "class_map": [_record_to_obj(rec, det) for rec in result.class_map],
     }

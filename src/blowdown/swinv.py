@@ -23,15 +23,14 @@ from math import comb
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exppoly import ExpKernel
-from .lattice import ChainConfig, HClass, IntersectionLattice, characteristic_squares
-from .lattice import integral_coords
+from .lattice import HClass, IntersectionLattice, characteristic_squares, integral_coords
 from .reporting import Frozen
 from .transform import ManifoldSeries, b_plus_of, blown_up_lattice, log_placement, sign_vectors
 
 if TYPE_CHECKING:  # a map reaches the chain surgery only through a chain step
     from fractions import Fraction
 
-    from .chain_surgery import BlowdownResult
+    from .chain_surgery import BlowdownResult, ChainConfig
 
 KeyLike = Union[HClass, tuple]
 

@@ -91,10 +91,8 @@ def blown_up_lattice(lattice: IntersectionLattice, k: int) -> IntersectionLattic
     if k < 1:
         raise ValueError("blowup count must be >= 1")
     n, den = lattice.rank, lattice.den
-    num = [list(row) + [0] * k for row in lattice.num] + [[0] * (n + k) for _ in range(k)]
-    for i in range(n, n + k):
-        num[i][i] = -den
-    return IntersectionLattice(list(lattice.basis_names) + _fresh_names(lattice, "e", k), num, den)
+    gram = lattice.entries | {(i, i): -den for i in range(n, n + k)}
+    return IntersectionLattice(list(lattice.basis_names) + _fresh_names(lattice, "e", k), gram, den)
 
 
 def sign_vectors(k: int) -> list[tuple[int, ...]]:

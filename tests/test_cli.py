@@ -370,15 +370,15 @@ def test_verify_lattice_fails_a_wrong_chain_weight(capsys, monkeypatch):
 def test_verify_identities_fails_a_wrong_nodal_matrix(capsys, monkeypatch):
     import blowdown.chain_surgery as chain_surgery
 
-    real = chain_surgery._nodal_matrix
+    real = chain_surgery._nodal_rows
 
     def corrupted(p):
         a = real(p)
         if p == 4:
-            a[2][2] = 3  # makes A singular, so A^t has no inverse
+            a[2] = a[2][:2] + ((2, 3),)  # A[2][2] = 3 makes A singular, so A^t has no inverse
         return a
 
-    monkeypatch.setattr(chain_surgery, "_nodal_matrix", corrupted)
+    monkeypatch.setattr(chain_surgery, "_nodal_rows", corrupted)
     assert chain_surgery.verify_nodal_matrix_identity(4) is False
     code, out, _ = run(capsys, "verify", "identities")
     assert code == 1

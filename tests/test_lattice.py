@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from blowdown.catalog import run, surgery_plan
 from blowdown.exppoly import refined_lattice
 from blowdown.lattice import (
-    ChainConfig,
     HClass,
     IntersectionLattice,
     Plumbing,
@@ -27,7 +26,13 @@ from blowdown.lattice import (
     scaled_plumbing_inverse,
 )
 from blowdown.linalg import hnf_rows, span_coords
-from blowdown.chain_surgery import _blown_down_lattice, _exceptional_chain_spheres
+from blowdown.chain_surgery import (
+    ChainConfig,
+    _blown_down_lattice,
+    _exceptional_chain_spheres,
+    _support,
+    restricted,
+)
 from blowdown.transform import blown_up_lattice
 from lattices import chain_lattice, diagonal_lattice
 
@@ -264,7 +269,8 @@ def test_sparse_chain_products_match_dense_products(case, den, data):
     entries only, against full dense products over every Gram row."""
     up, p, spheres = case
     cfg = ChainConfig(p, up, spheres)
-    dense_rows = [_dense_products(up.num, s.coeffs) for s in spheres]
+    dense = [[dict(s).get(i, 0) for i in range(up.rank)] for s in spheres]
+    dense_rows = [_dense_products(up.num, v) for v in dense]
     assert cfg.row_supports == tuple(
         tuple((i, a) for i, a in enumerate(row) if a) for row in dense_rows
     )
@@ -272,11 +278,11 @@ def test_sparse_chain_products_match_dense_products(case, den, data):
     for v in data.draw(st.lists(ints, min_size=1, max_size=3)):
         assert cfg.dots(HClass(up, tuple(v))) == [sum(map(mul, row, v)) for row in dense_rows]
     names = [f"u{i}" for i in range(1, p)]
-    assert up.restricted(names, [s.coeffs for s in spheres], 1) == IntersectionLattice(
+    assert restricted(up, names, cfg.supports, 1) == IntersectionLattice(
         names, chain_plumbing(p).matrix()
     )
     rows = data.draw(st.lists(ints, min_size=1, max_size=4))
-    sub = up.restricted([f"y{i}" for i in range(len(rows))], rows, den)
+    sub = restricted(up, [f"y{i}" for i in range(len(rows))], list(map(_support, rows)), den)
     gram = [[sum(map(mul, u, _dense_products(up.num, w))) for w in rows] for u in rows]
     assert sub == IntersectionLattice(sub.basis_names, gram, up.den * den * den)
 
@@ -354,13 +360,14 @@ def test_hnf_rows_canonical():
 
 
 def test_span_coords():
-    # basis rows must be in echelon form by leading column
-    basis = [[1, 1], [0, 2]]
+    # basis rows, given by their nonzero entries (column, value) pivot
+    # first, must be in echelon form by leading column: [[1, 1], [0, 2]]
+    basis = [((0, 1), (1, 1)), ((1, 2),)]
     assert span_coords(basis, [3, 7]) == [3, 2]
     assert span_coords(basis, [-3, -5]) == [-3, -1]
-    assert span_coords([[1, 0]], [0, 1]) is None
+    assert span_coords([((0, 1),)], [0, 1]) is None
     # in the Q-span but not the Z-span: a pivot leaves a remainder
-    assert span_coords([[2, 0]], [1, 0]) is None
+    assert span_coords([((0, 2),)], [1, 0]) is None
     assert span_coords(basis, [3, 6]) is None
 
 
@@ -501,7 +508,7 @@ def test_lattice_identity_fast_path_and_canonical_form():
     with pytest.raises(ValueError):
         IntersectionLattice(["a"], [[1]], 0)
     with pytest.raises(ValueError):
-        lat.restricted(["y"], [[1, 0, 0]], 1)
+        restricted(lat, ["y"], [((2, 1),)], 1)
 
 
 _ENTRY = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -539,7 +546,7 @@ def test_restricted_gram_matches_naive_product(case, den, data):
     n = lat.rank
     ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
     rows = data.draw(st.lists(ints, min_size=1, max_size=3))
-    sub = lat.restricted([f"y{i}" for i in range(len(rows))], rows, den)
+    sub = restricted(lat, [f"y{i}" for i in range(len(rows))], list(map(_support, rows)), den)
     qrows = [[Fraction(x, den) for x in row] for row in rows]
     assert _fraction_gram(sub) == [[_ref_pairing(gram, u, v) for v in qrows] for u in qrows]
 
@@ -552,12 +559,11 @@ def test_blown_down_gram_matches_naive_definition(spec):
     for step, pre, res in chains:
         config = step.config(pre)
         p2 = config.p * config.p
-        extensions = [
-            tuple(int(x * p2) for x in r.extension) for r in res.class_map if r.status == "kept"
-        ]
+        extensions = [r.extension for r in res.class_map if r.status == "kept"]
         lat, basis = _blown_down_lattice(config, extensions, [step.image])
         assert lat == res.result.lattice
-        assert all(type(x) is int for row in basis for x in row)
+        assert all(type(x) is int for row in basis for entry in row for x in entry)
+        basis = [[dict(row).get(i, 0) for i in range(pre.rank)] for row in basis]
         qbasis = [[Fraction(x, p2) for x in row] for row in basis]
         naive = [[_ref_pairing(_fraction_gram(pre), u, v) for v in qbasis] for u in qbasis]
         assert _fraction_gram(lat) == naive

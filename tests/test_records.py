@@ -30,7 +30,6 @@ from blowdown.catalog import (
 )
 from blowdown.exppoly import ExpKernel
 from blowdown.lattice import (
-    ChainConfig,
     HClass,
     IntersectionLattice,
     Plumbing,
@@ -40,7 +39,7 @@ from blowdown.lattice import (
 )
 from blowdown.moduli import CanonicalClass, DimReport, dim_report
 from blowdown.reporting import CheckReport, set_field
-from blowdown.chain_surgery import BlowdownResult, ClassRecord, RestrictedClass
+from blowdown.chain_surgery import BlowdownResult, ChainConfig, ClassRecord, RestrictedClass
 from blowdown.swinv import sw_en
 from blowdown.transform import LogPlacement, log_placement
 
@@ -170,8 +169,8 @@ def test_chain_configs_copy_and_pickle():
     config = ChainConfig(2, lat, [lat.basis_class(plan.steps[0].spheres[0])])
     for clone in _clones(config):
         assert type(clone) is ChainConfig
-        assert (clone.p, clone.ambient, clone.spheres, clone.row_supports) == (
-            config.p, config.ambient, config.spheres, config.row_supports
+        assert (clone.p, clone.ambient, clone.index, clone.row_supports) == (
+            config.p, config.ambient, config.index, config.row_supports
         )
         assert clone.supports == config.supports
         assert clone.plumbing == config.plumbing

@@ -117,7 +117,7 @@ def test_blowdown_obj_shape():
 
     plan = surgery_plan("W(1)")
     [(_, _, res)] = run(plan, "pipeline")[1]
-    obj = encoded(blowdown_to_obj(res))
+    obj = encoded(blowdown_to_obj(res, 4))
     assert set(obj) == {"series", "class_map"}
     statuses = {rec["status"] for rec in obj["class_map"]}
     assert statuses == {"kept", "dropped"}

@@ -13,9 +13,10 @@ none of them either.
 
 The chain blowdown (`chain_surgery`, with `linalg`) loads only for a plan
 with a chain or hpsum step, the basic-class calculus (`swinv`) only for a
-map, and `json` only for structured output.  Off the chain path the calculus
-runs in ints, so `fractions` (which loads `decimal`) loads only for a verb
-that works with rationals: the chain blowdown, `dim` and the verify suites.
+map, and `json` only for structured output.  The calculus runs in ints, the
+chain blowdown on numerators over p^2, so `fractions` (which loads `decimal`)
+loads only for a verb that works with rationals: `dim`, the verify suites and
+the nodal models' ladder coefficients (hpsum).
 """
 
 import ast
@@ -80,7 +81,13 @@ GROUPS = {
         ["audit", "E(3)"],
         ["audit", "blowup(E(4),3)"],
     ],
-    "witten H(4)": [["witten", "H(4)"]],
+    # a chain step in each calculus, and the extensions it prints
+    "chain route": [
+        ["witten", "H(4)"],
+        ["sw", "W(3)"],
+        ["series", "H(5)", "--route", "pipeline"],
+        ["blowdown", "E(4)", "--horikawa", "2", "--format", "structured"],
+    ],
     # help (exit 0) and usage errors (exit 2): the paths that print usage
     "help and usage errors": [
         ["--help"],
@@ -190,12 +197,13 @@ def test_a_verb_loads_no_surgery_its_plan_does_not_run():
 
 def test_the_closed_route_calculus_runs_without_fractions():
     loaded = _loaded()
-    for name in ("blowup and closed smoke, text", "closed route"):
+    for name in ("blowup and closed smoke, text", "closed route", "chain route"):
         codes, mods = loaded[name]
         assert codes == [0] * len(codes) and len(codes) >= 4, name
         assert not mods & {"fractions", "decimal"}, name
-    # the probe sees fractions where a verb does load it
-    for name in ("witten H(4)", "dim"):
+    # the probe sees fractions where a verb does load it: dim prints e_square
+    # and verify lemmas checks it, both rationals from moduli
+    for name in ("dim", "verify lemmas"):
         assert loaded[name][0] == [0] and "fractions" in loaded[name][1], name
 
 

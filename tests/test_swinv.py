@@ -6,7 +6,8 @@ import pytest
 
 from blowdown.catalog import surgery_plan, sw_closed_form
 from blowdown.exppoly import ExpKernel, sinh_c
-from blowdown.lattice import ChainConfig, IntersectionLattice
+from blowdown.lattice import IntersectionLattice
+from blowdown.chain_surgery import ChainConfig
 from blowdown.swinv import (
     SWMap,
     sw_blowup,

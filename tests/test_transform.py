@@ -6,13 +6,14 @@ import pytest
 
 from blowdown.exppoly import ExpKernel, cosh_c, one, sinh_c
 from blowdown.lattice import (
-    ChainConfig,
     HClass,
     IntersectionLattice,
+    QClass,
     pairing,
     scaled_plumbing_inverse,
 )
 from blowdown.chain_surgery import (
+    ChainConfig,
     _exceptional_chain_spheres,
     _extension,
     connected_sum_hp,
@@ -92,8 +93,9 @@ def test_restrict_class_w_chain():
     cfg = ChainConfig(2, FS, [s])
     f = FS.basis_class("f")
     r = restrict_class(cfg, f * 2)
-    assert r.extension.coeffs == (Fraction(2), Fraction(1, 2))
-    assert pairing(r.extension, r.extension) == 1  # 0 + (p-1)
+    assert r.extension == (8, 2)  # (2, 1/2) over det = 4
+    ext = QClass(FS, [Fraction(a, r.boundary.modulus) for a in r.extension])
+    assert pairing(ext, ext) == 1  # 0 + (p-1)
     assert r.boundary.value == 2 and r.boundary.modulus == 4
     assert r.boundary.in_subgroup(2)
 
@@ -238,7 +240,8 @@ def test_extension_solve_matches_scaled_plumbing_inverse():
                 g = [rng.randint(-3 * p, 3 * p) for _ in range(p - 1)]
                 kappa = HClass(cfg.ambient, tuple(rng.randint(-3, 3) for _ in range(rank)))
                 want = [p * p * a for a in kappa.coeffs]
-                for row, u in zip(s, cfg.spheres):
+                for row, u in zip(s, cfg.supports):
                     x = -sum(map(mul, row, g))
-                    want = [w + x * b for w, b in zip(want, u.coeffs)]
+                    for i, b in u:
+                        want[i] += x * b
                 assert list(_extension(cfg, kappa, g)) == want
