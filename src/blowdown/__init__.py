@@ -3,12 +3,13 @@
 The package tracks three layers of structure and keeps every number a
 Fraction or an int:
 
-  * lattice / moduli: the linear plumbing of a blowdown chain, its relative
+  * plumbing / moduli: the linear plumbing of a blowdown chain, its relative
     homology with boundary residues, and the closed-form dimensions of the
-    reducible loci that obstruct gluing arguments.
-  * exppoly / transform / chain_surgery: finite exponential sums over an
-    intersection lattice, the series calculus they support, and the surgery
-    moves (blowup, log transform, chain blowdown) acting on them.
+    reducible loci that obstruct gluing arguments, all in integers.
+  * lattice / exppoly / transform / chain_surgery: intersection lattices,
+    finite exponential sums over them, the series calculus they support, and
+    the surgery moves (blowup, log transform, chain blowdown) acting on them;
+    linalg serves the chain blowdown's matrices.
   * swinv / catalog / suites / cli: basic-class maps with the same surgery
     moves, a catalog of named families walked into surgery plans and built
     along two independent routes, the verification suites, and a
@@ -28,10 +29,8 @@ _EXPORTS = {
         "render", "surgery_plan", "sw_closed_form",
     ),
     "exppoly": ("ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist"),
-    "lattice": (
-        "HClass", "IntersectionLattice", "QClass", "RelClass", "Residue", "boundary",
-        "is_characteristic", "pairing", "rel_pairing",
-    ),
+    "lattice": ("HClass", "IntersectionLattice", "QClass", "is_characteristic", "pairing"),
+    "plumbing": ("RelClass", "Residue", "boundary", "rel_pairing"),
     "moduli": (
         "CanonicalClass", "DimReport", "canonical_tb", "corr", "dim_moduli", "dim_report",
         "e_square", "rho_half_closed_form", "verify_boundary_value_lemmas",

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from . import transform
 from .exppoly import ExpKernel, cosh_c, exact_div, one, power, sinh_c
-from .lattice import HClass, IntersectionLattice, chain_plumbing, characteristic_squares
+from .lattice import HClass, IntersectionLattice, characteristic_squares
 from .reporting import CheckReport, Frozen, SpecParseError
 from .transform import ManifoldSeries, sign_vectors
 
@@ -304,6 +304,7 @@ class SurgeryPlan(Frozen):
         names = ["f"] + [nm for step in self.chains for nm in step.spheres]
         gram, at = {}, 1
         for step in self.chains:
+            from .plumbing import chain_plumbing  # a plan with no chain loads none
             gram |= chain_plumbing(step.n).entries(at)
             at += step.n - 1
             gram[0, at - 1] = gram[at - 1, 0] = 1
@@ -491,6 +492,8 @@ def _y_lattice(n: int) -> IntersectionLattice:
     """Carrier after blowing down one of the two chains: the image class lam
     of square n-3 meeting the remaining section t in n-2, next to the intact
     second chain (the order n-2 plumbing on b1, ..., t)."""
+    from .plumbing import chain_plumbing
+
     p = n - 2
     names = ["lam"] + [f"b{i}" for i in range(1, p - 1)] + ["t"]
     gram = chain_plumbing(p).entries(1)

@@ -1,7 +1,7 @@
 """The rational blowdown of a chain configuration and the nodal models built
 on it.  chain_pushoff moves the classes of both calculi across a blowdown
 (e -= p-1, sigma += p-1).  Only a plan with a chain or hpsum step and `verify
-identities` load this module, and with it .linalg.
+identities` load this module, and .linalg only where a matrix is used.
 
 A chain of order p is sparse data (ChainConfig) with |det P| = p^2, so
 chain_pushoff runs on integer numerators over p^2 and builds no Fraction,
@@ -17,16 +17,13 @@ all 2^(p-1) sign patterns, whose enumeration tests/test_nodal_check.py keeps.
 from __future__ import annotations
 
 from itertools import chain, compress, count
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exppoly import ExpKernel, exact_div, sinh_c, twist
-from .lattice import HClass, IntersectionLattice, chain_plumbing, scaled_plumbing_inverse
-from .linalg import hnf_rows, mat_vec, span_coords
+from .lattice import HClass, IntersectionLattice
+from .plumbing import chain_plumbing, scaled_plumbing_inverse
 from .reporting import Frozen
 from .transform import ManifoldSeries, blown_up_lattice, log_placement
-
-if TYPE_CHECKING:  # only the nodal models' ladder coefficients are rational
-    from fractions import Fraction
 
 
 def _support(v: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -199,6 +196,8 @@ def _blown_down_lattice(
     the one Hermite basis.  Rows p^2 e_i keep e_i's name; the others are
     named from image_names (in row order), with k1, k2, ... as the fallback.
     """
+    from .linalg import hnf_rows
+
     amb = c.ambient
     p2 = c.p * c.p
     off = [not held for held in c.index]
@@ -249,6 +248,8 @@ def chain_pushoff(
     numerators over p^2) and an image, so a dropped class costs its pairings
     alone.
     """
+    from .linalg import span_coords
+
     p = c.p
     amb, p4 = c.ambient, p**4
     shift = (p - 1) * amb.den  # den times the shift p-1 of a survivor's square
@@ -340,18 +341,19 @@ def p2_blowdown(
     return BlowdownResult(series, tuple(records))
 
 
-def formal_log_coefficients(p: int) -> list[tuple[int, Fraction]]:
+def formal_log_coefficients(p: int) -> list[tuple[int, int]]:
     """Coefficients of sinh(p*u)/sinh(u) as (exponent, coefficient) pairs,
     exponent descending.  Computed by exact Laurent division on a scratch
-    rank-1 lattice, not written down: the all-ones answer is a theorem here."""
-    from fractions import Fraction
-
+    rank-1 lattice, not written down: the all-ones answer is a theorem here.
+    The coefficients are ints; a non-integral quotient raises ValueError."""
     if p < 1:
         raise ValueError("order must be >= 1")
     scratch = IntersectionLattice(["u"], [[0]])
     u = scratch.basis_class("u")
     q = exact_div(sinh_c(u * p), sinh_c(u))
-    return sorted(((key[0], Fraction(c, q.den)) for key, c in q.num.items()), reverse=True)
+    if q.den != 1:
+        raise ValueError(f"sinh({p}u)/sinh(u) has a non-integral coefficient")
+    return sorted(((key[0], c) for key, c in q.num.items()), reverse=True)
 
 
 def _exceptional_chain_spheres(
@@ -384,6 +386,8 @@ def verify_nodal_matrix_identity(p: int) -> bool:
     P (A^t)^{-1} = -A; A^t S A = -p^2 I; and the end coordinate of
     S A (1,...,1) equals p(p-1), that is (p-1)/p over p^2.  A wrong A gives
     False, never an error."""
+    from .linalg import mat_vec
+
     if p < 2:
         raise ValueError("need p >= 2")
     n, p2 = p - 1, p * p
@@ -428,15 +432,14 @@ def nodal_log_pipeline(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
     the push-offs off the exceptional chain ending on the fiber
     (_check_nodal_chain), and reassemble with the division-derived ladder
     coefficients.  Must agree with log_transform exactly."""
-    from fractions import Fraction
-
     if p < 2:
         raise ValueError("need p >= 2")
     place = log_placement(m.lattice, m.kernel.num, s, p)
     _check_nodal_chain(m, p, s)
     ladder = formal_log_coefficients(p)
     terms = [(place.image(key, j), a * b) for key, a in m.kernel.num.items() for j, b in ladder]
-    kernel = ExpKernel(place.lattice, terms).scale(Fraction(1, m.kernel.den))
+    num = dict(ExpKernel(place.lattice, terms).num)  # sum, then / den
+    kernel = ExpKernel._from_ints(place.lattice, num, m.kernel.den)
     return ManifoldSeries(kernel, m.euler, m.signature)
 
 

@@ -226,8 +226,8 @@ def cmd_witten(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    from .lattice import RelClass
     from .moduli import CanonicalClass, dim_report
+    from .plumbing import RelClass
     from .serialize import fraction_str
 
     p = args.p

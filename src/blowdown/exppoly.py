@@ -18,8 +18,8 @@ from operator import add
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
-from .lattice import HClass, IntersectionLattice, integral_coords, pairing
-from .reporting import Frozen
+from .lattice import HClass, IntersectionLattice, pairing
+from .reporting import Frozen, integral_coords
 
 if TYPE_CHECKING:  # coefficients are ints; Fractions are built only on request
     from fractions import Fraction

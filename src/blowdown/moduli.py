@@ -25,25 +25,35 @@ e^2 = ((p+1) s^2 - p^2 q) / p^2.  verify_boundary_value_lemmas leans on that
 symmetry: one dynamic-programming pass over the box values reaches every
 (sum, square-sum, odd-count) state of a coordinate multiset and gives each state
 one dimension, so the check stays exhaustive without listing multisets, and it
-names a failing state by its least sorted multiset.
+names a failing state by its least sorted multiset.  It runs in integers:
+corr, e_square and rho_half_closed_form are Fraction views of numerators
+over p^2 (_ncorr, _e_square_num).
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
-from .lattice import RelClass, Residue, boundary, rel_pairing
+from .plumbing import RelClass, Residue, boundary, rel_pairing
 from .reporting import CheckReport, Frozen
+
+if TYPE_CHECKING:  # corr and the closed forms are Fraction views of integer numerators
+    from fractions import Fraction
+
+
+def _e_square_num(p: int, t: int, b: int) -> int:
+    """p^2 times the self-pairing of the step class <t, t+1; b>."""
+    return b * b + b * b * p - b * p * p - 2 * b * t + t * t - p * t * t
 
 
 def e_square(p: int, t: int, b: int) -> Fraction:
     """Self-pairing of the step class <t, t+1; b>:
     (b^2 + b^2 p - b p^2 - 2 b t + t^2 - p t^2) / p^2."""
-    num = b * b + b * b * p - b * p * p - 2 * b * t + t * t - p * t * t
-    return Fraction(num, p * p)
+    from fractions import Fraction
+
+    return Fraction(_e_square_num(p, t, b), p * p)
 
 
 class CanonicalClass(Frozen):
@@ -85,16 +95,23 @@ def canonical_tb(p: int, m: int) -> Optional[tuple[int, int]]:
 
 
 def corr(p: int, m: Union[int, Residue]) -> Fraction:
-    """Boundary correction term in dim(e) = -2 e^2 - 2 - corr(p, boundary)."""
+    """Boundary correction in dim(e) = -2 e^2 - 2 - corr(p, boundary): _ncorr / p^2."""
+    from fractions import Fraction
+
     if isinstance(m, Residue):
         if m.modulus != p * p:
             raise ValueError(f"residue modulus {m.modulus} does not match p^2={p * p}")
         m = m.value
+    return Fraction(_ncorr(p, m), p * p)
+
+
+def _ncorr(p: int, m: int) -> int:
+    """p^2 corr(p, m): p^2 for m = 0 mod p^2, else -2 p^2 e^2 - p^2 (2t + 1)
+    at the step class <t, t+1; b> of m, so that its dimension is 2t - 1."""
     tb = canonical_tb(p, m)
     if tb is None:
-        return Fraction(1)
-    t, b = tb
-    return -2 * e_square(p, t, b) - 2 - (2 * t - 1)
+        return p * p
+    return -2 * _e_square_num(p, *tb) - p * p * (2 * tb[0] + 1)
 
 
 def rho_half_closed_form(p: int, t: int, b: int) -> Fraction:
@@ -105,6 +122,8 @@ def rho_half_closed_form(p: int, t: int, b: int) -> Fraction:
     minus this value at the (t, b) of m.  Using it with the printed sign in the
     dimension formula would give t^2 - 2 instead of 2t - 1 at p = 2.
     """
+    from fractions import Fraction
+
     num = (
         -2 * b * b
         - 2 * b * b * p
@@ -141,14 +160,8 @@ def dim_report(e: RelClass) -> DimReport:
 
 @lru_cache(maxsize=None)
 def _ncorr_table(p: int) -> tuple[int, ...]:
-    """p^2 * corr(p, m) for m = 0, ..., p^2 - 1 (always an integer)."""
-    out = []
-    for m in range(p * p):
-        c = corr(p, m) * p * p
-        if c.denominator != 1:
-            raise ValueError(f"p^2 corr({p}, {m}) = {c} is not an integer")
-        out.append(int(c))
-    return tuple(out)
+    """p^2 * corr(p, m) for m = 0, ..., p^2 - 1."""
+    return tuple(_ncorr(p, m) for m in range(p * p))
 
 
 def _dim_from_sums(p: int, s: int, q: int, ncorr: Sequence[int]) -> int:

@@ -1,6 +1,7 @@
-"""Leaf types every layer shares: the record base, pass/fail check reports
-and the spec parse error.  This module imports no other part of the
-package, so the CLI can load it before it knows which verb runs.
+"""Leaf types every layer shares: the record base, pass/fail check reports,
+the spec parse error and the integral-coordinate check.  This module imports
+no other part of the package, so the CLI can load it before it knows which
+verb runs.
 """
 
 from __future__ import annotations
@@ -109,3 +110,13 @@ class CheckReport(Frozen):
         if not self.passed and self.counterexamples:
             ce = f"  counterexample: {self.counterexamples[0]}"
         return f"{tag} {self.name}{ptxt}{extra}{ce}"
+
+
+def integral_coords(coords) -> tuple[int, ...]:
+    """coords as a tuple of ints; raises ValueError naming them when a
+    coordinate x has int(x) != x, instead of truncating it."""
+    coords = tuple(coords)
+    out = tuple(map(int, coords))
+    if out != coords:
+        raise ValueError(f"class {coords} has a non-integral coordinate")
+    return out

@@ -1,22 +1,25 @@
 """The verification suites behind `blowdown verify`: lattice (the continuant
-plumbing against its closed-form inverse, relative pairing, boundary values,
-corr against its closed form), lemmas (the exhaustive boundary-value lemmas),
-identities (nodal and log-ladder identities) and witten (the two-calculi
-comparison on the 47 catalog specs, the closed and pipeline series each
-against the basic-class map).
+plumbing against its closed-form inverse, relative pairing of unit and step
+classes, boundary values, corr against its closed form), lemmas (the
+exhaustive boundary-value lemmas), identities (nodal and log-ladder
+identities) and witten (the two-calculi comparison on the 47 catalog specs,
+the closed and pipeline series each against the basic-class map).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import product
 from math import gcd
 
-from .lattice import RelClass, boundary, chain_plumbing, rel_pairing, scaled_plumbing_inverse
-from .moduli import canonical_tb, corr, rho_half_closed_form, verify_boundary_value_lemmas
+from .moduli import CanonicalClass, canonical_tb, corr, e_square, rho_half_closed_form
+from .moduli import verify_boundary_value_lemmas
+from .plumbing import RelClass, boundary, chain_plumbing, rel_pairing, scaled_plumbing_inverse
 from .reporting import CheckReport
 
 
 def suite_lattice(p_max: int) -> list[CheckReport]:
+    from fractions import Fraction  # only this suite compares rationals
+
     from .linalg import mat_vec  # only this suite multiplies matrices
 
     out = []
@@ -40,6 +43,10 @@ def suite_lattice(p_max: int) -> list[CheckReport]:
                 want = diag if i == j else off
                 if rel_pairing(rel_units[i], rel_units[j]) != want:
                     bad.append([i + 1, j + 1])
+        for t, b in product(range(p + 1), range(1, p)):  # the step squares corr reads
+            e = CanonicalClass(p, t, b).rel_class()
+            if e_square(p, t, b) != rel_pairing(e, e):
+                bad.append({"t": t, "b": b})
         out.append(CheckReport("relative-pairing", not bad, p=p, counterexamples=bad))
         # gamma_j, dual to u_j, is delta_1 + ... + delta_j; both map to j
         gok = all(

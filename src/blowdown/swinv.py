@@ -23,8 +23,8 @@ from math import comb
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exppoly import ExpKernel
-from .lattice import HClass, IntersectionLattice, characteristic_squares, integral_coords
-from .reporting import Frozen
+from .lattice import HClass, IntersectionLattice, characteristic_squares
+from .reporting import Frozen, integral_coords
 from .transform import ManifoldSeries, b_plus_of, blown_up_lattice, log_placement, sign_vectors
 
 if TYPE_CHECKING:  # a map reaches the chain surgery only through a chain step

@@ -4,7 +4,8 @@ Imported by the test modules as `from lattices import ...`; pytest puts this
 directory on sys.path because the tests are not a package.
 """
 
-from blowdown.lattice import IntersectionLattice, chain_plumbing
+from blowdown.lattice import IntersectionLattice
+from blowdown.plumbing import chain_plumbing
 
 
 def diagonal_lattice(names, squares) -> IntersectionLattice:

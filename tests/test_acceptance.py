@@ -16,13 +16,7 @@ from blowdown.catalog import (
     sw_closed_form,
 )
 from blowdown.exppoly import ExpKernel, cosh_c, one, sinh_c, zero
-from blowdown.lattice import (
-    HClass,
-    IntersectionLattice,
-    chain_plumbing,
-    pairing,
-    scaled_plumbing_inverse,
-)
+from blowdown.lattice import HClass, IntersectionLattice, pairing
 from blowdown.moduli import (
     CanonicalClass,
     canonical_tb,
@@ -30,6 +24,7 @@ from blowdown.moduli import (
     e_square,
     verify_boundary_value_lemmas,
 )
+from blowdown.plumbing import chain_plumbing, scaled_plumbing_inverse
 from blowdown.suites import witten_specs
 from blowdown.swinv import sw_dim, sw_en, sw_log_transform, sw_taut_blowdown, witten_check, witten_exponent
 from blowdown.chain_surgery import (

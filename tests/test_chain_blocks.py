@@ -15,7 +15,7 @@ from operator import mul
 
 import pytest
 
-import blowdown.chain_surgery as chain_surgery
+import blowdown.linalg as linalg
 from blowdown.catalog import SERIES_RULES, donaldson_closed_form, run, surgery_plan, walk
 from blowdown.chain_surgery import (
     ChainConfig,
@@ -128,7 +128,7 @@ def test_a_chain_step_builds_linearly_in_n(monkeypatch):
     builds a n - b of each, so doubling n from 40 to 80 adds at most twice
     what doubling it from 20 to 40 added; rank^2 work adds four times."""
     tally = {"hnf": 0, "gram": 0}
-    real_hnf, real_init = chain_surgery.hnf_rows, IntersectionLattice.__init__
+    real_hnf, real_init = linalg.hnf_rows, IntersectionLattice.__init__
 
     def hnf(rows):
         tally["hnf"] += sum(map(len, rows))
@@ -138,7 +138,7 @@ def test_a_chain_step_builds_linearly_in_n(monkeypatch):
         tally["gram"] += len(gram) if isinstance(gram, dict) else sum(map(len, gram))
         real_init(self, names, gram, den)
 
-    monkeypatch.setattr(chain_surgery, "hnf_rows", hnf)
+    monkeypatch.setattr(linalg, "hnf_rows", hnf)
     monkeypatch.setattr(IntersectionLattice, "__init__", init)
 
     def step_counts(n):

@@ -348,7 +348,7 @@ def test_verify_lattice_fails_a_wrong_plumbing_inverse(capsys, monkeypatch):
 
 def test_verify_lattice_fails_a_wrong_chain_weight(capsys, monkeypatch):
     import blowdown.suites as suites
-    from blowdown.lattice import Plumbing
+    from blowdown.plumbing import Plumbing
 
     real = suites.chain_plumbing
 

@@ -12,20 +12,22 @@ from blowdown.exppoly import refined_lattice
 from blowdown.lattice import (
     HClass,
     IntersectionLattice,
-    Plumbing,
     QClass,
+    characteristic_squares,
+    is_characteristic,
+    pairing,
+)
+from blowdown.linalg import hnf_rows, span_coords
+from blowdown.plumbing import (
+    Plumbing,
     RelClass,
     Residue,
     boundary,
     chain_plumbing,
-    characteristic_squares,
-    integral_coords,
-    is_characteristic,
-    pairing,
     rel_pairing,
     scaled_plumbing_inverse,
 )
-from blowdown.linalg import hnf_rows, span_coords
+from blowdown.reporting import integral_coords
 from blowdown.chain_surgery import (
     ChainConfig,
     _blown_down_lattice,

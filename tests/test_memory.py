@@ -16,7 +16,13 @@ import io
 import tracemalloc
 from contextlib import redirect_stdout
 
-from blowdown.catalog import _closed_family, donaldson_closed_form, parse_spec, sw_closed_form
+from blowdown.catalog import (
+    _closed_family,
+    donaldson_closed_form,
+    parse_spec,
+    surgery_plan,
+    sw_closed_form,
+)
 from blowdown.cli import main
 
 
@@ -95,3 +101,14 @@ def test_characteristic_squares_reads_only_the_columns_a_gram_entry_reads():
     assert squares.count(None) == 1 and squares[-1] is None
     assert set(squares[:-1]) == {1, 9}
     assert peak < 6 * held, (held, peak)
+
+
+def test_characteristic_squares_builds_only_the_live_columns():
+    # the chain seed's classes are nonzero on the fiber alone, so one column of
+    # the rank-1,995 ambient model of H(1000) is built; one column per nonzero
+    # Gram row peaked at 1.97 times the 16.2 MiB of keys the map holds
+    plan = surgery_plan("H(1000)")
+    plan.ambient()  # warm up the chain's plumbing
+    held, peak, swmap = _traced(plan.seed_swmap)
+    assert swmap.lattice.rank == 1_995 and len(swmap.values) == 999
+    assert peak < 1.25 * held, (held, peak)

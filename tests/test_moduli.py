@@ -1,10 +1,9 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
 from blowdown import moduli
-from blowdown.lattice import RelClass, Residue, boundary, rel_pairing
+from blowdown.plumbing import RelClass, Residue, boundary, rel_pairing
 from blowdown.moduli import (
     CanonicalClass,
     canonical_tb,
@@ -154,17 +153,19 @@ def test_step_class_alone_in_its_state():
                 assert min(q for s, q in by_state if s == sum(e)) == sum(c * c for c in e)
 
 
-def test_ncorr_table_rejects_non_integral_correction(monkeypatch):
-    # an integrality assert would vanish under python -O and int() would truncate
-    moduli._ncorr_table.cache_clear()
-    try:
-        monkeypatch.setattr(moduli, "corr", lambda p, m: Fraction(1, 2 * p * p))
-        with pytest.raises(ValueError, match="not an integer"):
-            moduli._ncorr_table(3)
-        monkeypatch.undo()
-        assert moduli._ncorr_table(3)[0] == 9 * corr(3, 0)
-    finally:
-        moduli._ncorr_table.cache_clear()
+def test_ncorr_table_is_corr_in_integers(monkeypatch):
+    # the table and corr read one integer numerator: equal for every boundary
+    for p in range(2, 13):
+        table = moduli._ncorr_table(p)
+        assert len(table) == p * p and set(map(type, table)) == {int}
+        assert all(table[m] == p * p * corr(p, m) for m in range(p * p)), p
+    # an entry off by one is not a multiple of p^2: the lemma check raises
+    # instead of truncating, and an integrality assert would vanish under -O
+    table = list(moduli._ncorr_table(3))
+    table[0] += 1
+    monkeypatch.setattr(moduli, "_ncorr_table", lambda p: tuple(table))
+    with pytest.raises(ValueError, match="non-integral dimension"):
+        verify_boundary_value_lemmas(3, t_max=0, box=1)
 
 
 def test_boundary_value_lemmas_reject_empty_scans():

@@ -29,14 +29,8 @@ from blowdown.catalog import (
     surgery_plan,
 )
 from blowdown.exppoly import ExpKernel
-from blowdown.lattice import (
-    HClass,
-    IntersectionLattice,
-    Plumbing,
-    QClass,
-    RelClass,
-    Residue,
-)
+from blowdown.lattice import HClass, IntersectionLattice, QClass
+from blowdown.plumbing import Plumbing, RelClass, Residue
 from blowdown.moduli import CanonicalClass, DimReport, dim_report
 from blowdown.reporting import CheckReport, set_field
 from blowdown.chain_surgery import BlowdownResult, ChainConfig, ClassRecord, RestrictedClass

@@ -11,12 +11,16 @@ No process loads `argparse`, `gettext` or `locale`: the CLI reads its
 arguments from its own verb table, and a help request or a usage error loads
 none of them either.
 
-The chain blowdown (`chain_surgery`, with `linalg`) loads only for a plan
-with a chain or hpsum step, the basic-class calculus (`swinv`) only for a
-map, and `json` only for structured output.  The calculus runs in ints, the
-chain blowdown on numerators over p^2, so `fractions` (which loads `decimal`)
-loads only for a verb that works with rationals: `dim`, the verify suites and
-the nodal models' ladder coefficients (hpsum).
+The chain blowdown (`chain_surgery`) loads only for a plan with a chain or
+hpsum step, and `linalg` only where a matrix is used, so hpsum's nodal models
+load none of it; the chain's own arithmetic (`plumbing`) loads only for a
+plan with a chain or hpsum step and for `dim` and `verify`, which load no
+intersection lattice (`lattice`) for it.  The basic-class calculus (`swinv`)
+loads only for a map, and `json` only for structured output.  The calculus
+runs in ints, the chain blowdown on numerators over p^2, the lemma check and
+the ladder coefficients of hpsum in ints, so `fractions` (which loads
+`decimal`) loads only for a verb that prints or compares rationals: `dim`
+and `verify lattice` among those checked here.
 """
 
 import ast
@@ -32,6 +36,7 @@ SRC = ROOT / "src"
 
 CALCULUS = {"catalog", "transform", "swinv", "exppoly"}
 CHAIN = {"chain_surgery", "linalg"}
+FRACTIONS = {"fractions", "decimal"}
 ARGPARSE = {"argparse", "gettext", "locale"}
 
 
@@ -96,7 +101,16 @@ GROUPS = {
         ["nonsense"],
     ],
     "dim": [["dim", "--p", "3", "--canonical", "1,1"]],
-    "verify lemmas": [["verify", "lemmas", "--p-max", "3", "--box", "1"]],
+    # the benchmark's exhaustive workload: the lemma check and hpsum's nodal models
+    "verify lemmas": [
+        ["verify", "lemmas", "--p-max", "3", "--box", "1"],
+        ["verify", "lemmas", "--p-max", "8"],
+    ],
+    "hpsum": [
+        ["series", "hpsum(E(2),3)"],
+        ["series", "hpsum(E(2),11)", "--format", "structured"],
+    ],
+    "verify lattice": [["verify", "lattice", "--p-max", "3"]],
     "series only": [
         ["series", "E(3;2)", "--format", "structured"],
         ["series", "logt(E(3),2)", "--route", "pipeline"],
@@ -200,10 +214,14 @@ def test_the_closed_route_calculus_runs_without_fractions():
     for name in ("blowup and closed smoke, text", "closed route", "chain route"):
         codes, mods = loaded[name]
         assert codes == [0] * len(codes) and len(codes) >= 4, name
-        assert not mods & {"fractions", "decimal"}, name
+        assert not mods & FRACTIONS, name
+    # the lemma check and hpsum's ladder coefficients run in ints
+    for name in ("verify lemmas", "hpsum"):
+        codes, mods = loaded[name]
+        assert codes == [0, 0] and not mods & FRACTIONS, name
     # the probe sees fractions where a verb does load it: dim prints e_square
-    # and verify lemmas checks it, both rationals from moduli
-    for name in ("dim", "verify lemmas"):
+    # and verify lattice compares the relative pairing and corr as rationals
+    for name in ("dim", "verify lattice"):
         assert loaded[name][0] == [0] and "fractions" in loaded[name][1], name
 
 
@@ -214,7 +232,14 @@ def test_no_invocation_loads_argparse_gettext_or_locale():
         assert not mods & ARGPARSE, name
 
 
-def test_verify_lemmas_loads_no_linear_algebra():
-    codes, mods = _loaded()["verify lemmas"]
-    assert codes == [0]
-    assert "moduli" in _layers(mods) and "linalg" not in _layers(mods)
+def test_the_exhaustive_path_loads_only_the_layers_it_runs():
+    loaded = _loaded()
+    lemmas = {"cli", "moduli", "plumbing", "reporting", "suites"}
+    assert loaded["verify lemmas"] == ([0, 0], {"blowdown", *(f"blowdown.{m}" for m in lemmas)})
+    assert "lattice" not in _layers(loaded["dim"][1])
+    hpsum = _layers(loaded["hpsum"][1])
+    assert "linalg" not in hpsum and {"chain_surgery", "plumbing", "lattice"} <= hpsum
+    # a plan with no chain step loads no chain arithmetic
+    for name in ("blowup and closed smoke, text", "closed route"):
+        assert "plumbing" not in _layers(loaded[name][1]), name
+    assert "plumbing" in _layers(loaded["chain route"][1])

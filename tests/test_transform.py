@@ -5,13 +5,7 @@ from operator import mul
 import pytest
 
 from blowdown.exppoly import ExpKernel, cosh_c, one, sinh_c
-from blowdown.lattice import (
-    HClass,
-    IntersectionLattice,
-    QClass,
-    pairing,
-    scaled_plumbing_inverse,
-)
+from blowdown.lattice import HClass, IntersectionLattice, QClass, pairing
 from blowdown.chain_surgery import (
     ChainConfig,
     _exceptional_chain_spheres,
@@ -24,6 +18,7 @@ from blowdown.chain_surgery import (
     taut_blowdown,
     verify_nodal_matrix_identity,
 )
+from blowdown.plumbing import scaled_plumbing_inverse
 from blowdown.transform import ManifoldSeries, blowup, blown_up_lattice, log_transform
 from lattices import chain_lattice, diagonal_lattice
 
