@@ -6,14 +6,15 @@ Fraction or an int:
   * plumbing / moduli: the linear plumbing of a blowdown chain, its relative
     homology with boundary residues, and the closed-form dimensions of the
     reducible loci that obstruct gluing arguments, all in integers.
-  * lattice / exppoly / transform / chain_surgery: intersection lattices,
-    finite exponential sums over them, the series calculus they support, and
-    the surgery moves (blowup, log transform, chain blowdown) acting on them;
-    linalg serves the chain blowdown's matrices.
-  * swinv / catalog / suites / cli: basic-class maps with the same surgery
-    moves, a catalog of named families walked into surgery plans and built
-    along two independent routes, the verification suites, and a
-    command-line front end that replays every comparison.
+  * lattice / exppoly / transform / placement / chain_surgery / nodal:
+    intersection lattices, finite exponential sums over them, the series
+    calculus they support, and the surgery moves (blowup, log transform,
+    chain blowdown, nodal models) acting on them; linalg serves the chain
+    blowdown's matrices.
+  * swinv / catalog / closed / audit / suites / cli*: basic-class maps with
+    the same surgery moves, a catalog of named families walked into surgery
+    plans and built along two independent routes, the verification suites,
+    and a command-line shell whose verbs' handlers each load on their own.
 
 `import blowdown` loads no submodule: each name below is imported from its
 module on first access (PEP 562), so a caller pays only for what it uses.
@@ -23,12 +24,13 @@ from importlib import import_module
 
 # module -> the names this package re-exports from it
 _EXPORTS = {
+    "audit": ("adjunction_audit",),
     "catalog": (
         "BlowupSpec", "EllipticSpec", "HpSumSpec", "HSpec", "LogSpec", "WSpec", "YSpec",
-        "adjunction_audit", "donaldson_closed_form", "donaldson_pipeline", "parse_spec",
-        "render", "surgery_plan", "sw_closed_form",
+        "donaldson_closed_form", "donaldson_pipeline", "parse_spec", "render", "surgery_plan",
+        "sw_closed_form",
     ),
-    "exppoly": ("ExpKernel", "cosh_c", "exact_div", "sinh_c", "twist"),
+    "exppoly": ("ExpKernel", "cosh_c", "exact_div", "sinh_c"),
     "lattice": ("HClass", "IntersectionLattice", "QClass", "is_characteristic", "pairing"),
     "plumbing": ("RelClass", "Residue", "boundary", "rel_pairing"),
     "moduli": (
@@ -42,9 +44,12 @@ _EXPORTS = {
     ),
     "transform": ("ManifoldSeries", "blowup", "log_transform"),
     "chain_surgery": (
-        "BlowdownResult", "ChainConfig", "ClassRecord", "RestrictedClass", "connected_sum_hp",
-        "formal_log_coefficients", "nodal_log_pipeline", "p2_blowdown", "restrict_class",
-        "taut_blowdown", "verify_nodal_matrix_identity",
+        "BlowdownResult", "ChainConfig", "ClassRecord", "RestrictedClass", "restrict_class",
+        "taut_blowdown",
+    ),
+    "nodal": (
+        "connected_sum_hp", "formal_log_coefficients", "nodal_log_pipeline", "p2_blowdown",
+        "twist", "verify_nodal_matrix_identity",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

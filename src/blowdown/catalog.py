@@ -13,20 +13,21 @@ A spec is walked once, into a surgery plan: an ambient model with a seed
 fiber power, an ordered list of surgery steps and a blowup count.  Each
 route (closed, pipeline, sw) is a row of ROUTES: its seed, its calculus's
 rule table and its blowup rule.  `run`, the one driver, seeds a plan and
-`walk`s its steps; the closed route seeds the family leaf's closed form.
+`walk`s its steps; the closed route seeds the family leaf's closed form
+(.closed).  The audit of a spec's characteristic numbers lives in .audit.
 """
 
 from __future__ import annotations
 
 import re
-from math import gcd, lcm
+from math import gcd
 from typing import TYPE_CHECKING, Optional, Union
 
 from . import transform
-from .exppoly import ExpKernel, cosh_c, exact_div, one, power, sinh_c
-from .lattice import HClass, IntersectionLattice, characteristic_squares
-from .reporting import CheckReport, Frozen, SpecParseError
-from .transform import ManifoldSeries, sign_vectors
+from .exppoly import ExpKernel, power, sinh_c
+from .lattice import HClass, IntersectionLattice
+from .reporting import Frozen, SpecParseError
+from .transform import ManifoldSeries
 
 if TYPE_CHECKING:  # the chain surgery and the basic-class calculus load only when they run
     from .chain_surgery import ChainConfig
@@ -402,9 +403,9 @@ def surgery_plan(spec: Union[str, ManifoldSpec]) -> SurgeryPlan:
 
 # One rule per step op, called as rule(m, step); a chain rule returns a
 # BlowdownResult.  The rules look each transform up on its home module
-# (transform, chain_surgery or swinv) when called, so a wrapper later
-# installed there still sees every call, and import .chain_surgery and
-# .swinv then, so a plan loads only what it runs.
+# (transform, chain_surgery, nodal or swinv) when called, so a wrapper later
+# installed there still sees every call, and import .chain_surgery, .nodal
+# and .swinv then, so a plan loads only what it runs.
 def _chain(m, step):
     from .chain_surgery import taut_blowdown
 
@@ -412,7 +413,7 @@ def _chain(m, step):
 
 
 def _hpsum(m, step):
-    from .chain_surgery import connected_sum_hp
+    from .nodal import connected_sum_hp
 
     return connected_sum_hp(m, step.n)
 
@@ -462,11 +463,16 @@ def _sw_blowup(m, k):
     return sw_blowup(m, k)
 
 
+def _closed_seed(plan):
+    from .closed import closed_family
+
+    return closed_family(plan.family), plan.family_steps
+
+
 # route -> (plan -> (seed, index of its first step), rule table, blowup
 # rule); like the rules, the rows look their transforms up when called
 ROUTES = {
-    "closed": (lambda plan: (_closed_family(plan.family), plan.family_steps),
-               SERIES_RULES, _blowup),
+    "closed": (_closed_seed, SERIES_RULES, _blowup),
     "pipeline": (lambda plan: (plan.seed_series(), 0), SERIES_RULES, _blowup),
     "sw": (lambda plan: (plan.seed_swmap(), 0), SW_RULES, _sw_blowup),
 }
@@ -482,53 +488,6 @@ def run(plan: SurgeryPlan, route: str) -> tuple[object, list[tuple]]:
         if record is not None:
             chains.append(record)
     return m, chains
-
-
-# ---------------------------------------------------------------------------
-# Closed forms of the family leaves
-
-
-def _y_lattice(n: int) -> IntersectionLattice:
-    """Carrier after blowing down one of the two chains: the image class lam
-    of square n-3 meeting the remaining section t in n-2, next to the intact
-    second chain (the order n-2 plumbing on b1, ..., t)."""
-    from .plumbing import chain_plumbing
-
-    p = n - 2
-    names = ["lam"] + [f"b{i}" for i in range(1, p - 1)] + ["t"]
-    gram = chain_plumbing(p).entries(1)
-    gram[0, 0] = n - 3
-    gram[0, p - 1] = gram[p - 1, 0] = n - 2
-    return IntersectionLattice(names, gram)
-
-
-def _closed_family(spec: ManifoldSpec) -> ManifoldSeries:
-    """The printed closed form of a family leaf (E, W, Y or H)."""
-    if isinstance(spec, EllipticSpec):
-        orders = [o for pair in spec.pairs for o in pair]
-        n_total = lcm(*orders) if orders else 1
-        name = "f" if n_total == 1 else f"f_{n_total}"
-        lat = IntersectionLattice([name], [[0]])
-        u = lat.basis_class(name)
-        num = power(sinh_c(u * n_total), spec.n - 2 + len(orders))
-        den = one(lat)
-        for o in orders:
-            den = den * sinh_c(u * (n_total // o))
-        kernel = exact_div(num, den)
-        return ManifoldSeries(kernel, 12 * spec.n, -8 * spec.n)
-    n = spec.n
-    if isinstance(spec, WSpec):
-        lat = IntersectionLattice(["k"], [[n]])
-        kernel = cosh_c(lat.basis_class("k")).scale(2 ** (n - 1))
-        return ManifoldSeries(kernel, 48 - n, -32 + n)
-    wave = cosh_c if n % 2 == 0 else sinh_c
-    if isinstance(spec, YSpec):
-        lat = _y_lattice(n)
-        kernel = wave(lat.basis_class("lam"))
-        return ManifoldSeries(kernel, 11 * n + 3, -7 * n - 3)
-    lat = IntersectionLattice(["k"], [[2 * n - 6]])
-    kernel = wave(lat.basis_class("k")).scale(2 ** (n - 3))
-    return ManifoldSeries(kernel, 10 * n + 6, -6 * n - 6)
 
 
 def _blown_up(spec: Union[str, ManifoldSpec], route: str):
@@ -552,32 +511,3 @@ def sw_closed_form(spec: Union[str, ManifoldSpec]) -> SWMap:
     """Basic-class map of a covered spec: the elliptic map through every step and blowup."""
     return _blown_up(spec, "sw")
 
-
-# ---------------------------------------------------------------------------
-# Audit
-
-
-def adjunction_audit(spec: Union[str, ManifoldSpec]) -> list[CheckReport]:
-    """Characteristic-number consistency for a spec: every basic class must
-    have square 3*signature + 2*euler (zero-dimensional moduli), the elliptic
-    family must sit at canonical square zero, and the H and Y families must
-    land on their Noether / bisecting lines.  Squares are checked before the k
-    blowups, which lower both sides by k; only a failing class gets its 2^k tails."""
-    node = _as_spec(spec)
-    plan = surgery_plan(node)
-    k, series = plan.blowups, run(plan, "closed")[0]
-    target, c2 = 3 * series.signature + 2 * series.euler - k, series.euler + k
-    want = series.lattice.den * (target + k)  # den * c.c of a class that passes
-    squares = characteristic_squares(series.lattice, series.kernel.num)
-    bad = sorted(key for key, sq in zip(series.kernel.num, squares) if sq != want)
-    bad = [list(key + tail) for key in bad for tail in sign_vectors(k)]
-    params = {"spec": render(node), "expected_square": target}
-    reports = [CheckReport("basic-class-square", not bad, parameters=params, counterexamples=bad)]
-    c1 = {"spec": render(node), "c1_sq": target}
-    if isinstance(node, EllipticSpec):
-        reports.append(CheckReport("elliptic-canonical-square-zero", target == 0, parameters=c1))
-    elif isinstance(node, (HSpec, YSpec)):  # the Noether line 5x - c2 + 36, the bisecting 11x
-        slope, name = (5, "noether-line") if isinstance(node, HSpec) else (11, "bisecting-line")
-        ok = slope * target - c2 + 36 == 0
-        reports.append(CheckReport(name, ok, parameters={**c1, "c2": c2}))
-    return reports

@@ -12,13 +12,13 @@ the ring operations and the division run in integer arithmetic.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
-from .lattice import HClass, IntersectionLattice, pairing
+from .lattice import HClass, IntersectionLattice
 from .reporting import Frozen, integral_coords
 
 if TYPE_CHECKING:  # coefficients are ints; Fractions are built only on request
@@ -197,24 +197,6 @@ def cosh_c(kappa: HClass) -> ExpKernel:
     return ExpKernel._from_ints(kappa.lattice, {kappa.coeffs: 1, (-kappa).coeffs: 1}, 2)
 
 
-def twist(k: ExpKernel, c: HClass) -> ExpKernel:
-    """Coefficient twist a_s -> a_s (-1)^{(c^2 + kappa_s . c)/2}.
-
-    Every exponent (c^2 + kappa_s . c) must be an even integer.
-    """
-    if c.lattice != k.lattice:
-        raise ValueError("lattice mismatch: twisting class not in the kernel lattice")
-    csq = pairing(c, c)
-    out = {}
-    for key, a in k.num.items():
-        kc = pairing(HClass(k.lattice, key), c)
-        val = csq + kc
-        if val.denominator != 1 or int(val) % 2:
-            raise ValueError(f"twist undefined for class {key}: exponent {val} is not even")
-        out[key] = a if (int(val) // 2) % 2 == 0 else -a
-    return ExpKernel._from_ints(k.lattice, out, k.den)
-
-
 def _collinear_multiples(direction_pool: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], dict]:
     """Primitive common direction d and the multiple of d each vector equals;
     d is the zero vector when every vector is zero."""
@@ -241,8 +223,11 @@ def _laurent(*kernels: ExpKernel) -> tuple[tuple[int, ...], list[dict]]:
 
 
 def _from_laurent(lattice, d: tuple, coeffs: list, lo: int, step: int, den: int) -> ExpKernel:
-    """The kernel sum_i coeffs[i] x^(lo + i step) / den, x = e^d."""
-    out = {tuple((lo + i * step) * x for x in d): c for i, c in enumerate(coeffs) if c}
+    """The kernel sum_i coeffs[i] x^(lo + i step) / den, x = e^d; the keys
+    zip one arithmetic range per coordinate of d."""
+    n = len(coeffs)
+    cols = [range(lo * x, (lo + n * step) * x, step * x) if x else repeat(0, n) for x in d]
+    out = {key: c for key, c in zip(zip(*cols), coeffs) if c}
     return ExpKernel._from_ints(lattice, out, den)
 
 
@@ -283,7 +268,10 @@ def exact_div(a: ExpKernel, b: ExpKernel) -> ExpKernel:
     runs in place in the dense list of A's coefficients, on the common stride
     of A's and B's exponent offsets, each quotient entry taking the remainder
     slot it clears, and the quotient is built over the reduced denominator
-    a.den g / h, h = gcd(b.den, a.den g).
+    a.den g / h, h = gcd(b.den, a.den g).  A binomial B / g = lead (x^D - 1),
+    such as sinh, takes no per-slot loop: its quotient entries are lead times
+    the strided suffix sums of A (lead is +-1, B's content being out), and
+    the sums below x^D are the remainder.
     """
     a._check(b)
     if not b.num:
@@ -301,48 +289,26 @@ def exact_div(a: ExpKernel, b: ExpKernel) -> ExpKernel:
     lead = pb[hi_b] // g
     tail = [((e - hi_b) // step, c // g) for e, c in pb.items() if e != hi_b]
     rem = [pa.get(lo_a + i * step, 0) for i in range(da + 1)]
-    for i in range(da, db - 1, -1):
-        c, r = divmod(rem[i], lead)
-        if r:
-            raise ValueError("inexact division: nonzero remainder")
-        rem[i] = c  # the tail offsets are negative: slot i is never read again
-        if c:
-            for off, t in tail:
-                rem[i + off] -= c * t
+    h = gcd(b.den, a.den * g)
+    top = b.den // h
+    if tail == [(-db, -lead)]:
+        for i in range(da, da - db, -1):  # one residue class of the slots mod db each
+            rem[i::-db] = accumulate(rem[i::-db])
+        top *= lead
+    else:
+        for i in range(da, db - 1, -1):
+            c, r = divmod(rem[i], lead)
+            if r:
+                raise ValueError("inexact division: nonzero remainder")
+            rem[i] = c  # the tail offsets are negative: slot i is never read again
+            if c:
+                for off, t in tail:
+                    rem[i + off] -= c * t
     if any(rem[:db]):
         raise ValueError("inexact division: nonzero remainder")
     del rem[:db]  # the quotient, lowest power first
-    h = gcd(b.den, a.den * g)
-    top = b.den // h
-    if top > 1:  # c * 1 would copy each c
+    if top != 1:  # c * 1 would copy each c
         for i, c in enumerate(rem):
             rem[i] = c * top
     return _from_laurent(a.lattice, d, rem, lo_a - lo_b, step, a.den * g // h)
 
-
-def refined_lattice(
-    lattice: IntersectionLattice, old: HClass, divisor: int, new_name: str
-) -> IntersectionLattice:
-    """Replace the basis direction `old` by a 1/divisor fraction of itself.
-
-    `old` must be exactly one of the basis vectors.  The new primitive vector
-    nu satisfies old = divisor * nu; pairings scale accordingly.
-    """
-    if old.lattice != lattice:
-        raise ValueError("lattice mismatch: direction not in this lattice")
-    if divisor < 1:
-        raise ValueError("divisor must be a positive integer")
-    ones = [i for i, c in enumerate(old.coeffs) if c]
-    if len(ones) != 1 or old.coeffs[ones[0]] != 1:
-        raise ValueError("refinement direction must be a basis vector")
-    idx = ones[0]
-    names = list(lattice.basis_names)
-    if new_name != names[idx] and new_name in names:
-        raise ValueError(f"basis name {new_name!r} already in use")
-    names[idx] = new_name
-    # numerators over den * divisor^2: entry (i, j) scales by s_i s_j, with
-    # s = divisor off nu and 1 on nu, so nu's own square keeps its numerator
-    s = [divisor] * lattice.rank
-    s[idx] = 1
-    gram = {(i, j): x * s[i] * s[j] for (i, j), x in lattice.entries.items()}
-    return IntersectionLattice(names, gram, lattice.den * divisor * divisor)

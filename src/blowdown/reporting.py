@@ -1,13 +1,24 @@
 """Leaf types every layer shares: the record base, pass/fail check reports,
-the spec parse error and the integral-coordinate check.  This module imports
-no other part of the package, so the CLI can load it before it knows which
-verb runs.
+the spec parse error and the integral-coordinate check; and the output path
+every verb writes through (emit), with the number, class-tail and lattice
+texts that text and structured output share.  This module imports no other
+part of the package when it loads, so the CLI can load it before it knows
+which verb runs.
 """
 
 from __future__ import annotations
 
+import sys
+from functools import lru_cache
+from itertools import chain, product
+from math import gcd
 from operator import attrgetter
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .lattice import IntersectionLattice
 
 
 set_field = object.__setattr__
@@ -120,3 +131,80 @@ def integral_coords(coords) -> tuple[int, ...]:
     if out != coords:
         raise ValueError(f"class {coords} has a non-integral coordinate")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Output
+
+CHUNK = 1 << 13  # bytes encoded before each write to stdout, io.DEFAULT_BUFFER_SIZE
+
+
+@lru_cache(maxsize=4096)
+def ratio_str(n: int, den: int) -> str:
+    """n/den (den > 0) in lowest terms, as "n" or "n/den"; a kernel's terms
+    share den, so each numerator is reduced once."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def fraction_str(x: Union[Fraction, int]) -> str:
+    return ratio_str(*x.as_integer_ratio())
+
+
+def tail_texts(pieces: Sequence[tuple[str, str]]) -> Callable[[], Iterator[str]]:
+    """A function giving, per call, the texts of product((-1, 1), repeat=k) in
+    order, entry i written pieces[i][0] for -1 and pieces[i][1] for +1; the
+    last 8 entries' 256 texts are joined once, the others' once per 256."""
+    low = ["".join(p) for p in product(*pieces[-8:])]
+    if len(pieces) <= 8:
+        return low.__iter__
+    return lambda: (h + t for h in map("".join, product(*pieces[:-8])) for t in low)
+
+
+def lattice_to_obj(lat: IntersectionLattice, k: int = 0) -> dict:
+    """Gram entries as ints when integral, else as "num/den" strings, of lat blown up k times."""
+    if k:
+        from .transform import blown_up_lattice
+
+        lat = blown_up_lattice(lat, k)
+    den = lat.den
+    return {
+        "basis": list(lat.basis_names),
+        "gram": [[x // den if x % den == 0 else ratio_str(x, den) for x in row] for row in lat.num],
+    }
+
+
+def emit(args, obj, text) -> None:
+    """Write the pieces of iterencode(obj()) under --format structured, else
+    the lines text() yields, to stdout in chunks of about CHUNK bytes, so that
+    no verb holds its whole output at once.  The structured object is only
+    built when it is written; obj and text only format values the verb has
+    already computed, so a verb that exits 2 or 3 raises before any write."""
+    if args.format == "structured":
+        from .serialize import iterencode
+
+        pieces, end = chain(iterencode(obj()), ("\n",)), ""
+    else:
+        pieces, end = text(), "\n"  # each piece is a line
+    raw = getattr(sys.stdout, "buffer", None)
+    if raw is None:  # a text-only stream, such as io.StringIO
+        sys.stdout.writelines(piece + end for piece in pieces)
+        return
+    sys.stdout.flush()
+    encoding, chunk = sys.stdout.encoding, bytearray()
+    tail = end.encode(encoding)
+    for piece in pieces:
+        chunk += piece.encode(encoding)
+        chunk += tail
+        if len(chunk) >= CHUNK:
+            _write(raw, chunk)
+            chunk = bytearray()
+    _write(raw, chunk)
+
+
+def _write(raw, data: bytearray) -> None:
+    # unbuffered (python -u), the binary layer may take only part of a write,
+    # which the text layer would drop; the loop reaches a closed reader's EPIPE
+    view = memoryview(data)
+    while view:
+        view = view[raw.write(view):]

@@ -7,39 +7,25 @@ encode to identical text.  `iterencode` is the one encoder: the pieces it
 yields join to json.dumps(obj, indent=2, sort_keys=True), and it writes term
 lists straight from the kernel's integer numerators, one piece per term and
 with no object per term, so that the CLI can print them in bounded chunks
-(`"".join(iterencode(obj))` is the whole text); only it imports json, so
-text output never loads it.  Given a blowup count k, the encoders write the
-2^k-fold expansion of k blowups from the value before them.  No verb reads
-these encodings back; the decoders live with the tests (tests/decode.py).
+(`"".join(iterencode(obj))` is the whole text); only it imports json.  Text
+output loads neither json nor this module: the number, tail and lattice texts
+both formats share live in .reporting.  Given a blowup count k, the encoders
+write the 2^k-fold expansion of k blowups from the value before them.  No verb
+reads these encodings back; the decoders live with the tests (tests/decode.py).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import product
-from math import gcd
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
+from functools import partial
+from typing import TYPE_CHECKING, Any, Iterator, Union
 
-if TYPE_CHECKING:  # annotations only, so that dim formats numbers without the calculus
-    from fractions import Fraction
+from .reporting import lattice_to_obj, ratio_str, tail_texts
 
+if TYPE_CHECKING:  # annotations only, so that dim encodes numbers without the calculus
     from .chain_surgery import BlowdownResult, ClassRecord
     from .exppoly import ExpKernel
-    from .lattice import IntersectionLattice
     from .swinv import SWMap
     from .transform import ManifoldSeries
-
-
-@lru_cache(maxsize=4096)
-def ratio_str(n: int, den: int) -> str:
-    """n/den (den > 0) in lowest terms, as "n" or "n/den"; a kernel's terms
-    share den, so each numerator is reduced once."""
-    g = gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
-
-
-def fraction_str(x: Union[Fraction, int]) -> str:
-    return ratio_str(*x.as_integer_ratio())
 
 
 def iterencode(obj: Any, pad: str = "\n") -> Iterator[str]:
@@ -67,16 +53,6 @@ def iterencode(obj: Any, pad: str = "\n") -> Iterator[str]:
         yield json.dumps(obj)
 
 
-def tail_texts(pieces: Sequence[tuple[str, str]]) -> Callable[[], Iterator[str]]:
-    """A function giving, per call, the texts of product((-1, 1), repeat=k) in
-    order, entry i written pieces[i][0] for -1 and pieces[i][1] for +1; the
-    last 8 entries' 256 texts are joined once, the others' once per 256."""
-    low = ["".join(p) for p in product(*pieces[-8:])]
-    if len(pieces) <= 8:
-        return low.__iter__
-    return lambda: (h + t for h in map("".join, product(*pieces[:-8])) for t in low)
-
-
 def _terms_json(num, den: int, k: int, field: str, quote: str, pad: str) -> Iterator[str]:
     """iterencode of [{"class": L + tail, field: num[L]/den}, ...], L over num's
     sorted keys (never empty, as a lattice has rank >= 1) and tail over
@@ -90,19 +66,6 @@ def _terms_json(num, den: int, k: int, field: str, quote: str, pad: str) -> Iter
             yield f"{comma}{start}{t}{end}"
             comma = ","
     yield pad + "]" if num else "[]"
-
-
-def lattice_to_obj(lat: IntersectionLattice, k: int = 0) -> dict:
-    """Gram entries as ints when integral, else as "num/den" strings, of lat blown up k times."""
-    if k:
-        from .transform import blown_up_lattice
-
-        lat = blown_up_lattice(lat, k)
-    den = lat.den
-    return {
-        "basis": list(lat.basis_names),
-        "gram": [[x // den if x % den == 0 else ratio_str(x, den) for x in row] for row in lat.num],
-    }
 
 
 def kernel_to_obj(kern: ExpKernel, k: int = 0) -> dict:

@@ -74,9 +74,8 @@ def suite_lemmas(p_max: int, t_max: int, box: int) -> list[CheckReport]:
 def suite_identities(p_max: int) -> list[CheckReport]:
     # imported here so that verify lattice and lemmas never load the calculus
     from .catalog import EllipticSpec, donaldson_closed_form
-    from .chain_surgery import formal_log_coefficients, nodal_log_pipeline
-    from .chain_surgery import verify_nodal_matrix_identity
     from .exppoly import exact_div, sinh_c
+    from .nodal import formal_log_coefficients, nodal_log_pipeline, verify_nodal_matrix_identity
     from .transform import log_transform
 
     out = []

@@ -6,8 +6,8 @@ carried together with the characteristic numbers of the underlying series;
 each transform hands ExpKernel._from_ints the dict of values it has built.
 Every map is of simple type (each basic class has a zero-dimensional moduli
 space).  The transforms move classes through the surgery geometry of
-.transform (blown_up_lattice, sign_vectors, log_placement) and, for a chain,
-.chain_surgery's chain_pushoff, which loads only when a chain step runs; they
+.transform (blown_up_lattice, sign_vectors) and, each loaded only when its
+step runs, .placement's log_placement and .chain_surgery's chain_pushoff; they
 carry plain integer values and never read a series coefficient: blowup copies
 each class's value to its 2^k sign patterns, the log transform fans each class
 into p translates along the refined fiber, and the chain blowdown keeps
@@ -19,13 +19,13 @@ by the characteristic numbers; witten_diff compares the calculi class by class.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exppoly import ExpKernel
 from .lattice import HClass, IntersectionLattice, characteristic_squares
 from .reporting import Frozen, integral_coords
-from .transform import ManifoldSeries, b_plus_of, blown_up_lattice, log_placement, sign_vectors
+from .transform import ManifoldSeries, b_plus_of, blown_up_lattice, sign_vectors
 
 if TYPE_CHECKING:  # a map reaches the chain surgery only through a chain step
     from fractions import Fraction
@@ -125,6 +125,8 @@ def sw_log_transform(m: SWMap, s: HClass, p: int) -> SWMap:
     j = p-1, p-3, ..., -(p-1), all carrying L's value.  Distinct classes whose
     fans meet would need their values reconciled; that case raises instead.
     """
+    from .placement import log_placement
+
     values = m.values
     place = log_placement(m.lattice, values, s, p)
     fanned = {nk: v for key, v in sorted(values.items()) for nk in place.ladder(key)}
@@ -182,7 +184,12 @@ def witten_diff(series: ManifoldSeries, m: SWMap) -> Optional[tuple[tuple, Fract
     c = witten_exponent(m.euler, m.signature)
     num, den, values = series.kernel.num, series.kernel.den, m.values
     lhs, rhs = 1 << max(-c, 0), den << max(c, 0)  # num/den == value * 2^c
-    if num.keys() == values.keys() and all(num[L] * lhs == v * rhs for L, v in values.items()):
+    g = gcd(lhs, rhs)
+    lhs, rhs = lhs // g, rhs // g
+    if lhs == rhs == 1:  # the calculi agree exactly where the two dicts are equal
+        if num == values:
+            return None
+    elif num.keys() == values.keys() and all(num[L] * lhs == v * rhs for L, v in values.items()):
         return None
     from fractions import Fraction
 

@@ -4,25 +4,21 @@ they share with the basic-class calculus.
 Implements the kernel-level effect of blowup (connected sum with a reversed
 projective plane) and of the logarithmic transform along a square-zero fiber
 direction.  Characteristic-number bookkeeping rides along: blowup (e+1,
-sigma-1), log transform neutral.  The rational blowdown of a chain and the
-nodal models built on it live in .chain_surgery, which a plan loads only
-when it has a chain or hpsum step.
+sigma-1), log transform neutral.  The rational blowdown of a chain lives in
+.chain_surgery and the nodal models built on it in .nodal, which a plan
+loads only for a chain or an hpsum step.
 
 How a surgery moves lattice classes is the same for both calculi and lives in
-one place per surgery: blown_up_lattice and sign_vectors, log_placement here,
-chain_pushoff in .chain_surgery.  The series transforms and the basic-class
+one place per surgery: blown_up_lattice and sign_vectors here, log_placement
+in .placement, chain_pushoff in .chain_surgery.  The series transforms and the basic-class
 transforms in .swinv differ only in the coefficient a moved class carries.
 """
 
 from __future__ import annotations
 
-import re
-from itertools import compress, product, repeat
-from math import gcd
-from operator import add, itemgetter, mul
-from typing import Collection
+from itertools import product
 
-from .exppoly import ExpKernel, refined_lattice
+from .exppoly import ExpKernel
 from .lattice import HClass, IntersectionLattice, characteristic_squares
 from .reporting import Frozen
 
@@ -113,74 +109,6 @@ def blowup(m: ManifoldSeries, k: int = 1) -> ManifoldSeries:
     return ManifoldSeries(kernel, m.euler + k, m.signature - k)
 
 
-_SUFFIX = re.compile(r"^(.*)_(\d+)$")
-
-
-def _refined_name(old: str, divisor: int) -> str:
-    match = _SUFFIX.match(old)
-    if match:
-        return f"{match.group(1)}_{int(match.group(2)) * divisor}"
-    return f"{old}_{divisor}"
-
-
-class LogPlacement(Frozen):
-    """Where an order-p log transform sends exponent coordinates.
-
-    lattice is the refined lattice, in which the fiber direction `index` is
-    1/divisor of the old one, so s/p = step times that direction.  Rung j
-    (j = p-1, p-3, ..., -(p-1)) of a class lands on its old fiber coordinate
-    times divisor plus j * step.
-    """
-
-    __slots__ = ("lattice", "index", "divisor", "step", "order")
-
-    def image(self, key: tuple[int, ...], j: int) -> tuple[int, ...]:
-        out = list(key)
-        out[self.index] = out[self.index] * self.divisor + j * self.step
-        return tuple(out)
-
-    def ladder(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The p rung images of a class, from j = p-1 down to -(p-1)."""
-        i, step = self.index, self.step
-        head, tail = key[:i], key[i + 1 :]
-        top = key[i] * self.divisor + (self.order - 1) * step
-        return [head + (v,) + tail for v in range(top, top - 2 * self.order * step, -2 * step)]
-
-
-def log_placement(
-    lattice: IntersectionLattice,
-    keys: Collection[tuple[int, ...]],
-    s: HClass,
-    p: int,
-) -> LogPlacement:
-    """Validate the fiber class s (a positive multiple of one square-zero
-    basis direction, orthogonal to the class of every exponent key) and
-    refine its direction so s/p becomes integral.  The refined direction is
-    named by scaling its `_n` suffix (f -> f_2 -> f_6)."""
-    if p < 1:
-        raise ValueError("log transform order must be >= 1")
-    if s.lattice != lattice:
-        raise ValueError("lattice mismatch: fiber class not in the series lattice")
-    nonzero = [(i, v) for i, v in enumerate(s.coeffs) if v]
-    if len(nonzero) != 1 or nonzero[0][1] < 1:
-        raise ValueError("fiber class must be a positive multiple of one basis direction")
-    idx, mult = nonzero[0]
-    square, off = lattice.sparse_gram[idx]
-    if square:
-        raise ValueError("fiber direction must have square zero")
-    # den * key . s / mult for every key at once, over the fiber row's nonzero entries
-    dots = [0] * len(keys)
-    for j, g in off:
-        dots = list(map(add, dots, map(mul, map(itemgetter(j), keys), repeat(g))))
-    if any(dots):
-        raise ValueError(f"class {min(compress(keys, dots))} is not orthogonal to the fiber")
-    d = p // gcd(mult, p)
-    if d > 1:
-        old = lattice.basis_class(lattice.basis_names[idx])
-        lattice = refined_lattice(lattice, old, d, _refined_name(lattice.basis_names[idx], d))
-    return LogPlacement(lattice, idx, d, mult * d // p, p)
-
-
 def log_transform(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
     """Order-p logarithmic transform along the fiber class s.
 
@@ -188,6 +116,8 @@ def log_transform(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
     multiplied by the p-term ladder e^{(p-1)s/p} + e^{(p-3)s/p} + ... +
     e^{-(p-1)s/p}.  Euler number and signature are unchanged.
     """
+    from .placement import log_placement
+
     place = log_placement(m.lattice, m.kernel.num, s, p)
     num: dict[tuple[int, ...], int] = {}
     for key, a in m.kernel.num.items():
@@ -197,11 +127,13 @@ def log_transform(m: ManifoldSeries, s: HClass, p: int) -> ManifoldSeries:
     return ManifoldSeries(kernel, m.euler, m.signature)
 
 
-# bench/tracing.py traces three moved names here; the benchmark's next upkeep
-# points it at .chain_surgery and removes this forwarder.
+# bench/tracing.py traces three moved names here: taut_blowdown and
+# restrict_class from .chain_surgery, connected_sum_hp from .nodal.  The
+# benchmark's next upkeep points it at their homes and removes this forwarder.
 def __getattr__(name: str):
     if name not in ("taut_blowdown", "restrict_class", "connected_sum_hp"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import chain_surgery
+    from importlib import import_module
 
-    return getattr(chain_surgery, name)
+    home = "nodal" if name == "connected_sum_hp" else "chain_surgery"
+    return getattr(import_module(f"{__package__}.{home}"), name)

@@ -27,14 +27,12 @@ from blowdown.moduli import (
 from blowdown.plumbing import chain_plumbing, scaled_plumbing_inverse
 from blowdown.suites import witten_specs
 from blowdown.swinv import sw_dim, sw_en, sw_log_transform, sw_taut_blowdown, witten_check, witten_exponent
-from blowdown.chain_surgery import (
-    ChainConfig,
+from blowdown.chain_surgery import ChainConfig, restrict_class, taut_blowdown
+from blowdown.nodal import (
     _exceptional_chain_spheres,
     connected_sum_hp,
     formal_log_coefficients,
     p2_blowdown,
-    restrict_class,
-    taut_blowdown,
     verify_nodal_matrix_identity,
 )
 from blowdown.transform import ManifoldSeries, blowup, log_transform

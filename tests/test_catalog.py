@@ -16,7 +16,6 @@ from blowdown.catalog import (
     SpecParseError,
     WSpec,
     YSpec,
-    adjunction_audit,
     donaldson_closed_form,
     donaldson_pipeline,
     parse_spec,
@@ -26,6 +25,7 @@ from blowdown.catalog import (
     sw_closed_form,
     walk,
 )
+from blowdown.audit import adjunction_audit
 from blowdown.exppoly import ExpKernel, cosh_c, sinh_c
 from blowdown.lattice import pairing
 from blowdown.reporting import CheckReport
@@ -255,7 +255,7 @@ def test_series_and_sw_replays_give_equal_chain_class_maps():
 RULE_HOMES = [
     ("series", "chain", "chain_surgery", "taut_blowdown", "H(5)", 2),
     ("series", "logt", "transform", "log_transform", "E(3;2,3)", 2),
-    ("series", "hpsum", "chain_surgery", "connected_sum_hp", "hpsum(E(2),3)", 1),
+    ("series", "hpsum", "nodal", "connected_sum_hp", "hpsum(E(2),3)", 1),
     ("sw", "chain", "swinv", "sw_taut_blowdown", "H(5)", 2),
     ("sw", "logt", "swinv", "sw_log_transform", "E(3;2,3)", 2),
     ("series", "blowup", "transform", "blowup", "blowup(E(4),3)", 1),

@@ -17,14 +17,10 @@ import pytest
 
 import blowdown.linalg as linalg
 from blowdown.catalog import SERIES_RULES, donaldson_closed_form, run, surgery_plan, walk
-from blowdown.chain_surgery import (
-    ChainConfig,
-    _blown_down_lattice,
-    _exceptional_chain_spheres,
-    restrict_class,
-)
+from blowdown.chain_surgery import ChainConfig, _blown_down_lattice, restrict_class
 from blowdown.lattice import HClass, IntersectionLattice
 from blowdown.linalg import hnf_rows
+from blowdown.nodal import _exceptional_chain_spheres
 from blowdown.transform import blown_up_lattice
 
 SPECS = (

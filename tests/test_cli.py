@@ -368,9 +368,9 @@ def test_verify_lattice_fails_a_wrong_chain_weight(capsys, monkeypatch):
 
 
 def test_verify_identities_fails_a_wrong_nodal_matrix(capsys, monkeypatch):
-    import blowdown.chain_surgery as chain_surgery
+    import blowdown.nodal as nodal
 
-    real = chain_surgery._nodal_rows
+    real = nodal._nodal_rows
 
     def corrupted(p):
         a = real(p)
@@ -378,8 +378,8 @@ def test_verify_identities_fails_a_wrong_nodal_matrix(capsys, monkeypatch):
             a[2] = a[2][:2] + ((2, 3),)  # A[2][2] = 3 makes A singular, so A^t has no inverse
         return a
 
-    monkeypatch.setattr(chain_surgery, "_nodal_rows", corrupted)
-    assert chain_surgery.verify_nodal_matrix_identity(4) is False
+    monkeypatch.setattr(nodal, "_nodal_rows", corrupted)
+    assert nodal.verify_nodal_matrix_identity(4) is False
     code, out, _ = run(capsys, "verify", "identities")
     assert code == 1
     # the exceptional chain of the log pipeline is built from the same rows

@@ -45,7 +45,7 @@ from blowdown.catalog import (
 )
 from blowdown.cli import main
 from blowdown.exppoly import ExpKernel
-from blowdown.serialize import fraction_str, lattice_to_obj
+from blowdown.reporting import fraction_str, lattice_to_obj
 from blowdown.swinv import SWMap, sw_blowup
 from blowdown.transform import ManifoldSeries, blowup
 from test_render import old_class_text

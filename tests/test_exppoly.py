@@ -16,12 +16,12 @@ from blowdown.exppoly import (
     exact_div,
     one,
     power,
-    refined_lattice,
     sinh_c,
-    twist,
     zero,
 )
 from blowdown.lattice import HClass, IntersectionLattice
+from blowdown.nodal import twist
+from blowdown.placement import refined_lattice
 from blowdown.transform import blowup, log_transform
 from lattices import diagonal_lattice
 
@@ -182,12 +182,16 @@ def _on(direction, poly: dict) -> ExpKernel:
 _COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
 _LAURENT = st.dictionaries(st.integers(-5, 5), _COEFFS, min_size=1, max_size=5)
 # non-monic divisors and divisors of non-unit content: 2e^{2u} + 3e^u, 6 sinh(2u),
-# (3 + 3e^u)/2 and the E(40;11,13) leaf's sinh(13u) sinh(11u)
+# (3 + 3e^u)/2 and the E(40;11,13) leaf's sinh(13u) sinh(11u); then binomials
+# lead (x^D - 1) that exact_div divides by strided sums, with lead -1 once the
+# content is out: (5/2)(e^{-u} - e^{3u}) and 1 - e^u
 _SPECIAL = [
     {2: Fraction(2), 1: Fraction(3)},
     {2: Fraction(3), -2: Fraction(-3)},
     {0: Fraction(3, 2), 1: Fraction(3, 2)},
     _poly_mul({13: Fraction(1, 2), -13: Fraction(-1, 2)}, {11: Fraction(1, 2), -11: Fraction(-1, 2)}),
+    {3: Fraction(-5, 2), -1: Fraction(5, 2)},
+    {1: Fraction(-1), 0: Fraction(1)},
 ]
 _DIVISORS = st.one_of(st.sampled_from(_SPECIAL), _LAURENT)
 _DIRECTIONS = st.sampled_from([(1, 0), (0, 1), (1, 2), (-2, 3)])
@@ -210,6 +214,8 @@ def _stretch(poly: dict, stride: int, offset: int) -> dict:
 @example(q={0: Fraction(1, 2)}, b={2: Fraction(3), -2: Fraction(-3)}, d=(1, 2), stride=1, oq=0, ob=0)
 # E(n;p,q)'s divisor sinh(qu) sinh(pu) has only even offsets
 @example(q={0: Fraction(1), 1: Fraction(-2)}, b=_SPECIAL[3], d=(0, 1), stride=2, oq=1, ob=0)
+@example(q={0: Fraction(1, 3), 2: Fraction(-4)}, b=_SPECIAL[4], d=(-2, 3), stride=3, oq=1, ob=-2)
+@example(q={-1: Fraction(2), 0: Fraction(5, 6)}, b=_SPECIAL[5], d=(1, 0), stride=1, oq=0, ob=0)
 def test_exact_div_matches_dense_oracle(q, b, d, stride, oq, ob):
     q, b = _stretch(q, stride, oq), _stretch(b, stride, ob)
     prod = _poly_mul(q, b)
@@ -339,6 +345,12 @@ def test_exact_div_error_messages():
         exact_div(ExpKernel(lat, {(1,): 1}), sinh_c(x))
     with pytest.raises(ValueError, match="^inexact division: nonzero remainder$"):
         exact_div(ExpKernel(lat, {(3,): 1, (2,): 1}), ExpKernel(lat, {(2,): 2, (1,): 3}))
+    # binomials lead (x^D - 1), divided by strided sums: x^3 - x + 2 leaves the
+    # remainder 2 under x^2 - 1, and sinh(3x) + 1 is no multiple of 4 - 4x^2
+    with pytest.raises(ValueError, match="^inexact division: nonzero remainder$"):
+        exact_div(ExpKernel(lat, {(3,): 1, (1,): -1, (0,): 2}), ExpKernel(lat, {(2,): 1, (0,): -1}))
+    with pytest.raises(ValueError, match="^inexact division: nonzero remainder$"):
+        exact_div(sinh_c(x * 3) + one(lat), ExpKernel(lat, {(2,): -4, (0,): 4}))
     f = LAT.basis_class("f")
     skew = ExpKernel(LAT, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
     with pytest.raises(ValueError, match="^exponents are not collinear"):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowdown.catalog import run, surgery_plan
-from blowdown.exppoly import refined_lattice
 from blowdown.lattice import (
     HClass,
     IntersectionLattice,
@@ -28,13 +27,9 @@ from blowdown.plumbing import (
     scaled_plumbing_inverse,
 )
 from blowdown.reporting import integral_coords
-from blowdown.chain_surgery import (
-    ChainConfig,
-    _blown_down_lattice,
-    _exceptional_chain_spheres,
-    _support,
-    restricted,
-)
+from blowdown.chain_surgery import ChainConfig, _blown_down_lattice, _support, restricted
+from blowdown.nodal import _exceptional_chain_spheres
+from blowdown.placement import refined_lattice
 from blowdown.transform import blown_up_lattice
 from lattices import chain_lattice, diagonal_lattice
 

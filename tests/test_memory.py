@@ -16,13 +16,8 @@ import io
 import tracemalloc
 from contextlib import redirect_stdout
 
-from blowdown.catalog import (
-    _closed_family,
-    donaldson_closed_form,
-    parse_spec,
-    surgery_plan,
-    sw_closed_form,
-)
+from blowdown.catalog import donaldson_closed_form, parse_spec, surgery_plan, sw_closed_form
+from blowdown.closed import closed_family
 from blowdown.cli import main
 
 
@@ -39,9 +34,9 @@ def _traced(f):
 
 
 def test_exact_div_peaks_well_below_two_quotients():
-    _closed_family(parse_spec("E(4;2,3)"))  # warm up
+    closed_family(parse_spec("E(4;2,3)"))  # warm up
     spec = parse_spec("E(40;11,13)")
-    held, peak, series = _traced(lambda: _closed_family(spec))
+    held, peak, series = _traced(lambda: closed_family(spec))
     assert len(series.kernel) == 5_577
     assert peak < 2.0 * held, (held, peak)
 

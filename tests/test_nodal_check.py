@@ -1,6 +1,6 @@
 """The affine nodal push-off check against the full sign-vector enumeration.
 
-`chain_surgery._check_nodal_chain` restricts each basic class and each of the p-1
+`nodal._check_nodal_chain` restricts each basic class and each of the p-1
 exceptional directions once.  `_enumerated_check` below is the enumeration
 it replaced: it pushes every blown-up class kappa + eps, over all 2^(p-1)
 sign vectors eps, off the exceptional chain.  Kept here as an oracle for
@@ -11,15 +11,14 @@ from fractions import Fraction
 
 import pytest
 
-from blowdown import chain_surgery
+from blowdown import chain_surgery, nodal
 from blowdown.catalog import donaldson_closed_form, donaldson_pipeline
-from blowdown.chain_surgery import (
-    ChainConfig,
+from blowdown.chain_surgery import ChainConfig, restrict_class
+from blowdown.nodal import (
     _check_nodal_chain,
     _exceptional_chain_spheres,
     connected_sum_hp,
     nodal_log_pipeline,
-    restrict_class,
 )
 from blowdown.lattice import HClass, QClass
 from blowdown.transform import blown_up_lattice, log_transform
@@ -93,7 +92,7 @@ def test_nodal_surgeries_restrict_each_direction_once(monkeypatch):
         calls.append(kappa)
         return restrict_class(c, kappa)
 
-    monkeypatch.setattr(chain_surgery, "restrict_class", counting)
+    monkeypatch.setattr(nodal, "restrict_class", counting)
     p = 8
     m = donaldson_closed_form("blowup(E(3),1)")
     f = m.lattice.basis_class("f")

@@ -34,8 +34,8 @@ from blowdown.plumbing import Plumbing, RelClass, Residue
 from blowdown.moduli import CanonicalClass, DimReport, dim_report
 from blowdown.reporting import CheckReport, set_field
 from blowdown.chain_surgery import BlowdownResult, ChainConfig, ClassRecord, RestrictedClass
+from blowdown.placement import LogPlacement, log_placement
 from blowdown.swinv import sw_en
-from blowdown.transform import LogPlacement, log_placement
 
 # the names `import blowdown` offered when it imported every submodule
 # eagerly, less replay and sw_replay, whose work catalog.run now does

@@ -18,12 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from blowdown import cli
+from blowdown import cli_calculus, reporting
 from blowdown.catalog import donaldson_closed_form
 from blowdown.cli import main
 from blowdown.exppoly import ExpKernel
 from blowdown.lattice import IntersectionLattice
-from blowdown.serialize import fraction_str, iterencode, kernel_to_obj, lattice_to_obj
+from blowdown.reporting import fraction_str, lattice_to_obj
+from blowdown.serialize import iterencode, kernel_to_obj
 from test_golden import invocations
 
 STRUCT = ["--format", "structured"]
@@ -199,7 +200,7 @@ class Discard:
 
 
 def emit_peak(monkeypatch, argv) -> tuple[int, int]:
-    """The tracemalloc peak of _emit on argv, over what was traced before it,
+    """The tracemalloc peak of emit on argv, over what was traced before it,
     and the bytes it wrote, to a stdout that keeps none."""
     peaks, sink = [], Discard()
 
@@ -209,9 +210,9 @@ def emit_peak(monkeypatch, argv) -> tuple[int, int]:
         emit(*emit_args)
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
 
-    emit = cli._emit
+    emit = cli_calculus.emit
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_emit", traced_emit)
+        patch.setattr(cli_calculus, "emit", traced_emit)
         patch.setattr(sys, "stdout", sink)
         tracemalloc.start()
         try:
@@ -234,12 +235,12 @@ def emit_peak(monkeypatch, argv) -> tuple[int, int]:
 def test_rendering_holds_a_bounded_share_of_the_output(monkeypatch, argv):
     # A listing walks its kernel's keys in sorted order: the sorted list holds
     # one 8-byte pointer per term, and sorting it takes a merge buffer of up
-    # to half as many.  Besides these, what _emit allocates must stay under a
+    # to half as many.  Besides these, what emit allocates must stay under a
     # quarter of what it writes; holding the whole output as text and as
     # bytes, as a single write needs, takes three times it.
     terms = len(donaldson_closed_form(argv[1]).kernel)
     peak, written = emit_peak(monkeypatch, argv)
-    assert written > 10 * cli.CHUNK
+    assert written > 10 * reporting.CHUNK
     assert peak - 12 * terms < written / 4
 
 
@@ -257,7 +258,7 @@ def test_unbuffered_output_spanning_many_chunks_is_byte_identical():
     argv = ["series", "blowup(E(6),10)", *STRUCT]
     buffered, unbuffered = run_cli(argv), run_cli(argv, "1")
     assert buffered.returncode == unbuffered.returncode == 0
-    assert len(buffered.stdout) > 100 * cli.CHUNK
+    assert len(buffered.stdout) > 100 * reporting.CHUNK
     assert unbuffered.stdout == buffered.stdout
     assert buffered.stdout.decode() == stdlib_text(buffered.stdout.decode())
 

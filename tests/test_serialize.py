@@ -6,12 +6,11 @@ import pytest
 from blowdown.catalog import donaldson_closed_form, sw_closed_form
 from blowdown.exppoly import ExpKernel
 from blowdown.lattice import IntersectionLattice
+from blowdown.reporting import fraction_str, lattice_to_obj
 from blowdown.serialize import (
     blowdown_to_obj,
-    fraction_str,
     iterencode,
     kernel_to_obj,
-    lattice_to_obj,
     series_to_obj,
     swmap_to_obj,
 )

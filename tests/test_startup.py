@@ -9,18 +9,27 @@ load is checked once for all of them.
 
 No process loads `argparse`, `gettext` or `locale`: the CLI reads its
 arguments from its own verb table, and a help request or a usage error loads
-none of them either.
+none of them either.  `cli` is the shell; a verb loads its handler module
+(`cli_calculus`, `cli_checks` or `audit`) and, of the others, only what it
+shares: `audit` the verdict of `cli_checks`, `blowdown` the rendering of
+`cli_calculus`.
 
 The chain blowdown (`chain_surgery`) loads only for a plan with a chain or
-hpsum step, and `linalg` only where a matrix is used, so hpsum's nodal models
-load none of it; the chain's own arithmetic (`plumbing`) loads only for a
-plan with a chain or hpsum step and for `dim` and `verify`, which load no
-intersection lattice (`lattice`) for it.  The basic-class calculus (`swinv`)
-loads only for a map, and `json` only for structured output.  The calculus
-runs in ints, the chain blowdown on numerators over p^2, the lemma check and
-the ladder coefficients of hpsum in ints, so `fractions` (which loads
-`decimal`) loads only for a verb that prints or compares rationals: `dim`
-and `verify lattice` among those checked here.
+hpsum step, the nodal models (`nodal`) only for hpsum and `verify
+identities`, and `linalg` only where a matrix is used, so hpsum's nodal
+models load none of it; the chain's own arithmetic (`plumbing`) loads only
+for a plan with a chain or hpsum step and for `dim` and `verify`, which load
+no intersection lattice (`lattice`) for it.  The basic-class calculus
+(`swinv`) loads only for a map, the log placement (`placement`) only for a
+log transform, the closed forms (`closed`) only for the closed route, and
+`serialize` and `json` only for structured output.  The calculus runs in
+ints, the chain blowdown on numerators over p^2, the lemma check and the
+ladder coefficients of hpsum in ints, so `fractions` (which loads `decimal`)
+loads only for a verb that prints or compares rationals: `dim` and `verify
+lattice` among those checked here.
+
+Each group also has a compile budget: the AST nodes of the blowdown modules
+it loads, which Python compiles from source when no bytecode is cached.
 """
 
 import ast
@@ -36,6 +45,7 @@ SRC = ROOT / "src"
 
 CALCULUS = {"catalog", "transform", "swinv", "exppoly"}
 CHAIN = {"chain_surgery", "linalg"}
+HANDLERS = {"cli_calculus", "cli_checks", "audit"}
 FRACTIONS = {"fractions", "decimal"}
 ARGPARSE = {"argparse", "gettext", "locale"}
 
@@ -111,6 +121,9 @@ GROUPS = {
         ["series", "hpsum(E(2),11)", "--format", "structured"],
     ],
     "verify lattice": [["verify", "lattice", "--p-max", "3"]],
+    # the benchmark's chain workload, one invocation per group
+    "chain workload, series": [["series", "H(40)", "--route", "pipeline"]],
+    "chain workload, witten": [["witten", "H(40)"]],
     "series only": [
         ["series", "E(3;2)", "--format", "structured"],
         ["series", "logt(E(3),2)", "--route", "pipeline"],
@@ -234,12 +247,78 @@ def test_no_invocation_loads_argparse_gettext_or_locale():
 
 def test_the_exhaustive_path_loads_only_the_layers_it_runs():
     loaded = _loaded()
-    lemmas = {"cli", "moduli", "plumbing", "reporting", "suites"}
+    lemmas = {"cli", "cli_checks", "moduli", "plumbing", "reporting", "suites"}
     assert loaded["verify lemmas"] == ([0, 0], {"blowdown", *(f"blowdown.{m}" for m in lemmas)})
     assert "lattice" not in _layers(loaded["dim"][1])
     hpsum = _layers(loaded["hpsum"][1])
-    assert "linalg" not in hpsum and {"chain_surgery", "plumbing", "lattice"} <= hpsum
+    assert "linalg" not in hpsum and {"chain_surgery", "nodal", "plumbing", "lattice"} <= hpsum
     # a plan with no chain step loads no chain arithmetic
     for name in ("blowup and closed smoke, text", "closed route"):
         assert "plumbing" not in _layers(loaded[name][1]), name
     assert "plumbing" in _layers(loaded["chain route"][1])
+
+
+def test_the_chain_route_loads_only_its_verbs_code():
+    loaded = _loaded()
+    assert "nodal" not in _layers(loaded["chain route"][1])
+    series = _layers(loaded["chain workload, series"][1])
+    witten = _layers(loaded["chain workload, witten"][1])
+    for name in ("chain workload, series", "chain workload, witten"):
+        codes, mods = loaded[name]
+        layers = _layers(mods)
+        assert codes == [0] and CHAIN <= layers and layers & HANDLERS == {"cli_calculus"}, name
+        # text output: no encoder; no log transform, nodal model or suite
+        assert not layers & {"serialize", "placement", "nodal", "moduli", "suites"}, name
+        assert "json" not in mods, name
+    assert "swinv" in witten - series and "closed" in witten - series
+    # a verb loads its own handler module and no other verb's
+    for name, handlers in (
+        ("dim", {"cli_checks"}),
+        ("verify lattice", {"cli_checks"}),
+        ("hpsum", {"cli_calculus"}),
+        ("closed route", {"cli_calculus", "audit", "cli_checks"}),
+        ("help and usage errors", set()),
+    ):
+        assert _layers(loaded[name][1]) & HANDLERS == handlers, name
+
+
+def _nodes(module: str) -> int:
+    """The AST nodes of a blowdown module's source."""
+    path = SRC / "blowdown" / f"{module.partition('.')[2] or '__init__'}.py"
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text())))
+
+
+# group -> the AST nodes of the blowdown modules it loads, at most: the count
+# once the verbs' handlers and the nodal, log placement, closed-form and audit
+# code left the modules every verb loads, plus 5%
+COMPILE_BUDGET = {
+    "import blowdown": 239,  # 228
+    "import blowdown.cli": 1836,  # 1749
+    "dim and verify lemmas, lattice": 10345,  # 9852
+    "series, sw, witten": 21459,  # 20437
+    "blowdown, logt, audit, verify identities": 27228,  # 25931
+    "blowup and closed smoke, text": 16290,  # 15514
+    "closed route": 17594,  # 16756
+    "chain route": 21387,  # 20369
+    "help and usage errors": 3085,  # 2938
+    "dim": 7329,  # 6980
+    "verify lemmas": 8946,  # 8520
+    "hpsum": 20140,  # 19181
+    "verify lattice": 9573,  # 9117
+    "chain workload, series": 17779,  # 16932
+    "chain workload, witten": 19784,  # 18842
+    "series only": 21670,  # 20638
+    "text verbs": 25342,  # 24135
+}
+
+
+def test_each_group_compiles_within_its_budget():
+    loaded = _loaded()
+    compiled = {
+        name: sum(_nodes(m) for m in mods if m.split(".")[0] == "blowdown")
+        for name, (_, mods) in loaded.items()
+    }
+    assert set(COMPILE_BUDGET) == set(GROUPS)
+    assert {name: n for name, n in compiled.items() if n > COMPILE_BUDGET[name]} == {}
+    # the chain workload's two invocations, each in a fresh process
+    assert compiled["chain workload, series"] + compiled["chain workload, witten"] <= 36_000

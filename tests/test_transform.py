@@ -6,16 +6,13 @@ import pytest
 
 from blowdown.exppoly import ExpKernel, cosh_c, one, sinh_c
 from blowdown.lattice import HClass, IntersectionLattice, QClass, pairing
-from blowdown.chain_surgery import (
-    ChainConfig,
+from blowdown.chain_surgery import ChainConfig, _extension, restrict_class, taut_blowdown
+from blowdown.nodal import (
     _exceptional_chain_spheres,
-    _extension,
     connected_sum_hp,
     formal_log_coefficients,
     nodal_log_pipeline,
     p2_blowdown,
-    restrict_class,
-    taut_blowdown,
     verify_nodal_matrix_identity,
 )
 from blowdown.plumbing import scaled_plumbing_inverse
