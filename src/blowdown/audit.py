@@ -1,13 +1,12 @@
-"""The audit verb's characteristic-number audit and the blowdown verb's
-replay of W, Y and H's chain blowdowns with their class maps; each function
-looks the catalog's plan and run up when called."""
+"""The audit verb's characteristic-number audit of a spec; it looks the
+catalog's plan and run up when called."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Union
 
 from .lattice import characteristic_squares
-from .reporting import CheckReport, emit
+from .reporting import CheckReport
 from .transform import sign_vectors
 
 if TYPE_CHECKING:
@@ -40,69 +39,3 @@ def adjunction_audit(spec: Union[str, ManifoldSpec]) -> list[CheckReport]:
         ok = slope * target - c2 + 36 == 0
         reports.append(CheckReport(name, ok, parameters={**c1, "c2": c2}))
     return reports
-
-
-def cmd_audit(args) -> int:
-    from .catalog import parse_spec, render
-    from .cli_checks import verdict
-
-    spec = parse_spec(args.spec)
-    return verdict(args, {"spec": render(spec)}, adjunction_audit(spec))
-
-
-def cmd_blowdown(args) -> int:
-    from .catalog import EllipticSpec, HSpec, WSpec, YSpec, parse_spec, render, run, surgery_plan
-    from .cli_calculus import _class_text, _series_lines
-
-    spec = parse_spec(args.spec)
-    if args.sections is not None:
-        if spec != EllipticSpec(4):
-            raise ValueError("--sections requires the spec E(4): the disjoint square -4 sections live there")
-        n = args.sections
-        if not 1 <= n <= 8:
-            raise ValueError("section count must be between 1 and 8 (simple connectivity bound)")
-        plan = surgery_plan(WSpec(n))
-    else:
-        if not isinstance(spec, EllipticSpec) or spec.pairs:
-            raise ValueError("--horikawa requires a plain E(n) spec")
-        n = spec.n
-        if n < 4:
-            raise ValueError("Horikawa-type blowdowns need n >= 4 (chain order n-2 >= 2)")
-        plan = surgery_plan(YSpec(n) if args.horikawa == 1 else HSpec(n))
-    final, steps = run(plan, "pipeline")
-
-    def obj():
-        from .serialize import blowdown_to_obj, series_to_obj
-
-        return {
-            "spec": render(spec),
-            "steps": [
-                {
-                    "order": step.n,
-                    "chain": list(step.spheres),
-                    "basis": list(pre.basis_names),
-                    **blowdown_to_obj(result, step.n**2),
-                }
-                for step, pre, result in steps
-            ],
-            "series": series_to_obj(final),
-        }
-
-    def text():
-        yield f"spec: {render(spec)}"
-        for i, (step, pre, result) in enumerate(steps, start=1):
-            yield f"step {i}: blow down order-{step.n} chain ending at {step.spheres[-1]}"
-            for rec in result.class_map:
-                src = _class_text(pre, rec.source)
-                line = f"  {src}: {rec.status} (boundary {rec.residue} mod {step.n**2})"
-                if rec.status == "kept":
-                    line += f" -> {_class_text(result.result.lattice, rec.image)}"
-                yield line
-        yield from _series_lines(final)
-
-    emit(args, obj, text)
-    return 0
-
-
-# verb -> handler, for the verbs cli.VERBS runs from this module
-HANDLERS = {"audit": cmd_audit, "blowdown": cmd_blowdown}

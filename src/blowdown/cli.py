@@ -11,9 +11,9 @@ so no verb holds its whole output in memory.
 
 This module is the shell: the verb table, argument parsing, help and usage.
 Importing it loads no other part of the package, nor argparse, gettext or
-locale.  Each verb's handler is in the HANDLERS of the module VERBS names
-for it (.cli_calculus for series, logt, sw and witten, .cli_checks for dim
-and verify, .audit for audit and blowdown), which loads only when that verb
+locale.  VERBS names each verb's handler by module and function
+(.cli_calculus for series, logt, sw and witten, .cli_checks for dim, verify
+and audit, .cli_blowdown for blowdown); the module loads only when that verb
 runs and imports the layers its verb runs (the chain blowdown only for a
 chain or hpsum step, json only for structured output).  No handler imports
 this module: run by `python -m blowdown.cli` or runpy it is `__main__`, and
@@ -60,28 +60,28 @@ def _int_at_least(low: int):
 _FORMAT = {"--format": (str, ("text", "structured"), "text")}
 _SPEC = {**_FORMAT, "spec": (str, "spec", None)}
 
-# verb -> (the module whose HANDLERS holds its handler, help line, arguments,
+# verb -> ((the module and function of its handler), help line, arguments,
 # required groups).  An argument maps to (convert, choices or metavar,
 # default); a name without "--" is a positional, which must be given, and of
 # each group's options exactly one.
 VERBS = {
-    "series": ("cli_calculus", "series kernel of a catalog spec",
+    "series": (("cli_calculus", "cmd_series"), "series kernel of a catalog spec",
                {**_SPEC, "--route": (str, ("closed", "pipeline"), "closed")}, ()),
-    "sw": ("cli_calculus", "basic-class map of a covered spec", _SPEC, ()),
-    "witten": ("cli_calculus", "compare the two calculi on a spec", _SPEC, ()),
-    "dim": ("cli_checks", "moduli dimension of a relative class",
+    "sw": (("cli_calculus", "cmd_sw"), "basic-class map of a covered spec", _SPEC, ()),
+    "witten": (("cli_calculus", "cmd_witten"), "compare the two calculi on a spec", _SPEC, ()),
+    "dim": (("cli_checks", "cmd_dim"), "moduli dimension of a relative class",
             {**_FORMAT, "--p": (int, "P", None), "--canonical": (_canonical_pair, "T,B", None),
              "--delta": (_int_list, "C1,C2,...", None)}, (("--p",), ("--canonical", "--delta"))),
-    "verify": ("cli_checks", "run a verification suite",
+    "verify": (("cli_checks", "cmd_verify"), "run a verification suite",
                {"suite": (str, ("lattice", "lemmas", "identities", "witten", "all"), None),
                 "--p-max": (_int_at_least(2), "P_MAX", None), "--box": (_int_at_least(0), "BOX", 4),
                 "--t-max": (_int_at_least(0), "T_MAX", 2), **_FORMAT}, ()),
-    "blowdown": ("audit", "replay chain blowdowns with their class maps",
+    "blowdown": (("cli_blowdown", "cmd_blowdown"), "replay chain blowdowns with their class maps",
                  {**_SPEC, "--sections": (int, "N", None), "--horikawa": (int, (1, 2), None)},
                  (("--sections", "--horikawa"),)),
-    "logt": ("cli_calculus", "log transform of a catalog spec",
+    "logt": (("cli_calculus", "cmd_logt"), "log transform of a catalog spec",
              {**_SPEC, "p": (int, "p", None)}, ()),
-    "audit": ("audit", "characteristic-number audit", _SPEC, ()),
+    "audit": (("cli_checks", "cmd_audit"), "characteristic-number audit", _SPEC, ()),
 }
 
 
@@ -126,7 +126,7 @@ def _parse(argv: list[str]):
     if top not in VERBS:
         why = f"argument verb: invalid choice: {top!r}" if argv else "argument verb is required"
         return _fail, (None, why)
-    module, _, arguments, groups = VERBS[top]
+    (module, handler), _, arguments, groups = VERBS[top]
     options = ["--help", *(n for n in arguments if n[:2] == "--")]
     given, free, rest = {}, [], iter(argv[1:])
     for arg in rest:
@@ -162,7 +162,7 @@ def _parse(argv: list[str]):
             why = f"invalid choice: {value!r} (choose from {', '.join(map(repr, meta))})"
             return _fail, (top, f"argument {name}: {why}")
         values[name.lstrip("-").replace("-", "_")] = value
-    return import_module(f"{__package__}.{module}").HANDLERS[top], SimpleNamespace(**values)
+    return getattr(import_module(f"{__package__}.{module}"), handler), SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,7 @@ def _piece(name: str, c: int) -> str:
     return ("-" if c < 0 else "+") + (name if abs(c) == 1 else f"{abs(c)}*{name}")
 
 
-def _class_text(lat: IntersectionLattice, c) -> str:  # a zero coordinate writes nothing
+def class_text(lat: IntersectionLattice, c) -> str:  # a zero coordinate writes nothing
     return "".join(map(_piece, compress(lat.basis_names, c), filter(None, c))).removeprefix("+") or "0"
 
 
@@ -38,7 +38,7 @@ def _compact_kernel(k: ExpKernel) -> Optional[str]:
         return None
     fn = "cosh" if neg_c == pos_c else "sinh"
     lead = "" if 2 * pos_c == k.den else f"{ratio_str(2 * pos_c, k.den)}*"
-    return f"{lead}{fn}({_class_text(k.lattice, pos_key)})"
+    return f"{lead}{fn}({class_text(k.lattice, pos_key)})"
 
 
 def _blown_up_lines(m, k: int, title: str, keys, parts) -> Iterator[str]:
@@ -57,7 +57,7 @@ def _blown_up_lines(m, k: int, title: str, keys, parts) -> Iterator[str]:
     yield f"e: {m.euler + k}  sigma: {m.signature - k}  b_plus: {m.b_plus}"
 
 
-def _series_lines(m: ManifoldSeries, k: int = 0) -> Iterator[str]:
+def series_lines(m: ManifoldSeries, k: int = 0) -> Iterator[str]:
     from .transform import blowup
 
     small = len(m.kernel) << k <= 2  # the compact forms read the expanded kernel
@@ -77,7 +77,7 @@ def _print_drops(chains) -> None:
     for _, pre, result in chains:
         for rec in result.class_map:
             if rec.status == "dropped" and rec.reason != ORTHOGONAL:
-                sys.stderr.write(f"dropping class {_class_text(pre, rec.source)}: {rec.reason}\n")
+                sys.stderr.write(f"dropping class {class_text(pre, rec.source)}: {rec.reason}\n")
 
 
 def _series_output(args, spec, route: str) -> int:
@@ -94,7 +94,7 @@ def _series_output(args, spec, route: str) -> int:
     def text():
         yield f"spec: {render(spec)}"
         yield f"route: {route}"
-        yield from _series_lines(m, k)
+        yield from series_lines(m, k)
 
     emit(args, obj, text)
     return 0
@@ -170,6 +170,3 @@ def cmd_witten(args) -> int:
     emit(args, obj, text)
     return 0 if ok else 1
 
-
-# verb -> handler, for the verbs cli.VERBS runs from this module
-HANDLERS = {"series": cmd_series, "logt": cmd_logt, "sw": cmd_sw, "witten": cmd_witten}

@@ -1,4 +1,4 @@
-"""The dim and verify verbs, and the verdict output verify and audit share."""
+"""The dim, verify and audit verbs and the verdict output they share."""
 
 from __future__ import annotations
 
@@ -69,5 +69,9 @@ def cmd_verify(args) -> int:
     return verdict(args, {"suite": args.suite}, reports, tally)
 
 
-# verb -> handler, for the verbs cli.VERBS runs from this module
-HANDLERS = {"dim": cmd_dim, "verify": cmd_verify}
+def cmd_audit(args) -> int:
+    from .audit import adjunction_audit
+    from .catalog import parse_spec, render
+
+    spec = parse_spec(args.spec)
+    return verdict(args, {"spec": render(spec)}, adjunction_audit(spec))

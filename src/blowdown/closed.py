@@ -27,8 +27,8 @@ def _y_lattice(n: int) -> IntersectionLattice:
 
 def closed_family(spec: ManifoldSpec) -> ManifoldSeries:
     """The printed closed form of a family leaf (E, W, Y or H).  E(n) with
-    multiple fibers divides its sinh power by one sinh factor at a time, each
-    a binomial that exact_div divides by strided sums."""
+    multiple fibers divides its sinh power by one sinh factor at a time, so
+    each long-division step of exact_div clears one tail term."""
     if isinstance(spec, EllipticSpec):
         orders = [o for pair in spec.pairs for o in pair]
         n_total = lcm(*orders) if orders else 1

@@ -12,7 +12,7 @@ the ring operations and the division run in integer arithmetic.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
@@ -268,10 +268,7 @@ def exact_div(a: ExpKernel, b: ExpKernel) -> ExpKernel:
     runs in place in the dense list of A's coefficients, on the common stride
     of A's and B's exponent offsets, each quotient entry taking the remainder
     slot it clears, and the quotient is built over the reduced denominator
-    a.den g / h, h = gcd(b.den, a.den g).  A binomial B / g = lead (x^D - 1),
-    such as sinh, takes no per-slot loop: its quotient entries are lead times
-    the strided suffix sums of A (lead is +-1, B's content being out), and
-    the sums below x^D are the remainder.
+    a.den g / h, h = gcd(b.den, a.den g).
     """
     a._check(b)
     if not b.num:
@@ -289,25 +286,20 @@ def exact_div(a: ExpKernel, b: ExpKernel) -> ExpKernel:
     lead = pb[hi_b] // g
     tail = [((e - hi_b) // step, c // g) for e, c in pb.items() if e != hi_b]
     rem = [pa.get(lo_a + i * step, 0) for i in range(da + 1)]
-    h = gcd(b.den, a.den * g)
-    top = b.den // h
-    if tail == [(-db, -lead)]:
-        for i in range(da, da - db, -1):  # one residue class of the slots mod db each
-            rem[i::-db] = accumulate(rem[i::-db])
-        top *= lead
-    else:
-        for i in range(da, db - 1, -1):
-            c, r = divmod(rem[i], lead)
-            if r:
-                raise ValueError("inexact division: nonzero remainder")
-            rem[i] = c  # the tail offsets are negative: slot i is never read again
-            if c:
-                for off, t in tail:
-                    rem[i + off] -= c * t
+    for i in range(da, db - 1, -1):
+        c, r = divmod(rem[i], lead)
+        if r:
+            raise ValueError("inexact division: nonzero remainder")
+        rem[i] = c  # the tail offsets are negative: slot i is never read again
+        if c:
+            for off, t in tail:
+                rem[i + off] -= c * t
     if any(rem[:db]):
         raise ValueError("inexact division: nonzero remainder")
     del rem[:db]  # the quotient, lowest power first
-    if top != 1:  # c * 1 would copy each c
+    h = gcd(b.den, a.den * g)
+    top = b.den // h
+    if top > 1:  # c * 1 would copy each c
         for i, c in enumerate(rem):
             rem[i] = c * top
     return _from_laurent(a.lattice, d, rem, lo_a - lo_b, step, a.den * g // h)

@@ -19,7 +19,7 @@ by the characteristic numbers; witten_diff compares the calculi class by class.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import comb
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exppoly import ExpKernel
@@ -184,12 +184,7 @@ def witten_diff(series: ManifoldSeries, m: SWMap) -> Optional[tuple[tuple, Fract
     c = witten_exponent(m.euler, m.signature)
     num, den, values = series.kernel.num, series.kernel.den, m.values
     lhs, rhs = 1 << max(-c, 0), den << max(c, 0)  # num/den == value * 2^c
-    g = gcd(lhs, rhs)
-    lhs, rhs = lhs // g, rhs // g
-    if lhs == rhs == 1:  # the calculi agree exactly where the two dicts are equal
-        if num == values:
-            return None
-    elif num.keys() == values.keys() and all(num[L] * lhs == v * rhs for L, v in values.items()):
+    if num.keys() == values.keys() and all(num[L] * lhs == v * rhs for L, v in values.items()):
         return None
     from fractions import Fraction
 

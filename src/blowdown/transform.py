@@ -10,8 +10,9 @@ loads only for a chain or an hpsum step.
 
 How a surgery moves lattice classes is the same for both calculi and lives in
 one place per surgery: blown_up_lattice and sign_vectors here, log_placement
-in .placement, chain_pushoff in .chain_surgery.  The series transforms and the basic-class
-transforms in .swinv differ only in the coefficient a moved class carries.
+in .placement, chain_pushoff in .chain_surgery.  The series transforms and
+the basic-class transforms in .swinv differ only in the coefficient a moved
+class carries.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ src/blowdown/ must be loaded in some module other than __init__.py, outside
 its own definition, unless it sits on ALLOWED; re-exporting a name from
 __init__.py does not count as a call.  A load counts only in the module that
 defines the name or in one that imports it, so a parameter that happens to
-share a function's name is not a caller.
+share a function's name is not a caller.  A VERBS table that names a
+function as a ("module", "function") pair of strings, as the CLI's does for
+the handler it looks up by name, is a caller of that function.
 
 Every public method or property of a class of those modules must be read as
 an attribute (`x.name`) somewhere in them outside its own body.  The match is
@@ -42,6 +44,26 @@ def _loads(tree: ast.Module, visible: set[str]) -> set[str]:
     return found
 
 
+def _verb_handlers(trees: dict[str, ast.Module]) -> set[str]:
+    """Functions a VERBS table names as a ("module", "function") pair of
+    strings, where that module defines the function at its top level."""
+    defined = {
+        name: {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name, tree in trees.items()
+    }
+    found = set()
+    for tree in trees.values():
+        for top in tree.body:
+            if not (isinstance(top, ast.Assign) and any(getattr(t, "id", None) == "VERBS" for t in top.targets)):
+                continue
+            for node in ast.walk(top.value):
+                if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                    pair = [e.value for e in node.elts if isinstance(e, ast.Constant)]
+                    if len(pair) == 2 and pair[1] in defined.get(pair[0], ()):
+                        found.add(pair[1])
+    return found
+
+
 def orphans(modules: dict[str, str]) -> list[str]:
     """Public top-level functions of `modules` (module name -> source) that
     no module of `modules` loads outside their own definition."""
@@ -66,7 +88,7 @@ def orphans(modules: dict[str, str]) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         }
         used |= _loads(tree, visible)
-    return sorted(public - used)
+    return sorted(public - used - _verb_handlers(trees))
 
 
 def method_orphans(modules: dict[str, str]) -> list[str]:
@@ -133,6 +155,17 @@ def test_guard_sees_modules_that_are_not_re_exported():
         "cli": "from .codec import encode\n\ndef main():\n    return encode(1)\n\nmain()\n",
     }
     assert orphans(modules) == ["decode"]
+
+
+def test_guard_reads_the_verb_table():
+    # a pair naming a module that does not define the function is no caller
+    modules = {
+        "verbs": "def cmd_go(args):\n    return 0\n\ndef cmd_stop(args):\n    return 1\n",
+        "cli": 'VERBS = {"go": (("verbs", "cmd_go"), "go"), "stop": (("verb", "cmd_stop"), "stop")}\n',
+    }
+    assert orphans(modules) == ["cmd_stop"]
+    modules["cli"] = modules["cli"].replace('"verb",', '"verbs",')
+    assert orphans(modules) == []
 
 
 def test_method_guard_names_a_planted_orphan():

@@ -183,8 +183,8 @@ _COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool
 _LAURENT = st.dictionaries(st.integers(-5, 5), _COEFFS, min_size=1, max_size=5)
 # non-monic divisors and divisors of non-unit content: 2e^{2u} + 3e^u, 6 sinh(2u),
 # (3 + 3e^u)/2 and the E(40;11,13) leaf's sinh(13u) sinh(11u); then binomials
-# lead (x^D - 1) that exact_div divides by strided sums, with lead -1 once the
-# content is out: (5/2)(e^{-u} - e^{3u}) and 1 - e^u
+# lead (x^D - 1), such as the single sinh factors the closed form divides by,
+# with lead -1 once the content is out: (5/2)(e^{-u} - e^{3u}) and 1 - e^u
 _SPECIAL = [
     {2: Fraction(2), 1: Fraction(3)},
     {2: Fraction(3), -2: Fraction(-3)},
@@ -345,8 +345,8 @@ def test_exact_div_error_messages():
         exact_div(ExpKernel(lat, {(1,): 1}), sinh_c(x))
     with pytest.raises(ValueError, match="^inexact division: nonzero remainder$"):
         exact_div(ExpKernel(lat, {(3,): 1, (2,): 1}), ExpKernel(lat, {(2,): 2, (1,): 3}))
-    # binomials lead (x^D - 1), divided by strided sums: x^3 - x + 2 leaves the
-    # remainder 2 under x^2 - 1, and sinh(3x) + 1 is no multiple of 4 - 4x^2
+    # binomials lead (x^D - 1): x^3 - x + 2 leaves the remainder 2 under
+    # x^2 - 1, and sinh(3x) + 1 is no multiple of 4 - 4x^2
     with pytest.raises(ValueError, match="^inexact division: nonzero remainder$"):
         exact_div(ExpKernel(lat, {(3,): 1, (1,): -1, (0,): 2}), ExpKernel(lat, {(2,): 1, (0,): -1}))
     with pytest.raises(ValueError, match="^inexact division: nonzero remainder$"):

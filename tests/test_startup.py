@@ -10,9 +10,8 @@ load is checked once for all of them.
 No process loads `argparse`, `gettext` or `locale`: the CLI reads its
 arguments from its own verb table, and a help request or a usage error loads
 none of them either.  `cli` is the shell; a verb loads its handler module
-(`cli_calculus`, `cli_checks` or `audit`) and, of the others, only what it
-shares: `audit` the verdict of `cli_checks`, `blowdown` the rendering of
-`cli_calculus`.
+(`cli_calculus`, `cli_checks` or `cli_blowdown`) and no other, save that
+`blowdown` shares the rendering of `cli_calculus`.
 
 The chain blowdown (`chain_surgery`) loads only for a plan with a chain or
 hpsum step, the nodal models (`nodal`) only for hpsum and `verify
@@ -45,7 +44,7 @@ SRC = ROOT / "src"
 
 CALCULUS = {"catalog", "transform", "swinv", "exppoly"}
 CHAIN = {"chain_surgery", "linalg"}
-HANDLERS = {"cli_calculus", "cli_checks", "audit"}
+HANDLERS = {"cli_calculus", "cli_checks", "cli_blowdown"}
 FRACTIONS = {"fractions", "decimal"}
 ARGPARSE = {"argparse", "gettext", "locale"}
 
@@ -276,7 +275,7 @@ def test_the_chain_route_loads_only_its_verbs_code():
         ("dim", {"cli_checks"}),
         ("verify lattice", {"cli_checks"}),
         ("hpsum", {"cli_calculus"}),
-        ("closed route", {"cli_calculus", "audit", "cli_checks"}),
+        ("closed route", {"cli_calculus", "cli_checks"}),
         ("help and usage errors", set()),
     ):
         assert _layers(loaded[name][1]) & HANDLERS == handlers, name
@@ -293,22 +292,22 @@ def _nodes(module: str) -> int:
 # code left the modules every verb loads, plus 5%
 COMPILE_BUDGET = {
     "import blowdown": 239,  # 228
-    "import blowdown.cli": 1836,  # 1749
-    "dim and verify lemmas, lattice": 10345,  # 9852
-    "series, sw, witten": 21459,  # 20437
-    "blowdown, logt, audit, verify identities": 27228,  # 25931
-    "blowup and closed smoke, text": 16290,  # 15514
-    "closed route": 17594,  # 16756
-    "chain route": 21387,  # 20369
-    "help and usage errors": 3085,  # 2938
-    "dim": 7329,  # 6980
-    "verify lemmas": 8946,  # 8520
-    "hpsum": 20140,  # 19181
-    "verify lattice": 9573,  # 9117
-    "chain workload, series": 17779,  # 16932
-    "chain workload, witten": 19784,  # 18842
-    "series only": 21670,  # 20638
-    "text verbs": 25342,  # 24135
+    "import blowdown.cli": 1865,  # 1776
+    "dim and verify lemmas, lattice": 10402,  # 9907
+    "series, sw, witten": 21348,  # 20331
+    "blowdown, logt, audit, verify identities": 27155,  # 25862
+    "blowup and closed smoke, text": 16178,  # 15408
+    "closed route": 17062,  # 16250
+    "chain route": 20851,  # 19858
+    "help and usage errors": 3113,  # 2965
+    "dim": 7387,  # 7035
+    "verify lemmas": 9004,  # 8575
+    "hpsum": 20081,  # 19125
+    "verify lattice": 9631,  # 9172
+    "chain workload, series": 17720,  # 16876
+    "chain workload, witten": 19673,  # 18736
+    "series only": 21611,  # 20582
+    "text verbs": 25217,  # 24016
 }
 
 
